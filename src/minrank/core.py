@@ -1,9 +1,10 @@
 """Matroid representations reduced to exact rank oracles.
 
 Five kinds are supported: uniform, partition, graphic, linear-rational
-(exact Fraction arithmetic), and explicit (an arbitrary small independence
-family given extensionally). Every kind exposes the same interface:
-``rank(mask)``, ``is_independent(mask)``, ``fundamental_circuit(I, x)``.
+(exact integer fraction-free elimination), and explicit (an arbitrary
+small independence family given extensionally). Every kind exposes the same
+interface: ``rank(mask)``, ``is_independent(mask)``,
+``fundamental_circuit(I, x)``.
 
 All matroids here are expected to be loopless; `validate` reports the first
 violated axiom (with witness sets) instead of silently repairing anything.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple, Sequence
 
 from .bitset import (
@@ -50,12 +52,13 @@ class Matroid:
         if not 0 <= n <= MAX_GROUND:
             raise ValueError(f"ground set size {n} outside [0, {MAX_GROUND}]")
         self.n = n
+        self._ground = full_mask(n)
 
     def _rank(self, mask: int) -> int:
         raise NotImplementedError
 
     def rank(self, mask: int) -> int:
-        if mask & ~full_mask(self.n):
+        if mask & ~self._ground:
             raise ValueError(f"mask {bin(mask)} has elements outside [0, {self.n})")
         return self._rank(mask)
 
@@ -132,11 +135,24 @@ class PartitionMatroid(Matroid):
             raise ValueError("capacities must be nonnegative")
         self.blocks = tuple(blocks)
         self.capacities = tuple(capacities)
+        # Blocks that can never fill up count every element; they are
+        # merged into one mask so a rank query pays one bit count for them.
+        free = 0
+        capped = []
+        for b, c in zip(self.blocks, self.capacities):
+            if c >= popcount(b):
+                free |= b
+            else:
+                capped.append((b, c))
+        self._free = free
+        self._capped = tuple(capped)
 
     def _rank(self, mask: int) -> int:
-        return sum(
-            min(popcount(mask & b), c) for b, c in zip(self.blocks, self.capacities)
-        )
+        r = (mask & self._free).bit_count()
+        for b, c in self._capped:
+            k = (mask & b).bit_count()
+            r += k if k < c else c
+        return r
 
     def params(self) -> dict:
         return {
@@ -162,19 +178,20 @@ class GraphicMatroid(Matroid):
 
     def _rank(self, mask: int) -> int:
         parent = list(range(self.num_vertices))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
+        edges = self.edges
         merges = 0
-        for e in iter_bits(mask):
-            u, v = self.edges[e]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            u, v = edges[low.bit_length() - 1]
+            while parent[u] != u:
+                parent[u] = parent[parent[u]]
+                u = parent[u]
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            if u != v:
+                parent[u] = v
                 merges += 1
         return merges
 
@@ -183,7 +200,13 @@ class GraphicMatroid(Matroid):
 
 
 class LinearMatroid(Matroid):
-    """Columns of a matrix over Q; rank by exact Gaussian elimination."""
+    """Columns of a matrix over Q; rank by exact integer fraction-free
+    elimination.
+
+    Each row is scaled by the lcm of its denominators once, at
+    construction; scaling a row by a nonzero integer keeps the column
+    matroid. `matrix` keeps the rational entries as given.
+    """
 
     kind = "linear-rational"
 
@@ -195,17 +218,24 @@ class LinearMatroid(Matroid):
         n = widths.pop() if widths else 0
         super().__init__(n)
         self.matrix = tuple(tuple(r) for r in rows)
+        # Column tuples, so a query gathers only the columns it selects.
+        self._columns = tuple(zip(*map(_integer_row, rows)))
         self._rank_cache: dict[int, int] = {}
 
     def _rank(self, mask: int) -> int:
         cached = self._rank_cache.get(mask)
         if cached is not None:
             return cached
-        cols = elements_of(mask)
-        # Work on the transpose (rows of `work` are the selected columns):
-        # row-echelon rank is the same and keeps the elimination loop simple.
-        work = [[row[c] for row in self.matrix] for c in cols]
-        r = matrix_rank(work)
+        # The selected columns become the rows of the work matrix: the
+        # transpose has the same rank.
+        columns = self._columns
+        work = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            work.append(columns[low.bit_length() - 1])
+        r = integer_rank(work)
         self._rank_cache[mask] = r
         return r
 
@@ -215,29 +245,54 @@ class LinearMatroid(Matroid):
         }
 
 
+def _integer_row(row: Sequence[Fraction]) -> list[int]:
+    """`row` times the lcm of its denominators."""
+    scale = lcm(*(v.denominator for v in row))
+    return [v.numerator * (scale // v.denominator) for v in row]
+
+
 def matrix_rank(rows: list[list[Fraction]]) -> int:
-    """Rank of a matrix given as a list of Fraction rows (destructive)."""
+    """Rank of a matrix given as a list of Fraction (or int) rows."""
+    return integer_rank([_integer_row(row) for row in rows])
+
+
+def integer_rank(rows: list[Sequence[int]]) -> int:
+    """Rank of an integer matrix given as a list of equal-length rows.
+
+    The list is consumed; the rows themselves are only read. Bareiss's
+    fraction-free elimination (1968): after a pivot step every entry left
+    below it is a minor of the input, so dividing by the previous pivot is
+    exact. A remainder would mean a wrong rank, so it raises
+    ArithmeticError instead.
+    """
     rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                pivot = i
+    prev = 1
+    # `rows` holds the rows not yet used as pivots, each cut down to the
+    # columns not yet eliminated.
+    while rows and rows[0]:
+        for i, row in enumerate(rows):
+            if row[0]:
                 break
-        if pivot is None:
+        else:
+            rows = [row[1:] for row in rows]
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col]:
-                factor = rows[i][col] / inv
-                ri, rp = rows[i], rows[rank]
-                for j in range(col, ncols):
-                    ri[j] -= factor * rp[j]
+        pivot = rows.pop(i)
         rank += 1
-        if rank == len(rows):
-            break
+        p = pivot[0]
+        tail = pivot[1:]
+        tail_sum = sum(tail)
+        reduced = []
+        for row in rows:
+            a = row[0]
+            rest = row[1:]
+            new = [(x * p - y * a) // prev for x, y in zip(rest, tail)]
+            # Floor remainders all have the sign of `prev`, so every entry
+            # divided exactly iff the row sum did.
+            if sum(new) * prev != p * sum(rest) - a * tail_sum:
+                raise ArithmeticError("inexact fraction-free elimination step")
+            reduced.append(new)
+        rows = reduced
+        prev = p
     return rank
 
 

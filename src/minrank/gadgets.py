@@ -31,7 +31,7 @@ from .bitset import (
     mask_of,
     popcount,
 )
-from .core import LinearMatroid, Matroid
+from .core import LinearMatroid, Matroid, integer_rank
 from .oracle import MinRankOracle
 from .verify import BruteReport
 
@@ -492,40 +492,6 @@ def build_gadget(g: ColoredGraph, allow_improper: bool = False) -> GadgetInstanc
 # -- verification --------------------------------------------------------------
 
 
-def _int_rank(rows: Sequence[Sequence[int]], mask: int) -> int:
-    """Exact rank of the integer submatrix on the masked columns.
-
-    Fraction-free elimination: entries stay determinants of small minors,
-    so dividing by the previous pivot is exact (checked).
-    """
-    cols = elements_of(mask)
-    mat = [[row[c] for c in cols] for row in rows]
-    nr, nc = len(mat), len(cols)
-    rank = 0
-    prev = 1
-    for col in range(nc):
-        piv = next((r for r in range(rank, nr) if mat[r][col]), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            mat[rank], mat[piv] = mat[piv], mat[rank]
-        prow = mat[rank]
-        p = prow[col]
-        for r in range(rank + 1, nr):
-            row = mat[r]
-            a = row[col]
-            row[col] = 0
-            for c2 in range(col + 1, nc):
-                q, rem = divmod(row[c2] * p - prow[c2] * a, prev)
-                assert rem == 0, "inexact fraction-free elimination step"
-                row[c2] = q
-        prev = p
-        rank += 1
-        if rank == nr:
-            break
-    return rank
-
-
 def verify_gadget(gi: GadgetInstance, oracle_samples: int = 25) -> list[BruteReport]:
     """Recompute every prescription from the matrices by exact rank.
 
@@ -546,14 +512,18 @@ def verify_gadget(gi: GadgetInstance, oracle_samples: int = 25) -> list[BruteRep
     ) -> BruteReport:
         return BruteReport(label, quantity, brute, solver, brute == solver, witnesses)
 
-    rows1 = [[int(v) for v in row] for row in gi.Z1]
-    rows2 = [[int(v) for v in row] for row in gi.Z2]
+    cols1 = [[int(v) for v in col] for col in zip(*gi.Z1)]
+    cols2 = [[int(v) for v in col] for col in zip(*gi.Z2)]
     cache: dict[int, tuple[int, int]] = {}
 
     def ranks(mask: int) -> tuple[int, int]:
         got = cache.get(mask)
         if got is None:
-            got = (_int_rank(rows1, mask), _int_rank(rows2, mask))
+            # Selected columns as rows: the transpose has the same rank.
+            got = (
+                integer_rank([cols1[c] for c in iter_bits(mask)]),
+                integer_rank([cols2[c] for c in iter_bits(mask)]),
+            )
             cache[mask] = got
         return got
 

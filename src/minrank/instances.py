@@ -84,7 +84,7 @@ def _matroid_from_spec(spec: object, n: int, where: str) -> Matroid:
             edges = [(int(u), int(v)) for u, v in field("edges")]
             m = GraphicMatroid(int(field("num_vertices")), edges)
         elif kind == "linear-rational":
-            m = LinearMatroid([[Fraction(v) for v in row] for row in field("rows")])
+            m = LinearMatroid(field("rows"))
         elif kind == "explicit":
             family = [mask_of(f) for f in field("family")]
             m = ExplicitMatroid(int(field("n")), family)
@@ -244,7 +244,7 @@ def _random_linear(rng: random.Random, n: int) -> LinearMatroid:
         while not any(col):
             col = [rng.randint(-2, 2) for _ in range(r)]
         cols.append(col)
-    rows = [[Fraction(cols[j][i]) for j in range(n)] for i in range(r)]
+    rows = [[cols[j][i] for j in range(n)] for i in range(r)]
     return LinearMatroid(rows)
 
 

@@ -28,11 +28,12 @@ class MinRankOracle:
         self._m1 = m1
         self._m2 = m2
         self.n = m1.n
+        self.ground = full_mask(m1.n)
         self._queries = 0
 
     def rmin(self, mask: int) -> int:
         """min(r1(X), r2(X)); every call increments the query counter."""
-        if mask & ~full_mask(self.n):
+        if mask & ~self.ground:
             raise ValueError("mask outside ground set")
         self._queries += 1
         return min(self._m1.rank(mask), self._m2.rank(mask))

@@ -44,3 +44,29 @@ def small_zoo() -> list:
 def fixture_weights() -> tuple[Fraction, ...]:
     """Weights pairing with crossed_pair: one heavy, two middling, one light."""
     return tuple(Fraction(x) for x in (5, 4, 4, 1))
+
+
+def fraction_rank(rows: list[list[Fraction]]) -> int:
+    """Reference rank by Gaussian elimination over Fractions (destructive)."""
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        pivot = None
+        for i in range(rank, len(rows)):
+            if rows[i][col]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = rows[rank][col]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
+                factor = rows[i][col] / inv
+                ri, rp = rows[i], rows[rank]
+                for j in range(col, ncols):
+                    ri[j] -= factor * rp[j]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank

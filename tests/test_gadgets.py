@@ -14,12 +14,13 @@ from minrank import (
     colorings_from_consistent_graphs,
     full_mask,
     mask_of,
-    matrix_rank,
     popcount,
     proper_four_colorings,
     verify_gadget,
 )
-from minrank.gadgets import _int_rank
+from minrank.core import integer_rank
+
+from conftest import fraction_rank
 
 
 def vertex_gadget(color=(1, 1)):
@@ -215,10 +216,10 @@ def test_enumeration_size_cap():
 
 
 def test_int_rank_prime_blocks():
-    assert _int_rank([[7, 0], [0, 11]], 0b11) == 2
-    assert _int_rank([[0, 7], [11, 0]], 0b11) == 2
-    assert _int_rank([[7, 11], [7, 11]], 0b11) == 1
-    assert _int_rank([[0, 0], [0, 0]], 0b11) == 0
+    assert integer_rank([[7, 0], [0, 11]]) == 2
+    assert integer_rank([[0, 7], [11, 0]]) == 2
+    assert integer_rank([[7, 11], [7, 11]]) == 1
+    assert integer_rank([[0, 0], [0, 0]]) == 0
 
 
 def test_int_rank_matches_fraction_elimination():
@@ -232,4 +233,5 @@ def test_int_rank_matches_fraction_elimination():
         mask = rng.randrange(1, 1 << nc)
         cols = [c for c in range(nc) if (mask >> c) & 1]
         frac = [[Fraction(row[c]) for c in cols] for row in rows]
-        assert _int_rank(rows, mask) == matrix_rank(frac)
+        ints = [[row[c] for c in cols] for row in rows]
+        assert integer_rank(ints) == fraction_rank(frac)

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minrank import (
+    GraphicMatroid,
     LexCost,
+    LinearMatroid,
     MinRankOracle,
+    PartitionMatroid,
     TwoSat,
     bit,
     dumps,
@@ -19,10 +22,13 @@ from minrank import (
     iter_bits,
     loads,
     mask_of,
+    matrix_rank,
     popcount,
     random_instance,
     solve_2sat,
 )
+
+from conftest import fraction_rank
 
 # -- bitsets -----------------------------------------------------------------
 
@@ -78,6 +84,117 @@ def test_instance_serialization_round_trip(seed, n, weighted):
     inst = random_instance(seed, n, weighted=weighted)
     text = dumps(inst)
     assert dumps(loads(text)) == text
+
+
+# -- rank kernels against references ----------------------------------------
+
+_MASKS = st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), max_size=20)
+
+
+@st.composite
+def partition_case(draw):
+    labels = draw(
+        st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=64)
+    )
+    blocks = [mask_of(e for e, b in enumerate(labels) if b == i) for i in range(6)]
+    caps = draw(st.lists(st.integers(min_value=0, max_value=7), min_size=6, max_size=6))
+    return PartitionMatroid(len(labels), blocks, caps), draw(_MASKS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(partition_case())
+@example((PartitionMatroid(5, (0b00011, 0b11100), (0, 3)), [0b11111, 0b10101, 0b00010]))
+def test_partition_rank_matches_sum_of_min(case):
+    m, masks = case
+    for mask in masks:
+        mask &= full_mask(m.n)
+        want = sum(min(popcount(mask & b), c) for b, c in zip(m.blocks, m.capacities))
+        assert m.rank(mask) == want
+
+
+def _forest_size(m: GraphicMatroid, mask: int) -> int:
+    parent = list(range(m.num_vertices))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    merges = 0
+    for e in iter_bits(mask):
+        u, v = m.edges[e]
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            merges += 1
+    return merges
+
+
+@st.composite
+def graphic_case(draw):
+    v = draw(st.integers(min_value=1, max_value=10))
+    vertex = st.integers(min_value=0, max_value=v - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=64))
+    return GraphicMatroid(v, edges), draw(_MASKS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphic_case())
+@example(
+    (GraphicMatroid(5, ((0, 1), (1, 0), (1, 2), (0, 2), (0, 1))), [0b11111, 0b10011])
+)
+def test_graphic_rank_matches_union_find(case):
+    m, masks = case
+    for mask in masks:
+        mask &= full_mask(m.n)
+        assert m.rank(mask) == _forest_size(m, mask)
+
+
+_ENTRIES = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.sampled_from((10**30, -(10**30), Fraction(1, 10**30), Fraction(7, 3 * 10**30))),
+)
+
+
+def _matrices(h: int, w: int):
+    row = st.lists(_ENTRIES, min_size=w, max_size=w)
+    return st.lists(row, min_size=h, max_size=h)
+
+
+@st.composite
+def linear_case(draw):
+    """A product of an nr x k and a k x nc matrix, so the rank is at most k
+    and dependent column sets are common; some columns are then zeroed."""
+    nr = draw(st.integers(min_value=1, max_value=5))
+    nc = draw(st.integers(min_value=1, max_value=8))
+    k = draw(st.integers(min_value=1, max_value=nr))
+    left = draw(_matrices(nr, k))
+    right = draw(_matrices(k, nc))
+    rows = [
+        [sum(a * right[i][c] for i, a in enumerate(lrow)) for c in range(nc)]
+        for lrow in left
+    ]
+    for c in draw(st.sets(st.integers(min_value=0, max_value=nc - 1), max_size=2)):
+        for r in rows:
+            r[c] = 0
+    return rows, draw(_MASKS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_case())
+@example(([["1/2", 1, 0], [0, "1/3", 0]], [0b011, 0b100, 0b111]))
+@example(([[10**30, 1, 0], [0, Fraction(1, 10**30), 0]], [0b011, 0b111]))
+def test_linear_rank_matches_fraction_elimination(case):
+    rows, masks = case
+    m = LinearMatroid(rows)
+    for mask in masks:
+        cols = elements_of(mask & full_mask(m.n))
+        want = fraction_rank([[Fraction(row[c]) for c in cols] for row in rows])
+        assert m.rank(mask & full_mask(m.n)) == want
+    want = fraction_rank([[Fraction(v) for v in row] for row in rows])
+    assert matrix_rank([[Fraction(v) for v in row] for row in rows]) == want
 
 
 # -- two-literal satisfiability ------------------------------------------------
