@@ -42,7 +42,6 @@ from .core import (
     UniformMatroid,
     ValidationReport,
     matrix_rank,
-    restriction,
     validate,
 )
 from .errors import ContractViolationError, NegativeCycleError

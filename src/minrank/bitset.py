@@ -7,6 +7,7 @@ difference is ``^``.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterator
 
 MAX_GROUND = 64
@@ -30,13 +31,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def lowest_bit(mask: int) -> int:
-    """Smallest element id in a nonempty mask."""
-    if not mask:
-        raise ValueError("empty mask has no lowest bit")
-    return (mask & -mask).bit_length() - 1
 
 
 def mask_of(elements) -> int:
@@ -64,15 +58,11 @@ def subsets_of(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-def subsets_of_size(mask: int, k: int) -> Iterator[int]:
-    """All k-element submasks, ordered by ascending element tuples."""
-    from itertools import combinations
-
+def small_subsets(mask: int, k: int) -> list[int]:
+    """Nonempty submasks of at most k elements, by size and then by
+    ascending element tuples."""
     elems = elements_of(mask)
-    if k > len(elems):
-        return
-    for combo in combinations(elems, k):
-        yield mask_of(combo)
+    return [mask_of(c) for r in range(1, k + 1) for c in combinations(elems, r)]
 
 
 def format_set(mask: int) -> str:

@@ -45,9 +45,11 @@ from .solvers import (
     WeightedRun,
     approx_max_weight,
     augment_min_rank,
+    class_vector,
     lexicographic_max,
     max_cardinality,
     total_weight,
+    weight_classes,
     weighted_fpt_circuit,
     weighted_no_circuit_inclusion,
 )
@@ -60,7 +62,6 @@ from .verify import (
     brute_w_maximal,
     check_promise_no_circuit_inclusion,
     circuits,
-    class_vector,
 )
 
 EXIT_OK = 0
@@ -157,7 +158,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         trace = wrun.trace
     elif args.mode == "lexmax":
         lrun = lexicographic_max(o, w)
-        print(f"classes: {' '.join(str(c) for c in _distinct_weights(w))}", file=out)
+        classes = weight_classes(w, full_mask(inst.n))
+        print(f"classes: {' '.join(str(c) for c in classes)}", file=out)
         print(f"vector: {' '.join(str(c) for c in lrun.vector)}", file=out)
         print(f"witness: {_named(lrun.I, inst.names)}", file=out)
         print(f"weight: {total_weight(w, lrun.I)}", file=out)
@@ -174,10 +176,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         for step in trace:
             print(f"trace: {step}", file=out)
     return EXIT_OK
-
-
-def _distinct_weights(w: Sequence[Fraction]) -> list[Fraction]:
-    return sorted({Fraction(x) for x in w}, reverse=True)
 
 
 # -- verify ---------------------------------------------------------------------
@@ -244,7 +242,8 @@ def _verify_instance(inst: Instance, label: str) -> list[BruteReport]:
         lrun = lexicographic_max(MinRankOracle(m1, m2), w)
         best_vec, _ = brute_lexmax(m1, m2, w)
         make("lexmax-vector", best_vec, lrun.vector)
-        make("lexmax-vector-of-witness", best_vec, class_vector(lrun.I, w))
+        witness_vec = class_vector(w, full_mask(n), lrun.I)
+        make("lexmax-vector-of-witness", best_vec, witness_vec)
     return reports
 
 
@@ -521,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("true", "modified", "intersected", "consistent"),
         default="consistent",
     )
-    p_graph.add_argument("--emit", choices=("dot",), default="dot")
     p_graph.set_defaults(func=_cmd_graph)
 
     p_gadget = sub.add_parser(

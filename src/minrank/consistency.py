@@ -13,13 +13,12 @@ two-by-two exchanges, where it errs on the side of omitting arcs.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .bitset import bit, elements_of, full_mask, iter_bits, popcount
+from .bitset import elements_of, iter_bits, popcount, small_subsets
 from .errors import ContractViolationError
 from .exchange import ExchangeGraph, StarPair, intersect_modified, survey_extensions
-from .oracle import MinRankOracle
+from .oracle import Oracle
 
 Arc = tuple[int, int]
 # A literal spec for clause assembly: an arc plus a negation flag.
@@ -42,26 +41,21 @@ class ObservationTable:
     elements of I. Each distinct exchanged set is queried exactly once.
     """
 
-    def __init__(self, o: MinRankOracle, I: int, S: int, T: int):
+    def __init__(self, o: Oracle, I: int, S: int, T: int):
         self.o = o
         self.I = I
         self.S = S
         self.T = T
         self.k = popcount(I)
-        ground = getattr(o, "ground", full_mask(o.n))
-        self._xs = elements_of(ground & ~(I | S | T))
-        self._ys = elements_of(I)
+        self._x_sets = small_subsets(o.ground & ~(I | S | T), 2)
+        self._y_sets = small_subsets(I, 2)
         self._cache: dict[int, int] = {}
 
     def x_sets(self) -> list[int]:
-        singles = [bit(x) for x in self._xs]
-        pairs = [bit(a) | bit(b) for a, b in combinations(self._xs, 2)]
-        return singles + pairs
+        return self._x_sets
 
     def y_sets(self) -> list[int]:
-        singles = [bit(y) for y in self._ys]
-        pairs = [bit(a) | bit(b) for a, b in combinations(self._ys, 2)]
-        return singles + pairs
+        return self._y_sets
 
     def value(self, X: int, Y: int) -> int:
         key = (self.I | X) & ~Y
@@ -88,8 +82,8 @@ class ObservationTable:
     def subpair_values(self, X: int, Y: int) -> dict[tuple[int, int], int]:
         """Values of every proper subpair of (X, Y)."""
         out: dict[tuple[int, int], int] = {}
-        for Xp in _nonempty_subsets(X):
-            for Yp in _nonempty_subsets(Y):
+        for Xp in small_subsets(X, 2):
+            for Yp in small_subsets(Y, 2):
                 if (Xp, Yp) != (X, Y):
                     out[(Xp, Yp)] = self.value(Xp, Yp)
         return out
@@ -110,20 +104,8 @@ class ObservationTable:
         ]
 
 
-def _nonempty_subsets(mask: int) -> list[int]:
-    els = elements_of(mask)
-    out = []
-    for r in range(1, len(els) + 1):
-        for combo in combinations(els, r):
-            m = 0
-            for e in combo:
-                m |= bit(e)
-            out.append(m)
-    return out
-
-
 def observe_le_pairs(
-    o: MinRankOracle, I: int, S: int, T: int
+    o: Oracle, I: int, S: int, T: int
 ) -> list[LEObservation]:
     """All small-exchange observations in deterministic order."""
     return ObservationTable(o, I, S, T).all_observations()
@@ -140,8 +122,8 @@ def is_evil(obs: LEObservation, subpairs: Mapping[tuple[int, int], int]) -> bool
     if popcount(obs.X) != 2 or popcount(obs.Y) != 2:
         return False
     k = obs.value + 1  # evil forces value == |I| - 1
-    for Xp in _nonempty_subsets(obs.X):
-        for Yp in _nonempty_subsets(obs.Y):
+    for Xp in small_subsets(obs.X, 2):
+        for Yp in small_subsets(obs.Y, 2):
             if (Xp, Yp) == (obs.X, obs.Y):
                 continue
             v = subpairs.get((Xp, Yp))
@@ -215,7 +197,6 @@ def build_cnf(
     table: ObservationTable,
     g: ExchangeGraph,
     extra: Sequence[Sequence[ArcLiteral]] = (),
-    emit_subsumed: bool = False,
 ) -> TwoSat:
     """Compile every observation into two-literal clauses.
 
@@ -233,10 +214,10 @@ def build_cnf(
       with its partner b_{3-i,3-j}
     * anything else: no clauses (subpair clauses already cover it)
 
-    `emit_subsumed` re-adds the diagonal clauses (~a1 | ~b1), (~a2 | ~b2)
-    in the one-for-two and two-for-one low cases; they are implied by the
-    one-for-one subpair clauses and normally omitted. `extra` appends
-    pre-folded arc-literal clauses (used by the bounded-circuit solver).
+    The diagonal clauses (~a1 | ~b1), (~a2 | ~b2) of the one-for-two and
+    two-for-one low cases are omitted: the one-for-one subpair clauses
+    imply them. `extra` appends pre-folded arc-literal clauses (used by the
+    bounded-circuit solver).
     """
     variables = sorted(g.suspicious_pairs())
     f = TwoSat(variables)
@@ -267,9 +248,6 @@ def build_cnf(
             elif v == k - 2:
                 f.add(lit(a1, True), lit(b2, True))
                 f.add(lit(a2, True), lit(b1, True))
-                if emit_subsumed:
-                    f.add(lit(a1, True), lit(b1, True))
-                    f.add(lit(a2, True), lit(b2, True))
         elif len(xs) == 2 and len(ys) == 1:
             a1, a2 = (xs[0], ys[0]), (xs[1], ys[0])
             b1, b2 = (ys[0], xs[0]), (ys[0], xs[1])
@@ -279,9 +257,6 @@ def build_cnf(
             elif v == k - 1:
                 f.add(lit(a1, True), lit(b2, True))
                 f.add(lit(a2, True), lit(b1, True))
-                if emit_subsumed:
-                    f.add(lit(a1, True), lit(b1, True))
-                    f.add(lit(a2, True), lit(b2, True))
         else:
             # two-for-two; a[i][j] = (x_i, y_j), b[i][j] = (y_j, x_i)
             a = [[(x, y) for y in ys] for x in xs]
@@ -387,7 +362,7 @@ def solve_2sat(f: TwoSat) -> dict[Arc, bool] | None:
 
 
 def almost_consistent_graph(
-    o: MinRankOracle, I: int, sp: StarPair | None = None
+    o: Oracle, I: int, sp: StarPair | None = None
 ) -> ExchangeGraph:
     """Resolve every suspicious arc of the intersected graph.
 

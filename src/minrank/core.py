@@ -414,28 +414,3 @@ def validate(m: Matroid, *, seed: int = 0) -> ValidationReport:
 
     return ValidationReport(True)
 
-
-def restriction(m: Matroid, ground: int) -> "RestrictedMatroid":
-    """The matroid restricted to a sub-ground-set, keeping original ids.
-
-    Elements outside `ground` become forbidden (rank queries must not touch
-    them); used by solvers that drop nonpositive-weight elements.
-    """
-    return RestrictedMatroid(m, ground)
-
-
-class RestrictedMatroid(Matroid):
-    kind = "restriction"
-
-    def __init__(self, inner: Matroid, ground: int):
-        super().__init__(inner.n)
-        self.inner = inner
-        self.ground = ground
-
-    def _rank(self, mask: int) -> int:
-        if mask & ~self.ground:
-            raise ValueError("query touches removed elements")
-        return self.inner.rank(mask)
-
-    def params(self) -> dict:
-        return {"ground": elements_of(self.ground), "inner": self.inner.params()}

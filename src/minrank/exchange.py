@@ -17,11 +17,11 @@ symmetric difference of such a path grows the common independent set by one.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
-from .bitset import bit, format_set, full_mask, iter_bits, popcount
+from .bitset import bit, elements_of, format_set, full_mask, iter_bits, mask_of, popcount
 from .core import Matroid
-from .oracle import MinRankOracle
+from .oracle import Oracle
 
 
 class StarPair(NamedTuple):
@@ -134,59 +134,6 @@ class ExchangeGraph:
 
     # -- derived graphs ----------------------------------------------------
 
-    def flipped(self) -> "ExchangeGraph":
-        """The mirror graph: swap the roles of the two hidden matroids.
-
-        Layer 1 and layer 2 exchange with all arcs reversed, and sources
-        swap with sinks. Augmenting paths map to reversed paths with the
-        same vertex set, so solvers are indifferent to the flip.
-        """
-        n = self.n
-        arcs1 = [0] * n
-        arcs2 = [0] * n
-        sure1 = [0] * n
-        sure2 = [0] * n
-        for x, y in self.arcs2_pairs():
-            arcs1[y] |= bit(x)
-            if (self.sure2[x] >> y) & 1:
-                sure1[y] |= bit(x)
-        for y, x in self.arcs1_pairs():
-            arcs2[x] |= bit(y)
-            if (self.sure1[y] >> x) & 1:
-                sure2[x] |= bit(y)
-        return ExchangeGraph(
-            n, self.I, self.T, self.S, arcs1, arcs2, sure1, sure2, kind=self.kind
-        )
-
-    def mutated(
-        self,
-        add: Sequence[tuple[int, int]] = (),
-        drop: Sequence[tuple[int, int]] = (),
-    ) -> "ExchangeGraph":
-        """Fault-injection helper: a copy with arcs added and/or removed.
-
-        Added arcs are labeled sure; audits should catch the lie.
-        """
-        arcs1, arcs2 = list(self.arcs1), list(self.arcs2)
-        sure1, sure2 = list(self.sure1), list(self.sure2)
-        for u, v in add:
-            if (self.I >> u) & 1:
-                arcs1[u] |= bit(v)
-                sure1[u] |= bit(v)
-            else:
-                arcs2[u] |= bit(v)
-                sure2[u] |= bit(v)
-        for u, v in drop:
-            if (self.I >> u) & 1:
-                arcs1[u] &= ~bit(v)
-                sure1[u] &= ~bit(v)
-            else:
-                arcs2[u] &= ~bit(v)
-                sure2[u] &= ~bit(v)
-        return ExchangeGraph(
-            self.n, self.I, self.S, self.T, arcs1, arcs2, sure1, sure2, self.kind
-        )
-
     def with_assignment(self, chosen: dict[tuple[int, int], bool]) -> "ExchangeGraph":
         """Keep sure arcs; keep a suspicious arc iff chosen[(u, v)] is True."""
         arcs1, arcs2 = list(self.sure1), list(self.sure2)
@@ -274,33 +221,16 @@ def build_true_graph(m1: Matroid, m2: Matroid, I: int) -> ExchangeGraph:
     return ExchangeGraph(n, I, S, T, arcs1, arcs2, kind="true")
 
 
-def find_star_pair(
-    o: MinRankOracle, I: int
-) -> StarPair | DirectAugment | None:
-    """Scan single and pairwise additions to I through the oracle.
-
-    Returns, in this priority order: a DirectAugment for the smallest
-    element whose addition lifts the min-rank; else the lexicographically
-    smallest probe pair; else None, meaning every pairwise addition is flat
-    (the whole ground set is then a dual certificate).
-    """
-    k = popcount(I)
-    ground = getattr(o, "ground", full_mask(o.n))
-    outside = ground & ~I
-    flat = []
-    for x in iter_bits(outside):
-        if o.rmin(I | bit(x)) == k + 1:
-            return DirectAugment(x)
-        flat.append(x)
-    for i, s in enumerate(flat):
-        for t in flat[i + 1 :]:
-            if o.rmin(I | bit(s) | bit(t)) == k + 1:
-                return StarPair(s, t)
-    return None
+def find_star_pair(o: Oracle, I: int) -> StarPair | DirectAugment | None:
+    """`survey_extensions` with early exit: a DirectAugment for the smallest
+    rank-lifting element, else the probe pair, else None (every pairwise
+    addition is flat; the whole ground set is then a dual certificate)."""
+    survey = survey_extensions(o, I, first=True)
+    return DirectAugment(survey.direct[0]) if survey.direct else survey.pair
 
 
 class ExtensionSurvey(NamedTuple):
-    """Full addability scan: all rank-lifting singletons and the
+    """Addability scan: the rank-lifting singletons and the
     lexicographically smallest probe pair (None if no pair qualifies)."""
 
     direct: tuple[int, ...]
@@ -311,37 +241,38 @@ class ExtensionSurvey(NamedTuple):
         return not self.direct and self.pair is None
 
 
-def survey_extensions(o: MinRankOracle, I: int) -> ExtensionSurvey:
-    """Like `find_star_pair` but never short-circuits: the weighted solver
-    needs the probe pair even when rank-lifting singletons exist."""
+def survey_extensions(o: Oracle, I: int, first: bool = False) -> ExtensionSurvey:
+    """Scan single and pairwise additions to I through the oracle.
+
+    Collects every element whose addition lifts the min-rank, then scans
+    the pairs of flat elements for the lexicographically smallest probe
+    pair. The weighted solvers need the pair even when rank-lifting
+    singletons exist. With `first`, the scan stops at the first rank-lifting
+    element and reports it alone, with no pair.
+    """
     k = popcount(I)
-    ground = getattr(o, "ground", full_mask(o.n))
-    outside = ground & ~I
     direct = []
     flat = []
-    for x in iter_bits(outside):
+    for x in iter_bits(o.ground & ~I):
         if o.rmin(I | bit(x)) == k + 1:
+            if first:
+                return ExtensionSurvey((x,), None)
             direct.append(x)
         else:
             flat.append(x)
-    pair = None
     for i, s in enumerate(flat):
-        if pair:
-            break
         for t in flat[i + 1 :]:
             if o.rmin(I | bit(s) | bit(t)) == k + 1:
-                pair = StarPair(s, t)
-                break
-    return ExtensionSurvey(tuple(direct), pair)
+                return ExtensionSurvey(tuple(direct), StarPair(s, t))
+    return ExtensionSurvey(tuple(direct), None)
 
 
-def _star_sets(o: MinRankOracle, I: int, sp: StarPair) -> tuple[int, int]:
+def _star_sets(o: Oracle, I: int, sp: StarPair) -> tuple[int, int]:
     """Sources/sinks from the probe pair: s joins the source side if adding
     it alongside t* lifts the rank; sinks mirror with s*."""
     k = popcount(I)
-    ground = getattr(o, "ground", full_mask(o.n))
-    outside = ground & ~I
-    if sp.s == sp.t or (I | ~ground) & (bit(sp.s) | bit(sp.t)):
+    outside = o.ground & ~I
+    if sp.s == sp.t or (I | ~o.ground) & (bit(sp.s) | bit(sp.t)):
         raise ValueError("probe pair must be two distinct elements outside I")
     sb, tb = bit(sp.s), bit(sp.t)
     S = 0
@@ -357,23 +288,27 @@ def _star_sets(o: MinRankOracle, I: int, sp: StarPair) -> tuple[int, int]:
     return S, T
 
 
-def build_modified_graph(
-    o: MinRankOracle, I: int, sp: StarPair
-) -> ExchangeGraph:
-    """The probe-pair graph: sources/sinks keep their full arc stars, and
-    every other potential arc is admitted when a three-element swap probe
-    against the opposite probe element keeps the min-rank flat.
+def _probe_graph(
+    o: Oracle,
+    I: int,
+    S: int,
+    T: int,
+    t_probes: list[int],
+    s_probes: list[int],
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Arcs and base sure labels of a probe graph with sources S, sinks T.
 
-    Contains the true graph; extra arcs never touch sources or sinks and
-    never shorten any source-sink path. Arcs incident to a source or sink
-    are labeled sure, the rest suspicious.
+    Sources and sinks keep their full arc stars. Every other potential arc
+    is admitted when a three-element swap probe keeps the min-rank flat
+    against each sink-side probe in `t_probes` (layer 1) or each
+    source-side probe in `s_probes` (layer 2). Arcs incident to a source or
+    sink are labeled sure. Returns (arcs1, arcs2, sure1, sure2).
     """
     k = popcount(I)
-    ground = getattr(o, "ground", full_mask(o.n))
-    S, T = _star_sets(o, I, sp)
-    outside = ground & ~I
+    outside = o.ground & ~I
     plain = outside & ~(S | T)
-    sb, tb = bit(sp.s), bit(sp.t)
+    t_masks = [bit(t) for t in t_probes]
+    s_masks = [bit(s) for s in s_probes]
     arcs1 = [0] * o.n
     arcs2 = [0] * o.n
     sure1 = [0] * o.n
@@ -385,33 +320,50 @@ def build_modified_graph(
             if o.rmin((I | bit(t)) & ~yb) == k:
                 heads |= bit(t)
         for x in iter_bits(plain):
-            if o.rmin((I | tb | bit(x)) & ~yb) == k:
-                heads |= bit(x)
+            xb = bit(x)
+            for tb in t_masks:
+                if o.rmin((I | tb | xb) & ~yb) != k:
+                    break
+            else:
+                heads |= xb
         arcs1[y] = heads
         sure1[y] = heads & (S | T)
     for x in iter_bits(outside):
         xb = bit(x)
         if (T >> x) & 1:
-            arcs2[x] = I
+            arcs2[x] = sure2[x] = I
         elif (S >> x) & 1:
             heads = 0
             for y in iter_bits(I):
                 if o.rmin((I | xb) & ~bit(y)) == k:
                     heads |= bit(y)
-            arcs2[x] = heads
+            arcs2[x] = sure2[x] = heads
         else:
             heads = 0
             for y in iter_bits(I):
-                if o.rmin((I | sb | xb) & ~bit(y)) == k:
+                for sb in s_masks:
+                    if o.rmin((I | sb | xb) & ~bit(y)) != k:
+                        break
+                else:
                     heads |= bit(y)
             arcs2[x] = heads
-        sure2[x] = arcs2[x] if ((S | T) >> x) & 1 else 0
+    return arcs1, arcs2, sure1, sure2
+
+
+def build_modified_graph(o: Oracle, I: int, sp: StarPair) -> ExchangeGraph:
+    """The probe-pair graph: the probe graph whose swap probes run against
+    the opposite probe element only.
+
+    Contains the true graph; extra arcs never touch sources or sinks and
+    never shorten any source-sink path. Arcs incident to a source or sink
+    are labeled sure, the rest suspicious.
+    """
+    S, T = _star_sets(o, I, sp)
+    arcs1, arcs2, sure1, sure2 = _probe_graph(o, I, S, T, [sp.t], [sp.s])
     return ExchangeGraph(o.n, I, S, T, arcs1, arcs2, sure1, sure2, kind="modified")
 
 
-def intersect_modified(
-    o: MinRankOracle, I: int, sp: StarPair
-) -> ExchangeGraph:
+def intersect_modified(o: Oracle, I: int, sp: StarPair) -> ExchangeGraph:
     """Intersection of the probe-pair graphs over all probe choices.
 
     With sources and sinks fixed, only the swap-probe arcs vary with the
@@ -421,59 +373,19 @@ def intersect_modified(
     arc to some sink (layer 1) / from some source (layer 2) — the
     intersection then certifies it as a true arc. All else is suspicious.
     """
-    k = popcount(I)
-    ground = getattr(o, "ground", full_mask(o.n))
     S, T = _star_sets(o, I, sp)
-    outside = ground & ~I
-    plain = outside & ~(S | T)
-    arcs1 = [0] * o.n
-    arcs2 = [0] * o.n
-    sure1 = [0] * o.n
-    sure2 = [0] * o.n
-    t_probes = list(iter_bits(T & ~S))
-    s_probes = list(iter_bits(S & ~T))
+    arcs1, arcs2, sure1, sure2 = _probe_graph(
+        o, I, S, T, elements_of(T & ~S), elements_of(S & ~T)
+    )
+    outside = o.ground & ~I
     for y in iter_bits(I):
-        yb = bit(y)
-        heads = S
-        for t in t_probes:
-            if o.rmin((I | bit(t)) & ~yb) == k:
-                heads |= bit(t)
-        for x in iter_bits(plain):
-            if all(o.rmin((I | bit(t) | bit(x)) & ~yb) == k for t in t_probes):
-                heads |= bit(x)
-        arcs1[y] = heads
         # A sink missing from this tail's heads certifies every plain head.
-        if T & ~heads:
-            sure1[y] = heads
-        else:
-            sure1[y] = heads & (S | T)
-    into = [0] * o.n  # into[y] = tails x of layer-2 arcs (x, y)
-    for x in iter_bits(outside):
-        xb = bit(x)
-        if (T >> x) & 1:
-            heads = I
-        elif (S >> x) & 1:
-            heads = 0
-            for y in iter_bits(I):
-                if o.rmin((I | xb) & ~bit(y)) == k:
-                    heads |= bit(y)
-        else:
-            heads = 0
-            for y in iter_bits(I):
-                if all(
-                    o.rmin((I | bit(s) | xb) & ~bit(y)) == k for s in s_probes
-                ):
-                    heads |= bit(y)
-        arcs2[x] = heads
-        for y in iter_bits(heads):
-            into[y] |= xb
-    for x in iter_bits(outside):
-        if ((S | T) >> x) & 1:
-            sure2[x] = arcs2[x]
-    for y in iter_bits(I):
+        if T & ~arcs1[y]:
+            sure1[y] = arcs1[y]
         # A source missing among this head's tails certifies every tail.
-        if S & ~into[y]:
-            for x in iter_bits(into[y]):
+        tails = mask_of(x for x in iter_bits(outside) if (arcs2[x] >> y) & 1)
+        if S & ~tails:
+            for x in iter_bits(tails):
                 sure2[x] |= bit(y)
     return ExchangeGraph(o.n, I, S, T, arcs1, arcs2, sure1, sure2, kind="intersected")
 

@@ -30,6 +30,7 @@ from .bitset import (
     iter_bits,
     mask_of,
     popcount,
+    small_subsets,
 )
 from .core import LinearMatroid, Matroid, integer_rank
 from .oracle import MinRankOracle
@@ -163,23 +164,6 @@ def _pattern_rank(slots: Sequence[Slot]) -> int:
     return 1
 
 
-def _nonempty_submasks(mask: int) -> list[int]:
-    els = elements_of(mask)
-    out = []
-    for r in range(1, len(els) + 1):
-        for combo in combinations(els, r):
-            out.append(mask_of(combo))
-    return out
-
-
-def _le_sets(mask: int) -> list[int]:
-    """Nonempty subsets of size at most two, singletons first."""
-    els = elements_of(mask)
-    out = [bit(e) for e in els]
-    out += [bit(a) | bit(b) for a, b in combinations(els, 2)]
-    return out
-
-
 def _vertex_slot_arcs(
     color: Color, vx: Sequence[int], vy: Sequence[int]
 ) -> dict[Slot, str]:
@@ -249,8 +233,8 @@ def _designated_values(
         )
 
     def put_blocks(X: int, Y: int, include_full: bool) -> None:
-        for Xp in _nonempty_submasks(X):
-            for Yp in _nonempty_submasks(Y):
+        for Xp in small_subsets(X, 2):
+            for Yp in small_subsets(Y, 2):
                 if not include_full and Xp == X and Yp == Y:
                     continue
                 put(Xp, Yp, k - popcount(Yp))
@@ -419,8 +403,8 @@ def build_gadget(g: ColoredGraph, allow_improper: bool = False) -> GadgetInstanc
     # Value table = pattern ranks of the realization, overlaid with the
     # designated constants (which agree on proper colorings).
     values: dict[tuple[int, int], int] = {}
-    for X in _le_sets(plain):
-        for Y in _le_sets(I):
+    for X in small_subsets(plain, 2):
+        for Y in small_subsets(I, 2):
             slots1 = [
                 (x, y)
                 for x in iter_bits(X)
@@ -639,8 +623,8 @@ def _vertex_configs(
             _states_consistent(
                 gi.values[(X, Y)], gi.k, states, elements_of(X), elements_of(Y)
             )
-            for X in _le_sets(mask_of(vx))
-            for Y in _le_sets(mask_of(vy))
+            for X in small_subsets(mask_of(vx), 2)
+            for Y in small_subsets(mask_of(vy), 2)
         ):
             continue
         color = next(
@@ -671,7 +655,7 @@ def _edge_index_configs(
             _states_consistent(
                 gi.values[(X, bit(ye))], gi.k, states, elements_of(X), [ye]
             )
-            for X in _le_sets(bit(xu) | bit(xw))
+            for X in small_subsets(bit(xu) | bit(xw), 2)
         ):
             survivors["A" if du == "a" else "B"] = states
     assert len(survivors) == 2, f"edge {e} index {index}: {sorted(survivors)}"
@@ -710,8 +694,8 @@ def _endpoint_compatible(
         _states_consistent(
             gi.values[(X, Y)], gi.k, states, elements_of(X), elements_of(Y)
         )
-        for X in _le_sets(mask_of(xloc))
-        for Y in _le_sets(mask_of(yloc))
+        for X in small_subsets(mask_of(xloc), 2)
+        for Y in small_subsets(mask_of(yloc), 2)
     )
 
 

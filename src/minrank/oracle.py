@@ -63,8 +63,8 @@ class RestrictedOracle:
     Queries are counted by the wrapped oracle.
     """
 
-    def __init__(self, inner: MinRankOracle | "RestrictedOracle", ground: int):
-        if ground & ~getattr(inner, "ground", full_mask(inner.n)):
+    def __init__(self, inner: Oracle, ground: int):
+        if ground & ~inner.ground:
             raise ValueError("restriction exceeds the inner oracle's ground set")
         self._inner = inner
         self.n = inner.n
@@ -88,3 +88,7 @@ class RestrictedOracle:
     def clone(self) -> "RestrictedOracle":
         """Same restriction over a fresh clone of the wrapped oracle."""
         return RestrictedOracle(self._inner.clone(), self.ground)
+
+
+# What the solvers accept: either oracle; both carry `n` and `ground`.
+Oracle = MinRankOracle | RestrictedOracle

@@ -14,16 +14,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .bitset import (
-    bit,
-    elements_of,
-    format_set,
-    full_mask,
-    iter_bits,
-    popcount,
-    subsets_of,
+from .bitset import bit, elements_of, format_set, iter_bits, popcount, subsets_of
+from .consistency import (
+    ArcLiteral,
+    ObservationTable,
+    almost_consistent_graph,
+    build_cnf,
+    solve_2sat,
 )
-from .consistency import ArcLiteral, ObservationTable, build_cnf, solve_2sat
 from .errors import ContractViolationError, NegativeCycleError
 from .exchange import (
     DirectAugment,
@@ -37,9 +35,7 @@ from .exchange import (
     shortest_augmenting_path,
     survey_extensions,
 )
-from .oracle import MinRankOracle, RestrictedOracle
-
-Oracle = MinRankOracle | RestrictedOracle
+from .oracle import Oracle, RestrictedOracle
 
 
 class Augmented(NamedTuple):
@@ -123,21 +119,16 @@ class LexCost:
         return f"LexCost{self.counts}"
 
 
-def _ground(o: Oracle) -> int:
-    return getattr(o, "ground", full_mask(o.n))
-
-
 def total_weight(w: Sequence, I: int) -> Fraction:
     return sum((Fraction(w[e]) for e in iter_bits(I)), Fraction(0))
 
 
 def signed_costs(w: Sequence, I: int, ground: int) -> list[CostedVertex]:
-    """Vertex costs per the augmentation sign convention."""
-    out = []
-    for e in elements_of(ground):
-        wv = w[e] if isinstance(w[e], LexCost) else Fraction(w[e])
-        out.append(CostedVertex(e, wv if (I >> e) & 1 else -wv))
-    return out
+    """Vertex costs per the augmentation sign convention; `w` holds
+    numbers or LexCosts, as normalized at solver entry."""
+    return [
+        CostedVertex(e, w[e] if (I >> e) & 1 else -w[e]) for e in elements_of(ground)
+    ]
 
 
 # -- paths in resolved graphs -------------------------------------------------
@@ -225,7 +216,7 @@ def augment_min_rank(
         raise ValueError("I is not a common independent set")
     probe = find_star_pair(o, I)
     if probe is None:
-        return Certificate(_ground(o))
+        return Certificate(o.ground)
     if isinstance(probe, DirectAugment):
         return Augmented(I | bit(probe.x))
     g = build_modified_graph(o, I, sp if sp is not None else probe)
@@ -244,6 +235,13 @@ class CardinalityRun(NamedTuple):
     trace: tuple[AugmentStep, ...]
 
 
+def _oracle_fault(exc: ValueError) -> ContractViolationError:
+    """An augmentation step rejected its own input. The set and the probe
+    pair both come from the oracle's earlier answers, so the oracle broke
+    the matroid contract."""
+    return ContractViolationError(f"oracle answers contradict each other: {exc}")
+
+
 def max_cardinality(o: Oracle) -> CardinalityRun:
     """Grow from the empty set one augmentation at a time until a duality
     certificate proves maximality."""
@@ -252,7 +250,10 @@ def max_cardinality(o: Oracle) -> CardinalityRun:
     base = o.query_count
     while True:
         before = o.query_count
-        res = augment_min_rank(o, I)
+        try:
+            res = augment_min_rank(o, I)
+        except ValueError as exc:
+            raise _oracle_fault(exc) from exc
         spent = o.query_count - before
         k = popcount(I)
         if isinstance(res, Certificate):
@@ -269,34 +270,6 @@ def max_cardinality(o: Oracle) -> CardinalityRun:
 # -- weighted augmentation ----------------------------------------------------
 
 
-def _resolve(
-    o: Oracle,
-    I: int,
-    sp: StarPair,
-    extra: Sequence[Sequence[ArcLiteral]] = (),
-) -> tuple[ExchangeGraph | None, ExchangeGraph, ObservationTable]:
-    """Steps 3-4 of the weighted augmentation: intersected graph,
-    observations, clause system, resolved graph (None if unsatisfiable)."""
-    N = intersect_modified(o, I, sp)
-    table = ObservationTable(o, I, N.S, N.T)
-    f = build_cnf(table, N, extra=extra)
-    assignment = solve_2sat(f)
-    if assignment is None:
-        return None, N, table
-    return N.with_assignment(assignment), N, table
-
-
-def _heaviest_direct(direct: Sequence[int], w: Sequence) -> int:
-    def weigh(x: int):
-        return w[x] if isinstance(w[x], LexCost) else Fraction(w[x])
-
-    best = direct[0]
-    for x in direct[1:]:
-        if weigh(x) > weigh(best):
-            best = x
-    return best
-
-
 def _trace(
     trace: list[AugmentStep] | None,
     k: int,
@@ -306,6 +279,31 @@ def _trace(
 ) -> None:
     if trace is not None:
         trace.append(AugmentStep(k, action, detail, queries))
+
+
+def _augment_prelude(
+    o: Oracle,
+    w: Sequence,
+    I: int,
+    sp: StarPair | None,
+    trace: list[AugmentStep] | None,
+) -> SolveResult | StarPair:
+    """Steps shared by the weighted augmentations: every pairwise extension
+    flat -> ground-set certificate; no valid probe pair -> the heaviest
+    rank-lifting element (smallest id on ties); otherwise the probe pair to
+    build from (`sp` when given)."""
+    before = o.query_count
+    k = popcount(I)
+    survey = survey_extensions(o, I)
+    if survey.all_flat:
+        Z = o.ground
+        _trace(trace, k, "certificate", f"Z={format_set(Z)}", o.query_count - before)
+        return Certificate(Z)
+    if survey.pair is None:
+        x = max(survey.direct, key=w.__getitem__)
+        _trace(trace, k, "direct", f"x={x}", o.query_count - before)
+        return Augmented(I | bit(x))
+    return sp if sp is not None else survey.pair
 
 
 def cheapest_path_augment(
@@ -322,48 +320,30 @@ def cheapest_path_augment(
     (smallest id on ties); (3) intersected graph from a probe pair;
     (4) observations -> clause system -> resolved graph; (5) swap along a
     shortest cheapest source-sink path, or certify with the set of vertices
-    that reach a sink.
+    that reach a sink. `w` holds numbers or LexCosts.
 
     The result is weight-maximal at |I|+1 under any of the three tractable
     regimes; on arbitrary instances it still runs and the verification
     module audits the output.
     """
     before = o.query_count
+    pair = _augment_prelude(o, w, I, sp, trace)
+    if not isinstance(pair, StarPair):
+        return pair
     k = popcount(I)
-    survey = survey_extensions(o, I)
-    if survey.all_flat:
-        Z = _ground(o)
-        _trace(trace, k, "certificate", f"Z={format_set(Z)}", o.query_count - before)
-        return Certificate(Z)
-    if survey.pair is None:
-        x = _heaviest_direct(survey.direct, w)
-        _trace(trace, k, "direct", f"x={x}", o.query_count - before)
-        return Augmented(I | bit(x))
-    C, _, _ = _resolve(o, I, sp if sp is not None else survey.pair)
-    if C is None:
-        raise ContractViolationError(
-            "arc-constraint system unsatisfiable; oracle is not a matroid pair"
-        )
-    path = shortest_cheapest_path(C, signed_costs(w, I, _ground(o)))
+    C = almost_consistent_graph(o, I, pair)
+    path = shortest_cheapest_path(C, signed_costs(w, I, o.ground))
     if path is None:
         Z = reachability_certificate(C)
         _trace(trace, k, "certificate", f"Z={format_set(Z)}", o.query_count - before)
         return Certificate(Z)
     if trace is not None:
-        cost = _zero_like(w)
-        for cv in signed_costs(w, I, path_mask(path)):
-            cost = cost + cv.cost
+        costs = [cv.cost for cv in signed_costs(w, I, path_mask(path))]
+        cost = sum(costs[1:], costs[0])
         _trace(
             trace, k, "path", f"P={tuple(path)} cost={cost}", o.query_count - before
         )
     return Augmented(I ^ path_mask(path))
-
-
-def _zero_like(w: Sequence) -> object:
-    for v in w:
-        if isinstance(v, LexCost):
-            return LexCost.zero(len(v.counts))
-    return Fraction(0)
 
 
 class Level(NamedTuple):
@@ -395,7 +375,10 @@ def _run_levels(o: Oracle, w: Sequence, augment, weigh=None) -> WeightedRun:
     I = 0
     levels = [Level(0, 0, weigh(0))]
     while True:
-        res = augment(o, w, I, steps)
+        try:
+            res = augment(o, w, I, trace=steps)
+        except ValueError as exc:
+            raise _oracle_fault(exc) from exc
         if isinstance(res, Certificate):
             return WeightedRun(
                 tuple(levels), res.Z, o.query_count - base, tuple(steps)
@@ -408,9 +391,7 @@ def weighted_no_circuit_inclusion(o: Oracle, w: Sequence) -> WeightedRun:
     """Weight-maximal common independent sets of every cardinality, valid
     when no circuit of either matroid contains a circuit of the other (the
     promise makes every resolved graph fully consistent)."""
-    return _run_levels(
-        o, w, lambda oo, ww, I, tr: cheapest_path_augment(oo, ww, I, trace=tr)
-    )
+    return _run_levels(o, [Fraction(v) for v in w], cheapest_path_augment)
 
 
 # -- bounded circuit size -----------------------------------------------------
@@ -485,17 +466,10 @@ def _fpt_augment(
     trace: list[AugmentStep] | None = None,
 ) -> SolveResult:
     before = o.query_count
+    pair = _augment_prelude(o, w, I, sp, trace)
+    if not isinstance(pair, StarPair):
+        return pair
     k = popcount(I)
-    survey = survey_extensions(o, I)
-    if survey.all_flat:
-        Z = _ground(o)
-        _trace(trace, k, "certificate", f"Z={format_set(Z)}", o.query_count - before)
-        return Certificate(Z)
-    if survey.pair is None:
-        x = _heaviest_direct(survey.direct, w)
-        _trace(trace, k, "direct", f"x={x}", o.query_count - before)
-        return Augmented(I | bit(x))
-    pair = sp if sp is not None else survey.pair
     N = intersect_modified(o, I, pair)
     table = ObservationTable(o, I, N.S, N.T)
     J1 = 0
@@ -535,7 +509,7 @@ def _fpt_augment(
             continue
         C = N.with_assignment(assignment)
         try:
-            path = shortest_cheapest_path(C, signed_costs(w, I, _ground(o)))
+            path = shortest_cheapest_path(C, signed_costs(w, I, o.ground))
         except NegativeCycleError:
             continue  # only a wrong guess can fabricate one
         if path is None:
@@ -559,9 +533,8 @@ def _fpt_augment(
                 best, best_w = cand, cw
         assert best is not None
         return Augmented(best)
-    ground = _ground(o)
     for Z in certificates:
-        if o.rmin(Z) + o.rmin(ground & ~Z) == k:
+        if o.rmin(Z) + o.rmin(o.ground & ~Z) == k:
             return Certificate(Z)
     raise ContractViolationError(
         "no guess yielded a valid augmentation or a verifying certificate; "
@@ -581,7 +554,9 @@ def weighted_fpt_circuit(o: Oracle, w: Sequence, gamma: int) -> WeightedRun:
     if gamma < 2:
         raise ValueError("circuit-size bound must be at least 2")
     return _run_levels(
-        o, w, lambda oo, ww, I, tr: _fpt_augment(oo, ww, I, gamma, trace=tr)
+        o,
+        [Fraction(v) for v in w],
+        lambda oo, ww, I, trace: _fpt_augment(oo, ww, I, gamma, trace=trace),
     )
 
 
@@ -622,19 +597,14 @@ def lexicographic_max(o: Oracle, w: Sequence) -> LexmaxRun:
     proof's huge weights, compared without forming them); the per-level
     results are class-vector-maximal at each cardinality and the best
     vector over levels is the lexicographic maximum."""
-    ground = _ground(o)
+    ground = o.ground
     classes = weight_classes(w, ground)
     ell = len(classes)
     pos = {c: i for i, c in enumerate(classes)}
     lw: list = [LexCost.zero(ell)] * o.n
     for e in iter_bits(ground):
         lw[e] = LexCost.unit(pos[Fraction(w[e])], ell)
-    run = _run_levels(
-        o,
-        lw,
-        lambda oo, ww, I, tr: cheapest_path_augment(oo, ww, I, trace=tr),
-        weigh=lambda I: total_weight(w, I),
-    )
+    run = _run_levels(o, lw, cheapest_path_augment, weigh=lambda I: total_weight(w, I))
     best_I = 0
     best_vec = class_vector(w, ground, 0)
     for lv in run.levels:
@@ -662,9 +632,8 @@ def approx_max_weight(o: Oracle, w: Sequence) -> ApproxResult:
     smallest ratio between consecutive distinct positive weights (a single
     positive weight class is solved exactly, guarantee 1)."""
     base = o.query_count
-    ground = _ground(o)
     pos = 0
-    for e in iter_bits(ground):
+    for e in iter_bits(o.ground):
         if Fraction(w[e]) > 0:
             pos |= bit(e)
     if pos == 0:

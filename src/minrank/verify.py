@@ -31,6 +31,7 @@ from .exchange import (
     survey_extensions,
 )
 from .oracle import MinRankOracle
+from .solvers import class_vector
 
 
 class BruteReport(NamedTuple):
@@ -132,31 +133,17 @@ def brute_w_maximal(
     return best, tuple(sorted(arg))
 
 
-def weight_classes(w: Sequence[Fraction | int]) -> list[Fraction]:
-    """Distinct weights in descending order."""
-    return sorted({Fraction(v) for v in w}, reverse=True)
-
-
-def class_vector(I: int, w: Sequence[Fraction | int]) -> tuple[int, ...]:
-    """How many elements of I fall in each weight class, heaviest first."""
-    classes = weight_classes(w)
-    pos = {c: i for i, c in enumerate(classes)}
-    counts = [0] * len(classes)
-    for e in iter_bits(I):
-        counts[pos[Fraction(w[e])]] += 1
-    return tuple(counts)
-
-
 def brute_lexmax(
     m1: Matroid, m2: Matroid, w: Sequence[Fraction | int]
 ) -> tuple[tuple[int, ...], int]:
     """(best class-count vector, smallest witness) over all common
     independent sets, comparing vectors lexicographically heaviest-first."""
     _require(m1.n, 16, "brute_lexmax")
+    ground = full_mask(m1.n)
     best_vec: tuple[int, ...] | None = None
     best = 0
     for I in common_independent_sets(m1, m2):
-        vec = class_vector(I, w)
+        vec = class_vector(w, ground, I)
         if best_vec is None or vec > best_vec or (vec == best_vec and I < best):
             best_vec, best = vec, I
     assert best_vec is not None

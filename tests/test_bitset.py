@@ -12,7 +12,7 @@ from minrank import (
     parse_set,
     popcount,
 )
-from minrank.bitset import lowest_bit, subsets_of, subsets_of_size
+from minrank.bitset import small_subsets, subsets_of
 
 
 def test_bit_and_mask_roundtrip():
@@ -31,16 +31,12 @@ def test_popcount_and_full_mask():
     assert popcount(full_mask(64)) == 64
 
 
-def test_lowest_bit():
-    assert lowest_bit(0b1010) == 1
-    assert lowest_bit(0b1000) == 3
-
-
 def test_subsets_enumeration():
     subs = list(subsets_of(0b101))
     assert sorted(subs) == [0, 0b001, 0b100, 0b101]
-    assert sorted(subsets_of_size(0b111, 2)) == [0b011, 0b101, 0b110]
-    assert list(subsets_of_size(0b111, 0)) == [0]
+    assert small_subsets(0b111, 2) == [0b001, 0b010, 0b100, 0b011, 0b101, 0b110]
+    assert small_subsets(0b1011, 3)[-1] == 0b1011
+    assert small_subsets(0b111, 0) == []
 
 
 def test_format_and_parse_set():

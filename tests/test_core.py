@@ -17,7 +17,6 @@ from minrank import (
     mask_of,
     matrix_rank,
     popcount,
-    restriction,
     validate,
 )
 from conftest import crossed_pair, small_zoo, triangle
@@ -160,14 +159,6 @@ def test_linear_matches_partition_fixture():
     lin = LinearMatroid([[1, 1, 0, 0], [0, 0, 1, 1]])
     for X in range(16):
         assert m1.rank(X) == lin.rank(X)
-
-
-def test_restriction():
-    m = UniformMatroid(2, 4)
-    r = restriction(m, mask_of((0, 1)))
-    assert r.rank(mask_of((0, 1))) == 2
-    with pytest.raises(ValueError):
-        r.rank(bit(2))
 
 
 def test_ground_set_bounds():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from minrank import (
     Augmented,
     AugmentStep,
     Certificate,
+    ContractViolationError,
     CostedVertex,
     ExchangeGraph,
     LexCost,
@@ -33,6 +35,7 @@ from minrank import (
     mask_of,
     max_cardinality,
     popcount,
+    random_instance,
     shortest_cheapest_path,
     signed_costs,
     total_weight,
@@ -460,3 +463,37 @@ def test_total_weight_is_exact():
     w = [Fraction(1, 3), Fraction(1, 6), 0, 1]
     assert total_weight(w, mask_of((0, 1))) == Fraction(1, 2)
     assert total_weight(w, 0) == 0
+
+
+# -- lying oracles ------------------------------------------------------------
+
+
+class PerturbedOracle(MinRankOracle):
+    """Answers off by one on a seeded 5% of queries: no matroid pair fits."""
+
+    def __init__(self, m1, m2, seed: int):
+        super().__init__(m1, m2)
+        self._rng = random.Random(seed)
+
+    def rmin(self, mask: int) -> int:
+        value = super().rmin(mask)
+        if self._rng.random() < 0.05:
+            value += self._rng.choice((-1, 1))
+        return value
+
+
+@pytest.mark.parametrize("mode", ["cardinality", "lexmax"])
+def test_lying_oracle_returns_or_reports_contract_violation(mode):
+    """A lie may pass unnoticed, but it must never surface as a ValueError."""
+    violations = 0
+    for seed in range(40):
+        inst = random_instance(seed, 8, weighted=True)
+        o = PerturbedOracle(inst.matroid1, inst.matroid2, seed)
+        try:
+            if mode == "cardinality":
+                max_cardinality(o)
+            else:
+                lexicographic_max(o, inst.weights)
+        except ContractViolationError:
+            violations += 1
+    assert violations > 0  # the lies do reach the augmentation steps

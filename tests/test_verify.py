@@ -22,6 +22,7 @@ from minrank import (
     build_true_graph,
     check_promise_no_circuit_inclusion,
     circuits,
+    class_vector,
     common_independent_sets,
     full_mask,
     largest_circuit_size,
@@ -29,7 +30,6 @@ from minrank import (
     popcount,
 )
 from minrank.verify import (
-    class_vector,
     matching_count,
     perfect_matchings,
     path_cost,
@@ -105,7 +105,7 @@ def test_brute_lexmax_crossed():
     vector, witness = brute_lexmax(m1, m2, fixture_weights())
     assert vector == (1, 0, 1)
     assert witness == mask_of((0, 3))
-    assert class_vector(witness, fixture_weights()) == vector
+    assert class_vector(fixture_weights(), full_mask(4), witness) == vector
 
 
 # -- circuit structure ---------------------------------------------------------
