@@ -29,8 +29,6 @@ from .consistency import (
     build_cnf,
     check_consistency,
     consistency_summary,
-    is_evil,
-    observe_le_pairs,
     solve_2sat,
 )
 from .core import (

@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence, TextIO
 
-from .bitset import format_set, full_mask, iter_bits, mask_of, popcount
+from .bitset import format_set, full_mask, iter_bits, mask_of, parse_set, popcount
 from .consistency import almost_consistent_graph
 from .core import PartitionMatroid
 from .errors import ContractViolationError
@@ -61,7 +61,7 @@ from .verify import (
     brute_max_common,
     brute_w_maximal,
     check_promise_no_circuit_inclusion,
-    circuits,
+    largest_circuit_size,
 )
 
 EXIT_OK = 0
@@ -87,8 +87,7 @@ def _parse_mask(text: str, n: int) -> int:
     body = text.strip()
     try:
         if body.startswith("{") or "," in body:
-            inner = body.strip("{}").strip()
-            mask = mask_of(int(tok) for tok in inner.split(",")) if inner else 0
+            mask = parse_set(body)
         else:
             mask = int(body, 0)
     except ValueError as exc:
@@ -203,7 +202,7 @@ def _verify_instance(inst: Instance, label: str) -> list[BruteReport]:
     reports: list[BruteReport] = []
 
     def make(quantity: str, brute: object, solver: object) -> None:
-        reports.append(BruteReport(label, quantity, brute, solver, brute == solver))
+        reports.append(BruteReport.check(label, quantity, brute, solver))
 
     o = MinRankOracle(m1, m2)
     run = max_cardinality(o)
@@ -229,9 +228,7 @@ def _verify_instance(inst: Instance, label: str) -> list[BruteReport]:
                 )
 
     if n <= 12:
-        gamma = max(
-            (popcount(c) for c in circuits(m1) + circuits(m2)), default=2
-        )
+        gamma = max(largest_circuit_size(m1), largest_circuit_size(m2))
         if gamma <= 4:
             frun = weighted_fpt_circuit(MinRankOracle(m1, m2), w, max(gamma, 2))
             for lv in frun.levels:

@@ -9,6 +9,9 @@ suspicious arc. A deterministic strongly-connected-component pass solves
 the system, and the chosen arcs together with the sure ones form a graph
 that is consistent with every observation except possibly the pathological
 two-by-two exchanges, where it errs on the side of omitting arcs.
+
+`ObservationTable` asks and caches the observations and holds the one evil
+test; `TwoSat.unsatisfied` is the one check of clauses against arcs.
 """
 
 from __future__ import annotations
@@ -44,18 +47,10 @@ class ObservationTable:
     def __init__(self, o: Oracle, I: int, S: int, T: int):
         self.o = o
         self.I = I
-        self.S = S
-        self.T = T
         self.k = popcount(I)
-        self._x_sets = small_subsets(o.ground & ~(I | S | T), 2)
-        self._y_sets = small_subsets(I, 2)
+        self.x_sets = small_subsets(o.ground & ~(I | S | T), 2)
+        self.y_sets = small_subsets(I, 2)
         self._cache: dict[int, int] = {}
-
-    def x_sets(self) -> list[int]:
-        return self._x_sets
-
-    def y_sets(self) -> list[int]:
-        return self._y_sets
 
     def value(self, X: int, Y: int) -> int:
         key = (self.I | X) & ~Y
@@ -65,73 +60,34 @@ class ObservationTable:
             self._cache[key] = got
         return got
 
-    def observation(self, X: int, Y: int) -> LEObservation:
-        return LEObservation(X, Y, self.value(X, Y))
-
     def pairs(self) -> Iterator[tuple[int, int]]:
-        for X in self.x_sets():
-            for Y in self.y_sets():
+        for X in self.x_sets:
+            for Y in self.y_sets:
                 yield X, Y
 
     def all_observations(self) -> list[LEObservation]:
-        return [self.observation(X, Y) for X, Y in self.pairs()]
-
-    def is_high(self, X: int, Y: int) -> bool:
-        return self.value(X, Y) >= self.k - popcount(Y) + 1
-
-    def subpair_values(self, X: int, Y: int) -> dict[tuple[int, int], int]:
-        """Values of every proper subpair of (X, Y)."""
-        out: dict[tuple[int, int], int] = {}
-        for Xp in small_subsets(X, 2):
-            for Yp in small_subsets(Y, 2):
-                if (Xp, Yp) != (X, Y):
-                    out[(Xp, Yp)] = self.value(Xp, Yp)
-        return out
+        return [LEObservation(X, Y, self.value(X, Y)) for X, Y in self.pairs()]
 
     def is_evil(self, X: int, Y: int) -> bool:
-        if popcount(X) != 2 or popcount(Y) != 2:
+        """A two-by-two exchange is evil when its value sits one below the
+        size of I and every proper subpair shows no rank slack at all, i.e.
+        each subpair (X', Y') observes exactly |I| - |Y'|.
+
+        All eight subpair values are fetched before any is compared, so the
+        table asks the same queries whichever subpair shows slack.
+        """
+        if popcount(X) != 2 or popcount(Y) != 2 or self.value(X, Y) != self.k - 1:
             return False
-        if self.value(X, Y) != self.k - 1:
-            return False
-        return is_evil(self.observation(X, Y), self.subpair_values(X, Y))
+        subpairs = [
+            (Yp, self.value(Xp, Yp))
+            for Xp in small_subsets(X, 2)
+            for Yp in small_subsets(Y, 2)
+            if (Xp, Yp) != (X, Y)
+        ]
+        return all(v == self.k - popcount(Yp) for Yp, v in subpairs)
 
     def evil_pairs(self) -> list[tuple[int, int]]:
-        return [
-            (X, Y)
-            for X in self.x_sets()
-            for Y in self.y_sets()
-            if popcount(X) == 2 and popcount(Y) == 2 and self.is_evil(X, Y)
-        ]
-
-
-def observe_le_pairs(
-    o: Oracle, I: int, S: int, T: int
-) -> list[LEObservation]:
-    """All small-exchange observations in deterministic order."""
-    return ObservationTable(o, I, S, T).all_observations()
-
-
-def is_evil(obs: LEObservation, subpairs: Mapping[tuple[int, int], int]) -> bool:
-    """A two-by-two exchange is evil when its value sits one below the size
-    of I and every proper subpair shows no rank slack at all — i.e. each
-    subpair (X', Y') observes exactly |I| - |Y'|.
-
-    `subpairs` must supply the value of every proper subpair; a missing one
-    is a precondition error.
-    """
-    if popcount(obs.X) != 2 or popcount(obs.Y) != 2:
-        return False
-    k = obs.value + 1  # evil forces value == |I| - 1
-    for Xp in small_subsets(obs.X, 2):
-        for Yp in small_subsets(obs.Y, 2):
-            if (Xp, Yp) == (obs.X, obs.Y):
-                continue
-            v = subpairs.get((Xp, Yp))
-            if v is None:
-                raise ValueError(f"missing subpair value for X={Xp:#x}, Y={Yp:#x}")
-            if v != k - popcount(Yp):
-                return False
-    return True
+        return [(X, Y) for X, Y in self.pairs() if self.is_evil(X, Y)]
 
 
 # -- clause compilation -------------------------------------------------------
@@ -169,34 +125,19 @@ class TwoSat:
             assert isinstance(l1, int) and isinstance(l2, int)
             self.clauses.append((l1, l2))
 
-    def to_dimacs(self) -> str:
-        lines = [f"c {i + 1} = arc ({u},{v})" for i, (u, v) in enumerate(self.variables)]
-        lines.append(f"p cnf {len(self.variables)} {len(self.clauses)}")
-        if self.contradiction:
-            lines.append("c contradiction: a constant-false clause was folded away")
-        lines.extend(f"{l1} {l2} 0" for l1, l2 in self.clauses)
-        return "\n".join(lines) + "\n"
+    def unsatisfied(self, assignment: Mapping[Arc, bool]) -> list[tuple[int, int]]:
+        """The clauses that `assignment` falsifies, in clause order."""
 
+        def holds(lit: int) -> bool:
+            return assignment[self.variables[abs(lit) - 1]] == (lit > 0)
 
-def _arc_literal(g: ExchangeGraph, f: TwoSat, arc: Arc, negated: bool) -> int | bool:
-    """Fold an arc literal: sure arcs are constant True, absent arcs constant
-    False, suspicious arcs become signed variable literals."""
-    u, v = arc
-    if not g.has_arc(u, v):
-        present: int | bool = False
-    elif g.is_sure(u, v):
-        present = True
-    else:
-        present = f.index[arc] + 1
-    if isinstance(present, bool):
-        return (not present) if negated else present
-    return -present if negated else present
+        return [(l1, l2) for l1, l2 in self.clauses if not (holds(l1) or holds(l2))]
 
 
 def build_cnf(
     table: ObservationTable,
     g: ExchangeGraph,
-    extra: Sequence[Sequence[ArcLiteral]] = (),
+    extra: Sequence[tuple[ArcLiteral, ArcLiteral]] = (),
 ) -> TwoSat:
     """Compile every observation into two-literal clauses.
 
@@ -223,8 +164,15 @@ def build_cnf(
     f = TwoSat(variables)
     k = table.k
 
+    # Absent arcs fold to False, sure arcs to True, suspicious ones to ±(index+1).
     def lit(arc: Arc, neg: bool = False) -> int | bool:
-        return _arc_literal(g, f, arc, neg)
+        u, v = arc
+        if not g.has_arc(u, v):
+            return neg
+        if g.is_sure(u, v):
+            return not neg
+        i = f.index[arc] + 1
+        return -i if neg else i
 
     for X, Y in table.pairs():
         v = table.value(X, Y)
@@ -273,13 +221,8 @@ def build_cnf(
                         pb = b[1 - i][1 - j]
                         f.add(lit(pa, True), lit(pb))
                         f.add(lit(pa), lit(pb, True))
-    for clause in extra:
-        if len(clause) == 1:
-            (arc1, neg1) = clause[0]
-            f.add(lit(arc1, neg1), lit(arc1, neg1))
-        else:
-            (arc1, neg1), (arc2, neg2) = clause
-            f.add(lit(arc1, neg1), lit(arc2, neg2))
+    for (arc1, neg1), (arc2, neg2) in extra:
+        f.add(lit(arc1, neg1), lit(arc2, neg2))
     return f
 
 
@@ -287,7 +230,8 @@ def solve_2sat(f: TwoSat) -> dict[Arc, bool] | None:
     """Deterministic satisfiability: implication graph, Tarjan components
     visited in fixed node order (negative literal before positive, variables
     ascending), variable true iff its positive literal's component comes
-    first. Returns None when unsatisfiable.
+    first. Returns None when unsatisfiable. An assignment that falsifies a
+    clause would be a solver fault; it raises ContractViolationError.
     """
     if f.contradiction:
         return None
@@ -351,10 +295,8 @@ def solve_2sat(f: TwoSat) -> dict[Arc, bool] | None:
         if comp[2 * i] == comp[2 * i + 1]:
             return None
         result[arc] = comp[2 * i + 1] < comp[2 * i]
-    for l1, l2 in f.clauses:
-        v1 = result[f.variables[abs(l1) - 1]] == (l1 > 0)
-        v2 = result[f.variables[abs(l2) - 1]] == (l2 > 0)
-        assert v1 or v2, "component assignment violated a clause"
+    if f.unsatisfied(result):
+        raise ContractViolationError("component assignment violated a clause")
     return result
 
 

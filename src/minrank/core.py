@@ -82,15 +82,6 @@ class Matroid:
                 circ |= bit(y)
         return circ
 
-    def closure(self, mask: int) -> int:
-        """cl(X) = X plus every e with rank(X + e) = rank(X)."""
-        r = self.rank(mask)
-        out = mask
-        for e in range(self.n):
-            if not (mask >> e) & 1 and self.rank(mask | bit(e)) == r:
-                out |= bit(e)
-        return out
-
     def params(self) -> dict:
         """Kind-specific parameters, for serialization."""
         raise NotImplementedError

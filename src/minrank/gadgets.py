@@ -19,6 +19,7 @@ equal endpoint colors leave no legal orientation, which is the whole point.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 from typing import Mapping, NamedTuple, Sequence
 
@@ -490,11 +491,7 @@ def verify_gadget(gi: GadgetInstance, oracle_samples: int = 25) -> list[BruteRep
     if gi.n > 40:
         raise ValueError("verify_gadget is capped at 40 columns")
     label = f"gadget(V={gi.graph.vertices},E={len(gi.graph.edges)})"
-
-    def make(
-        quantity: str, brute: object, solver: object, witnesses: tuple = ()
-    ) -> BruteReport:
-        return BruteReport(label, quantity, brute, solver, brute == solver, witnesses)
+    make = partial(BruteReport.check, label)
 
     cols1 = [[int(v) for v in col] for col in zip(*gi.Z1)]
     cols2 = [[int(v) for v in col] for col in zip(*gi.Z2)]

@@ -525,14 +525,8 @@ def _fpt_augment(
         o.query_count - before,
     )
     if candidates:
-        best = None
-        best_w = None
-        for cand in sorted(candidates):
-            cw = total_weight(w, cand)
-            if best_w is None or cw > best_w:
-                best, best_w = cand, cw
-        assert best is not None
-        return Augmented(best)
+        # The first heaviest candidate in ascending mask order.
+        return Augmented(max(sorted(candidates), key=lambda c: total_weight(w, c)))
     for Z in certificates:
         if o.rmin(Z) + o.rmin(o.ground & ~Z) == k:
             return Certificate(Z)

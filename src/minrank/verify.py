@@ -9,6 +9,7 @@ instances, not to compete with them.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .bitset import bit, elements_of, full_mask, iter_bits, popcount
@@ -43,6 +44,18 @@ class BruteReport(NamedTuple):
     solver: object
     ok: bool
     witnesses: tuple = ()
+
+    @classmethod
+    def check(
+        cls,
+        instance: str,
+        quantity: str,
+        brute: object,
+        solver: object,
+        witnesses: tuple = (),
+    ) -> BruteReport:
+        """The report of one comparison: ok exactly when brute == solver."""
+        return cls(instance, quantity, brute, solver, brute == solver, witnesses)
 
     def __str__(self) -> str:
         mark = "ok" if self.ok else "MISMATCH"
@@ -278,15 +291,6 @@ def simple_st_paths(g: ExchangeGraph) -> list[tuple[int, ...]]:
 # -- graph audits -------------------------------------------------------------
 
 
-def _report_factory(instance: str) -> Callable[..., BruteReport]:
-    def make(
-        quantity: str, brute: object, solver: object, witnesses: tuple = ()
-    ) -> BruteReport:
-        return BruteReport(instance, quantity, brute, solver, brute == solver, witnesses)
-
-    return make
-
-
 def _arc_set(g: ExchangeGraph) -> set[tuple[int, int]]:
     return set(g.arcs1_pairs()) | set(g.arcs2_pairs())
 
@@ -341,7 +345,7 @@ def audit_graphs(
     _require(m1.n, 10, "audit_graphs")
     if w is None:
         w = [1] * m1.n
-    make = _report_factory(instance)
+    make = partial(BruteReport.check, instance)
     reports: list[BruteReport] = []
     D = build_true_graph(m1, m2, I)
     true_arcs = _arc_set(D)
@@ -439,14 +443,8 @@ def audit_graphs(
 
     f = build_cnf(table, N)
     truth = {arc: arc in true_arcs for arc in f.variables}
-    violated = []
-    if f.contradiction:
-        violated.append("folded-contradiction")
-    for l1, l2 in f.clauses:
-        v1 = truth[f.variables[abs(l1) - 1]] == (l1 > 0)
-        v2 = truth[f.variables[abs(l2) - 1]] == (l2 > 0)
-        if not (v1 or v2):
-            violated.append((l1, l2))
+    violated: list[object] = ["folded-contradiction"] if f.contradiction else []
+    violated.extend(f.unsatisfied(truth))
     reports.append(make("cnf-true-assignment", (), tuple(violated), tuple(violated)))
 
     assignment = solve_2sat(f)

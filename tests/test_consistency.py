@@ -23,7 +23,6 @@ from minrank import (
     find_star_pair,
     full_mask,
     mask_of,
-    observe_le_pairs,
     popcount,
     solve_2sat,
 )
@@ -51,9 +50,11 @@ def test_observation_count_nine():
     m1, m2 = crossed_pair()
     I = mask_of((0, 3))
     t = _table(m1, m2, I)
-    assert len(t.x_sets()) == 3
-    assert len(t.y_sets()) == 3
-    assert len(t.all_observations()) == 9
+    assert len(t.x_sets) == 3
+    assert len(t.y_sets) == 3
+    obs = t.all_observations()
+    assert len(obs) == 9
+    assert all(isinstance(x, LEObservation) for x in obs)
 
 
 def test_observations_match_oracle_recomputation():
@@ -105,27 +106,48 @@ def test_is_evil_shape_requirements():
     assert isinstance(t.is_evil(X2, Y2), bool)
 
 
-def test_evil_requires_exact_subpair_values():
-    obs = LEObservation(mask_of((2, 3)), mask_of((0, 1)), 1)
-    from minrank import is_evil
+class _Prescribed:
+    """An oracle stub that answers prescribed min-ranks of the exchanged
+    sets (I | X) & ~Y and records the masks it is asked."""
 
-    good_subs = {
+    def __init__(self, n, I, values):
+        self.ground = full_mask(n)
+        self.asked = []
+        self._answers = {(I | X) & ~Y: v for (X, Y), v in values.items()}
+
+    def rmin(self, mask):
+        self.asked.append(mask)
+        return self._answers[mask]
+
+
+def test_evil_requires_exact_subpair_values():
+    I = mask_of((0, 1))
+    X, Y = mask_of((2, 3)), I
+    exact = {
+        (X, Y): 1,
         (bit(2), bit(0)): 1, (bit(2), bit(1)): 1,
+        (bit(2), Y): 0,
         (bit(3), bit(0)): 1, (bit(3), bit(1)): 1,
-        (bit(2), mask_of((0, 1))): 0, (bit(3), mask_of((0, 1))): 0,
-        (mask_of((2, 3)), bit(0)): 1, (mask_of((2, 3)), bit(1)): 1,
+        (bit(3), Y): 0,
+        (X, bit(0)): 1, (X, bit(1)): 1,
     }
-    assert is_evil(obs, good_subs)
-    bad = dict(good_subs)
-    bad[(bit(2), bit(0))] = 2  # one subpair value |I|-|Y'|+1
-    assert not is_evil(obs, bad)
+    t = ObservationTable(_Prescribed(4, I, exact), I, 0, 0)
+    assert t.is_evil(X, Y)
+    assert t.evil_pairs() == [(X, Y)]
+    # One subpair value |I|-|Y'|+1: not evil, yet all eight subpairs are
+    # still asked, so the queries do not depend on where the slack sits.
+    off = dict(exact)
+    off[(bit(2), bit(0))] = 2
+    o = _Prescribed(4, I, off)
+    t = ObservationTable(o, I, 0, 0)
+    assert not t.is_evil(X, Y)
+    assert len(o.asked) == 9
+    # The pair itself must sit at |I| - 1.
+    low = dict(exact)
+    low[(X, Y)] = 0
+    assert not ObservationTable(_Prescribed(4, I, low), I, 0, 0).is_evil(X, Y)
     # Wrong shape is never evil, regardless of values.
-    assert not is_evil(LEObservation(bit(2), bit(0), 1), good_subs)
-    # A missing subpair value is a precondition error, not a quiet False.
-    partial = dict(good_subs)
-    del partial[(bit(3), bit(1))]
-    with pytest.raises(ValueError):
-        is_evil(obs, partial)
+    assert not ObservationTable(_Prescribed(4, I, exact), I, 0, 0).is_evil(bit(2), bit(0))
 
 
 def test_cnf_case_1x1_high_forces_both():
@@ -188,15 +210,17 @@ def test_twosat_constant_folding():
     assert solve_2sat(ts) is None
 
 
-def test_twosat_dimacs():
+def test_twosat_unsatisfied():
     ts = TwoSat([(0, 1), (2, 3)])
+    ts.add(1, 2)
+    ts.add(-1, 2)
+    ts.add(-2, -2)
     ts.add(1, -2)
-    lines = ts.to_dimacs().splitlines()
-    # Variable-naming comments first, then the problem line, then clauses.
-    assert lines[0] == "c 1 = arc (0,1)"
-    assert lines[1] == "c 2 = arc (2,3)"
-    assert lines[2] == "p cnf 2 1"
-    assert lines[-1] == "1 -2 0"
+    assignment = {(0, 1): False, (2, 3): True}
+    # Falsified clauses come back in clause order.
+    assert ts.unsatisfied(assignment) == [(-2, -2), (1, -2)]
+    assert ts.unsatisfied({(0, 1): True, (2, 3): False}) == [(-1, 2)]
+    assert TwoSat([(0, 1)]).unsatisfied({(0, 1): True}) == []
 
 
 def test_solve_2sat_matches_truth_table_small():
@@ -289,11 +313,3 @@ def test_almost_consistent_graph_requires_pair():
     o = MinRankOracle(*crossed_pair())
     with pytest.raises(ValueError):
         almost_consistent_graph(o, mask_of((0, 3)))  # maximum: all flat
-
-
-def test_observe_le_pairs_function():
-    m1, m2 = crossed_pair()
-    o = MinRankOracle(m1, m2)
-    obs = observe_le_pairs(o, mask_of((0, 3)), 0, 0)
-    assert len(obs) == 9
-    assert all(isinstance(x, LEObservation) for x in obs)
