@@ -39,7 +39,6 @@ from .core import (
     PartitionMatroid,
     UniformMatroid,
     ValidationReport,
-    matrix_rank,
     validate,
 )
 from .errors import ContractViolationError, NegativeCycleError

@@ -155,6 +155,8 @@ def build_cnf(
       with its partner b_{3-i,3-j}
     * anything else: no clauses (subpair clauses already cover it)
 
+    The rows are compiled by slack, value - (|I| - |Y|): slack 0 (and any
+    one-for-one value but |I|) pairs each a with its mirror b as (~a | ~b).
     The diagonal clauses (~a1 | ~b1), (~a2 | ~b2) of the one-for-two and
     two-for-one low cases are omitted: the one-for-one subpair clauses
     imply them. `extra` appends pre-folded arc-literal clauses (used by the
@@ -175,52 +177,35 @@ def build_cnf(
         return -i if neg else i
 
     for X, Y in table.pairs():
-        v = table.value(X, Y)
         xs = elements_of(X)
         ys = elements_of(Y)
-        if len(xs) == 1 and len(ys) == 1:
-            a = (xs[0], ys[0])
-            b = (ys[0], xs[0])
-            if v == k:
-                f.add(lit(a), lit(b))
+        slack = table.value(X, Y) - (k - len(ys))
+        one_for_one = len(xs) == len(ys) == 1
+        if slack != 0 and slack != 1 and not one_for_one:
+            continue
+        # Slot pairs in (i, j) order: a = (x_i, y_j) into I, b out of I at
+        # the mirror slot, every index with two choices flipped.
+        pairs = [
+            ((x, y), (ys[-1 - j], xs[-1 - i]))
+            for i, x in enumerate(xs)
+            for j, y in enumerate(ys)
+        ]
+        if slack == 1 and one_for_one:
+            ((a, b),) = pairs
+            f.add(lit(a), lit(b))
+            f.add(lit(a, True), lit(b))
+            f.add(lit(a), lit(b, True))
+        elif slack == 0 or one_for_one:
+            for a, b in pairs:
+                f.add(lit(a, True), lit(b, True))
+        elif len(pairs) == 2:
+            (a1, b2), (a2, b1) = pairs
+            f.add(lit(a1), lit(a2))
+            f.add(lit(b1), lit(b2))
+        elif table.is_evil(X, Y):
+            for a, b in pairs:
                 f.add(lit(a, True), lit(b))
                 f.add(lit(a), lit(b, True))
-            else:
-                f.add(lit(a, True), lit(b, True))
-        elif len(xs) == 1 and len(ys) == 2:
-            a1, a2 = (xs[0], ys[0]), (xs[0], ys[1])
-            b1, b2 = (ys[0], xs[0]), (ys[1], xs[0])
-            if v == k - 1:
-                f.add(lit(a1), lit(a2))
-                f.add(lit(b1), lit(b2))
-            elif v == k - 2:
-                f.add(lit(a1, True), lit(b2, True))
-                f.add(lit(a2, True), lit(b1, True))
-        elif len(xs) == 2 and len(ys) == 1:
-            a1, a2 = (xs[0], ys[0]), (xs[1], ys[0])
-            b1, b2 = (ys[0], xs[0]), (ys[0], xs[1])
-            if v == k:
-                f.add(lit(a1), lit(a2))
-                f.add(lit(b1), lit(b2))
-            elif v == k - 1:
-                f.add(lit(a1, True), lit(b2, True))
-                f.add(lit(a2, True), lit(b1, True))
-        else:
-            # two-for-two; a[i][j] = (x_i, y_j), b[i][j] = (y_j, x_i)
-            a = [[(x, y) for y in ys] for x in xs]
-            b = [[(y, x) for y in ys] for x in xs]
-            if v == k - 2:
-                f.add(lit(a[0][0], True), lit(b[1][1], True))
-                f.add(lit(a[0][1], True), lit(b[1][0], True))
-                f.add(lit(a[1][0], True), lit(b[0][1], True))
-                f.add(lit(a[1][1], True), lit(b[0][0], True))
-            elif v == k - 1 and table.is_evil(X, Y):
-                for i in (0, 1):
-                    for j in (0, 1):
-                        pa = a[i][j]
-                        pb = b[1 - i][1 - j]
-                        f.add(lit(pa, True), lit(pb))
-                        f.add(lit(pa), lit(pb, True))
     for (arc1, neg1), (arc2, neg2) in extra:
         f.add(lit(arc1, neg1), lit(arc2, neg2))
     return f

@@ -3,8 +3,7 @@
 Five kinds are supported: uniform, partition, graphic, linear-rational
 (exact integer fraction-free elimination), and explicit (an arbitrary
 small independence family given extensionally). Every kind exposes the same
-interface: ``rank(mask)``, ``is_independent(mask)``,
-``fundamental_circuit(I, x)``.
+interface: ``rank(mask)`` and ``is_independent(mask)``.
 
 All matroids here are expected to be loopless; `validate` reports the first
 violated axiom (with witness sets) instead of silently repairing anything.
@@ -64,23 +63,6 @@ class Matroid:
 
     def is_independent(self, mask: int) -> bool:
         return self.rank(mask) == popcount(mask)
-
-    def fundamental_circuit(self, I: int, x: int) -> int:
-        """C(I, x) = {y in I : I + x - y independent}, for I independent and
-        I + x dependent. The unique circuit of I + x is this set plus x."""
-        xb = bit(x)
-        if xb & I:
-            raise ValueError(f"element {x} already in I")
-        if not self.is_independent(I):
-            raise ValueError("I is not independent")
-        ext = I | xb
-        if self.is_independent(ext):
-            raise ValueError(f"I + {x} is independent: no fundamental circuit")
-        circ = 0
-        for y in iter_bits(I):
-            if self.is_independent(ext & ~bit(y)):
-                circ |= bit(y)
-        return circ
 
     def params(self) -> dict:
         """Kind-specific parameters, for serialization."""
@@ -240,11 +222,6 @@ def _integer_row(row: Sequence[Fraction]) -> list[int]:
     """`row` times the lcm of its denominators."""
     scale = lcm(*(v.denominator for v in row))
     return [v.numerator * (scale // v.denominator) for v in row]
-
-
-def matrix_rank(rows: list[list[Fraction]]) -> int:
-    """Rank of a matrix given as a list of Fraction (or int) rows."""
-    return integer_rank([_integer_row(row) for row in rows])
 
 
 def integer_rank(rows: list[Sequence[int]]) -> int:

@@ -33,8 +33,7 @@ from .bitset import (
     popcount,
     small_subsets,
 )
-from .core import LinearMatroid, Matroid, integer_rank
-from .oracle import MinRankOracle
+from .core import LinearMatroid, Matroid
 from .verify import BruteReport
 
 Color = tuple[int, int]
@@ -228,10 +227,11 @@ def _designated_values(
 
     def put(X: int, Y: int, v: int) -> None:
         old = values.setdefault((X, Y), v)
-        assert old == v, (
-            f"conflicting designations {old} vs {v} at "
-            f"({format_set(X)},{format_set(Y)})"
-        )
+        if old != v:
+            raise RuntimeError(
+                f"conflicting designations {old} vs {v} at "
+                f"({format_set(X)},{format_set(Y)})"
+            )
 
     def put_blocks(X: int, Y: int, include_full: bool) -> None:
         for Xp in small_subsets(X, 2):
@@ -259,44 +259,24 @@ def _designated_values(
     return values
 
 
-def _allowed_orientations(
-    designated: Mapping[tuple[int, int], int],
-    coloring: Sequence[Color],
-    endpoints: tuple[int, int],
-    index: int,
-    ex: tuple[int, int, int, int],
-    ey: tuple[int, int],
-    vertex_x: Sequence[tuple[int, int]],
-    vertex_y: Sequence[tuple[int, int]],
-    k: int,
-) -> list[str]:
-    """Orientations of one edge sub-gadget legal under both endpoint colors.
+def _orientation(cu: Color, cw: Color, index: int) -> str:
+    """Orientation of an edge's index-th sub-gadget under its endpoint colors.
 
-    Judged purely by the designated cross-pair values: the full cross pair
-    is slack-free, so whenever the endpoint color occupies the vertex slot
-    in its block, the sub-gadget's slot at that endpoint must carry the
-    same direction.
+    The full cross pair at each endpoint is slack-free, so the sub-gadget's
+    slot there may not carry the direction opposite to the vertex slot
+    (x1, y_{index+1}). That slot holds "a" under color (1, index+1), "b"
+    under (2, 2-index), and nothing under any other color. "A" puts "a" at
+    the first endpoint and "b" at the second; "B" mirrors. "A" wins unless
+    only "B" is legal, which also covers equal (improper) endpoint colors.
     """
-    u, w = endpoints
-    xu, xw = (ex[0], ex[1]) if index == 0 else (ex[2], ex[3])
-    ye = ey[index]
-    out = []
-    for cfg in ("A", "B"):
-        ok = True
-        for v, xev in ((u, xu), (w, xw)):
-            vx, vy = vertex_x[v], vertex_y[v]
-            states: dict[Slot, str | None] = {}
-            states.update(_vertex_slot_arcs(coloring[v], vx, vy))
-            states.update(_edge_slot_arcs(cfg, xu, xw, ye))
-            xs = (xev, vx[0])
-            ys = (ye, vy[index])
-            value = designated[(mask_of(xs), mask_of(ys))]
-            if not _states_consistent(value, k, states, xs, ys):
-                ok = False
-                break
-        if ok:
-            out.append(cfg)
-    return out
+
+    def state(c: Color) -> str | None:
+        # The vertex slot (x1, y_{index+1}) of a block labelled x = y = (0, 1).
+        return _vertex_slot_arcs(c, (0, 1), (0, 1)).get((0, index))
+
+    a_legal = state(cu) != "b" and state(cw) != "a"
+    b_legal = state(cu) != "a" and state(cw) != "b"
+    return "B" if b_legal and not a_legal else "A"
 
 
 def build_gadget(g: ColoredGraph, allow_improper: bool = False) -> GadgetInstance:
@@ -305,10 +285,10 @@ def build_gadget(g: ColoredGraph, allow_improper: bool = False) -> GadgetInstanc
     The value table is filled from the realized arc pattern (identity plus
     distinct primes makes every small-exchange rank equal its pattern
     rank) and then overlaid with the designated constants; for proper
-    colorings the two agree everywhere, which is asserted.
-    ``allow_improper`` skips the properness check and the agreement
-    assertion so tests can observe how equal endpoint colors collide with
-    the prescriptions.
+    colorings the two agree everywhere, and a disagreement raises
+    RuntimeError. ``allow_improper`` skips the properness check and the
+    agreement check so tests can observe how equal endpoint colors collide
+    with the prescriptions.
     """
     if g.coloring is None:
         raise ValueError("a coloring is required to build a gadget")
@@ -357,19 +337,10 @@ def build_gadget(g: ColoredGraph, allow_improper: bool = False) -> GadgetInstanc
 
     designated = _designated_values(k, vertex_x, vertex_y, edge_x, edge_y, edges)
 
-    orientations: list[tuple[str, str]] = []
-    for e, (u, w) in enumerate(edges):
-        cfg: list[str] = []
-        for i in (0, 1):
-            allowed = _allowed_orientations(
-                designated, g.coloring, (u, w), i, edge_x[e], edge_y[e],
-                vertex_x, vertex_y, k,
-            )
-            if not allowed:
-                assert allow_improper, "proper coloring left no orientation"
-                allowed = ["A"]
-            cfg.append(allowed[0])
-        orientations.append((cfg[0], cfg[1]))
+    orientations = [
+        tuple(_orientation(g.coloring[u], g.coloring[w], i) for i in (0, 1))
+        for u, w in edges
+    ]
 
     # Realized arcs: the color and orientation selections on designated
     # slots, arcs in both directions on every other slot, nothing on the
@@ -423,11 +394,12 @@ def build_gadget(g: ColoredGraph, allow_improper: bool = False) -> GadgetInstanc
             )
     if not allow_improper:
         for key, v in designated.items():
-            assert values[key] == v, (
-                f"realization disagrees with designation at "
-                f"({format_set(key[0])},{format_set(key[1])}): "
-                f"{values[key]} vs {v}"
-            )
+            if values[key] != v:
+                raise RuntimeError(
+                    f"realization disagrees with designation at "
+                    f"({format_set(key[0])},{format_set(key[1])}): "
+                    f"{values[key]} vs {v}"
+                )
     values.update(designated)
 
     # Matrices: identity on I; t's column ties all of I in Z1 and s's in
@@ -477,36 +449,23 @@ def build_gadget(g: ColoredGraph, allow_improper: bool = False) -> GadgetInstanc
 # -- verification --------------------------------------------------------------
 
 
-def verify_gadget(gi: GadgetInstance, oracle_samples: int = 25) -> list[BruteReport]:
+def verify_gadget(gi: GadgetInstance) -> list[BruteReport]:
     """Recompute every prescription from the matrices by exact rank.
 
     Checks the full value table, the uniform probe prescriptions, the
     probe circuits (I+s closes on the second matroid, I+t on the first),
     that s is the only source and t the only sink, that the realized arcs
     match the matrix ranks slot by slot, and that s and t exchange freely
-    with all of I in both matroids. A sample of the swept sets is
-    re-checked through the matroid interface to tie the fast integer rank
-    path back to it.
+    with all of I in both matroids.
     """
     if gi.n > 40:
         raise ValueError("verify_gadget is capped at 40 columns")
     label = f"gadget(V={gi.graph.vertices},E={len(gi.graph.edges)})"
     make = partial(BruteReport.check, label)
-
-    cols1 = [[int(v) for v in col] for col in zip(*gi.Z1)]
-    cols2 = [[int(v) for v in col] for col in zip(*gi.Z2)]
-    cache: dict[int, tuple[int, int]] = {}
+    m1, m2 = gi.as_matroids()
 
     def ranks(mask: int) -> tuple[int, int]:
-        got = cache.get(mask)
-        if got is None:
-            # Selected columns as rows: the transpose has the same rank.
-            got = (
-                integer_rank([cols1[c] for c in iter_bits(mask)]),
-                integer_rank([cols2[c] for c in iter_bits(mask)]),
-            )
-            cache[mask] = got
-        return got
+        return m1.rank(mask), m2.rank(mask)
 
     def rmin(mask: int) -> int:
         return min(ranks(mask))
@@ -585,15 +544,6 @@ def verify_gadget(gi: GadgetInstance, oracle_samples: int = 25) -> list[BruteRep
             if r1 != k or r2 != k:
                 bad_stars.append(f"({gi.names[y]},{gi.names[probe]})")
     reports.append(make("probe-stars", (), tuple(bad_stars), tuple(bad_stars)))
-
-    masks = sorted(cache)
-    stride = max(1, len(masks) // max(1, oracle_samples))
-    sample = masks[::stride][:oracle_samples]
-    o = MinRankOracle(*gi.as_matroids())
-    bad_oracle = [
-        format_set(mask) for mask in sample if o.rmin(mask) != min(cache[mask])
-    ]
-    reports.append(make("oracle-crosscheck", (), tuple(bad_oracle), tuple(bad_oracle)))
     return reports
 
 
@@ -632,9 +582,8 @@ def _vertex_configs(
         )
         survivors.append((color, states))
     out = dict(survivors)
-    assert len(survivors) == 4 and len(out) == 4, (
-        f"vertex {v}: {len(survivors)} consistent situations"
-    )
+    if len(survivors) != 4 or len(out) != 4:
+        raise RuntimeError(f"vertex {v}: {len(survivors)} consistent situations")
     return out
 
 
@@ -655,7 +604,8 @@ def _edge_index_configs(
             for X in small_subsets(bit(xu) | bit(xw), 2)
         ):
             survivors["A" if du == "a" else "B"] = states
-    assert len(survivors) == 2, f"edge {e} index {index}: {sorted(survivors)}"
+    if len(survivors) != 2:
+        raise RuntimeError(f"edge {e} index {index}: {sorted(survivors)}")
     return survivors
 
 
@@ -708,8 +658,8 @@ def colorings_from_consistent_graphs(
     in a consistent assignment whenever any assignment exists, so fixing
     them empty collapses no colorings), stitches the blocks together
     through the per-endpoint compatibility check, and projects each
-    surviving global assignment onto its vertex situations. Asserts the
-    result equals the proper 4-colorings before returning it; the
+    surviving global assignment onto its vertex situations. Raises
+    RuntimeError unless the result equals the proper 4-colorings; the
     orientation multiplicity of edge sub-gadgets collapses in the
     projection.
     """
@@ -746,7 +696,6 @@ def colorings_from_consistent_graphs(
             for e, (u, w) in enumerate(edges)
         ):
             out.add(combo)
-    assert out == proper_four_colorings(graph), (
-        "consistent assignments disagree with proper colorings"
-    )
+    if out != proper_four_colorings(graph):
+        raise RuntimeError("consistent assignments disagree with proper colorings")
     return out

@@ -4,8 +4,7 @@ matroids.
 ``rmin(X) = min(r1(X), r2(X))`` is all a caller learns; which of the two
 matroids attains the minimum is deliberately hidden. A built-in counter
 records how many `rmin` queries have been issued, so tests and benchmarks
-can hold solvers to their query budgets. `clone()` produces an oracle over
-the same matroids with an independent counter.
+can hold solvers to their query budgets.
 """
 
 from __future__ import annotations
@@ -46,13 +45,6 @@ class MinRankOracle:
     def query_count(self) -> int:
         return self._queries
 
-    def reset_count(self) -> None:
-        self._queries = 0
-
-    def clone(self) -> "MinRankOracle":
-        """Same matroids, fresh counter at zero."""
-        return MinRankOracle(self._m1, self._m2)
-
 
 class RestrictedOracle:
     """View of an oracle on a subset of the ground set.
@@ -81,13 +73,6 @@ class RestrictedOracle:
     @property
     def query_count(self) -> int:
         return self._inner.query_count
-
-    def reset_count(self) -> None:
-        self._inner.reset_count()
-
-    def clone(self) -> "RestrictedOracle":
-        """Same restriction over a fresh clone of the wrapped oracle."""
-        return RestrictedOracle(self._inner.clone(), self.ground)
 
 
 # What the solvers accept: either oracle; both carry `n` and `ground`.

@@ -21,6 +21,7 @@ from .consistency import (
     solve_2sat,
 )
 from .core import Matroid
+from .errors import ContractViolationError
 from .exchange import (
     ExchangeGraph,
     StarPair,
@@ -100,8 +101,9 @@ def brute_max_common(m1: Matroid, m2: Matroid) -> tuple[int, int]:
 def brute_dual(m1: Matroid, m2: Matroid) -> tuple[int, int]:
     """Minimum of rmin(Z) + rmin(E \\ Z) over all Z, with the smallest argmin.
 
-    Asserts that this form, the classical r1(Z) + r2(E \\ Z) form, and the
-    maximum common independent set size all agree.
+    Raises ContractViolationError unless this form, the classical
+    r1(Z) + r2(E \\ Z) form, and the maximum common independent set size
+    all agree.
     """
     n = m1.n
     _require(n, 20, "brute_dual")
@@ -118,10 +120,11 @@ def brute_dual(m1: Matroid, m2: Matroid) -> tuple[int, int]:
         if best_classic is None or v_classic < best_classic:
             best_classic = v_classic
     size, _ = brute_max_common(m1, m2)
-    assert best_min == best_classic == size, (
-        f"duality mismatch: min-rank form {best_min}, classical {best_classic}, "
-        f"max common {size}"
-    )
+    if not best_min == best_classic == size:
+        raise ContractViolationError(
+            f"duality mismatch: min-rank form {best_min}, classical {best_classic}, "
+            f"max common {size}"
+        )
     return best_min, argmin
 
 

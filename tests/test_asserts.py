@@ -1,10 +1,11 @@
-"""Static audit: solver-side code keeps no check in an `assert`.
+"""Static audit: the solver, gadget and verification code keeps no check in
+an `assert`.
 
-`python -O` strips asserts, so a check that guards a result or the oracle's
-contract must raise instead. The only asserts allowed in the oracle-driven
-modules narrow a type for the reader and the type checker:
-``assert isinstance(...)`` and ``assert ... is not None``, alone or joined
-by ``and``.
+`python -O` strips asserts, so a check that guards a result, a
+construction or the oracle's contract must raise instead. The only asserts
+allowed in the audited modules narrow a type for the reader and the type
+checker: ``assert isinstance(...)`` and ``assert ... is not None``, alone
+or joined by ``and``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import pytest
 
 import minrank.consistency
 import minrank.exchange
+import minrank.gadgets
 import minrank.solvers
+import minrank.verify
 
 
 def _narrows(test: ast.expr) -> bool:
@@ -44,7 +47,13 @@ def _checking_asserts(module) -> list[str]:
 
 @pytest.mark.parametrize(
     "module",
-    [minrank.consistency, minrank.exchange, minrank.solvers],
+    [
+        minrank.consistency,
+        minrank.exchange,
+        minrank.gadgets,
+        minrank.solvers,
+        minrank.verify,
+    ],
     ids=lambda m: m.__name__,
 )
 def test_no_check_lives_in_an_assert(module):

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from minrank import (
+    ExchangeGraph,
     LEObservation,
     MinRankOracle,
     ObservationTable,
@@ -152,8 +153,6 @@ def test_evil_requires_exact_subpair_values():
 
 def test_cnf_case_1x1_high_forces_both():
     """Value |I| on a 1x1 pair forces the arc in both directions."""
-    from minrank import ExchangeGraph
-
     # Identical uniform matroids: swapping 2 for either of {0, 1} keeps
     # full rank, so every 1x1 pair is high.
     m = UniformMatroid(2, 3)
@@ -175,6 +174,161 @@ def test_cnf_case_1x1_high_forces_both():
         3, I, 0, 0, [0, bit(2), 0], arcs2, [0] * 3, [0] * 3, kind="intersected"
     )
     assert solve_2sat(build_cnf(t, g_broken)) is None
+
+
+# -- the clause table, row by row ---------------------------------------------
+#
+# Each test compiles prescribed values with every arc between I and the
+# plain elements present and suspicious, so no literal folds away, and
+# compares the whole clause list. The table walks every subpair too; their
+# clauses come first, in pair order.
+
+
+def _compiled(n, I, values, names):
+    out = full_mask(n) & ~I
+    arcs1 = [out if (I >> v) & 1 else 0 for v in range(n)]
+    arcs2 = [0 if (I >> v) & 1 else I for v in range(n)]
+    g = ExchangeGraph(n, I, 0, 0, arcs1, arcs2, [0] * n, [0] * n, kind="intersected")
+    f = build_cnf(ObservationTable(_Prescribed(n, I, values), I, 0, 0), g)
+    assert not f.contradiction
+
+    def spell(lit):
+        name = names[f.variables[abs(lit) - 1]]
+        return name if lit > 0 else "~" + name
+
+    return [(spell(l1), spell(l2)) for l1, l2 in f.clauses]
+
+
+# One-for-one: I = {0}, x = 1.
+_NAMES_11 = {(1, 0): "a", (0, 1): "b"}
+
+
+def _one_for_one(value):
+    return _compiled(2, bit(0), {(bit(1), bit(0)): value}, _NAMES_11)
+
+
+# One-for-two: I = {0, 1}, x = 2; a_j = (x, y_j), b_j = (y_j, x). The two
+# one-for-one subpairs sit at |I| - 1 and come first.
+_NAMES_12 = {(2, 0): "a1", (2, 1): "a2", (0, 2): "b1", (1, 2): "b2"}
+_SUBPAIRS_12 = [("~a1", "~b1"), ("~a2", "~b2")]
+
+
+def _one_for_two(value):
+    values = {
+        (bit(2), bit(0)): 1,
+        (bit(2), bit(1)): 1,
+        (bit(2), mask_of((0, 1))): value,
+    }
+    return _compiled(3, mask_of((0, 1)), values, _NAMES_12)
+
+
+# Two-for-one: I = {0}, x_i = i; a_i = (x_i, y), b_i = (y, x_i). The two
+# one-for-one subpairs sit at |I| - 1 and come first.
+_NAMES_21 = {(1, 0): "a1", (2, 0): "a2", (0, 1): "b1", (0, 2): "b2"}
+_SUBPAIRS_21 = [("~a1", "~b1"), ("~a2", "~b2")]
+
+
+def _two_for_one(value):
+    values = {
+        (bit(1), bit(0)): 0,
+        (bit(2), bit(0)): 0,
+        (mask_of((1, 2)), bit(0)): value,
+    }
+    return _compiled(3, bit(0), values, _NAMES_21)
+
+
+# Two-for-two: I = {0, 1}, x_i = i + 1; a_ij = (x_i, y_j), b_ij = (y_j, x_i).
+# Every proper subpair sits at |I| - |Y'|, the values that make the pair
+# evil at |I| - 1; their low clauses come first.
+_X22, _Y22 = mask_of((2, 3)), mask_of((0, 1))
+_NAMES_22 = {
+    arc: f"{side}{i + 1}{j + 1}"
+    for i, x in enumerate((2, 3))
+    for j, y in enumerate((0, 1))
+    for side, arc in (("a", (x, y)), ("b", (y, x)))
+}
+_SUBPAIRS_22 = [
+    ("~a11", "~b11"), ("~a12", "~b12"), ("~a11", "~b12"), ("~a12", "~b11"),
+    ("~a21", "~b21"), ("~a22", "~b22"), ("~a21", "~b22"), ("~a22", "~b21"),
+    ("~a11", "~b21"), ("~a21", "~b11"), ("~a12", "~b22"), ("~a22", "~b12"),
+]
+
+
+def _two_for_two_values(value):
+    values = {
+        (Xp, Yp): 2 - popcount(Yp)
+        for Xp in (bit(2), bit(3), _X22)
+        for Yp in (bit(0), bit(1), _Y22)
+    }
+    values[(_X22, _Y22)] = value
+    return values
+
+
+def _two_for_two(value):
+    return _compiled(4, _Y22, _two_for_two_values(value), _NAMES_22)
+
+
+def test_cnf_row_one_for_one_value_k():
+    assert _one_for_one(1) == [("a", "b"), ("~a", "b"), ("a", "~b")]
+
+
+def test_cnf_row_one_for_one_value_k_minus_1():
+    assert _one_for_one(0) == [("~a", "~b")]
+
+
+def test_cnf_row_one_for_one_any_other_value():
+    # Only a lying oracle answers these; they compile like the low row.
+    assert _one_for_one(2) == [("~a", "~b")]
+    assert _one_for_one(-1) == [("~a", "~b")]
+
+
+def test_cnf_row_one_for_two_value_k_minus_1():
+    assert _one_for_two(1) == _SUBPAIRS_12 + [("a1", "a2"), ("b1", "b2")]
+
+
+def test_cnf_row_one_for_two_value_k_minus_2():
+    assert _one_for_two(0) == _SUBPAIRS_12 + [("~a1", "~b2"), ("~a2", "~b1")]
+
+
+def test_cnf_row_two_for_one_value_k():
+    assert _two_for_one(1) == _SUBPAIRS_21 + [("a1", "a2"), ("b1", "b2")]
+
+
+def test_cnf_row_two_for_one_value_k_minus_1():
+    assert _two_for_one(0) == _SUBPAIRS_21 + [("~a1", "~b2"), ("~a2", "~b1")]
+
+
+def test_cnf_row_two_for_two_value_k_minus_2():
+    assert _two_for_two(0) == _SUBPAIRS_22 + [
+        ("~a11", "~b22"), ("~a12", "~b21"), ("~a21", "~b12"), ("~a22", "~b11"),
+    ]
+
+
+def test_cnf_row_two_for_two_evil():
+    assert _two_for_two(1) == _SUBPAIRS_22 + [
+        ("~a11", "b22"), ("a11", "~b22"),
+        ("~a12", "b21"), ("a12", "~b21"),
+        ("~a21", "b12"), ("a21", "~b12"),
+        ("~a22", "b11"), ("a22", "~b11"),
+    ]
+
+
+def test_cnf_row_anything_else_gives_no_clauses():
+    # One-for-two above |I| - 1 or below |I| - 2, two-for-one above |I| or
+    # below |I| - 1, two-for-two above |I| - 1 or below |I| - 2.
+    for value in (2, -1):
+        assert _one_for_two(value) == _SUBPAIRS_12
+    for value in (2, -1):
+        assert _two_for_one(value) == _SUBPAIRS_21
+    for value in (2, -1):
+        assert _two_for_two(value) == _SUBPAIRS_22
+    # Two-for-two at |I| - 1 but not evil: the two-for-one subpair
+    # ({2, 3}, {0}) sits two above |I| - 1, so it and the pair add nothing.
+    values = _two_for_two_values(1)
+    values[(_X22, bit(0))] = 3
+    assert _compiled(4, _Y22, values, _NAMES_22) == [
+        c for c in _SUBPAIRS_22 if c not in (("~a11", "~b21"), ("~a21", "~b11"))
+    ]
 
 
 def test_twosat_example_deterministic():

@@ -1,4 +1,4 @@
-"""Matroid representations: ranks, independence, circuits, validation."""
+"""Matroid representations: ranks, independence, validation."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from minrank import (
     bit,
     full_mask,
     mask_of,
-    matrix_rank,
     popcount,
     validate,
 )
@@ -54,56 +53,12 @@ def test_linear_rational_exact():
     assert big.rank(full_mask(2)) == 2
 
 
-def test_matrix_rank():
-    assert matrix_rank([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
-    assert matrix_rank([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]) == 2
-    assert matrix_rank([]) == 0
-
-
 def test_explicit_from_family():
     u = UniformMatroid(1, 3)
     fam = [m for m in range(8) if u.is_independent(m)]
     e = ExplicitMatroid(3, fam)
     for mask in range(8):
         assert e.rank(mask) == u.rank(mask)
-
-
-def test_fundamental_circuit_partition():
-    m1, _ = crossed_pair()
-    assert m1.fundamental_circuit(mask_of((0, 3)), 1) == bit(0)
-
-
-def test_fundamental_circuit_triangle():
-    m = triangle()
-    assert m.fundamental_circuit(mask_of((0, 1)), 2) == mask_of((0, 1))
-
-
-def test_fundamental_circuit_uniform():
-    m = UniformMatroid(1, 3)
-    assert m.fundamental_circuit(bit(0), 2) == bit(0)
-
-
-def test_fundamental_circuit_requires_dependence():
-    m = UniformMatroid(2, 3)
-    with pytest.raises(ValueError):
-        m.fundamental_circuit(bit(0), 1)
-
-
-def test_circuit_property_exhaustive():
-    """fundamental_circuit(I, x) + x is dependent with independent proper subsets."""
-    for m in small_zoo():
-        n = m.n
-        for I in range(1 << n):
-            if not m.is_independent(I):
-                continue
-            for x in range(n):
-                if (I >> x) & 1 or m.is_independent(I | bit(x)):
-                    continue
-                C = m.fundamental_circuit(I, x) | bit(x)
-                assert not m.is_independent(C)
-                for y in range(n):
-                    if (C >> y) & 1:
-                        assert m.is_independent(C & ~bit(y))
 
 
 def test_rank_axioms_exhaustive():

@@ -43,17 +43,6 @@ def test_query_ledger():
     for _ in range(4):
         o.rmin(bit(1))
     assert o.query_count == 5
-    o.reset_count()
-    assert o.query_count == 0
-
-
-def test_clone_has_independent_ledger():
-    o = MinRankOracle(*crossed_pair())
-    o.rmin(bit(0))
-    c = o.clone()
-    assert c.query_count == 0
-    c.rmin(bit(1))
-    assert o.query_count == 1
 
 
 def test_rmin_monotone_exhaustive():
@@ -111,14 +100,6 @@ def test_restricted_oracle_shares_ledger():
     r.rmin(bit(0))
     assert o.query_count == 1
     assert r.query_count == 1
-
-
-def test_restricted_clone_keeps_ground():
-    o = MinRankOracle(*crossed_pair())
-    r = RestrictedOracle(o, mask_of((0, 1)))
-    c = r.clone()
-    assert c.ground == r.ground
-    assert c.query_count == 0
 
 
 def test_mismatched_ground_sets_rejected():

@@ -22,7 +22,6 @@ from minrank import (
     iter_bits,
     loads,
     mask_of,
-    matrix_rank,
     popcount,
     random_instance,
     solve_2sat,
@@ -193,8 +192,6 @@ def test_linear_rank_matches_fraction_elimination(case):
         cols = elements_of(mask & full_mask(m.n))
         want = fraction_rank([[Fraction(row[c]) for c in cols] for row in rows])
         assert m.rank(mask & full_mask(m.n)) == want
-    want = fraction_rank([[Fraction(v) for v in row] for row in rows])
-    assert matrix_rank([[Fraction(v) for v in row] for row in rows]) == want
 
 
 # -- two-literal satisfiability ------------------------------------------------

@@ -8,7 +8,9 @@ import pytest
 
 from minrank import (
     BruteReport,
+    ContractViolationError,
     ExchangeGraph,
+    ExplicitMatroid,
     GraphicMatroid,
     MinRankOracle,
     PartitionMatroid,
@@ -80,8 +82,18 @@ def test_brute_dual_agrees_with_max_size():
             if m1.n != m2.n:
                 continue
             size, _ = brute_max_common(m1, m2)
-            value, _ = brute_dual(m1, m2)  # internally asserts both dual forms
+            value, _ = brute_dual(m1, m2)  # raises unless both dual forms agree
             assert value == size
+
+
+def test_brute_dual_rejects_a_non_matroid_pair():
+    # The first family breaks the augmentation axiom: {0} takes neither
+    # element of {2, 3}. The min-rank form bottoms out at 2 while no two
+    # elements are independent in both.
+    m1 = ExplicitMatroid(4, [0, 1, 2, 3, 4, 8, 12])
+    m2 = ExplicitMatroid(4, [0, 2, 4, 6, 8, 10])
+    with pytest.raises(ContractViolationError, match="duality mismatch"):
+        brute_dual(m1, m2)
 
 
 def test_brute_w_maximal_crossed():
