@@ -22,13 +22,10 @@ from .bitset import (
     popcount,
 )
 from .consistency import (
-    LEObservation,
     ObservationTable,
     TwoSat,
     almost_consistent_graph,
     build_cnf,
-    check_consistency,
-    consistency_summary,
     solve_2sat,
 )
 from .core import (
@@ -88,7 +85,6 @@ from .solvers import (
     Certificate,
     CostedVertex,
     Level,
-    LexCost,
     LexmaxRun,
     WeightedRun,
     approx_max_weight,

@@ -288,21 +288,15 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         g = build_true_graph(inst.matroid1, inst.matroid2, I)
     else:
         _log("access class: oracle-only")
-        if args.which == "consistent":
-            try:
-                g = almost_consistent_graph(o, I)
-            except ValueError as exc:
-                raise Infeasible(str(exc)) from exc
-        else:
-            survey = survey_extensions(o, I)
-            if survey.pair is None:
-                raise Infeasible(
-                    "no probe pair: every pairwise extension is flat"
-                )
-            builder = (
-                build_modified_graph if args.which == "modified" else intersect_modified
-            )
-            g = builder(o, I, survey.pair)
+        survey = survey_extensions(o, I)
+        if survey.pair is None:
+            raise Infeasible("no probe pair: every pairwise extension is flat")
+        builder = {
+            "modified": build_modified_graph,
+            "intersected": intersect_modified,
+            "consistent": almost_consistent_graph,
+        }[args.which]
+        g = builder(o, I, survey.pair)
     sys.stdout.write(g.to_dot(inst.names))
     return EXIT_OK
 

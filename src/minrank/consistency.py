@@ -16,24 +16,16 @@ test; `TwoSat.unsatisfied` is the one check of clauses against arcs.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from .bitset import elements_of, iter_bits, popcount, small_subsets
+from .bitset import elements_of, popcount, small_subsets
 from .errors import ContractViolationError
-from .exchange import ExchangeGraph, StarPair, intersect_modified, survey_extensions
+from .exchange import ExchangeGraph, StarPair, intersect_modified
 from .oracle import Oracle
 
 Arc = tuple[int, int]
 # A literal spec for clause assembly: an arc plus a negation flag.
 ArcLiteral = tuple[Arc, bool]
-
-
-class LEObservation(NamedTuple):
-    """One observed exchange: X joins, Y leaves, value = rmin((I | X) & ~Y)."""
-
-    X: int
-    Y: int
-    value: int
 
 
 class ObservationTable:
@@ -64,9 +56,6 @@ class ObservationTable:
         for X in self.x_sets:
             for Y in self.y_sets:
                 yield X, Y
-
-    def all_observations(self) -> list[LEObservation]:
-        return [LEObservation(X, Y, self.value(X, Y)) for X, Y in self.pairs()]
 
     def is_evil(self, X: int, Y: int) -> bool:
         """A two-by-two exchange is evil when its value sits one below the
@@ -288,22 +277,15 @@ def solve_2sat(f: TwoSat) -> dict[Arc, bool] | None:
 # -- assembled graphs ---------------------------------------------------------
 
 
-def almost_consistent_graph(
-    o: Oracle, I: int, sp: StarPair | None = None
-) -> ExchangeGraph:
+def almost_consistent_graph(o: Oracle, I: int, sp: StarPair) -> ExchangeGraph:
     """Resolve every suspicious arc of the intersected graph.
 
-    Builds the intersected graph for the given (or lexicographically
-    smallest) probe pair, gathers all small-exchange observations, compiles
-    and solves the clause system, and keeps exactly the sure arcs plus the
-    suspicious arcs assigned true. Genuine oracles always admit a solution;
-    unsatisfiability is a contract violation.
+    Builds the intersected graph for the probe pair `sp`, gathers all
+    small-exchange observations, compiles and solves the clause system, and
+    keeps exactly the sure arcs plus the suspicious arcs assigned true.
+    Genuine oracles always admit a solution; unsatisfiability is a contract
+    violation.
     """
-    if sp is None:
-        survey = survey_extensions(o, I)
-        if survey.pair is None:
-            raise ValueError("no probe pair exists for I; nothing to resolve")
-        sp = survey.pair
     g = intersect_modified(o, I, sp)
     table = ObservationTable(o, I, g.S, g.T)
     f = build_cnf(table, g)
@@ -313,43 +295,3 @@ def almost_consistent_graph(
             "arc-constraint system unsatisfiable; oracle is not a matroid pair"
         )
     return g.with_assignment(assignment)
-
-
-def check_consistency(g: ExchangeGraph, obs: LEObservation) -> str:
-    """Classify one observation against the graph's arcs.
-
-    high observation (value > |I| - |Y|) wants both directions populated
-    between Y and X; a low one forbids having both. Verdicts:
-    ``consistent``, ``underestimated-only`` (arcs must be added), or
-    ``overestimated-only`` (arcs must be removed). ``neither`` never occurs
-    for a single observation; it is reserved for graph-wide summaries.
-    """
-    k = popcount(g.I)
-    high = obs.value >= k - popcount(obs.Y) + 1
-    dir1 = any(g.arcs1[y] & obs.X for y in iter_bits(obs.Y))
-    dir2 = any(g.arcs2[x] & obs.Y for x in iter_bits(obs.X))
-    if high:
-        return "consistent" if (dir1 and dir2) else "underestimated-only"
-    return "overestimated-only" if (dir1 and dir2) else "consistent"
-
-
-def consistency_summary(
-    g: ExchangeGraph, observations: Sequence[LEObservation]
-) -> str:
-    """Roll-up over all observations: ``consistent`` when every one is,
-    ``overestimated-only``/``underestimated-only`` when all violations lean
-    one way, ``neither`` when both kinds appear."""
-    over = under = False
-    for obs in observations:
-        verdict = check_consistency(g, obs)
-        if verdict == "overestimated-only":
-            over = True
-        elif verdict == "underestimated-only":
-            under = True
-    if over and under:
-        return "neither"
-    if over:
-        return "overestimated-only"
-    if under:
-        return "underestimated-only"
-    return "consistent"

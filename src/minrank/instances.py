@@ -20,7 +20,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .bitset import bit, elements_of, mask_of
+from .bitset import bit, mask_of
 from .core import (
     ExplicitMatroid,
     GraphicMatroid,

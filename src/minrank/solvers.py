@@ -12,7 +12,7 @@ test suite holds this module to that.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .bitset import bit, elements_of, format_set, iter_bits, popcount, subsets_of
 from .consistency import (
@@ -71,52 +71,7 @@ class CostedVertex(NamedTuple):
     weight by exactly -c."""
 
     element: int
-    cost: object
-
-
-class LexCost:
-    """Path cost under class-count weights, compared lexicographically.
-
-    An element of the i-th heaviest weight class contributes +/-1 in
-    coordinate i. Since any simple path carries fewer than the ground-set
-    size of any one class, comparing count vectors lexicographically orders
-    path costs exactly as the huge explicit weights (n+1)^(classes-i) would,
-    without ever forming them.
-    """
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts: Iterable[int]):
-        self.counts = tuple(counts)
-
-    @classmethod
-    def zero(cls, classes: int) -> "LexCost":
-        return cls((0,) * classes)
-
-    @classmethod
-    def unit(cls, index: int, classes: int) -> "LexCost":
-        return cls(tuple(1 if i == index else 0 for i in range(classes)))
-
-    def __add__(self, other: "LexCost") -> "LexCost":
-        return LexCost(a + b for a, b in zip(self.counts, other.counts, strict=True))
-
-    def __neg__(self) -> "LexCost":
-        return LexCost(-c for c in self.counts)
-
-    def __lt__(self, other: "LexCost") -> bool:
-        return self.counts < other.counts
-
-    def __le__(self, other: "LexCost") -> bool:
-        return self.counts <= other.counts
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LexCost) and self.counts == other.counts
-
-    def __hash__(self) -> int:
-        return hash(self.counts)
-
-    def __repr__(self) -> str:
-        return f"LexCost{self.counts}"
+    cost: Fraction | int
 
 
 def total_weight(w: Sequence, I: int) -> Fraction:
@@ -124,8 +79,7 @@ def total_weight(w: Sequence, I: int) -> Fraction:
 
 
 def signed_costs(w: Sequence, I: int, ground: int) -> list[CostedVertex]:
-    """Vertex costs per the augmentation sign convention; `w` holds
-    numbers or LexCosts, as normalized at solver entry."""
+    """Vertex costs per the augmentation sign convention."""
     return [
         CostedVertex(e, w[e] if (I >> e) & 1 else -w[e]) for e in elements_of(ground)
     ]
@@ -320,7 +274,7 @@ def cheapest_path_augment(
     (smallest id on ties); (3) intersected graph from a probe pair;
     (4) observations -> clause system -> resolved graph; (5) swap along a
     shortest cheapest source-sink path, or certify with the set of vertices
-    that reach a sink. `w` holds numbers or LexCosts.
+    that reach a sink.
 
     The result is weight-maximal at |I|+1 under any of the three tractable
     regimes; on arbitrary instances it still runs and the verification
@@ -338,8 +292,7 @@ def cheapest_path_augment(
         _trace(trace, k, "certificate", f"Z={format_set(Z)}", o.query_count - before)
         return Certificate(Z)
     if trace is not None:
-        costs = [cv.cost for cv in signed_costs(w, I, path_mask(path))]
-        cost = sum(costs[1:], costs[0])
+        cost = sum(cv.cost for cv in signed_costs(w, I, path_mask(path)))
         _trace(
             trace, k, "path", f"P={tuple(path)} cost={cost}", o.query_count - before
         )
@@ -368,12 +321,11 @@ class WeightedRun(NamedTuple):
         return max(self.levels, key=lambda lv: (lv.weight, -lv.k))
 
 
-def _run_levels(o: Oracle, w: Sequence, augment, weigh=None) -> WeightedRun:
-    weigh = weigh if weigh is not None else (lambda I: total_weight(w, I))
+def _run_levels(o: Oracle, w: Sequence, augment) -> WeightedRun:
     base = o.query_count
     steps: list[AugmentStep] = []
     I = 0
-    levels = [Level(0, 0, weigh(0))]
+    levels = [Level(0, 0, total_weight(w, 0))]
     while True:
         try:
             res = augment(o, w, I, trace=steps)
@@ -384,7 +336,7 @@ def _run_levels(o: Oracle, w: Sequence, augment, weigh=None) -> WeightedRun:
                 tuple(levels), res.Z, o.query_count - base, tuple(steps)
             )
         I = res.J
-        levels.append(Level(popcount(I), I, weigh(I)))
+        levels.append(Level(popcount(I), I, total_weight(w, I)))
 
 
 def weighted_no_circuit_inclusion(o: Oracle, w: Sequence) -> WeightedRun:
@@ -587,26 +539,32 @@ def lexicographic_max(o: Oracle, w: Sequence) -> LexmaxRun:
     """The common independent set taking as many heaviest elements as
     possible, then second-heaviest, and so on.
 
-    Runs the weighted augmentation with class-count costs (exactly the
-    proof's huge weights, compared without forming them); the per-level
-    results are class-vector-maximal at each cardinality and the best
-    vector over levels is the lexicographic maximum."""
+    Runs the weighted augmentation with the proof's huge weights, exact as
+    Python ints: an element of the i-th heaviest of `ell` classes weighs
+    B^(ell-1-i). Every cost compared is a signed class-count vector of a
+    simple path or set, with L1 norm at most n, so two of them differ by at
+    most 2n < B = 2n+1 in L1 and integer order equals lexicographic order,
+    ties included. The per-level results are class-vector-maximal at each
+    cardinality, the heaviest level is the lexicographic maximum, and the
+    levels report the caller's weights."""
     ground = o.ground
     classes = weight_classes(w, ground)
     ell = len(classes)
     pos = {c: i for i, c in enumerate(classes)}
-    lw: list = [LexCost.zero(ell)] * o.n
+    B = 2 * o.n + 1
+    huge = [0] * o.n
     for e in iter_bits(ground):
-        lw[e] = LexCost.unit(pos[Fraction(w[e])], ell)
-    run = _run_levels(o, lw, cheapest_path_augment, weigh=lambda I: total_weight(w, I))
-    best_I = 0
-    best_vec = class_vector(w, ground, 0)
-    for lv in run.levels:
-        vec = class_vector(w, ground, lv.I)
-        if vec > best_vec:
-            best_vec, best_I = vec, lv.I
+        huge[e] = B ** (ell - 1 - pos[Fraction(w[e])])
+    run = _run_levels(o, huge, cheapest_path_augment)
+    best = run.best
+    levels = tuple(lv._replace(weight=total_weight(w, lv.I)) for lv in run.levels)
     return LexmaxRun(
-        best_I, best_vec, run.levels, run.certificate, run.queries, run.trace
+        best.I,
+        class_vector(w, ground, best.I),
+        levels,
+        run.certificate,
+        run.queries,
+        run.trace,
     )
 
 

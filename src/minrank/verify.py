@@ -13,13 +13,7 @@ from functools import partial
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .bitset import bit, elements_of, full_mask, iter_bits, popcount
-from .consistency import (
-    ObservationTable,
-    build_cnf,
-    check_consistency,
-    consistency_summary,
-    solve_2sat,
-)
+from .consistency import ObservationTable, build_cnf, solve_2sat
 from .core import Matroid
 from .errors import ContractViolationError
 from .exchange import (
@@ -310,6 +304,59 @@ def _sure_set(g: ExchangeGraph) -> set[tuple[int, int]]:
     return out
 
 
+class LEObservation(NamedTuple):
+    """One observed exchange: X joins, Y leaves, value = rmin((I | X) & ~Y)."""
+
+    X: int
+    Y: int
+    value: int
+
+
+def all_observations(table: ObservationTable) -> list[LEObservation]:
+    """Every small exchange of the table with its value, in pair order."""
+    return [LEObservation(X, Y, table.value(X, Y)) for X, Y in table.pairs()]
+
+
+def check_consistency(g: ExchangeGraph, obs: LEObservation) -> str:
+    """Classify one observation against the graph's arcs.
+
+    high observation (value > |I| - |Y|) wants both directions populated
+    between Y and X; a low one forbids having both. Verdicts:
+    ``consistent``, ``underestimated-only`` (arcs must be added), or
+    ``overestimated-only`` (arcs must be removed). ``neither`` never occurs
+    for a single observation; it is reserved for graph-wide summaries.
+    """
+    k = popcount(g.I)
+    high = obs.value >= k - popcount(obs.Y) + 1
+    dir1 = any(g.arcs1[y] & obs.X for y in iter_bits(obs.Y))
+    dir2 = any(g.arcs2[x] & obs.Y for x in iter_bits(obs.X))
+    if high:
+        return "consistent" if (dir1 and dir2) else "underestimated-only"
+    return "overestimated-only" if (dir1 and dir2) else "consistent"
+
+
+def consistency_summary(
+    g: ExchangeGraph, observations: Sequence[LEObservation]
+) -> str:
+    """Roll-up over all observations: ``consistent`` when every one is,
+    ``overestimated-only``/``underestimated-only`` when all violations lean
+    one way, ``neither`` when both kinds appear."""
+    over = under = False
+    for obs in observations:
+        verdict = check_consistency(g, obs)
+        if verdict == "overestimated-only":
+            over = True
+        elif verdict == "underestimated-only":
+            under = True
+    if over and under:
+        return "neither"
+    if over:
+        return "overestimated-only"
+    if under:
+        return "underestimated-only"
+    return "consistent"
+
+
 def path_cost(
     path: Sequence[int], I: int, w: Sequence[Fraction | int]
 ) -> Fraction:
@@ -439,7 +486,7 @@ def audit_graphs(
     )
 
     table = ObservationTable(o, I, N.S, N.T)
-    observations = table.all_observations()
+    observations = all_observations(table)
     reports.append(
         make("true-graph-consistent", "consistent", consistency_summary(D, observations))
     )

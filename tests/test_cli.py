@@ -210,9 +210,11 @@ def test_graph_rejects_unparseable_or_oversized_set(fixture_file, capsys):
     capsys.readouterr()
 
 
-def test_graph_infeasible_at_maximum(fixture_file, capsys):
-    assert main(["graph", fixture_file, "--set", "{0,3}", "--which", "modified"]) == 1
-    assert "no probe pair" in capsys.readouterr().err
+@pytest.mark.parametrize("which", ["modified", "intersected", "consistent"])
+def test_graph_infeasible_at_maximum(fixture_file, capsys, which):
+    assert main(["graph", fixture_file, "--set", "{0,3}", "--which", which]) == 1
+    err = capsys.readouterr().err
+    assert "no probe pair: every pairwise extension is flat" in err
 
 
 # -- gadget ----------------------------------------------------------------------

@@ -5,11 +5,8 @@ from __future__ import annotations
 import itertools
 import random
 
-import pytest
-
 from minrank import (
     ExchangeGraph,
-    LEObservation,
     MinRankOracle,
     ObservationTable,
     StarPair,
@@ -19,13 +16,17 @@ from minrank import (
     bit,
     build_cnf,
     build_true_graph,
-    check_consistency,
-    consistency_summary,
     find_star_pair,
     full_mask,
     mask_of,
     popcount,
     solve_2sat,
+)
+from minrank.verify import (
+    LEObservation,
+    all_observations,
+    check_consistency,
+    consistency_summary,
 )
 from conftest import crossed_pair, small_zoo, triangle
 
@@ -43,7 +44,7 @@ def test_observation_count_one_each():
     # I={0}; the other element is not addable (rank 1), so S=T=empty.
     t = _table(m1, m2, bit(0))
     assert len(list(t.pairs())) == 1
-    assert len(t.all_observations()) == 1
+    assert len(all_observations(t)) == 1
 
 
 def test_observation_count_nine():
@@ -53,7 +54,7 @@ def test_observation_count_nine():
     t = _table(m1, m2, I)
     assert len(t.x_sets) == 3
     assert len(t.y_sets) == 3
-    obs = t.all_observations()
+    obs = all_observations(t)
     assert len(obs) == 9
     assert all(isinstance(x, LEObservation) for x in obs)
 
@@ -64,7 +65,7 @@ def test_observations_match_oracle_recomputation():
     o = MinRankOracle(m1, m2)
     t = ObservationTable(o, I, 0, 0)
     fresh = MinRankOracle(m1, m2)
-    for obs in t.all_observations():
+    for obs in all_observations(t):
         assert obs.value == fresh.rmin((I | obs.X) & ~obs.Y)
 
 
@@ -79,7 +80,7 @@ def test_observation_value_bounds():
                     continue
                 t = ObservationTable(o, I, 0, 0)
                 k = popcount(I)
-                for obs in t.all_observations():
+                for obs in all_observations(t):
                     # Dropping Y removes at most |Y| rank; adding X restores
                     # at most |X|.
                     lo = k - popcount(obs.Y)
@@ -91,9 +92,9 @@ def test_observation_caching():
     m1, m2 = crossed_pair()
     o = MinRankOracle(m1, m2)
     t = ObservationTable(o, mask_of((0, 3)), 0, 0)
-    t.all_observations()
+    all_observations(t)
     spent = o.query_count
-    t.all_observations()
+    all_observations(t)
     assert o.query_count == spent  # cached by exchanged-set mask
 
 
@@ -438,7 +439,7 @@ def test_true_graph_always_consistent():
                     continue
                 D = build_true_graph(m1, m2, I)
                 t = ObservationTable(o, I, D.S, D.T)
-                for obs in t.all_observations():
+                for obs in all_observations(t):
                     assert check_consistency(D, obs) == "consistent"
 
 
@@ -461,9 +462,3 @@ def test_almost_consistent_graph_no_suspicious_equals_true():
         D = build_true_graph(m1, m2, I)
         assert set(C.arcs1_pairs()) == set(D.arcs1_pairs())
         assert set(C.arcs2_pairs()) == set(D.arcs2_pairs())
-
-
-def test_almost_consistent_graph_requires_pair():
-    o = MinRankOracle(*crossed_pair())
-    with pytest.raises(ValueError):
-        almost_consistent_graph(o, mask_of((0, 3)))  # maximum: all flat

@@ -40,7 +40,7 @@ GOLDEN = [
     ("crossed", "solve --mode cardinality --trace", "5b12ef1af6e61e39a409c9e6f7b7a4188a6c7acbab29b3f9c7fd74207e4b5fdf"),
     ("crossed", "solve --mode weighted --promise no-circuit-inclusion --trace", "142bf2177972639f31c31b70e1ca730cf2fa9df3cd564bd15761b5d3d652ae6b"),
     ("crossed", "solve --mode fpt --gamma 3 --trace", "ad4f52a19f18969054c770c39eee850ae83ed1332dd952a5506fe4b916480f30"),
-    ("crossed", "solve --mode lexmax --trace", "cf8a73f6d52208f7a8342c78fea8ace724861e63bb92977c383a692233e97691"),
+    ("crossed", "solve --mode lexmax --trace", "2560f20c595a9540b4066423f8528cf7cd5b1d941e529ec59cce3d777a1af4d5"),
     ("crossed", "solve --mode approx --trace", "af58946e4424a66933344ee61560f953121f20e78b1e8dc3ce7f3ad951267ff8"),
     ("random-7", "solve --mode cardinality --trace", "4bd3430fa41218f487f31bdb64c323042bc1e5348d52f43f583a1faa87a40989"),
     ("random-7", "solve --mode weighted --promise no-circuit-inclusion --trace", "7061e4fd865b15c8dab6e73fafe2b38a7cf6a59b81880dd65ee78468487964c4"),
@@ -50,17 +50,17 @@ GOLDEN = [
     ("promise-7", "solve --mode cardinality --trace", "e3a2a7cda4019399368ed77e11bb6056837058e0d1dfbdcfef836eac6790f0ac"),
     ("promise-7", "solve --mode weighted --promise no-circuit-inclusion --trace", "068352bf1538a01df63e3da7041a722a4f4389ecb8893a8ce8808dec3f76b58e"),
     ("promise-7", "solve --mode fpt --gamma 3 --trace", "de57a2d3c9a3438cec5d311c3b8e5894a4b4cbf9fd7a2873daa4156e75e473d3"),
-    ("promise-7", "solve --mode lexmax --trace", "d7621e1a45448f241f259ba82d2f9b12cba3e5e2601c8343e1a894835ebc6c4f"),
+    ("promise-7", "solve --mode lexmax --trace", "7c977db0079c828bfd3f8426050cd1810c21db22aa0c6656b3ce0ec4f8b0206d"),
     ("promise-7", "solve --mode approx --trace", "68b93da4d4347af903dd3f1038577d49a570d7a5942c1be195f4349bfebf80df"),
     ("fpt-8", "solve --mode cardinality --trace", "a5865887102bb216fda7a226b513261536a940ab227edf4db235e25c780b4227"),
     ("fpt-8", "solve --mode weighted --promise no-circuit-inclusion --trace", "c07d68cb19285afbc25b93e0207e816ab53b534e4bbee669415e16ed219b580c"),
     ("fpt-8", "solve --mode fpt --gamma 3 --trace", "65fffbcfbd7ede2379d19a5a2ed87f168aeb1f5aef0833f063d9f18d89b73913"),
-    ("fpt-8", "solve --mode lexmax --trace", "85490b8babf976c593199fade02b4d5768e4364d9f578704ae454ffd91ebd0aa"),
+    ("fpt-8", "solve --mode lexmax --trace", "d54a916a46f618ef32ff2f40fbaa4237344548eadd5d367dfca273558acb5dcd"),
     ("fpt-8", "solve --mode approx --trace", "d5d4698b0cbf32d6d7e8aef8359de01f2c913c03d85d120dec9c5eaca1d53723"),
     ("lexmax-7", "solve --mode cardinality --trace", "2bc928d9615c56da554a314220a2d638a288924dda759b3585ae38f4184e73b6"),
     ("lexmax-7", "solve --mode weighted --promise no-circuit-inclusion --trace", "0486e39dd6ba65b6041651b2bb46de8dfe56f7dc117ddeb68f1b9b7e10d50777"),
     ("lexmax-7", "solve --mode fpt --gamma 3 --trace", "9db872312731ef37982d734528ff567f267292de1cb287bafddbfac158522e2f"),
-    ("lexmax-7", "solve --mode lexmax --trace", "cc5e4c62cbd68b86a5cc5786d3c1ae1cf4cec4849cb0cc9c17f08febe8a798d4"),
+    ("lexmax-7", "solve --mode lexmax --trace", "f8e8f5a2fe3167bf2be8f5f1b19e76926b6c21a1c53b772ccd1f70461632c94c"),
     ("lexmax-7", "solve --mode approx --trace", "b80f9a582efabef8348088af13d2f67be7788a403ecb0f6e1570026c5171740d"),
     ("lexmax-7", "graph --set {0,2,5} --which modified", "2d007c3ccdf46ff526d8680870c6b8e10faa53468b1d2ab0b689c1b2d3de6b49"),
     ("lexmax-7", "graph --set {0,2,5} --which intersected", "ccb0a657e7f72c2da5733e92ff7e8cb301752fda3c9539d4316b74439a1f677b"),

@@ -1,0 +1,46 @@
+"""Static audit: every name a package module imports is used in it.
+
+An import nobody reads hides the module's real dependencies. The package
+`__init__` is exempt, since it imports names to re-export them.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import minrank
+
+MODULES = sorted(
+    p for p in Path(minrank.__file__).parent.glob("*.py") if p.name != "__init__.py"
+)
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        f"line {line}: {name}"
+        for name, line in sorted(imported.items(), key=lambda item: item[1])
+        if name not in used
+    ]
+
+
+def test_audit_sees_an_unused_import():
+    source = "from os import path, sep\n\nprint(sep)\n"
+    assert _unused_imports(source) == ["line 1: path"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_import_is_used(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []

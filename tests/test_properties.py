@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from minrank import (
     GraphicMatroid,
-    LexCost,
     LinearMatroid,
     MinRankOracle,
     PartitionMatroid,
@@ -245,39 +244,6 @@ def test_two_sat_matches_brute_force(f):
 @given(two_cnf())
 def test_two_sat_deterministic(f):
     assert solve_2sat(f) == solve_2sat(f)
-
-
-# -- lexicographic path costs ---------------------------------------------------
-
-
-@st.composite
-def lex_pair(draw):
-    classes = draw(st.integers(min_value=1, max_value=4))
-    counts = st.tuples(*(st.integers(min_value=-8, max_value=8),) * classes)
-    return LexCost(draw(counts)), LexCost(draw(counts))
-
-
-@settings(max_examples=200, deadline=None)
-@given(lex_pair())
-def test_lex_cost_orders_like_big_base_polynomial(pair):
-    u, v = pair
-    big = 1000
-
-    def value(c: LexCost) -> int:
-        return sum(x * big**(len(c.counts) - 1 - i) for i, x in enumerate(c.counts))
-
-    assert (u < v) == (value(u) < value(v))
-    assert (u == v) == (value(u) == value(v))
-    assert (u <= v) == (value(u) <= value(v))
-
-
-@settings(max_examples=100, deadline=None)
-@given(lex_pair())
-def test_lex_cost_addition_is_componentwise(pair):
-    u, v = pair
-    total = u + v
-    assert total.counts == tuple(a + b for a, b in zip(u.counts, v.counts))
-    assert u + LexCost.zero(len(u.counts)) == u
 
 
 # -- weights survive text form ---------------------------------------------------

@@ -14,7 +14,6 @@ from minrank import (
     ContractViolationError,
     CostedVertex,
     ExchangeGraph,
-    LexCost,
     Level,
     MinRankOracle,
     NegativeCycleError,
@@ -30,12 +29,14 @@ from minrank import (
     brute_w_maximal,
     cheapest_path_augment,
     class_vector,
+    common_independent_sets,
     full_mask,
     lexicographic_max,
     mask_of,
     max_cardinality,
     popcount,
     random_instance,
+    random_lexmax_instance,
     shortest_cheapest_path,
     signed_costs,
     total_weight,
@@ -310,6 +311,43 @@ def test_lexmax_beats_heavier_set_lexicographically():
     assert total_weight(w, run.I) < total_weight(w, mask_of((1, 2)))
 
 
+def _assert_lexmax_levels(m1, m2, w):
+    """Each level holds the best class vector among sets of its size and
+    reports its own weight under the caller's weights."""
+    ground = full_mask(m1.n)
+    best: dict[int, tuple[int, ...]] = {}
+    for I in common_independent_sets(m1, m2):
+        k = popcount(I)
+        best[k] = max(best.get(k, ()), class_vector(w, ground, I))
+    run = lexicographic_max(MinRankOracle(m1, m2), w)
+    assert [lv.k for lv in run.levels] == sorted(best)
+    for lv in run.levels:
+        assert class_vector(w, ground, lv.I) == best[lv.k]
+        assert lv.weight == total_weight(w, lv.I)
+    assert run.vector == max(best.values())
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_lexmax_levels_are_class_vector_maximal(n):
+    for seed in range(8):
+        for inst in (
+            random_lexmax_instance(seed, n),
+            random_instance(seed, n, weighted=True),
+        ):
+            _assert_lexmax_levels(inst.matroid1, inst.matroid2, inst.weight_vector())
+
+
+def test_lexmax_levels_need_a_large_base():
+    """Under class weights 4, 2, 1 (base 2), the size-5 vectors (1, 1, 3)
+    and (0, 4, 1) both weigh 9, and the solver keeps the lexicographically
+    worse {1,2,3,4,5}; base 2n+1 orders them correctly."""
+    blocks1 = [(2, 3, 6), (0, 4), (1, 5), (7,)]
+    blocks2 = [(5,), (3, 4), (2, 7), (6,), (0, 1)]
+    m1 = PartitionMatroid(8, tuple(map(mask_of, blocks1)), (2, 1, 2, 1))
+    m2 = PartitionMatroid(8, tuple(map(mask_of, blocks2)), (1, 2, 1, 1, 1))
+    _assert_lexmax_levels(m1, m2, [9, 5, 5, 5, 5, 1, 1, 1])
+
+
 def test_weight_classes_and_class_vector():
     w = fixture_weights()
     ground = full_mask(4)
@@ -355,38 +393,6 @@ def test_approx_all_non_positive():
     m1, m2 = crossed_pair()
     res = approx_max_weight(MinRankOracle(m1, m2), [0, -1, 0, -2])
     assert res == (0, 0, 1, None, 0)
-
-
-# -- lexicographic costs ------------------------------------------------------
-
-
-def test_lexcost_algebra():
-    a = LexCost.unit(0, 3)
-    b = LexCost.unit(2, 3)
-    assert LexCost.zero(3).counts == (0, 0, 0)
-    assert a.counts == (1, 0, 0)
-    assert (a + b).counts == (1, 0, 1)
-    assert (-a).counts == (-1, 0, 0)
-    assert a != b and hash(a) != hash(LexCost((0, 1, 0)))
-    assert LexCost((1, 0, 0)) == a
-
-
-def test_lexcost_order_matches_huge_explicit_weights():
-    """Lexicographic compare agrees with base-M values for dominant M."""
-    import random
-
-    rng = random.Random(5)
-    M = 1000
-    for _ in range(300):
-        ell = rng.randint(1, 4)
-        u = LexCost(tuple(rng.randint(-8, 8) for _ in range(ell)))
-        v = LexCost(tuple(rng.randint(-8, 8) for _ in range(ell)))
-        uval = sum(c * M ** (ell - 1 - i) for i, c in enumerate(u.counts))
-        vval = sum(c * M ** (ell - 1 - i) for i, c in enumerate(v.counts))
-        assert (u < v) == (uval < vval)
-        assert (u <= v) == (uval <= vval)
-        assert (u > v) == (uval > vval)  # reflected comparison
-        assert (u == v) == (uval == vval)
 
 
 # -- shortest cheapest paths --------------------------------------------------
