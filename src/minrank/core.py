@@ -184,7 +184,7 @@ class LinearMatroid(Matroid):
     kind = "linear-rational"
 
     def __init__(self, matrix: Sequence[Sequence[Fraction | int | str]]):
-        rows = [[Fraction(v) for v in row] for row in matrix]
+        rows = [[_entry(v) for v in row] for row in matrix]
         widths = {len(r) for r in rows}
         if len(widths) > 1:
             raise ValueError("ragged matrix")
@@ -218,7 +218,19 @@ class LinearMatroid(Matroid):
         }
 
 
-def _integer_row(row: Sequence[Fraction]) -> list[int]:
+def _entry(v: Fraction | int | str) -> Fraction | int:
+    """A matrix entry as an exact rational. Integer strings skip the
+    `Fraction` parser: every string `int` accepts, `Fraction` accepts with
+    the same value. Others fall back to `Fraction`, errors included."""
+    if isinstance(v, str):
+        try:
+            return int(v)
+        except ValueError:
+            pass
+    return Fraction(v)
+
+
+def _integer_row(row: Sequence[Fraction | int]) -> list[int]:
     """`row` times the lcm of its denominators."""
     scale = lcm(*(v.denominator for v in row))
     return [v.numerator * (scale // v.denominator) for v in row]

@@ -13,11 +13,16 @@ All graphs are directed and bipartite between I and E \\ I: layer-1 arcs run
 from I outward, layer-2 arcs run from outside into I. An augmenting path
 starts at a source, alternates sides, and ends at a sink; swapping I by the
 symmetric difference of such a path grows the common independent set by one.
+
+One arc rule (`_arc_rule`) decides the probe graphs' arcs and one reverse
+BFS (`_search`) finds paths and certificates, over a built graph or, for
+the cardinality solver, over the arc rule itself with arcs tested on demand.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from itertools import chain
+from typing import Callable, Iterator, NamedTuple
 
 from .bitset import bit, elements_of, format_set, full_mask, iter_bits, mask_of, popcount
 from .core import Matroid
@@ -91,14 +96,6 @@ class ExchangeGraph:
 
     def successors(self, v: int) -> int:
         return self.arcs1[v] if (self.I >> v) & 1 else self.arcs2[v]
-
-    def predecessor_mask(self, v: int) -> int:
-        layer = self.arcs2 if (self.I >> v) & 1 else self.arcs1
-        preds = 0
-        for u in range(self.n):
-            if (layer[u] >> v) & 1:
-                preds |= bit(u)
-        return preds
 
     def has_arc(self, u: int, v: int) -> bool:
         return bool((self.successors(u) >> v) & 1)
@@ -288,6 +285,54 @@ def _star_sets(o: Oracle, I: int, sp: StarPair) -> tuple[int, int]:
     return S, T
 
 
+def _arc_rule(
+    o: Oracle,
+    I: int,
+    S: int,
+    T: int,
+    t_probes: list[int],
+    s_probes: list[int],
+) -> Callable[[int, int], bool]:
+    """The arc test of a probe graph with sources S and sinks T.
+
+    Arcs that touch a source or sink keep their full stars: a layer-1 arc
+    into a source and a layer-2 arc out of a sink are admitted outright,
+    while a layer-1 arc into a sink or a layer-2 arc out of a source costs
+    one swap query. Every other arc is admitted when a three-element swap
+    probe keeps the min-rank flat against each sink-side probe in
+    `t_probes` (layer 1) or each source-side probe in `s_probes` (layer 2),
+    in order, stopping at the first failure.
+    """
+    k = popcount(I)
+    t_masks = [bit(t) for t in t_probes]
+    s_masks = [bit(s) for s in s_probes]
+    rmin = o.rmin
+
+    def arc(u: int, v: int) -> bool:
+        if (I >> u) & 1:
+            xb = 1 << v
+            if S & xb:
+                return True
+            base = I & ~(1 << u) | xb
+            if T & xb:
+                return rmin(base) == k
+            probes = t_masks
+        else:
+            xb = 1 << u
+            if T & xb:
+                return True
+            base = I & ~(1 << v) | xb
+            if S & xb:
+                return rmin(base) == k
+            probes = s_masks
+        for pb in probes:
+            if rmin(base | pb) != k:
+                return False
+        return True
+
+    return arc
+
+
 def _probe_graph(
     o: Oracle,
     I: int,
@@ -296,57 +341,33 @@ def _probe_graph(
     t_probes: list[int],
     s_probes: list[int],
 ) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Arcs and base sure labels of a probe graph with sources S, sinks T.
-
-    Sources and sinks keep their full arc stars. Every other potential arc
-    is admitted when a three-element swap probe keeps the min-rank flat
-    against each sink-side probe in `t_probes` (layer 1) or each
-    source-side probe in `s_probes` (layer 2). Arcs incident to a source or
-    sink are labeled sure. Returns (arcs1, arcs2, sure1, sure2).
-    """
-    k = popcount(I)
+    """Every arc that `_arc_rule` admits, with base sure labels: arcs
+    incident to a source or sink are sure. The stars the rule admits without
+    a query (layer-1 arcs into S, layer-2 arcs out of T) are set directly.
+    Each tail in I asks its heads in T \\ S before its plain heads; the
+    query sequence is pinned by the tests. Returns (arcs1, arcs2, sure1,
+    sure2)."""
+    arc = _arc_rule(o, I, S, T, t_probes, s_probes)
     outside = o.ground & ~I
-    plain = outside & ~(S | T)
-    t_masks = [bit(t) for t in t_probes]
-    s_masks = [bit(s) for s in s_probes]
     arcs1 = [0] * o.n
     arcs2 = [0] * o.n
     sure1 = [0] * o.n
     sure2 = [0] * o.n
     for y in iter_bits(I):
-        yb = bit(y)
         heads = S
-        for t in iter_bits(T & ~S):
-            if o.rmin((I | bit(t)) & ~yb) == k:
-                heads |= bit(t)
-        for x in iter_bits(plain):
-            xb = bit(x)
-            for tb in t_masks:
-                if o.rmin((I | tb | xb) & ~yb) != k:
-                    break
-            else:
-                heads |= xb
+        for x in chain(iter_bits(T & ~S), iter_bits(outside & ~(S | T))):
+            if arc(y, x):
+                heads |= bit(x)
         arcs1[y] = heads
         sure1[y] = heads & (S | T)
     for x in iter_bits(outside):
-        xb = bit(x)
-        if (T >> x) & 1:
-            arcs2[x] = sure2[x] = I
-        elif (S >> x) & 1:
-            heads = 0
-            for y in iter_bits(I):
-                if o.rmin((I | xb) & ~bit(y)) == k:
-                    heads |= bit(y)
-            arcs2[x] = sure2[x] = heads
-        else:
-            heads = 0
-            for y in iter_bits(I):
-                for sb in s_masks:
-                    if o.rmin((I | sb | xb) & ~bit(y)) != k:
-                        break
-                else:
-                    heads |= bit(y)
-            arcs2[x] = heads
+        heads = I if (T >> x) & 1 else 0
+        for y in iter_bits(I & ~heads):
+            if arc(x, y):
+                heads |= bit(y)
+        arcs2[x] = heads
+        if ((S | T) >> x) & 1:
+            sure2[x] = heads
     return arcs1, arcs2, sure1, sure2
 
 
@@ -393,48 +414,84 @@ def intersect_modified(o: Oracle, I: int, sp: StarPair) -> ExchangeGraph:
 # -- paths -------------------------------------------------------------------
 
 
-def _distances_to_sinks(g: ExchangeGraph) -> list[int | None]:
-    """Reverse BFS: arc-count distance from each vertex to the sink set."""
-    dist: list[int | None] = [None] * g.n
-    frontier = []
-    for t in iter_bits(g.T):
-        dist[t] = 0
-        frontier.append(t)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            dv = dist[v]
-            assert dv is not None
-            for u in iter_bits(g.predecessor_mask(v)):
-                if dist[u] is None:
-                    dist[u] = dv + 1
-                    nxt.append(u)
-        frontier = sorted(nxt)
-    return dist
+def _search(
+    I: int, outside: int, S: int, T: int, arc: Callable[[int, int], bool]
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Reverse BFS from the sinks T over the arcs that `arc(u, v)` admits.
+
+    Each frontier is scanned in ascending order, and (u, v) is asked only
+    for a u on the other side that no earlier test reached, so every arc is
+    asked at most once. The first v that reaches u is recorded: it is u's
+    smallest successor one level down. The search stops after the first
+    level that holds a source, so a sink that is also a source ends it at
+    level 0. Returns (dist, nxt): the arc-count distance to T of each
+    reached vertex, and the recorded successor of each reached non-sink.
+    """
+    dist = dict.fromkeys(iter_bits(T), 0)
+    nxt: dict[int, int] = {}
+    reached = frontier = T
+    level = 0
+    while frontier and not frontier & S:
+        level += 1
+        scan, frontier = frontier, 0
+        for v in iter_bits(scan):
+            for u in iter_bits((outside if (I >> v) & 1 else I) & ~reached):
+                if arc(u, v):
+                    dist[u] = level
+                    nxt[u] = v
+                    reached |= bit(u)
+                    frontier |= bit(u)
+    return dist, nxt
+
+
+def _graph_search(g: ExchangeGraph) -> tuple[dict[int, int], dict[int, int]]:
+    return _search(g.I, full_mask(g.n) & ~g.I, g.S, g.T, g.has_arc)
+
+
+def _path(dist: dict[int, int], nxt: dict[int, int], S: int) -> list[int] | None:
+    """From the smallest reached source along the recorded successors to a
+    sink: the minimum-arc path with the smallest vertex sequence."""
+    v = next((s for s in iter_bits(S) if s in dist), None)
+    if v is None:
+        return None
+    path = [v]
+    while v in nxt:
+        v = nxt[v]
+        path.append(v)
+    return path
+
+
+def _certificate(dist: dict[int, int], S: int) -> int:
+    Z = mask_of(dist)
+    if Z & S:
+        raise ValueError("a source reaches a sink; an augmenting path exists")
+    return Z
+
+
+def probe_pair_search(
+    o: Oracle, I: int, sp: StarPair
+) -> tuple[list[int] | None, int]:
+    """The probe-pair graph's shortest augmenting path, or its certificate,
+    with arcs tested on demand.
+
+    Same answer as `shortest_augmenting_path` and `reachability_certificate`
+    on `build_modified_graph(o, I, sp)`, but the search asks the probe rule
+    only for the arcs its reverse BFS scans. Returns (path, 0) when a path
+    exists, else (None, Z) with Z the set of vertices that reach a sink.
+    """
+    S, T = _star_sets(o, I, sp)
+    arc = _arc_rule(o, I, S, T, [sp.t], [sp.s])
+    dist, nxt = _search(I, o.ground & ~I, S, T, arc)
+    path = _path(dist, nxt, S)
+    return (path, 0) if path is not None else (None, _certificate(dist, S))
 
 
 def shortest_augmenting_path(g: ExchangeGraph) -> list[int] | None:
     """Minimum-arc source-to-sink path, ties broken toward the smallest
     vertex sequence; None when no sink is reachable. A source that is also
     a sink yields a single-vertex path."""
-    dist = _distances_to_sinks(g)
-    best: int | None = None
-    for s in iter_bits(g.S):
-        d = dist[s]
-        if d is not None and (best is None or d < best):
-            best = d
-    if best is None:
-        return None
-    start = min(s for s in iter_bits(g.S) if dist[s] == best)
-    path = [start]
-    v, remaining = start, best
-    while remaining:
-        v = min(
-            u for u in iter_bits(g.successors(v)) if dist[u] == remaining - 1
-        )
-        path.append(v)
-        remaining -= 1
-    return path
+    dist, nxt = _graph_search(g)
+    return _path(dist, nxt, g.S)
 
 
 def reachability_certificate(g: ExchangeGraph) -> int:
@@ -443,14 +500,8 @@ def reachability_certificate(g: ExchangeGraph) -> int:
     Only valid when no source reaches a sink; the caller pairs the returned
     set with its complement as a min-rank duality certificate.
     """
-    dist = _distances_to_sinks(g)
-    Z = 0
-    for v in range(g.n):
-        if dist[v] is not None:
-            Z |= bit(v)
-    if Z & g.S:
-        raise ValueError("a source reaches a sink; an augmenting path exists")
-    return Z
+    dist, _ = _graph_search(g)
+    return _certificate(dist, g.S)
 
 
 def all_shortest_paths(g: ExchangeGraph) -> list[tuple[int, ...]]:
@@ -458,13 +509,9 @@ def all_shortest_paths(g: ExchangeGraph) -> list[tuple[int, ...]]:
 
     Exponential in the worst case; meant for small verification instances.
     """
-    dist = _distances_to_sinks(g)
-    best: int | None = None
-    for s in iter_bits(g.S):
-        d = dist[s]
-        if d is not None and (best is None or d < best):
-            best = d
-    if best is None:
+    dist, _ = _graph_search(g)
+    sources = [s for s in iter_bits(g.S) if s in dist]
+    if not sources:
         return []
     out: list[tuple[int, ...]] = []
 
@@ -473,14 +520,13 @@ def all_shortest_paths(g: ExchangeGraph) -> list[tuple[int, ...]]:
             out.append(tuple(acc))
             return
         for u in iter_bits(g.successors(v)):
-            if dist[u] == remaining - 1:
+            if dist.get(u) == remaining - 1:
                 acc.append(u)
                 walk(u, remaining - 1, acc)
                 acc.pop()
 
-    for s in sorted(iter_bits(g.S)):
-        if dist[s] == best:
-            walk(s, best, [s])
+    for s in sources:
+        walk(s, dist[s], [s])
     return sorted(out)
 
 

@@ -27,12 +27,11 @@ from .exchange import (
     DirectAugment,
     ExchangeGraph,
     StarPair,
-    build_modified_graph,
     find_star_pair,
     intersect_modified,
     path_mask,
+    probe_pair_search,
     reachability_certificate,
-    shortest_augmenting_path,
     survey_extensions,
 )
 from .oracle import Oracle, RestrictedOracle
@@ -162,10 +161,14 @@ def augment_min_rank(
 
     In order: if some single element lifts the min-rank, add the smallest
     such; if every pairwise extension stays flat, the whole ground set is a
-    duality certificate; otherwise build the probe-pair graph and either
-    swap along a shortest source-sink path or return the set of vertices
-    that reach a sink. `sp` forces the probe pair (outputs do not depend on
-    the choice)."""
+    duality certificate; otherwise search the probe-pair graph from its
+    sinks, testing arcs on demand, and either swap along a shortest
+    source-sink path or return the set of vertices that reach a sink.
+
+    `sp` forces the probe pair. The size of the result does not depend on
+    that choice, but J and Z can: the survey's lexicographically smallest
+    pair may have a true sink as `s`, and then the graph is the one of the
+    swapped matroid pair (e.g. `random_instance(111, 7)` at I={1,3,4})."""
     if not o.is_common_independent(I):
         raise ValueError("I is not a common independent set")
     probe = find_star_pair(o, I)
@@ -173,10 +176,9 @@ def augment_min_rank(
         return Certificate(o.ground)
     if isinstance(probe, DirectAugment):
         return Augmented(I | bit(probe.x))
-    g = build_modified_graph(o, I, sp if sp is not None else probe)
-    path = shortest_augmenting_path(g)
+    path, Z = probe_pair_search(o, I, sp if sp is not None else probe)
     if path is None:
-        return Certificate(reachability_certificate(g))
+        return Certificate(Z)
     return Augmented(I ^ path_mask(path))
 
 

@@ -53,6 +53,25 @@ def test_linear_rational_exact():
     assert big.rank(full_mask(2)) == 2
 
 
+@pytest.mark.parametrize(
+    "text", ["3", " -3 ", "+4", "1_000", "\u0663", "3.0", "1/2", "0x1", ""]
+)
+def test_linear_string_entry_reads_as_fraction(text):
+    """Integer strings skip the Fraction parser; the value, and the error
+    for a string Fraction rejects, stay Fraction's."""
+    try:
+        want = Fraction(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            LinearMatroid([[text]])
+        assert str(info.value) == str(exc)
+        return
+    m = LinearMatroid([[text]])
+    assert m.matrix[0][0] == want
+    assert m.params() == {"rows": [[str(want)]]}
+    assert m.rank(bit(0)) == (want != 0)
+
+
 def test_explicit_from_family():
     u = UniformMatroid(1, 3)
     fam = [m for m in range(8) if u.is_independent(m)]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from minrank import (
@@ -19,10 +21,13 @@ from minrank import (
     intersect_modified,
     mask_of,
     path_mask,
+    random_instance,
     reachability_certificate,
     shortest_augmenting_path,
     survey_extensions,
 )
+from minrank.cli import cardinality_trajectory
+from minrank.exchange import _search, probe_pair_search
 from conftest import crossed_pair, small_zoo, triangle
 
 
@@ -126,6 +131,29 @@ def test_bfs_tie_breaks_lexicographic():
     ]
 
 
+def test_search_asks_each_arc_once_and_stops_at_first_source_level():
+    # I={2,5}; sources {0,1}, sinks {3,4}; 5 -> 0 would only be found at
+    # level 3, after level 2 already holds the sources.
+    I = mask_of((2, 5))
+    arcs1 = [0, 0, mask_of((3, 4)), 0, 0, bit(0)]
+    arcs2 = [bit(2), bit(2), 0, 0, 0, 0]
+    g = ExchangeGraph(6, I, mask_of((0, 1)), mask_of((3, 4)), arcs1, arcs2)
+    asked = []
+
+    def arc(u, v):
+        asked.append((u, v))
+        return g.has_arc(u, v)
+
+    dist, nxt = _search(I, full_mask(6) & ~I, g.S, g.T, arc)
+    assert dist == {3: 0, 4: 0, 2: 1, 0: 2, 1: 2}
+    assert nxt == {2: 3, 0: 2, 1: 2}
+    assert asked == [(2, 3), (5, 3), (5, 4), (0, 2), (1, 2)]
+    # A sink that is also a source ends the search at level 0.
+    asked.clear()
+    assert _search(I, full_mask(6) & ~I, bit(3), g.T, arc) == ({3: 0, 4: 0}, {})
+    assert asked == []
+
+
 def test_path_mask():
     assert path_mask([0, 1, 3]) == mask_of((0, 1, 3))
 
@@ -215,3 +243,86 @@ def test_star_pair_definition_holds():
         assert o.rmin(bit(0) | bit(sp.s)) == k
         assert o.rmin(bit(0) | bit(sp.t)) == k
         assert o.rmin(bit(0) | bit(sp.s) | bit(sp.t)) == k + 1
+
+
+# -- on-demand search against the full build -----------------------------------
+
+
+def test_probe_pair_search_matches_full_build():
+    """On every set of the cardinality trajectory that has a probe pair, the
+    on-demand search returns the full graph's shortest path, or its
+    certificate, and asks no more queries than building the graph."""
+    instances = [random_instance(seed, n) for n in range(2, 13) for seed in range(30)]
+    instances += [
+        random_instance(seed, n, kinds=("partition",))
+        for n in range(24, 33)
+        for seed in range(10)
+    ]
+    paths = certificates = 0
+    for inst in instances:
+        o = MinRankOracle(inst.matroid1, inst.matroid2)
+        for I in cardinality_trajectory(inst.matroid1, inst.matroid2):
+            sp = find_star_pair(o, I)
+            if not isinstance(sp, StarPair):
+                continue
+            before = o.query_count
+            g = build_modified_graph(o, I, sp)
+            path = shortest_augmenting_path(g)
+            Z = 0 if path is not None else reachability_certificate(g)
+            full = o.query_count - before
+            before = o.query_count
+            assert probe_pair_search(o, I, sp) == (path, Z)
+            assert o.query_count - before <= full
+            paths += path is not None
+            certificates += path is None
+    assert paths >= 70 and certificates >= 66
+
+
+class RecordingOracle(MinRankOracle):
+    def __init__(self, m1, m2):
+        super().__init__(m1, m2)
+        self.asked: list[int] = []
+
+    def rmin(self, mask: int) -> int:
+        self.asked.append(mask)
+        return super().rmin(mask)
+
+
+def test_probe_graph_query_sequence_is_pinned():
+    """`build_modified_graph` and `intersect_modified` ask the same masks in
+    the same order as the probe-graph loop that predates the shared arc
+    rule: the digest below was recorded from that loop on this instance
+    list."""
+
+    def cases():
+        for seed in range(40):
+            n = 5 + seed % 4
+            kinds = ("partition", "graphic", "linear-rational")
+            inst = random_instance(seed, n, kinds=kinds)
+            o = MinRankOracle(inst.matroid1, inst.matroid2)
+            for I in range(1 << n):
+                if o.is_common_independent(I):
+                    yield inst, I
+        for n in (16, 24, 32, 40):
+            for seed in range(10):
+                inst = random_instance(seed, n, kinds=("partition", "graphic"))
+                for I in cardinality_trajectory(inst.matroid1, inst.matroid2):
+                    yield inst, I
+
+    digest = hashlib.sha256()
+    builds = asked = 0
+    for inst, I in cases():
+        m1, m2 = inst.matroid1, inst.matroid2
+        sp = find_star_pair(MinRankOracle(m1, m2), I)
+        if not isinstance(sp, StarPair):
+            continue
+        o = RecordingOracle(m1, m2)
+        build_modified_graph(o, I, sp)
+        intersect_modified(o, I, sp)
+        builds += 1
+        asked += len(o.asked)
+        digest.update(repr(o.asked).encode())
+    assert (builds, asked) == (33, 13443)
+    assert digest.hexdigest() == (
+        "67fc47cbc7e94b4bb2720389ccbc7f33de2bac6f5d78b62b14cea080f6e33d44"
+    )

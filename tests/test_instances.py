@@ -109,6 +109,17 @@ def test_loads_rejects_missing_or_unknown_matroid():
         loads(_doc(matroid1={"kind": "uniform", "n": 4}))
 
 
+def test_loads_rejects_bad_linear_entries_with_fraction_errors():
+    for text in ("0x1", "", "1/0", "one"):
+        with pytest.raises((ValueError, ZeroDivisionError)) as parsed:
+            Fraction(text)
+        rows = [[text, "1", "0", "1"], ["0", "1", "1", "0"]]
+        doc = _doc(matroid1={"kind": "linear-rational", "rows": rows})
+        with pytest.raises(InstanceError) as info:
+            loads(doc)
+        assert str(info.value) == f"matroid1: {parsed.value}"
+
+
 def test_loads_rejects_size_disagreement():
     with pytest.raises(InstanceError, match="disagrees with n"):
         loads(_doc(matroid1={"kind": "uniform", "k": 2, "n": 5}))

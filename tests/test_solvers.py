@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -31,6 +32,7 @@ from minrank import (
     class_vector,
     common_independent_sets,
     full_mask,
+    iter_bits,
     lexicographic_max,
     mask_of,
     max_cardinality,
@@ -96,35 +98,45 @@ def test_augment_rejects_dependent_base():
 
 
 def test_augment_star_pair_choice_does_not_change_size():
-    """Any valid probe pair yields an augmentation of the same size."""
-    for m1 in small_zoo():
-        for m2 in small_zoo():
-            if m1.n != m2.n or m1.n > 4:
-                continue
+    """A forced probe pair changes neither the result type nor its size.
+
+    Only sets with no rank-lifting element and at least two probe pairs
+    count, so the graph really is built for other pairs. J and Z themselves
+    may differ from the unforced step's (see `augment_min_rank`)."""
+    augmented = certified = 0
+    for seed in range(200):
+        for n in range(3, 9):
+            inst = random_instance(seed, n)
+            m1, m2 = inst.matroid1, inst.matroid2
             o = MinRankOracle(m1, m2)
-            for I in range(1 << m1.n):
+            for I in range(1 << n):
                 if not o.is_common_independent(I):
                     continue
                 k = popcount(I)
-                outside = full_mask(o.n) & ~I
-                flats = [
-                    x
-                    for x in range(o.n)
-                    if (outside >> x) & 1 and o.rmin(I | bit(x)) == k
-                ]
+                outside = o.ground & ~I
+                if any(o.rmin(I | bit(x)) > k for x in iter_bits(outside)):
+                    continue
                 pairs = [
                     StarPair(s, t)
-                    for i, s in enumerate(flats)
-                    for t in flats[i + 1 :]
+                    for s, t in combinations(iter_bits(outside), 2)
                     if o.rmin(I | bit(s) | bit(t)) == k + 1
                 ]
+                if len(pairs) < 2:
+                    continue
                 baseline = augment_min_rank(o, I)
                 for sp in pairs:
                     forced = augment_min_rank(o, I, sp=sp)
                     assert type(forced) is type(baseline)
                     if isinstance(forced, Augmented):
+                        augmented += 1
                         assert popcount(forced.J) == k + 1
-                        assert o.is_common_independent(forced.J)
+                        assert m1.is_independent(forced.J)
+                        assert m2.is_independent(forced.J)
+                    else:
+                        certified += 1
+                        comp = o.ground & ~forced.Z
+                        assert o.rmin(forced.Z) + o.rmin(comp) == k
+    assert augmented >= 184 and certified >= 16
 
 
 # -- maximum cardinality ------------------------------------------------------
@@ -153,6 +165,15 @@ def test_max_cardinality_matches_brute():
             assert popcount(run.I) == size
             comp = full_mask(o.n) & ~run.Z
             assert o.rmin(run.Z) + o.rmin(comp) == popcount(run.I)
+
+
+def test_max_cardinality_query_count_pinned():
+    """The n=64 partition pair: 3,877 queries while the cardinality solver
+    built the whole probe-pair graph, 1,341 with on-demand arc tests."""
+    inst = random_instance(7, 64, kinds=("partition",), weighted=True)
+    run = max_cardinality(MinRankOracle(inst.matroid1, inst.matroid2))
+    assert popcount(run.I) == 47
+    assert run.queries == 1341
 
 
 def test_max_cardinality_swap_instance():
