@@ -49,7 +49,6 @@ from .exchange import (
     build_true_graph,
     find_star_pair,
     intersect_modified,
-    path_mask,
     reachability_certificate,
     shortest_augmenting_path,
     survey_extensions,
@@ -83,7 +82,6 @@ from .solvers import (
     AugmentStep,
     CardinalityRun,
     Certificate,
-    CostedVertex,
     Level,
     LexmaxRun,
     WeightedRun,
@@ -93,8 +91,8 @@ from .solvers import (
     class_vector,
     lexicographic_max,
     max_cardinality,
+    path_cost,
     shortest_cheapest_path,
-    signed_costs,
     total_weight,
     weight_classes,
     weighted_fpt_circuit,

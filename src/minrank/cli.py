@@ -386,6 +386,18 @@ def _grid_promise_instance(n: int, seed: int) -> Instance:
     )
 
 
+def _ledger_row(n: int, seed: int, r: int, queries: int, envelope: int) -> dict:
+    """One envelope ledger row; C = queries / envelope."""
+    return {
+        "n": n,
+        "seed": seed,
+        "r": r,
+        "queries": queries,
+        "envelope": envelope,
+        "C": queries / envelope,
+    }
+
+
 def bench_cardinality(sizes: Sequence[int], seeds: int = 2) -> list[dict]:
     """Ledger rows for the cardinality envelope C = queries / (r * n^2)."""
     rows = []
@@ -395,16 +407,7 @@ def bench_cardinality(sizes: Sequence[int], seeds: int = 2) -> list[dict]:
             o = MinRankOracle(inst.matroid1, inst.matroid2)
             run = max_cardinality(o)
             r = max(1, popcount(run.I))
-            rows.append(
-                {
-                    "n": n,
-                    "seed": s,
-                    "r": r,
-                    "queries": run.queries,
-                    "envelope": r * n * n,
-                    "C": run.queries / (r * n * n),
-                }
-            )
+            rows.append(_ledger_row(n, s, r, run.queries, r * n * n))
     return rows
 
 
@@ -417,16 +420,7 @@ def bench_weighted(sizes: Sequence[int], seeds: int = 1) -> list[dict]:
             o = MinRankOracle(inst.matroid1, inst.matroid2)
             run = weighted_no_circuit_inclusion(o, inst.weight_vector())
             r = max(1, max(lv.k for lv in run.levels))
-            rows.append(
-                {
-                    "n": n,
-                    "seed": s,
-                    "r": r,
-                    "queries": run.queries,
-                    "envelope": r**3 * n * n,
-                    "C": run.queries / (r**3 * n * n),
-                }
-            )
+            rows.append(_ledger_row(n, s, r, run.queries, r**3 * n * n))
     return rows
 
 

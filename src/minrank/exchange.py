@@ -528,11 +528,3 @@ def all_shortest_paths(g: ExchangeGraph) -> list[tuple[int, ...]]:
     for s in sources:
         walk(s, dist[s], [s])
     return sorted(out)
-
-
-def path_mask(path: list[int] | tuple[int, ...]) -> int:
-    """Vertex set of a path as a mask."""
-    m = 0
-    for v in path:
-        m |= bit(v)
-    return m

@@ -5,6 +5,10 @@ exchangeability graphs, and the three tractable weighted regimes
 (no-circuit-inclusion promise, bounded circuit size, lexicographic
 maximality), plus the approximation wrapper for positive weights.
 
+A weighted augmentation step is a function `(o, w, I) -> (result, action,
+detail)`; the run loop counts each step's queries and writes its trace
+line. Paths are priced from the weights by `path_cost`.
+
 Everything here must work through `rmin` alone; the visibility audit in the
 test suite holds this module to that.
 """
@@ -14,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .bitset import bit, elements_of, format_set, iter_bits, popcount, subsets_of
+from .bitset import bit, elements_of, format_set, iter_bits, mask_of, popcount, subsets_of
 from .consistency import (
     ArcLiteral,
     ObservationTable,
@@ -29,7 +33,6 @@ from .exchange import (
     StarPair,
     find_star_pair,
     intersect_modified,
-    path_mask,
     probe_pair_search,
     reachability_certificate,
     survey_extensions,
@@ -64,33 +67,22 @@ class AugmentStep(NamedTuple):
         return f"k={self.k} {self.action} {self.detail} queries={self.queries}"
 
 
-class CostedVertex(NamedTuple):
-    """A vertex with its signed traversal cost: w(e) inside I, -w(e)
-    outside, so that augmenting along a path of total cost c changes the
-    weight by exactly -c."""
-
-    element: int
-    cost: Fraction | int
-
-
 def total_weight(w: Sequence, I: int) -> Fraction:
     return sum((Fraction(w[e]) for e in iter_bits(I)), Fraction(0))
 
 
-def signed_costs(w: Sequence, I: int, ground: int) -> list[CostedVertex]:
-    """Vertex costs per the augmentation sign convention."""
-    return [
-        CostedVertex(e, w[e] if (I >> e) & 1 else -w[e]) for e in elements_of(ground)
-    ]
+def path_cost(path: Sequence[int], I: int, w: Sequence) -> Fraction | int:
+    """Signed cost of a path: w(e) for e in I, -w(e) outside, so that
+    swapping I along it changes the weight by exactly minus the cost. Exact
+    for int and Fraction weights."""
+    return sum(w[v] if (I >> v) & 1 else -w[v] for v in path)
 
 
 # -- paths in resolved graphs -------------------------------------------------
 
 
-def shortest_cheapest_path(
-    g: ExchangeGraph, costs: Sequence[CostedVertex]
-) -> list[int] | None:
-    """Minimum (total cost, length) source-to-sink path, ties broken toward
+def shortest_cheapest_path(g: ExchangeGraph, w: Sequence) -> list[int] | None:
+    """Minimum (`path_cost`, length) source-to-sink path, ties broken toward
     the smallest vertex sequence; None when no sink is reachable.
 
     Dynamic program over suffix labels relaxed to a fixed point; vertex
@@ -99,15 +91,14 @@ def shortest_cheapest_path(
     contract violation here: the caller guarantees a weight-maximal base
     set, and those never see one.
     """
-    c = {cv.element: cv.cost for cv in costs}
+    c = [path_cost((v,), g.I, w) for v in range(g.n)]
     label: dict[int, tuple] = {}
     for t in elements_of(g.T):
         label[t] = (c[t], 1)
-    vertices = [v for v in range(g.n) if c.get(v) is not None]
     rounds = 0
     while True:
         changed = False
-        for u in vertices:
+        for u in range(g.n):
             best = label.get(u)
             for v in iter_bits(g.successors(u)):
                 lv = label.get(v)
@@ -122,7 +113,7 @@ def shortest_cheapest_path(
         if not changed:
             break
         rounds += 1
-        if rounds > len(vertices):
+        if rounds > g.n:
             raise NegativeCycleError(
                 "negative-cost cycle in the exchangeability graph; the base "
                 "set was not weight-maximal or the graph is inconsistent"
@@ -154,21 +145,20 @@ def shortest_cheapest_path(
 # -- cardinality --------------------------------------------------------------
 
 
-def augment_min_rank(
-    o: Oracle, I: int, sp: StarPair | None = None
-) -> SolveResult:
+def augment_min_rank(o: Oracle, I: int) -> SolveResult:
     """One cardinality augmentation step.
 
     In order: if some single element lifts the min-rank, add the smallest
     such; if every pairwise extension stays flat, the whole ground set is a
-    duality certificate; otherwise search the probe-pair graph from its
-    sinks, testing arcs on demand, and either swap along a shortest
-    source-sink path or return the set of vertices that reach a sink.
+    duality certificate; otherwise search the graph of the survey's probe
+    pair from its sinks, testing arcs on demand, and either swap along a
+    shortest source-sink path or return the set of vertices that reach a
+    sink.
 
-    `sp` forces the probe pair. The size of the result does not depend on
-    that choice, but J and Z can: the survey's lexicographically smallest
-    pair may have a true sink as `s`, and then the graph is the one of the
-    swapped matroid pair (e.g. `random_instance(111, 7)` at I={1,3,4})."""
+    The size of the result does not depend on the probe pair, but J and Z
+    can: the survey's lexicographically smallest pair may have a true sink
+    as `s`, and then the graph is the one of the swapped matroid pair (e.g.
+    `random_instance(111, 7)` at I={1,3,4})."""
     if not o.is_common_independent(I):
         raise ValueError("I is not a common independent set")
     probe = find_star_pair(o, I)
@@ -176,10 +166,10 @@ def augment_min_rank(
         return Certificate(o.ground)
     if isinstance(probe, DirectAugment):
         return Augmented(I | bit(probe.x))
-    path, Z = probe_pair_search(o, I, sp if sp is not None else probe)
+    path, Z = probe_pair_search(o, I, probe)
     if path is None:
         return Certificate(Z)
-    return Augmented(I ^ path_mask(path))
+    return Augmented(I ^ mask_of(path))
 
 
 class CardinalityRun(NamedTuple):
@@ -191,11 +181,37 @@ class CardinalityRun(NamedTuple):
     trace: tuple[AugmentStep, ...]
 
 
-def _oracle_fault(exc: ValueError) -> ContractViolationError:
-    """An augmentation step rejected its own input. The set and the probe
-    pair both come from the oracle's earlier answers, so the oracle broke
+# One traced augmentation step's result, then its trace line's action and detail.
+_Outcome = tuple[SolveResult, str, str]
+
+
+def _certify(Z: int) -> _Outcome:
+    return Certificate(Z), "certificate", f"Z={format_set(Z)}"
+
+
+def _traced(o: Oracle, steps: list[AugmentStep], k: int, step) -> SolveResult:
+    """Run one augmentation step and append its trace line, charged with
+    every query the step asked.
+
+    A step that rejects its own input (ValueError) was handed a set and a
+    probe pair built from the oracle's earlier answers, so the oracle broke
     the matroid contract."""
-    return ContractViolationError(f"oracle answers contradict each other: {exc}")
+    before = o.query_count
+    try:
+        res, action, detail = step()
+    except ValueError as exc:
+        raise ContractViolationError(
+            f"oracle answers contradict each other: {exc}"
+        ) from exc
+    steps.append(AugmentStep(k, action, detail, o.query_count - before))
+    return res
+
+
+def _cardinality_step(o: Oracle, I: int) -> _Outcome:
+    res = augment_min_rank(o, I)
+    if isinstance(res, Certificate):
+        return _certify(res.Z)
+    return res, "augment", f"J={format_set(res.J)}"
 
 
 def max_cardinality(o: Oracle) -> CardinalityRun:
@@ -205,100 +221,52 @@ def max_cardinality(o: Oracle) -> CardinalityRun:
     steps: list[AugmentStep] = []
     base = o.query_count
     while True:
-        before = o.query_count
-        try:
-            res = augment_min_rank(o, I)
-        except ValueError as exc:
-            raise _oracle_fault(exc) from exc
-        spent = o.query_count - before
-        k = popcount(I)
+        res = _traced(o, steps, popcount(I), lambda: _cardinality_step(o, I))
         if isinstance(res, Certificate):
-            steps.append(
-                AugmentStep(k, "certificate", f"Z={format_set(res.Z)}", spent)
-            )
             return CardinalityRun(I, res.Z, o.query_count - base, tuple(steps))
-        steps.append(
-            AugmentStep(k, "augment", f"J={format_set(res.J)}", spent)
-        )
         I = res.J
 
 
 # -- weighted augmentation ----------------------------------------------------
 
 
-def _trace(
-    trace: list[AugmentStep] | None,
-    k: int,
-    action: str,
-    detail: str,
-    queries: int,
-) -> None:
-    if trace is not None:
-        trace.append(AugmentStep(k, action, detail, queries))
-
-
-def _augment_prelude(
-    o: Oracle,
-    w: Sequence,
-    I: int,
-    sp: StarPair | None,
-    trace: list[AugmentStep] | None,
-) -> SolveResult | StarPair:
+def _augment_prelude(o: Oracle, w: Sequence, I: int) -> _Outcome | StarPair:
     """Steps shared by the weighted augmentations: every pairwise extension
     flat -> ground-set certificate; no valid probe pair -> the heaviest
-    rank-lifting element (smallest id on ties); otherwise the probe pair to
-    build from (`sp` when given)."""
-    before = o.query_count
-    k = popcount(I)
+    rank-lifting element (smallest id on ties); otherwise the survey's
+    probe pair to build from."""
     survey = survey_extensions(o, I)
     if survey.all_flat:
-        Z = o.ground
-        _trace(trace, k, "certificate", f"Z={format_set(Z)}", o.query_count - before)
-        return Certificate(Z)
+        return _certify(o.ground)
     if survey.pair is None:
         x = max(survey.direct, key=w.__getitem__)
-        _trace(trace, k, "direct", f"x={x}", o.query_count - before)
-        return Augmented(I | bit(x))
-    return sp if sp is not None else survey.pair
+        return Augmented(I | bit(x)), "direct", f"x={x}"
+    return survey.pair
 
 
-def cheapest_path_augment(
-    o: Oracle,
-    w: Sequence,
-    I: int,
-    sp: StarPair | None = None,
-    trace: list[AugmentStep] | None = None,
-) -> SolveResult:
+def cheapest_path_augment(o: Oracle, w: Sequence, I: int) -> _Outcome:
     """One weighted augmentation step at a weight-maximal I.
 
     Steps: (1) every pairwise extension flat -> ground-set certificate;
     (2) no valid probe pair -> add the heaviest rank-lifting element
-    (smallest id on ties); (3) intersected graph from a probe pair;
-    (4) observations -> clause system -> resolved graph; (5) swap along a
-    shortest cheapest source-sink path, or certify with the set of vertices
-    that reach a sink.
+    (smallest id on ties); (3) intersected graph from the survey's probe
+    pair; (4) observations -> clause system -> resolved graph; (5) swap
+    along a shortest cheapest source-sink path, or certify with the set of
+    vertices that reach a sink.
 
     The result is weight-maximal at |I|+1 under any of the three tractable
     regimes; on arbitrary instances it still runs and the verification
     module audits the output.
     """
-    before = o.query_count
-    pair = _augment_prelude(o, w, I, sp, trace)
+    pair = _augment_prelude(o, w, I)
     if not isinstance(pair, StarPair):
         return pair
-    k = popcount(I)
     C = almost_consistent_graph(o, I, pair)
-    path = shortest_cheapest_path(C, signed_costs(w, I, o.ground))
+    path = shortest_cheapest_path(C, w)
     if path is None:
-        Z = reachability_certificate(C)
-        _trace(trace, k, "certificate", f"Z={format_set(Z)}", o.query_count - before)
-        return Certificate(Z)
-    if trace is not None:
-        cost = sum(cv.cost for cv in signed_costs(w, I, path_mask(path)))
-        _trace(
-            trace, k, "path", f"P={tuple(path)} cost={cost}", o.query_count - before
-        )
-    return Augmented(I ^ path_mask(path))
+        return _certify(reachability_certificate(C))
+    detail = f"P={tuple(path)} cost={path_cost(path, I, w)}"
+    return Augmented(I ^ mask_of(path)), "path", detail
 
 
 class Level(NamedTuple):
@@ -324,15 +292,14 @@ class WeightedRun(NamedTuple):
 
 
 def _run_levels(o: Oracle, w: Sequence, augment) -> WeightedRun:
+    """Run `augment(o, w, I) -> _Outcome` from the empty set until it
+    certifies, tracing every step and recording every level."""
     base = o.query_count
     steps: list[AugmentStep] = []
     I = 0
     levels = [Level(0, 0, total_weight(w, 0))]
     while True:
-        try:
-            res = augment(o, w, I, trace=steps)
-        except ValueError as exc:
-            raise _oracle_fault(exc) from exc
+        res = _traced(o, steps, popcount(I), lambda: augment(o, w, I))
         if isinstance(res, Certificate):
             return WeightedRun(
                 tuple(levels), res.Z, o.query_count - base, tuple(steps)
@@ -399,28 +366,20 @@ def _validate_candidate(o: Oracle, I: int, path: Sequence[int]) -> bool:
     suffix starting inside I must stay a common independent set of size |I|
     (the property a genuine shortest cheapest path always has)."""
     k = popcount(I)
-    J = I ^ path_mask(path)
+    J = I ^ mask_of(path)
     if popcount(J) != k + 1 or o.rmin(J) != k + 1:
         return False
     for m in range(2, len(path), 2):
-        if o.rmin(I ^ path_mask(path[:m])) != k:
+        if o.rmin(I ^ mask_of(path[:m])) != k:
             return False
     for j in range(1, len(path), 2):
-        if o.rmin(I ^ path_mask(path[j:])) != k:
+        if o.rmin(I ^ mask_of(path[j:])) != k:
             return False
     return True
 
 
-def _fpt_augment(
-    o: Oracle,
-    w: Sequence,
-    I: int,
-    gamma: int,
-    sp: StarPair | None = None,
-    trace: list[AugmentStep] | None = None,
-) -> SolveResult:
-    before = o.query_count
-    pair = _augment_prelude(o, w, I, sp, trace)
+def _fpt_augment(o: Oracle, w: Sequence, I: int, gamma: int) -> _Outcome:
+    pair = _augment_prelude(o, w, I)
     if not isinstance(pair, StarPair):
         return pair
     k = popcount(I)
@@ -463,27 +422,22 @@ def _fpt_augment(
             continue
         C = N.with_assignment(assignment)
         try:
-            path = shortest_cheapest_path(C, signed_costs(w, I, o.ground))
+            path = shortest_cheapest_path(C, w)
         except NegativeCycleError:
             continue  # only a wrong guess can fabricate one
         if path is None:
             certificates.append(reachability_certificate(C))
             continue
         if _validate_candidate(o, I, path):
-            candidates.append(I ^ path_mask(path))
-    _trace(
-        trace,
-        k,
-        "guesses",
-        f"J={format_set(J)} tried={guesses} candidates={len(candidates)}",
-        o.query_count - before,
-    )
+            candidates.append(I ^ mask_of(path))
+    detail = f"J={format_set(J)} tried={guesses} candidates={len(candidates)}"
     if candidates:
         # The first heaviest candidate in ascending mask order.
-        return Augmented(max(sorted(candidates), key=lambda c: total_weight(w, c)))
+        best = max(sorted(candidates), key=lambda c: total_weight(w, c))
+        return Augmented(best), "guesses", detail
     for Z in certificates:
         if o.rmin(Z) + o.rmin(o.ground & ~Z) == k:
-            return Certificate(Z)
+            return Certificate(Z), "guesses", detail
     raise ContractViolationError(
         "no guess yielded a valid augmentation or a verifying certificate; "
         "the circuit-size bound does not hold for this oracle"
@@ -504,7 +458,7 @@ def weighted_fpt_circuit(o: Oracle, w: Sequence, gamma: int) -> WeightedRun:
     return _run_levels(
         o,
         [Fraction(v) for v in w],
-        lambda oo, ww, I, trace: _fpt_augment(oo, ww, I, gamma, trace=trace),
+        lambda oo, ww, I: _fpt_augment(oo, ww, I, gamma),
     )
 
 

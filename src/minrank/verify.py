@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .bitset import bit, elements_of, full_mask, iter_bits, popcount
+from .bitset import bit, elements_of, full_mask, iter_bits, mask_of, popcount
 from .consistency import ObservationTable, build_cnf, solve_2sat
 from .core import Matroid
 from .errors import ContractViolationError
@@ -23,11 +23,10 @@ from .exchange import (
     build_modified_graph,
     build_true_graph,
     intersect_modified,
-    path_mask,
     survey_extensions,
 )
 from .oracle import MinRankOracle
-from .solvers import class_vector
+from .solvers import class_vector, path_cost
 
 
 class BruteReport(NamedTuple):
@@ -357,19 +356,6 @@ def consistency_summary(
     return "consistent"
 
 
-def path_cost(
-    path: Sequence[int], I: int, w: Sequence[Fraction | int]
-) -> Fraction:
-    """Total signed cost of a path: elements of I count positive, elements
-    outside negative (swapping along the path then improves the weight by
-    exactly the negated cost)."""
-    total = Fraction(0)
-    for v in path:
-        cv = Fraction(w[v])
-        total += cv if (I >> v) & 1 else -cv
-    return total
-
-
 def audit_graphs(
     m1: Matroid,
     m2: Matroid,
@@ -531,7 +517,7 @@ def audit_graphs(
     # paths, must decompose over the true graph's layers.
     bad_cycles = []
     for cyc in simple_cycles(C):
-        cm = path_mask(cyc)
+        cm = mask_of(cyc)
         inside, outside = cm & I, cm & ~I
         if matching_count(D, 1, inside, outside) == 0 or (
             matching_count(D, 2, inside, outside) == 0
@@ -541,7 +527,7 @@ def audit_graphs(
 
     bad_paths = []
     for path in simple_st_paths(C):
-        pm = path_mask(path)
+        pm = mask_of(path)
         s, t = path[0], path[-1]
         inside = pm & I
         if matching_count(D, 1, inside, pm & ~I & ~bit(s)) == 0 or (

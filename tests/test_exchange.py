@@ -20,7 +20,6 @@ from minrank import (
     full_mask,
     intersect_modified,
     mask_of,
-    path_mask,
     random_instance,
     reachability_certificate,
     shortest_augmenting_path,
@@ -152,10 +151,6 @@ def test_search_asks_each_arc_once_and_stops_at_first_source_level():
     asked.clear()
     assert _search(I, full_mask(6) & ~I, bit(3), g.T, arc) == ({3: 0, 4: 0}, {})
     assert asked == []
-
-
-def test_path_mask():
-    assert path_mask([0, 1, 3]) == mask_of((0, 1, 3))
 
 
 def test_modified_graph_contains_true_graph():

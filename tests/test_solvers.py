@@ -13,7 +13,6 @@ from minrank import (
     AugmentStep,
     Certificate,
     ContractViolationError,
-    CostedVertex,
     ExchangeGraph,
     Level,
     MinRankOracle,
@@ -22,6 +21,7 @@ from minrank import (
     StarPair,
     UniformMatroid,
     WeightedRun,
+    almost_consistent_graph,
     approx_max_weight,
     augment_min_rank,
     bit,
@@ -36,16 +36,18 @@ from minrank import (
     lexicographic_max,
     mask_of,
     max_cardinality,
+    path_cost,
     popcount,
+    random_fpt_instance,
     random_instance,
     random_lexmax_instance,
     shortest_cheapest_path,
-    signed_costs,
     total_weight,
     weight_classes,
     weighted_fpt_circuit,
     weighted_no_circuit_inclusion,
 )
+from minrank.exchange import probe_pair_search
 from conftest import crossed_pair, fixture_weights, small_zoo, triangle
 
 
@@ -125,17 +127,17 @@ def test_augment_star_pair_choice_does_not_change_size():
                     continue
                 baseline = augment_min_rank(o, I)
                 for sp in pairs:
-                    forced = augment_min_rank(o, I, sp=sp)
-                    assert type(forced) is type(baseline)
-                    if isinstance(forced, Augmented):
+                    path, Z = probe_pair_search(o, I, sp)
+                    assert (path is None) == isinstance(baseline, Certificate)
+                    if path is not None:
                         augmented += 1
-                        assert popcount(forced.J) == k + 1
-                        assert m1.is_independent(forced.J)
-                        assert m2.is_independent(forced.J)
+                        J = I ^ mask_of(path)
+                        assert popcount(J) == k + 1
+                        assert m1.is_independent(J)
+                        assert m2.is_independent(J)
                     else:
                         certified += 1
-                        comp = o.ground & ~forced.Z
-                        assert o.rmin(forced.Z) + o.rmin(comp) == k
+                        assert o.rmin(Z) + o.rmin(o.ground & ~Z) == k
     assert augmented >= 184 and certified >= 16
 
 
@@ -240,8 +242,8 @@ def test_cheapest_path_augment_star_pair_invariance():
     w = fixture_weights()
     I = bit(0)
     o = MinRankOracle(m1, m2)
-    baseline = cheapest_path_augment(o, w, I)
-    assert isinstance(baseline, Augmented)
+    baseline, action, _ = cheapest_path_augment(o, w, I)
+    assert isinstance(baseline, Augmented) and action == "path"
     k = popcount(I)
     outside = full_mask(4) & ~I
     flats = [
@@ -255,9 +257,9 @@ def test_cheapest_path_augment_star_pair_invariance():
     ]
     assert pairs  # the fixture does expose a probe pair here
     for sp in pairs:
-        forced = cheapest_path_augment(o, w, I, sp=sp)
-        assert isinstance(forced, Augmented)
-        assert total_weight(w, forced.J) == total_weight(w, baseline.J)
+        path = shortest_cheapest_path(almost_consistent_graph(o, I, sp), w)
+        assert path is not None
+        assert total_weight(w, I ^ mask_of(path)) == total_weight(w, baseline.J)
 
 
 # -- bounded circuit size -----------------------------------------------------
@@ -295,6 +297,32 @@ def test_fpt_degenerate_gamma_equals_n():
 def test_fpt_rejects_small_gamma():
     with pytest.raises(ValueError):
         weighted_fpt_circuit(MinRankOracle(*crossed_pair()), [1, 1, 1, 1], gamma=1)
+
+
+# -- trace accounting ---------------------------------------------------------
+
+
+TRACED_MODES = {
+    "cardinality": lambda o, w: max_cardinality(o),
+    "promise": weighted_no_circuit_inclusion,
+    "fpt-2": lambda o, w: weighted_fpt_circuit(o, w, 2),
+    "fpt-3": lambda o, w: weighted_fpt_circuit(o, w, 3),
+    "lexmax": lexicographic_max,
+}
+
+
+@pytest.mark.parametrize("mode", list(TRACED_MODES))
+def test_trace_steps_sum_to_run_queries(mode):
+    """Every query of a run is charged to exactly one trace step, the fpt
+    step's closing certificate check included."""
+    instances = [
+        random_fpt_instance(seed, n, 3) for seed in range(60) for n in (6, 8, 10)
+    ]
+    instances += [random_instance(seed, 8, weighted=True) for seed in range(60)]
+    for inst in instances:
+        o = MinRankOracle(inst.matroid1, inst.matroid2)
+        run = TRACED_MODES[mode](o, inst.weight_vector())
+        assert sum(step.queries for step in run.trace) == run.queries
 
 
 # -- lexicographic maximum ----------------------------------------------------
@@ -429,15 +457,15 @@ def test_path_tie_breaks_shorter_then_lexicographic():
         arcs1=[0, bit(2), 0, bit(4), 0],
         arcs2=[bit(1) | bit(3), 0, bit(3), 0, 0],
     )
-    costs = [CostedVertex(v, Fraction(0)) for v in range(5)]
-    assert shortest_cheapest_path(g, costs) == [0, 3, 4]
+    w = [0] * 5
+    assert shortest_cheapest_path(g, w) == [0, 3, 4]
 
     # Two length-3 paths 0->1->4 / 0->3->4: smaller vertex sequence wins.
     g2 = _path_graph(
         arcs1=[0, bit(4), 0, bit(4), 0],
         arcs2=[bit(1) | bit(3), 0, 0, 0, 0],
     )
-    assert shortest_cheapest_path(g2, costs) == [0, 1, 4]
+    assert shortest_cheapest_path(g2, w) == [0, 1, 4]
 
 
 def test_path_prefers_cheaper_over_shorter():
@@ -445,22 +473,19 @@ def test_path_prefers_cheaper_over_shorter():
         arcs1=[0, bit(2), 0, bit(4), 0],
         arcs2=[bit(1) | bit(3), 0, bit(3), 0, 0],
     )
-    c = {0: 0, 1: -6, 2: 0, 3: -1, 4: 0}
-    costs = [CostedVertex(v, Fraction(c[v])) for v in range(5)]
+    w = [0, -6, 0, -1, 0]  # 1 and 3 lie in I, so they cost w
     # 0,1,2,3,4 costs -7; 0,3,4 costs -1.
-    assert shortest_cheapest_path(g, costs) == [0, 1, 2, 3, 4]
+    assert shortest_cheapest_path(g, w) == [0, 1, 2, 3, 4]
 
 
 def test_path_single_vertex_when_source_is_sink():
     g = ExchangeGraph(2, bit(1), bit(0), bit(0), [0, 0], [0, 0], kind="resolved")
-    costs = [CostedVertex(0, Fraction(-2)), CostedVertex(1, Fraction(1))]
-    assert shortest_cheapest_path(g, costs) == [0]
+    assert shortest_cheapest_path(g, [2, 1]) == [0]
 
 
 def test_path_unreachable_returns_none():
     g = _path_graph(arcs1=[0] * 5, arcs2=[0] * 5)
-    costs = [CostedVertex(v, Fraction(0)) for v in range(5)]
-    assert shortest_cheapest_path(g, costs) is None
+    assert shortest_cheapest_path(g, [0] * 5) is None
 
 
 def test_path_negative_cycle_detected():
@@ -474,16 +499,15 @@ def test_path_negative_cycle_detected():
         arcs2=[bit(1), 0, bit(1), 0, 0],
         kind="resolved",
     )
-    c = {0: 0, 1: -1, 2: 0, 4: 0}
-    costs = [CostedVertex(v, Fraction(c[v])) for v in c]
+    w = [0, -1, 0, 0, 0]  # 1 lies in I, so it costs w
     with pytest.raises(NegativeCycleError):
-        shortest_cheapest_path(g, costs)
+        shortest_cheapest_path(g, w)
 
 
-def test_signed_costs_orientation():
+def test_path_cost_orientation():
     w = fixture_weights()
-    costs = {cv.element: cv.cost for cv in signed_costs(w, mask_of((0, 3)), full_mask(4))}
-    assert costs == {0: 5, 1: -4, 2: -4, 3: 1}
+    costs = [path_cost((v,), mask_of((0, 3)), w) for v in range(4)]
+    assert costs == [5, -4, -4, 1]
 
 
 def test_total_weight_is_exact():

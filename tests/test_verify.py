@@ -29,12 +29,14 @@ from minrank import (
     full_mask,
     largest_circuit_size,
     mask_of,
+    path_cost,
     popcount,
+    random_instance,
+    survey_extensions,
 )
 from minrank.verify import (
     matching_count,
     perfect_matchings,
-    path_cost,
     simple_cycles,
     simple_st_paths,
 )
@@ -264,6 +266,25 @@ def test_audit_flags_rewired_graph():
 
     reports = audit_graphs(m1, m2, bit(0), mutate=clear_layer2)
     assert any(not r.ok for r in reports)
+
+
+def test_audit_covers_the_swapped_orientation():
+    """The survey's probe pair may have a true sink as `s`; the solvers then
+    build the graphs of the swapped matroid pair. The oracle is symmetric,
+    so auditing (m2, m1) audits exactly the graphs they use."""
+    sets = 0
+    for seed in range(200):
+        inst = random_instance(seed, 2 + seed % 7, weighted=True)
+        m1, m2 = inst.matroid1, inst.matroid2
+        o = MinRankOracle(m1, m2)
+        for I in common_independent_sets(m1, m2):
+            pair = survey_extensions(o, I).pair
+            if pair is None or not (build_true_graph(m1, m2, I).T >> pair.s) & 1:
+                continue
+            sets += 1
+            reports = audit_graphs(m2, m1, I, w=inst.weight_vector())
+            assert [str(r) for r in reports if not r.ok] == []
+    assert sets >= 50
 
 
 def test_audit_trivial_when_no_probe_pair():
