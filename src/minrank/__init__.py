@@ -44,7 +44,6 @@ from .exchange import (
     ExchangeGraph,
     ExtensionSurvey,
     StarPair,
-    all_shortest_paths,
     build_modified_graph,
     build_true_graph,
     find_star_pair,

@@ -502,29 +502,3 @@ def reachability_certificate(g: ExchangeGraph) -> int:
     """
     dist, _ = _graph_search(g)
     return _certificate(dist, g.S)
-
-
-def all_shortest_paths(g: ExchangeGraph) -> list[tuple[int, ...]]:
-    """Every minimum-length source-sink path as a vertex sequence, sorted.
-
-    Exponential in the worst case; meant for small verification instances.
-    """
-    dist, _ = _graph_search(g)
-    sources = [s for s in iter_bits(g.S) if s in dist]
-    if not sources:
-        return []
-    out: list[tuple[int, ...]] = []
-
-    def walk(v: int, remaining: int, acc: list[int]) -> None:
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for u in iter_bits(g.successors(v)):
-            if dist.get(u) == remaining - 1:
-                acc.append(u)
-                walk(u, remaining - 1, acc)
-                acc.pop()
-
-    for s in sources:
-        walk(s, dist[s], [s])
-    return sorted(out)

@@ -34,7 +34,9 @@ from .bitset import (
     small_subsets,
 )
 from .core import LinearMatroid, Matroid
-from .verify import BruteReport
+from .exchange import ExchangeGraph, build_true_graph
+from .oracle import MinRankOracle
+from .verify import BruteReport, LEObservation, check_consistency
 
 Color = tuple[int, int]
 COLORS: tuple[Color, ...] = ((1, 1), (1, 2), (2, 1), (2, 2))
@@ -178,31 +180,6 @@ def _edge_slot_arcs(cfg: str, xu: int, xw: int, ye: int) -> dict[Slot, str]:
     if cfg == "A":
         return {(xu, ye): "a", (xw, ye): "b"}
     return {(xu, ye): "b", (xw, ye): "a"}
-
-
-def _states_consistent(
-    value: int,
-    k: int,
-    states: Mapping[Slot, str | None],
-    xs: Sequence[int],
-    ys: Sequence[int],
-) -> bool:
-    """One observed exchange value against explicit slot states.
-
-    A high value (>= |I| - |Y| + 1) needs an arc in each direction
-    somewhere in the block; a low one forbids having both directions.
-    """
-    has_a = has_b = False
-    for x in xs:
-        for y in ys:
-            st = states.get((x, y))
-            if st in ("a", "both"):
-                has_a = True
-            if st in ("b", "both"):
-                has_b = True
-    if value >= k - len(ys) + 1:
-        return has_a and has_b
-    return not (has_a and has_b)
 
 
 def _designated_values(
@@ -452,23 +429,20 @@ def build_gadget(g: ColoredGraph, allow_improper: bool = False) -> GadgetInstanc
 def verify_gadget(gi: GadgetInstance) -> list[BruteReport]:
     """Recompute every prescription from the matrices by exact rank.
 
-    Checks the full value table, the uniform probe prescriptions, the
+    Checks the full value table and the uniform probe prescriptions through
+    the min-rank oracle; the rest is read off the true exchange graph: the
     probe circuits (I+s closes on the second matroid, I+t on the first),
     that s is the only source and t the only sink, that the realized arcs
-    match the matrix ranks slot by slot, and that s and t exchange freely
-    with all of I in both matroids.
+    are the true arcs slot by slot, and that s and t exchange freely with
+    all of I in both matroids.
     """
     if gi.n > 40:
         raise ValueError("verify_gadget is capped at 40 columns")
     label = f"gadget(V={gi.graph.vertices},E={len(gi.graph.edges)})"
     make = partial(BruteReport.check, label)
     m1, m2 = gi.as_matroids()
-
-    def ranks(mask: int) -> tuple[int, int]:
-        return m1.rank(mask), m2.rank(mask)
-
-    def rmin(mask: int) -> int:
-        return min(ranks(mask))
+    D = build_true_graph(m1, m2, gi.I)
+    rmin = MinRankOracle(m1, m2).rmin
 
     def nameset(mask: int) -> str:
         return "{" + ",".join(gi.names[e] for e in iter_bits(mask)) + "}"
@@ -506,42 +480,33 @@ def verify_gadget(gi: GadgetInstance) -> list[BruteReport]:
     reports.append(make("probe-prescriptions", (), witnesses, witnesses))
 
     bad_circ = []
-    if ranks(I | bit(s))[1] != k:
+    if (D.T >> s) & 1:
         bad_circ.append("I+s independent on side 2")
-    if ranks(I | bit(t))[0] != k:
+    if (D.S >> t) & 1:
         bad_circ.append("I+t independent on side 1")
     for y in iter_bits(I):
-        if ranks((I | bit(s)) & ~bit(y))[1] != k:
+        if not D.has_arc(s, y):
             bad_circ.append(f"I+s-{gi.names[y]} dependent on side 2")
-        if ranks((I | bit(t)) & ~bit(y))[0] != k:
+        if not D.has_arc(y, t):
             bad_circ.append(f"I+t-{gi.names[y]} dependent on side 1")
     reports.append(make("probe-circuits", (), tuple(bad_circ), tuple(bad_circ)))
 
-    sources = set()
-    sinks = set()
-    for e in elements_of(full_mask(gi.n) & ~I):
-        r1, r2 = ranks(I | bit(e))
-        if r1 == k + 1:
-            sources.add(e)
-        if r2 == k + 1:
-            sinks.add(e)
+    sources, sinks = set(elements_of(D.S)), set(elements_of(D.T))
     reports.append(make("source-sink-sets", ({s}, {t}), (sources, sinks)))
 
     bad_arcs = []
     for y in iter_bits(I):
         for x in iter_bits(gi.plain):
-            r1, r2 = ranks((I | bit(x)) & ~bit(y))
-            if (r1 == k) != bool((gi.arcs1[y] >> x) & 1):
+            if D.has_arc(y, x) != bool((gi.arcs1[y] >> x) & 1):
                 bad_arcs.append(f"out-arc ({gi.names[y]},{gi.names[x]})")
-            if (r2 == k) != bool((gi.arcs2[x] >> y) & 1):
+            if D.has_arc(x, y) != bool((gi.arcs2[x] >> y) & 1):
                 bad_arcs.append(f"in-arc ({gi.names[x]},{gi.names[y]})")
     reports.append(make("true-arcs", (), tuple(bad_arcs[:5]), tuple(bad_arcs[:5])))
 
     bad_stars = []
     for y in iter_bits(I):
         for probe in (s, t):
-            r1, r2 = ranks((I | bit(probe)) & ~bit(y))
-            if r1 != k or r2 != k:
+            if not (D.has_arc(y, probe) and D.has_arc(probe, y)):
                 bad_stars.append(f"({gi.names[y]},{gi.names[probe]})")
     reports.append(make("probe-stars", (), tuple(bad_stars), tuple(bad_stars)))
     return reports
@@ -551,6 +516,29 @@ def verify_gadget(gi: GadgetInstance) -> list[BruteReport]:
 
 
 _SLOT_STATES: tuple[str | None, ...] = (None, "a", "b")
+
+
+def _block_consistent(
+    gi: GadgetInstance,
+    states: Mapping[Slot, str | None],
+    xs: Sequence[int],
+    ys: Sequence[int],
+) -> bool:
+    """Whether slot states satisfy every observed exchange between xs and
+    ys, each judged by `verify.check_consistency` on the states' arcs."""
+    arcs1 = [0] * gi.n
+    arcs2 = [0] * gi.n
+    for (x, y), st in states.items():
+        if st in ("a", "both"):
+            arcs2[x] |= bit(y)
+        if st in ("b", "both"):
+            arcs1[y] |= bit(x)
+    g = ExchangeGraph(gi.n, gi.I, 0, 0, arcs1, arcs2)
+    return all(
+        check_consistency(g, LEObservation(X, Y, gi.values[(X, Y)])) == "consistent"
+        for X in small_subsets(mask_of(xs), 2)
+        for Y in small_subsets(mask_of(ys), 2)
+    )
 
 
 def _vertex_configs(
@@ -566,13 +554,7 @@ def _vertex_configs(
     survivors: list[tuple[Color, dict[Slot, str | None]]] = []
     for combo in product(_SLOT_STATES, repeat=len(slots)):
         states = dict(zip(slots, combo))
-        if not all(
-            _states_consistent(
-                gi.values[(X, Y)], gi.k, states, elements_of(X), elements_of(Y)
-            )
-            for X in small_subsets(mask_of(vx), 2)
-            for Y in small_subsets(mask_of(vy), 2)
-        ):
+        if not _block_consistent(gi, states, vx, vy):
             continue
         color = next(
             (i + 1, j + 1)
@@ -597,12 +579,7 @@ def _edge_index_configs(
     survivors: dict[str, dict[Slot, str | None]] = {}
     for du, dw in product(_SLOT_STATES, repeat=2):
         states: dict[Slot, str | None] = {(xu, ye): du, (xw, ye): dw}
-        if all(
-            _states_consistent(
-                gi.values[(X, bit(ye))], gi.k, states, elements_of(X), [ye]
-            )
-            for X in small_subsets(bit(xu) | bit(xw), 2)
-        ):
+        if _block_consistent(gi, states, (xu, xw), (ye,)):
             survivors["A" if du == "a" else "B"] = states
     if len(survivors) != 2:
         raise RuntimeError(f"edge {e} index {index}: {sorted(survivors)}")
@@ -637,13 +614,7 @@ def _endpoint_compatible(
         for y in yloc:
             if (x, y) not in states and gi.values[(bit(x), bit(y))] == gi.k:
                 states[(x, y)] = "both"
-    return all(
-        _states_consistent(
-            gi.values[(X, Y)], gi.k, states, elements_of(X), elements_of(Y)
-        )
-        for X in small_subsets(mask_of(xloc), 2)
-        for Y in small_subsets(mask_of(yloc), 2)
-    )
+    return _block_consistent(gi, states, xloc, yloc)
 
 
 def colorings_from_consistent_graphs(

@@ -135,7 +135,9 @@ def loads(text: str) -> Instance:
         )
     if "n" not in doc:
         raise InstanceError("missing field 'n'")
-    n = int(doc["n"])
+    n = doc["n"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InstanceError(f"n: expected an integer, got {n!r}")
     if not 0 <= n <= 64:
         raise InstanceError(f"n={n} outside the supported range 0..64")
     for key in ("matroid1", "matroid2"):

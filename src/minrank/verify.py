@@ -19,14 +19,13 @@ from .errors import ContractViolationError
 from .exchange import (
     ExchangeGraph,
     StarPair,
-    all_shortest_paths,
     build_modified_graph,
     build_true_graph,
     intersect_modified,
     survey_extensions,
 )
 from .oracle import MinRankOracle
-from .solvers import class_vector, path_cost
+from .solvers import class_vector, path_cost, total_weight
 
 
 class BruteReport(NamedTuple):
@@ -134,7 +133,7 @@ def brute_w_maximal(
     for I in common_independent_sets(m1, m2):
         if popcount(I) != k:
             continue
-        weight = sum((Fraction(w[e]) for e in iter_bits(I)), Fraction(0))
+        weight = total_weight(w, I)
         if best is None or weight > best:
             best, arg = weight, [I]
         elif weight == best:
@@ -284,6 +283,13 @@ def simple_st_paths(g: ExchangeGraph) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+def shortest_st_paths(g: ExchangeGraph) -> list[tuple[int, ...]]:
+    """The simple source-to-sink paths with the fewest vertices, sorted."""
+    paths = simple_st_paths(g)
+    fewest = min(map(len, paths), default=0)
+    return [p for p in paths if len(p) == fewest]
+
+
 # -- graph audits -------------------------------------------------------------
 
 
@@ -292,15 +298,7 @@ def _arc_set(g: ExchangeGraph) -> set[tuple[int, int]]:
 
 
 def _sure_set(g: ExchangeGraph) -> set[tuple[int, int]]:
-    out = set()
-    for y in iter_bits(g.I):
-        for x in iter_bits(g.sure1[y]):
-            out.add((y, x))
-    for x in range(g.n):
-        if not (g.I >> x) & 1:
-            for y in iter_bits(g.sure2[x]):
-                out.add((x, y))
-    return out
+    return _arc_set(g) - set(g.suspicious_pairs())
 
 
 class LEObservation(NamedTuple):
@@ -397,37 +395,41 @@ def audit_graphs(
         for t in elements_of(D.T & ~D.S)
     ]
     st_mask = D.S | D.T
-    first_intersected: ExchangeGraph | None = None
-    for sp in valid_pairs:
-        tag = f"pair({sp.s},{sp.t})"
-        M = build_modified_graph(o, I, sp)
-        m_arcs = _arc_set(M)
-        reports.append(make(f"{tag}-st-sets", (D.S, D.T), (M.S, M.T)))
-        missing = tuple(sorted(true_arcs - m_arcs))
+    true_paths = shortest_st_paths(D)
+
+    def audit_probe_graph(
+        tag: str, G: ExchangeGraph, t_probes: list[int], s_probes: list[int]
+    ) -> None:
+        """A probe graph holds every true arc, adds none at a source or
+        sink, and adds a fake (y, x) only where (y, t) is true for every
+        sink-side probe t, a fake (x, y) only where (s, y) is true for every
+        source-side probe s."""
+        g_arcs = _arc_set(G)
+        missing = tuple(sorted(true_arcs - g_arcs))
         reports.append(make(f"{tag}-contains-true", (), missing, missing))
-        extras = sorted(m_arcs - true_arcs)
+        extras = sorted(g_arcs - true_arcs)
         touching = tuple(
             (u, v) for u, v in extras if (st_mask >> u) & 1 or (st_mask >> v) & 1
         )
         reports.append(make(f"{tag}-extras-avoid-st", (), touching, touching))
-        bad_shortcut = []
-        for u, v in extras:
-            if (I >> u) & 1:  # fake (y, x): true graph must have (y, t*)
-                if not D.has_arc(u, sp.t):
-                    bad_shortcut.append((u, v))
-            else:  # fake (x, y): true graph must have (s*, y)
-                if not D.has_arc(sp.s, v):
-                    bad_shortcut.append((u, v))
-        reports.append(
-            make(f"{tag}-fake-shortcut", (), tuple(bad_shortcut), tuple(bad_shortcut))
-        )
-        reports.append(
-            make(
-                f"{tag}-shortest-paths",
-                all_shortest_paths(D),
-                all_shortest_paths(M),
+        bad_shortcut = tuple(
+            (u, v)
+            for u, v in extras
+            if not (
+                all(D.has_arc(u, t) for t in t_probes)
+                if (I >> u) & 1
+                else all(D.has_arc(s, v) for s in s_probes)
             )
         )
+        reports.append(make(f"{tag}-fake-shortcut", (), bad_shortcut, bad_shortcut))
+
+    first_intersected: ExchangeGraph | None = None
+    for sp in valid_pairs:
+        tag = f"pair({sp.s},{sp.t})"
+        M = build_modified_graph(o, I, sp)
+        reports.append(make(f"{tag}-st-sets", (D.S, D.T), (M.S, M.T)))
+        audit_probe_graph(tag, M, [sp.t], [sp.s])
+        reports.append(make(f"{tag}-shortest-paths", true_paths, shortest_st_paths(M)))
         N = intersect_modified(o, I, sp)
         if first_intersected is None:
             first_intersected = N
@@ -443,33 +445,10 @@ def audit_graphs(
     assert first_intersected is not None
     N = first_intersected
     n_arcs = _arc_set(N)
-    missing = tuple(sorted(true_arcs - n_arcs))
-    reports.append(make("intersected-contains-true", (), missing, missing))
-    extras = sorted(n_arcs - true_arcs)
-    touching = tuple(
-        (u, v) for u, v in extras if (st_mask >> u) & 1 or (st_mask >> v) & 1
-    )
-    reports.append(make("intersected-extras-avoid-st", (), touching, touching))
-    bad_shortcut = []
-    for u, v in extras:
-        if (I >> u) & 1:  # fake (y, x): (y, t) must be true for every sink t
-            if not all(D.has_arc(u, t) for t in elements_of(D.T)):
-                bad_shortcut.append((u, v))
-        else:  # fake (x, y): (s, y) must be true for every source s
-            if not all(D.has_arc(s, v) for s in elements_of(D.S)):
-                bad_shortcut.append((u, v))
-    reports.append(
-        make("intersected-fake-shortcut", (), tuple(bad_shortcut), tuple(bad_shortcut))
-    )
+    audit_probe_graph("intersected", N, elements_of(D.T), elements_of(D.S))
     lying_sure = tuple(sorted(_sure_set(N) - true_arcs))
     reports.append(make("sure-arcs-true", (), lying_sure, lying_sure))
-    reports.append(
-        make(
-            "intersected-shortest-paths",
-            all_shortest_paths(D),
-            all_shortest_paths(N),
-        )
-    )
+    reports.append(make("intersected-shortest-paths", true_paths, shortest_st_paths(N)))
 
     table = ObservationTable(o, I, N.S, N.T)
     observations = all_observations(table)
@@ -541,7 +520,7 @@ def audit_graphs(
     # Weighted checks only make sense at a w-maximal set of its cardinality.
     k = popcount(I)
     best_w, arg = brute_w_maximal(m1, m2, w, k)
-    my_w = sum((Fraction(w[e]) for e in iter_bits(I)), Fraction(0))
+    my_w = total_weight(w, I)
     w_maximal = best_w is not None and my_w == best_w
     has_neg_cycle_true = any(
         path_cost(cyc, I, w) < 0 for cyc in simple_cycles(D)

@@ -113,6 +113,13 @@ def test_solve_missing_file(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_solve_non_integer_n_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad-n.json"
+    path.write_text(json.dumps({**json.loads(PLAIN), "n": "x"}))
+    assert main(["solve", str(path)]) == 2
+    assert "n: expected an integer" in capsys.readouterr().err
+
+
 def test_solve_bad_mode_is_argparse_usage(fixture_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", fixture_file, "--mode", "bogus"])

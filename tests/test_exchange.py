@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
@@ -12,7 +13,6 @@ from minrank import (
     MinRankOracle,
     StarPair,
     UniformMatroid,
-    all_shortest_paths,
     bit,
     build_modified_graph,
     build_true_graph,
@@ -27,6 +27,7 @@ from minrank import (
 )
 from minrank.cli import cardinality_trajectory
 from minrank.exchange import _search, probe_pair_search
+from minrank.verify import shortest_st_paths
 from conftest import crossed_pair, small_zoo, triangle
 
 
@@ -122,12 +123,30 @@ def test_bfs_tie_breaks_lexicographic():
         5, bit(2), mask_of((0, 1)), mask_of((3, 4)), arcs1, arcs2, arcs1, arcs2
     )
     assert shortest_augmenting_path(g) == [0, 2, 3]
-    assert all_shortest_paths(g) == [
+    assert shortest_st_paths(g) == [
         (0, 2, 3),
         (0, 2, 4),
         (1, 2, 3),
         (1, 2, 4),
     ]
+
+
+def test_bfs_path_is_the_smallest_brute_force_shortest_path():
+    rng = random.Random(2024)
+    longer = 0
+    for _ in range(3000):
+        n = rng.randint(1, 9)
+        I = rng.getrandbits(n)
+        outside = full_mask(n) & ~I
+        arcs1 = [rng.getrandbits(n) & outside if (I >> v) & 1 else 0 for v in range(n)]
+        arcs2 = [rng.getrandbits(n) & I if (outside >> v) & 1 else 0 for v in range(n)]
+        S = rng.getrandbits(n) & outside
+        T = rng.getrandbits(n) & outside
+        g = ExchangeGraph(n, I, S, T, arcs1, arcs2)
+        paths = shortest_st_paths(g)
+        longer += bool(paths) and len(paths[0]) > 1
+        assert shortest_augmenting_path(g) == (list(paths[0]) if paths else None)
+    assert longer >= 150  # 221 graphs whose shortest path has an arc
 
 
 def test_search_asks_each_arc_once_and_stops_at_first_source_level():

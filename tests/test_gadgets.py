@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
 
 import pytest
 
+import minrank.gadgets
 from minrank import (
     ColoredGraph,
     MinRankOracle,
@@ -21,6 +23,7 @@ from minrank import (
 from minrank.core import integer_rank
 
 from conftest import fraction_rank
+from test_visibility import _module_tree
 
 
 def vertex_gadget(color=(1, 1)):
@@ -186,6 +189,16 @@ def test_verify_gadget_size_cap():
     assert gi.n == 48
     with pytest.raises(ValueError):
         verify_gadget(gi)
+
+
+def test_gadget_code_reads_no_matroid_directly():
+    # Verification goes through the true graph and the min-rank oracle.
+    found = [
+        f"line {node.lineno}: .{node.attr}"
+        for node in ast.walk(_module_tree(minrank.gadgets))
+        if isinstance(node, ast.Attribute) and node.attr in {"rank", "is_independent"}
+    ]
+    assert found == []
 
 
 # -- enumeration ------------------------------------------------------------------

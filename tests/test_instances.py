@@ -96,6 +96,9 @@ def test_loads_rejects_bad_schema_and_shape():
         loads(json.dumps({"schema": 1}))
     with pytest.raises(InstanceError, match="outside the supported range"):
         loads(_doc(n=65))
+    for bad in ("x", None, [1], 2.5, True):
+        with pytest.raises(InstanceError, match="n: expected an integer"):
+            loads(_doc(n=bad))
 
 
 def test_loads_rejects_missing_or_unknown_matroid():

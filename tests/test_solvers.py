@@ -8,10 +8,12 @@ from itertools import combinations
 
 import pytest
 
+import minrank.solvers
 from minrank import (
     Augmented,
     AugmentStep,
     Certificate,
+    ColoredGraph,
     ContractViolationError,
     ExchangeGraph,
     Level,
@@ -28,6 +30,7 @@ from minrank import (
     brute_lexmax,
     brute_max_common,
     brute_w_maximal,
+    build_gadget,
     cheapest_path_augment,
     class_vector,
     common_independent_sets,
@@ -48,6 +51,7 @@ from minrank import (
     weighted_no_circuit_inclusion,
 )
 from minrank.exchange import probe_pair_search
+from minrank.gadgets import COLORS
 from conftest import crossed_pair, fixture_weights, small_zoo, triangle
 
 
@@ -292,6 +296,34 @@ def test_fpt_degenerate_gamma_equals_n():
         best, argmaxes = brute_w_maximal(m1, m2, w, lv.k)
         assert lv.weight == best
         assert lv.I in argmaxes
+
+
+def test_fpt_guess_inside_J_skips_or_adds_a_clause(monkeypatch):
+    # Single-vertex gadgets are the instances whose evil observations have
+    # Y inside the suspicious-head bound J, which the random generators
+    # never reach.
+    inside_J = []
+
+    def counted(N, X, Y, J, Jp, side):
+        out = fpt_clause(N, X, Y, J, Jp, side)
+        if not Y & ~J:
+            inside_J.append(out)
+        return out
+
+    fpt_clause = minrank.solvers._fpt_clause
+    monkeypatch.setattr(minrank.solvers, "_fpt_clause", counted)
+    for color in COLORS:
+        m1, m2 = build_gadget(ColoredGraph(1, (), (color,))).as_matroids()
+        for seed in range(20):
+            rng = random.Random(seed)
+            w = [rng.randint(1, 6) for _ in range(m1.n)]
+            run = weighted_fpt_circuit(MinRankOracle(m1, m2), w, gamma=3)
+            for lv in run.levels:
+                best, argmaxes = brute_w_maximal(m1, m2, w, lv.k)
+                assert lv.weight == best
+                assert lv.I in argmaxes
+    assert any(out is minrank.solvers._SKIP for out in inside_J)
+    assert any(isinstance(out, tuple) for out in inside_J)
 
 
 def test_fpt_rejects_small_gamma():
