@@ -332,7 +332,10 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
         except (TypeError, ValueError) as exc:
             raise UsageError(f"coloring: {exc}") from exc
     else:
-        candidates = proper_four_colorings(ColoredGraph(vertices, edges, None))
+        try:
+            candidates = proper_four_colorings(ColoredGraph(vertices, edges, None))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         if not candidates:
             raise Infeasible("graph admits no proper 4-coloring with paired colors")
         coloring = min(candidates)

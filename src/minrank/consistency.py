@@ -1,14 +1,15 @@
 """Rank observations on small exchanges and suspicious-arc resolution.
 
 The intersected exchange graph leaves some arcs suspicious. Observing the
-min-rank of every small exchange — remove one or two elements of I, add one
-or two plain outside elements — constrains which suspicious arcs can be
-real. Each observation touches at most two arcs per direction, so the
-constraints compile into two-literal clauses over one Boolean per
-suspicious arc. A deterministic strongly-connected-component pass solves
-the system, and the chosen arcs together with the sure ones form a graph
-that is consistent with every observation except possibly the pathological
-two-by-two exchanges, where it errs on the side of omitting arcs.
+min-rank of a small exchange — remove one or two elements of I, add one or
+two plain outside elements — constrains which suspicious arcs can be real.
+Each observation touches at most two arcs per direction, so the constraints
+compile into two-literal clauses over one Boolean per suspicious arc; only
+exchanges that touch one are observed, as the rest fold to constants. A
+deterministic strongly-connected-component pass solves the system, and the
+chosen arcs together with the sure ones form a graph that is consistent
+with every observation except possibly the pathological two-by-two
+exchanges, where it errs on the side of omitting arcs.
 
 `ObservationTable` asks and caches the observations and holds the one evil
 test; `TwoSat.unsatisfied` is the one check of clauses against arcs.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping, Sequence
 
-from .bitset import elements_of, popcount, small_subsets
+from .bitset import bit, elements_of, popcount, small_subsets
 from .errors import ContractViolationError
 from .exchange import ExchangeGraph, StarPair, intersect_modified
 from .oracle import Oracle
@@ -29,11 +30,11 @@ ArcLiteral = tuple[Arc, bool]
 
 
 class ObservationTable:
-    """Lazily queried, cached rank observations for all small exchanges.
+    """Lazily queried, cached rank observations of small exchanges.
 
     X ranges over nonempty subsets of at most two plain outside elements
     (sources and sinks excluded), Y over nonempty subsets of at most two
-    elements of I. Each distinct exchanged set is queried exactly once.
+    elements of I. Each distinct exchanged set is queried at most once.
     """
 
     def __init__(self, o: Oracle, I: int, S: int, T: int):
@@ -75,8 +76,9 @@ class ObservationTable:
         ]
         return all(v == self.k - popcount(Yp) for Yp, v in subpairs)
 
-    def evil_pairs(self) -> list[tuple[int, int]]:
-        return [(X, Y) for X, Y in self.pairs() if self.is_evil(X, Y)]
+    def evil_pairs(self, J: int) -> list[tuple[int, int]]:
+        """The evil pairs whose Y meets J; no other pair is tested."""
+        return [(X, Y) for X, Y in self.pairs() if Y & J and self.is_evil(X, Y)]
 
 
 # -- clause compilation -------------------------------------------------------
@@ -128,7 +130,7 @@ def build_cnf(
     g: ExchangeGraph,
     extra: Sequence[tuple[ArcLiteral, ArcLiteral]] = (),
 ) -> TwoSat:
-    """Compile every observation into two-literal clauses.
+    """Compile small-exchange observations into two-literal clauses.
 
     Clause tables, with a = arcs into I and b = arcs out of I:
 
@@ -150,6 +152,9 @@ def build_cnf(
     two-for-one low cases are omitted: the one-for-one subpair clauses
     imply them. `extra` appends pre-folded arc-literal clauses (used by the
     bounded-circuit solver).
+
+    Only pairs with a suspicious slot arc are observed, in pair order; the
+    others would fold to constants, which a genuine oracle makes true.
     """
     variables = sorted(g.suspicious_pairs())
     f = TwoSat(variables)
@@ -165,36 +170,45 @@ def build_cnf(
         i = f.index[arc] + 1
         return -i if neg else i
 
-    for X, Y in table.pairs():
+    # touch[x]: the elements y of I with (x, y) or (y, x) suspicious.
+    touch = [0] * g.n
+    for u, v in variables:
+        x, y = (v, u) if (table.I >> u) & 1 else (u, v)
+        touch[x] |= bit(y)
+    for X in table.x_sets:
         xs = elements_of(X)
-        ys = elements_of(Y)
-        slack = table.value(X, Y) - (k - len(ys))
-        one_for_one = len(xs) == len(ys) == 1
-        if slack != 0 and slack != 1 and not one_for_one:
-            continue
-        # Slot pairs in (i, j) order: a = (x_i, y_j) into I, b out of I at
-        # the mirror slot, every index with two choices flipped.
-        pairs = [
-            ((x, y), (ys[-1 - j], xs[-1 - i]))
-            for i, x in enumerate(xs)
-            for j, y in enumerate(ys)
-        ]
-        if slack == 1 and one_for_one:
-            ((a, b),) = pairs
-            f.add(lit(a), lit(b))
-            f.add(lit(a, True), lit(b))
-            f.add(lit(a), lit(b, True))
-        elif slack == 0 or one_for_one:
-            for a, b in pairs:
-                f.add(lit(a, True), lit(b, True))
-        elif len(pairs) == 2:
-            (a1, b2), (a2, b1) = pairs
-            f.add(lit(a1), lit(a2))
-            f.add(lit(b1), lit(b2))
-        elif table.is_evil(X, Y):
-            for a, b in pairs:
+        reach = touch[xs[0]] | touch[xs[-1]]
+        for Y in table.y_sets if reach else ():
+            if not Y & reach:
+                continue
+            ys = elements_of(Y)
+            slack = table.value(X, Y) - (k - len(ys))
+            one_for_one = len(xs) == len(ys) == 1
+            if slack != 0 and slack != 1 and not one_for_one:
+                continue
+            # Slot pairs in (i, j) order: a = (x_i, y_j) into I, b out of I
+            # at the mirror slot, every index with two choices flipped.
+            pairs = [
+                ((x, y), (ys[-1 - j], xs[-1 - i]))
+                for i, x in enumerate(xs)
+                for j, y in enumerate(ys)
+            ]
+            if slack == 1 and one_for_one:
+                ((a, b),) = pairs
+                f.add(lit(a), lit(b))
                 f.add(lit(a, True), lit(b))
                 f.add(lit(a), lit(b, True))
+            elif slack == 0 or one_for_one:
+                for a, b in pairs:
+                    f.add(lit(a, True), lit(b, True))
+            elif len(pairs) == 2:
+                (a1, b2), (a2, b1) = pairs
+                f.add(lit(a1), lit(a2))
+                f.add(lit(b1), lit(b2))
+            elif table.is_evil(X, Y):
+                for a, b in pairs:
+                    f.add(lit(a, True), lit(b))
+                    f.add(lit(a), lit(b, True))
     for (arc1, neg1), (arc2, neg2) in extra:
         f.add(lit(arc1, neg1), lit(arc2, neg2))
     return f
@@ -280,11 +294,11 @@ def solve_2sat(f: TwoSat) -> dict[Arc, bool] | None:
 def almost_consistent_graph(o: Oracle, I: int, sp: StarPair) -> ExchangeGraph:
     """Resolve every suspicious arc of the intersected graph.
 
-    Builds the intersected graph for the probe pair `sp`, gathers all
-    small-exchange observations, compiles and solves the clause system, and
-    keeps exactly the sure arcs plus the suspicious arcs assigned true.
-    Genuine oracles always admit a solution; unsatisfiability is a contract
-    violation.
+    Builds the intersected graph for the probe pair `sp`, observes the small
+    exchanges that touch a suspicious arc, compiles and solves the clause
+    system, and keeps exactly the sure arcs plus the suspicious arcs
+    assigned true. Genuine oracles always admit a solution;
+    unsatisfiability is a contract violation.
     """
     g = intersect_modified(o, I, sp)
     table = ObservationTable(o, I, g.S, g.T)

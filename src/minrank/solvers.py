@@ -399,7 +399,7 @@ def _fpt_augment(o: Oracle, w: Sequence, I: int, gamma: int) -> _Outcome:
             f"suspicious-arc heads exceed the circuit-size bound {gamma} "
             "on both layers; the bound does not hold for this oracle"
         )
-    evils = table.evil_pairs()
+    evils = table.evil_pairs(J)
     candidates: list[int] = []
     certificates: list[int] = []
     guesses = 0

@@ -259,6 +259,20 @@ def test_gadget_rejects_improper_coloring(tmp_path, capsys):
     assert "not proper" in capsys.readouterr().err
 
 
+def test_gadget_rejects_bad_edges_without_coloring(tmp_path, capsys):
+    """A self-loop, a duplicate edge or an edge out of range is a usage
+    error (exit 2), whether or not a coloring is given."""
+    for edges, message in (
+        ([[0, 0]], "self-loops"),
+        ([[0, 1], [1, 0]], "duplicate edge"),
+        ([[0, 5]], "outside vertex range"),
+    ):
+        gpath = tmp_path / "bad-edges.json"
+        gpath.write_text(json.dumps({"vertices": 2, "edges": edges}))
+        assert main(["gadget", "--graph", str(gpath)]) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_gadget_infeasible_without_four_coloring(tmp_path, capsys):
     # K5 admits no proper 4-coloring.
     edges = [[u, v] for u in range(5) for v in range(u + 1, 5)]

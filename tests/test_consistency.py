@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
+import minrank.consistency
+import minrank.solvers
 from minrank import (
     ExchangeGraph,
     MinRankOracle,
@@ -18,9 +21,16 @@ from minrank import (
     build_true_graph,
     find_star_pair,
     full_mask,
+    intersect_modified,
+    lexicographic_max,
     mask_of,
     popcount,
+    random_fpt_instance,
+    random_instance,
+    random_promise_instance,
     solve_2sat,
+    weighted_fpt_circuit,
+    weighted_no_circuit_inclusion,
 )
 from minrank.verify import (
     LEObservation,
@@ -135,7 +145,11 @@ def test_evil_requires_exact_subpair_values():
     }
     t = ObservationTable(_Prescribed(4, I, exact), I, 0, 0)
     assert t.is_evil(X, Y)
-    assert t.evil_pairs() == [(X, Y)]
+    assert t.evil_pairs(bit(0)) == [(X, Y)]
+    # A pair whose Y misses J is never tested.
+    o = _Prescribed(4, I, exact)
+    assert ObservationTable(o, I, 0, 0).evil_pairs(0) == []
+    assert o.asked == []
     # One subpair value |I|-|Y'|+1: not evil, yet all eight subpairs are
     # still asked, so the queries do not depend on where the slack sits.
     off = dict(exact)
@@ -453,8 +467,6 @@ def test_almost_consistent_graph_no_suspicious_equals_true():
         sp = find_star_pair(o, I)
         if not isinstance(sp, StarPair):
             continue
-        from minrank import intersect_modified
-
         N = intersect_modified(o, I, sp)
         if list(N.suspicious_pairs()):
             continue
@@ -462,3 +474,78 @@ def test_almost_consistent_graph_no_suspicious_equals_true():
         D = build_true_graph(m1, m2, I)
         assert set(C.arcs1_pairs()) == set(D.arcs1_pairs())
         assert set(C.arcs2_pairs()) == set(D.arcs2_pairs())
+
+
+def test_clause_systems_are_pinned(monkeypatch):
+    """Observing only the exchanges that touch a suspicious arc leaves every
+    clause system of a genuine oracle as the full sweep over all pairs built
+    it: the digest below was recorded from that sweep.
+
+    The fpt `extra` lists enter the digest without their entries that fold
+    to True. The sweep also tested evil pairs whose Y misses the suspicious
+    heads; their clauses, over sure or absent arcs, always hold.
+    """
+    digest = hashlib.sha256()
+    systems = extras = 0
+    full_cnf = build_cnf
+
+    def recorded(table, g, extra=()):
+        nonlocal systems, extras
+
+        def holds(arc, neg):
+            return neg if not g.has_arc(*arc) else g.is_sure(*arc) and not neg
+
+        f = full_cnf(table, g, extra)
+        kept = [c for c in extra if not any(holds(*lit) for lit in c)]
+        digest.update(repr((f.variables, f.clauses, f.contradiction, kept)).encode())
+        systems += 1
+        extras += len(kept)
+        return f
+
+    monkeypatch.setattr(minrank.consistency, "build_cnf", recorded)
+    monkeypatch.setattr(minrank.solvers, "build_cnf", recorded)
+    for seed in range(100):
+        n = 6 + seed % 7
+        inst = random_instance(seed, n, weighted=True)
+        o = MinRankOracle(inst.matroid1, inst.matroid2)
+        lexicographic_max(o, inst.weight_vector())
+        inst = random_promise_instance(seed, n)
+        o = MinRankOracle(inst.matroid1, inst.matroid2)
+        weighted_no_circuit_inclusion(o, inst.weight_vector())
+        inst = random_fpt_instance(seed, n, 3)
+        o = MinRankOracle(inst.matroid1, inst.matroid2)
+        weighted_fpt_circuit(o, inst.weight_vector(), 3)
+    # Guesses that add extra clauses are rare; a scan of seeds 0..449 at
+    # n = 6..12 found these.
+    for seed, n in ((272, 12), (292, 11), (300, 12), (377, 12), (447, 12)):
+        inst = random_fpt_instance(seed, n, 3)
+        o = MinRankOracle(inst.matroid1, inst.matroid2)
+        weighted_fpt_circuit(o, inst.weight_vector(), 3)
+    assert (systems, extras) == (373, 48)
+    assert digest.hexdigest() == (
+        "38576a6b8473a8cc173a75ac8c1a1afe25c72b4da2d772514e47fe9826e2a5b9"
+    )
+
+
+def test_no_suspicious_arc_asks_no_observation():
+    """A graph whose arcs are all sure or absent compiles to an empty system
+    without a single observation query."""
+    graphs = 0
+    for m1 in small_zoo():
+        for m2 in small_zoo():
+            if m1.n != m2.n:
+                continue
+            o = MinRankOracle(m1, m2)
+            for I in range(1, 1 << m1.n):
+                if not o.is_common_independent(I):
+                    continue
+                D = build_true_graph(m1, m2, I)
+                table = ObservationTable(o, I, D.S, D.T)
+                before = o.query_count
+                f = build_cnf(table, D)
+                assert o.query_count == before
+                assert (f.variables, f.clauses, f.contradiction) == ((), [], False)
+                graphs += bool(table.x_sets)
+    # Graphs with a plain outside element, where a sweep over every pair
+    # would ask.
+    assert graphs >= 72

@@ -44,6 +44,7 @@ from minrank import (
     random_fpt_instance,
     random_instance,
     random_lexmax_instance,
+    random_promise_instance,
     shortest_cheapest_path,
     total_weight,
     weight_classes,
@@ -565,18 +566,28 @@ class PerturbedOracle(MinRankOracle):
         return value
 
 
-@pytest.mark.parametrize("mode", ["cardinality", "lexmax"])
+@pytest.mark.parametrize("mode", ["cardinality", "lexmax", "weighted", "fpt"])
 def test_lying_oracle_returns_or_reports_contract_violation(mode):
     """A lie may pass unnoticed, but it must never surface as a ValueError."""
     violations = 0
     for seed in range(40):
-        inst = random_instance(seed, 8, weighted=True)
+        if mode == "weighted":
+            inst = random_promise_instance(seed, 8)
+        elif mode == "fpt":
+            inst = random_fpt_instance(seed, 8, 3)
+        else:
+            inst = random_instance(seed, 8, weighted=True)
         o = PerturbedOracle(inst.matroid1, inst.matroid2, seed)
+        w = inst.weight_vector()
         try:
             if mode == "cardinality":
                 max_cardinality(o)
+            elif mode == "lexmax":
+                lexicographic_max(o, w)
+            elif mode == "weighted":
+                weighted_no_circuit_inclusion(o, w)
             else:
-                lexicographic_max(o, inst.weights)
+                weighted_fpt_circuit(o, w, 3)
         except ContractViolationError:
             violations += 1
     assert violations > 0  # the lies do reach the augmentation steps
