@@ -45,10 +45,11 @@ def elements_of(mask: int) -> list[int]:
 
 
 def subsets_of(mask: int) -> Iterator[int]:
-    """All submasks of `mask`, including 0 and `mask` itself.
+    """All submasks of `mask`, including 0 and `mask` itself, in decreasing
+    order as integers.
 
-    Uses the standard decrementing-submask walk; order is decreasing, which
-    callers must not rely on.
+    The order is part of the contract: the bounded-circuit solver tries its
+    guesses in it and keeps the first certificate that verifies.
     """
     sub = mask
     while True:

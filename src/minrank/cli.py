@@ -41,10 +41,10 @@ from .instances import (
 )
 from .oracle import MinRankOracle
 from .solvers import (
-    Certificate,
     WeightedRun,
+    _cardinality_step,
+    _run,
     approx_max_weight,
-    augment_min_rank,
     class_vector,
     lexicographic_max,
     max_cardinality,
@@ -184,14 +184,7 @@ def cardinality_trajectory(m1, m2) -> list[int]:
     """Every common independent set the cardinality solver passes through,
     from the empty set to its maximum."""
     o = MinRankOracle(m1, m2)
-    sets = [0]
-    I = 0
-    while True:
-        res = augment_min_rank(o, I)
-        if isinstance(res, Certificate):
-            return sets
-        I = res.J
-        sets.append(I)
+    return list(_run(o, lambda I: _cardinality_step(o, I)).sets)
 
 
 def _verify_instance(inst: Instance, label: str) -> list[BruteReport]:

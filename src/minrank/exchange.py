@@ -15,8 +15,10 @@ starts at a source, alternates sides, and ends at a sink; swapping I by the
 symmetric difference of such a path grows the common independent set by one.
 
 One arc rule (`_arc_rule`) decides the probe graphs' arcs and one reverse
-BFS (`_search`) finds paths and certificates, over a built graph or, for
-the cardinality solver, over the arc rule itself with arcs tested on demand.
+BFS (`_search`) finds paths and certificates. The cardinality solver runs
+it over the arc rule itself, with arcs tested on demand. Over a built
+graph (`shortest_augmenting_path`, `reachability_certificate`) it is the
+reference that on-demand search is tested against.
 """
 
 from __future__ import annotations
@@ -416,7 +418,7 @@ def intersect_modified(o: Oracle, I: int, sp: StarPair) -> ExchangeGraph:
 
 def _search(
     I: int, outside: int, S: int, T: int, arc: Callable[[int, int], bool]
-) -> tuple[dict[int, int], dict[int, int]]:
+) -> tuple[int, dict[int, int]]:
     """Reverse BFS from the sinks T over the arcs that `arc(u, v)` admits.
 
     Each frontier is scanned in ascending order, and (u, v) is asked only
@@ -424,34 +426,30 @@ def _search(
     asked at most once. The first v that reaches u is recorded: it is u's
     smallest successor one level down. The search stops after the first
     level that holds a source, so a sink that is also a source ends it at
-    level 0. Returns (dist, nxt): the arc-count distance to T of each
-    reached vertex, and the recorded successor of each reached non-sink.
+    level 0. Returns (reached, nxt): the mask of reached vertices, and the
+    recorded successor of each reached non-sink.
     """
-    dist = dict.fromkeys(iter_bits(T), 0)
     nxt: dict[int, int] = {}
     reached = frontier = T
-    level = 0
     while frontier and not frontier & S:
-        level += 1
         scan, frontier = frontier, 0
         for v in iter_bits(scan):
             for u in iter_bits((outside if (I >> v) & 1 else I) & ~reached):
                 if arc(u, v):
-                    dist[u] = level
                     nxt[u] = v
                     reached |= bit(u)
                     frontier |= bit(u)
-    return dist, nxt
+    return reached, nxt
 
 
-def _graph_search(g: ExchangeGraph) -> tuple[dict[int, int], dict[int, int]]:
+def _graph_search(g: ExchangeGraph) -> tuple[int, dict[int, int]]:
     return _search(g.I, full_mask(g.n) & ~g.I, g.S, g.T, g.has_arc)
 
 
-def _path(dist: dict[int, int], nxt: dict[int, int], S: int) -> list[int] | None:
+def _path(reached: int, nxt: dict[int, int], S: int) -> list[int] | None:
     """From the smallest reached source along the recorded successors to a
     sink: the minimum-arc path with the smallest vertex sequence."""
-    v = next((s for s in iter_bits(S) if s in dist), None)
+    v = next(iter_bits(reached & S), None)
     if v is None:
         return None
     path = [v]
@@ -461,11 +459,10 @@ def _path(dist: dict[int, int], nxt: dict[int, int], S: int) -> list[int] | None
     return path
 
 
-def _certificate(dist: dict[int, int], S: int) -> int:
-    Z = mask_of(dist)
-    if Z & S:
+def _certificate(reached: int, S: int) -> int:
+    if reached & S:
         raise ValueError("a source reaches a sink; an augmenting path exists")
-    return Z
+    return reached
 
 
 def probe_pair_search(
@@ -481,17 +478,17 @@ def probe_pair_search(
     """
     S, T = _star_sets(o, I, sp)
     arc = _arc_rule(o, I, S, T, [sp.t], [sp.s])
-    dist, nxt = _search(I, o.ground & ~I, S, T, arc)
-    path = _path(dist, nxt, S)
-    return (path, 0) if path is not None else (None, _certificate(dist, S))
+    reached, nxt = _search(I, o.ground & ~I, S, T, arc)
+    path = _path(reached, nxt, S)
+    return (path, 0) if path is not None else (None, _certificate(reached, S))
 
 
 def shortest_augmenting_path(g: ExchangeGraph) -> list[int] | None:
     """Minimum-arc source-to-sink path, ties broken toward the smallest
     vertex sequence; None when no sink is reachable. A source that is also
     a sink yields a single-vertex path."""
-    dist, nxt = _graph_search(g)
-    return _path(dist, nxt, g.S)
+    reached, nxt = _graph_search(g)
+    return _path(reached, nxt, g.S)
 
 
 def reachability_certificate(g: ExchangeGraph) -> int:
@@ -500,5 +497,5 @@ def reachability_certificate(g: ExchangeGraph) -> int:
     Only valid when no source reaches a sink; the caller pairs the returned
     set with its complement as a min-rank duality certificate.
     """
-    dist, _ = _graph_search(g)
-    return _certificate(dist, g.S)
+    reached, _ = _graph_search(g)
+    return _certificate(reached, g.S)

@@ -5,9 +5,13 @@ exchangeability graphs, and the three tractable weighted regimes
 (no-circuit-inclusion promise, bounded circuit size, lexicographic
 maximality), plus the approximation wrapper for positive weights.
 
-A weighted augmentation step is a function `(o, w, I) -> (result, action,
-detail)`; the run loop counts each step's queries and writes its trace
-line. Paths are priced from the weights by `path_cost`.
+Every mode runs one loop, `_run`: from the empty set, each augmentation
+step either swaps I along a shortest path or stops with a set Z where
+rmin(Z) + rmin(E \\ Z) = |I|. A step is a function `I -> (result, action,
+detail)`; the loop counts each step's queries and writes its trace line.
+The weighted modes price the sets the loop passed through from the
+caller's weights once it has stopped. Paths are priced by `path_cost`, and
+one cheapest-path search answers with a path or its certificate.
 
 Everything here must work through `rmin` alone; the visibility audit in the
 test suite holds this module to that.
@@ -16,7 +20,7 @@ test suite holds this module to that.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .bitset import bit, elements_of, format_set, iter_bits, mask_of, popcount, subsets_of
 from .consistency import (
@@ -34,7 +38,6 @@ from .exchange import (
     find_star_pair,
     intersect_modified,
     probe_pair_search,
-    reachability_certificate,
     survey_extensions,
 )
 from .oracle import Oracle, RestrictedOracle
@@ -81,9 +84,12 @@ def path_cost(path: Sequence[int], I: int, w: Sequence) -> Fraction | int:
 # -- paths in resolved graphs -------------------------------------------------
 
 
-def shortest_cheapest_path(g: ExchangeGraph, w: Sequence) -> list[int] | None:
+def shortest_cheapest_path(
+    g: ExchangeGraph, w: Sequence
+) -> tuple[list[int] | None, int]:
     """Minimum (`path_cost`, length) source-to-sink path, ties broken toward
-    the smallest vertex sequence; None when no sink is reachable.
+    the smallest vertex sequence. Returns (path, 0) when a source reaches a
+    sink, else (None, Z) with Z the set of vertices that reach a sink.
 
     Dynamic program over suffix labels relaxed to a fixed point; vertex
     costs include both endpoints. Labels can only keep improving past the
@@ -125,7 +131,7 @@ def shortest_cheapest_path(g: ExchangeGraph, w: Sequence) -> list[int] | None:
         if ls is not None and (best is None or ls < best):
             best, start = ls, s
     if start is None:
-        return None
+        return None, mask_of(label)
     path = [start]
     v = start
     cost_v, len_v = label[v]
@@ -139,7 +145,7 @@ def shortest_cheapest_path(g: ExchangeGraph, w: Sequence) -> list[int] | None:
         )
         path.append(v)
         cost_v, len_v = label[v]
-    return path
+    return path, 0
 
 
 # -- cardinality --------------------------------------------------------------
@@ -181,7 +187,7 @@ class CardinalityRun(NamedTuple):
     trace: tuple[AugmentStep, ...]
 
 
-# One traced augmentation step's result, then its trace line's action and detail.
+# One augmentation step's result, then its trace line's action and detail.
 _Outcome = tuple[SolveResult, str, str]
 
 
@@ -189,22 +195,39 @@ def _certify(Z: int) -> _Outcome:
     return Certificate(Z), "certificate", f"Z={format_set(Z)}"
 
 
-def _traced(o: Oracle, steps: list[AugmentStep], k: int, step) -> SolveResult:
-    """Run one augmentation step and append its trace line, charged with
-    every query the step asked.
+class _Run(NamedTuple):
+    """The common independent sets a run passed through, from the empty set
+    to the last, and the certificate that stopped it."""
+
+    sets: tuple[int, ...]
+    Z: int
+    queries: int
+    trace: tuple[AugmentStep, ...]
+
+
+def _run(o: Oracle, step: Callable[[int], _Outcome]) -> _Run:
+    """Step from the empty set until a step certifies maximality, charging
+    each trace line with every query its step asked.
 
     A step that rejects its own input (ValueError) was handed a set and a
     probe pair built from the oracle's earlier answers, so the oracle broke
     the matroid contract."""
-    before = o.query_count
-    try:
-        res, action, detail = step()
-    except ValueError as exc:
-        raise ContractViolationError(
-            f"oracle answers contradict each other: {exc}"
-        ) from exc
-    steps.append(AugmentStep(k, action, detail, o.query_count - before))
-    return res
+    base = o.query_count
+    sets = [0]
+    trace: list[AugmentStep] = []
+    while True:
+        I = sets[-1]
+        before = o.query_count
+        try:
+            res, action, detail = step(I)
+        except ValueError as exc:
+            raise ContractViolationError(
+                f"oracle answers contradict each other: {exc}"
+            ) from exc
+        trace.append(AugmentStep(popcount(I), action, detail, o.query_count - before))
+        if isinstance(res, Certificate):
+            return _Run(tuple(sets), res.Z, o.query_count - base, tuple(trace))
+        sets.append(res.J)
 
 
 def _cardinality_step(o: Oracle, I: int) -> _Outcome:
@@ -217,14 +240,8 @@ def _cardinality_step(o: Oracle, I: int) -> _Outcome:
 def max_cardinality(o: Oracle) -> CardinalityRun:
     """Grow from the empty set one augmentation at a time until a duality
     certificate proves maximality."""
-    I = 0
-    steps: list[AugmentStep] = []
-    base = o.query_count
-    while True:
-        res = _traced(o, steps, popcount(I), lambda: _cardinality_step(o, I))
-        if isinstance(res, Certificate):
-            return CardinalityRun(I, res.Z, o.query_count - base, tuple(steps))
-        I = res.J
+    run = _run(o, lambda I: _cardinality_step(o, I))
+    return CardinalityRun(run.sets[-1], run.Z, run.queries, run.trace)
 
 
 # -- weighted augmentation ----------------------------------------------------
@@ -261,10 +278,9 @@ def cheapest_path_augment(o: Oracle, w: Sequence, I: int) -> _Outcome:
     pair = _augment_prelude(o, w, I)
     if not isinstance(pair, StarPair):
         return pair
-    C = almost_consistent_graph(o, I, pair)
-    path = shortest_cheapest_path(C, w)
+    path, Z = shortest_cheapest_path(almost_consistent_graph(o, I, pair), w)
     if path is None:
-        return _certify(reachability_certificate(C))
+        return _certify(Z)
     detail = f"P={tuple(path)} cost={path_cost(path, I, w)}"
     return Augmented(I ^ mask_of(path)), "path", detail
 
@@ -291,28 +307,23 @@ class WeightedRun(NamedTuple):
         return max(self.levels, key=lambda lv: (lv.weight, -lv.k))
 
 
-def _run_levels(o: Oracle, w: Sequence, augment) -> WeightedRun:
-    """Run `augment(o, w, I) -> _Outcome` from the empty set until it
-    certifies, tracing every step and recording every level."""
-    base = o.query_count
-    steps: list[AugmentStep] = []
-    I = 0
-    levels = [Level(0, 0, total_weight(w, 0))]
-    while True:
-        res = _traced(o, steps, popcount(I), lambda: augment(o, w, I))
-        if isinstance(res, Certificate):
-            return WeightedRun(
-                tuple(levels), res.Z, o.query_count - base, tuple(steps)
-            )
-        I = res.J
-        levels.append(Level(popcount(I), I, total_weight(w, I)))
+def _levels(run: _Run, w: Sequence) -> tuple[Level, ...]:
+    return tuple(Level(popcount(I), I, total_weight(w, I)) for I in run.sets)
+
+
+def _weighted_run(o: Oracle, w: Sequence, augment) -> WeightedRun:
+    """Run `augment(o, w, I) -> _Outcome` on the weights as Fractions, and
+    price every level from `w`."""
+    fw = [Fraction(v) for v in w]
+    run = _run(o, lambda I: augment(o, fw, I))
+    return WeightedRun(_levels(run, w), run.Z, run.queries, run.trace)
 
 
 def weighted_no_circuit_inclusion(o: Oracle, w: Sequence) -> WeightedRun:
     """Weight-maximal common independent sets of every cardinality, valid
     when no circuit of either matroid contains a circuit of the other (the
     promise makes every resolved graph fully consistent)."""
-    return _run_levels(o, [Fraction(v) for v in w], cheapest_path_augment)
+    return _weighted_run(o, w, cheapest_path_augment)
 
 
 # -- bounded circuit size -----------------------------------------------------
@@ -420,13 +431,12 @@ def _fpt_augment(o: Oracle, w: Sequence, I: int, gamma: int) -> _Outcome:
         assignment = solve_2sat(f)
         if assignment is None:
             continue
-        C = N.with_assignment(assignment)
         try:
-            path = shortest_cheapest_path(C, w)
+            path, Z = shortest_cheapest_path(N.with_assignment(assignment), w)
         except NegativeCycleError:
             continue  # only a wrong guess can fabricate one
         if path is None:
-            certificates.append(reachability_certificate(C))
+            certificates.append(Z)
             continue
         if _validate_candidate(o, I, path):
             candidates.append(I ^ mask_of(path))
@@ -435,6 +445,7 @@ def _fpt_augment(o: Oracle, w: Sequence, I: int, gamma: int) -> _Outcome:
         # The first heaviest candidate in ascending mask order.
         best = max(sorted(candidates), key=lambda c: total_weight(w, c))
         return Augmented(best), "guesses", detail
+    # The first that verifies, in the guess order of `subsets_of`.
     for Z in certificates:
         if o.rmin(Z) + o.rmin(o.ground & ~Z) == k:
             return Certificate(Z), "guesses", detail
@@ -455,11 +466,7 @@ def weighted_fpt_circuit(o: Oracle, w: Sequence, gamma: int) -> WeightedRun:
     """
     if gamma < 2:
         raise ValueError("circuit-size bound must be at least 2")
-    return _run_levels(
-        o,
-        [Fraction(v) for v in w],
-        lambda oo, ww, I: _fpt_augment(oo, ww, I, gamma),
-    )
+    return _weighted_run(o, w, lambda oo, ww, I: _fpt_augment(oo, ww, I, gamma))
 
 
 # -- lexicographic maximality and approximation -------------------------------
@@ -511,14 +518,13 @@ def lexicographic_max(o: Oracle, w: Sequence) -> LexmaxRun:
     huge = [0] * o.n
     for e in iter_bits(ground):
         huge[e] = B ** (ell - 1 - pos[Fraction(w[e])])
-    run = _run_levels(o, huge, cheapest_path_augment)
-    best = run.best
-    levels = tuple(lv._replace(weight=total_weight(w, lv.I)) for lv in run.levels)
+    run = _run(o, lambda I: cheapest_path_augment(o, huge, I))
+    best = max(run.sets, key=lambda I: (total_weight(huge, I), -popcount(I)))
     return LexmaxRun(
-        best.I,
-        class_vector(w, ground, best.I),
-        levels,
-        run.certificate,
+        best,
+        class_vector(w, ground, best),
+        _levels(run, w),
+        run.Z,
         run.queries,
         run.trace,
     )
@@ -539,7 +545,6 @@ def approx_max_weight(o: Oracle, w: Sequence) -> ApproxResult:
     report the worst-case ratio min{1, alpha/2}, where alpha is the
     smallest ratio between consecutive distinct positive weights (a single
     positive weight class is solved exactly, guarantee 1)."""
-    base = o.query_count
     pos = 0
     for e in iter_bits(o.ground):
         if Fraction(w[e]) > 0:
@@ -556,6 +561,4 @@ def approx_max_weight(o: Oracle, w: Sequence) -> ApproxResult:
             distinct[i] / distinct[i + 1] for i in range(len(distinct) - 1)
         )
         guarantee = min(Fraction(1), alpha / 2)
-    return ApproxResult(
-        run.I, total_weight(w, run.I), guarantee, alpha, o.query_count - base
-    )
+    return ApproxResult(run.I, total_weight(w, run.I), guarantee, alpha, run.queries)

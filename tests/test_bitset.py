@@ -32,8 +32,11 @@ def test_popcount_and_full_mask():
 
 
 def test_subsets_enumeration():
-    subs = list(subsets_of(0b101))
-    assert sorted(subs) == [0, 0b001, 0b100, 0b101]
+    assert list(subsets_of(0b101)) == [0b101, 0b100, 0b001, 0]
+    mask = 0b1101_0110
+    assert list(subsets_of(mask)) == [
+        m for m in range(mask, -1, -1) if m & ~mask == 0
+    ]
     assert small_subsets(0b111, 2) == [0b001, 0b010, 0b100, 0b011, 0b101, 0b110]
     assert small_subsets(0b1011, 3)[-1] == 0b1011
     assert small_subsets(0b111, 0) == []

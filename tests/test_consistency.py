@@ -12,14 +12,12 @@ from minrank import (
     ExchangeGraph,
     MinRankOracle,
     ObservationTable,
-    StarPair,
     TwoSat,
     UniformMatroid,
     almost_consistent_graph,
     bit,
     build_cnf,
     build_true_graph,
-    find_star_pair,
     full_mask,
     intersect_modified,
     lexicographic_max,
@@ -29,6 +27,7 @@ from minrank import (
     random_instance,
     random_promise_instance,
     solve_2sat,
+    survey_extensions,
     weighted_fpt_circuit,
     weighted_no_circuit_inclusion,
 )
@@ -458,22 +457,40 @@ def test_true_graph_always_consistent():
 
 
 def test_almost_consistent_graph_no_suspicious_equals_true():
-    """When every arc is sure the resolved graph is the true graph."""
-    m1, m2 = crossed_pair()
-    o = MinRankOracle(m1, m2)
-    for I in range(16):
-        if not o.is_common_independent(I):
-            continue
-        sp = find_star_pair(o, I)
-        if not isinstance(sp, StarPair):
-            continue
-        N = intersect_modified(o, I, sp)
-        if list(N.suspicious_pairs()):
-            continue
-        C = almost_consistent_graph(o, I, sp)
-        D = build_true_graph(m1, m2, I)
-        assert set(C.arcs1_pairs()) == set(D.arcs1_pairs())
-        assert set(C.arcs2_pairs()) == set(D.arcs2_pairs())
+    """When every arc is sure the resolved graph is the true graph of the
+    orientation whose sources and sinks it found: the probe pair may put a
+    true sink first, and then the graph is the swapped pair's (see
+    `augment_min_rank`)."""
+
+    def cases():
+        for seed in range(40):
+            for n in (5, 6, 7):
+                inst = random_instance(seed, n)
+                yield inst, range(1 << n)
+        # Two sets with an outside element that is neither source nor sink.
+        yield random_promise_instance(128, 8), [44]
+        yield random_fpt_instance(50, 8, 3), [193]
+
+    checked = swapped = 0
+    for inst, sets in cases():
+        m1, m2 = inst.matroid1, inst.matroid2
+        o = MinRankOracle(m1, m2)
+        for I in sets:
+            if not o.is_common_independent(I):
+                continue
+            sp = survey_extensions(o, I).pair
+            if sp is None or list(intersect_modified(o, I, sp).suspicious_pairs()):
+                continue
+            C = almost_consistent_graph(o, I, sp)
+            D = build_true_graph(m1, m2, I)
+            if (D.S, D.T) != (C.S, C.T):
+                D = build_true_graph(m2, m1, I)
+                swapped += 1
+            assert (D.S, D.T) == (C.S, C.T)
+            assert set(C.arcs1_pairs()) == set(D.arcs1_pairs())
+            assert set(C.arcs2_pairs()) == set(D.arcs2_pairs())
+            checked += 1
+    assert checked >= 40 and swapped >= 5  # 49 and 8 when written
 
 
 def test_clause_systems_are_pinned(monkeypatch):

@@ -11,6 +11,7 @@ from minrank import (
     DirectAugment,
     ExchangeGraph,
     MinRankOracle,
+    NegativeCycleError,
     StarPair,
     UniformMatroid,
     bit,
@@ -23,6 +24,7 @@ from minrank import (
     random_instance,
     reachability_certificate,
     shortest_augmenting_path,
+    shortest_cheapest_path,
     survey_extensions,
 )
 from minrank.cli import cardinality_trajectory
@@ -132,8 +134,13 @@ def test_bfs_tie_breaks_lexicographic():
 
 
 def test_bfs_path_is_the_smallest_brute_force_shortest_path():
+    """The BFS and, at zero weights, the cheapest-path search both find the
+    smallest brute-force shortest path. Without a path, the cheapest-path
+    search at any weights either meets a negative cycle or answers with the
+    BFS certificate."""
     rng = random.Random(2024)
-    longer = 0
+    wrng = random.Random(7)
+    longer = unreachable = cycles = 0
     for _ in range(3000):
         n = rng.randint(1, 9)
         I = rng.getrandbits(n)
@@ -145,8 +152,20 @@ def test_bfs_path_is_the_smallest_brute_force_shortest_path():
         g = ExchangeGraph(n, I, S, T, arcs1, arcs2)
         paths = shortest_st_paths(g)
         longer += bool(paths) and len(paths[0]) > 1
-        assert shortest_augmenting_path(g) == (list(paths[0]) if paths else None)
+        path = list(paths[0]) if paths else None
+        assert shortest_augmenting_path(g) == path
+        Z = 0 if paths else reachability_certificate(g)
+        assert shortest_cheapest_path(g, [0] * n) == (path, Z)
+        if paths:
+            continue
+        unreachable += 1
+        w = [wrng.randint(-3, 3) for _ in range(n)]
+        try:
+            assert shortest_cheapest_path(g, w) == (None, Z)
+        except NegativeCycleError:
+            cycles += 1
     assert longer >= 150  # 221 graphs whose shortest path has an arc
+    assert unreachable - cycles >= 1000 and cycles >= 10  # 1313 and 134
 
 
 def test_search_asks_each_arc_once_and_stops_at_first_source_level():
@@ -162,13 +181,13 @@ def test_search_asks_each_arc_once_and_stops_at_first_source_level():
         asked.append((u, v))
         return g.has_arc(u, v)
 
-    dist, nxt = _search(I, full_mask(6) & ~I, g.S, g.T, arc)
-    assert dist == {3: 0, 4: 0, 2: 1, 0: 2, 1: 2}
+    reached, nxt = _search(I, full_mask(6) & ~I, g.S, g.T, arc)
+    assert reached == mask_of((0, 1, 2, 3, 4))
     assert nxt == {2: 3, 0: 2, 1: 2}
     assert asked == [(2, 3), (5, 3), (5, 4), (0, 2), (1, 2)]
     # A sink that is also a source ends the search at level 0.
     asked.clear()
-    assert _search(I, full_mask(6) & ~I, bit(3), g.T, arc) == ({3: 0, 4: 0}, {})
+    assert _search(I, full_mask(6) & ~I, bit(3), g.T, arc) == (mask_of((3, 4)), {})
     assert asked == []
 
 

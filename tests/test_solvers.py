@@ -262,7 +262,7 @@ def test_cheapest_path_augment_star_pair_invariance():
     ]
     assert pairs  # the fixture does expose a probe pair here
     for sp in pairs:
-        path = shortest_cheapest_path(almost_consistent_graph(o, I, sp), w)
+        path, _ = shortest_cheapest_path(almost_consistent_graph(o, I, sp), w)
         assert path is not None
         assert total_weight(w, I ^ mask_of(path)) == total_weight(w, baseline.J)
 
@@ -491,14 +491,14 @@ def test_path_tie_breaks_shorter_then_lexicographic():
         arcs2=[bit(1) | bit(3), 0, bit(3), 0, 0],
     )
     w = [0] * 5
-    assert shortest_cheapest_path(g, w) == [0, 3, 4]
+    assert shortest_cheapest_path(g, w) == ([0, 3, 4], 0)
 
     # Two length-3 paths 0->1->4 / 0->3->4: smaller vertex sequence wins.
     g2 = _path_graph(
         arcs1=[0, bit(4), 0, bit(4), 0],
         arcs2=[bit(1) | bit(3), 0, 0, 0, 0],
     )
-    assert shortest_cheapest_path(g2, w) == [0, 1, 4]
+    assert shortest_cheapest_path(g2, w) == ([0, 1, 4], 0)
 
 
 def test_path_prefers_cheaper_over_shorter():
@@ -508,17 +508,17 @@ def test_path_prefers_cheaper_over_shorter():
     )
     w = [0, -6, 0, -1, 0]  # 1 and 3 lie in I, so they cost w
     # 0,1,2,3,4 costs -7; 0,3,4 costs -1.
-    assert shortest_cheapest_path(g, w) == [0, 1, 2, 3, 4]
+    assert shortest_cheapest_path(g, w) == ([0, 1, 2, 3, 4], 0)
 
 
 def test_path_single_vertex_when_source_is_sink():
     g = ExchangeGraph(2, bit(1), bit(0), bit(0), [0, 0], [0, 0], kind="resolved")
-    assert shortest_cheapest_path(g, [2, 1]) == [0]
+    assert shortest_cheapest_path(g, [2, 1]) == ([0], 0)
 
 
 def test_path_unreachable_returns_none():
-    g = _path_graph(arcs1=[0] * 5, arcs2=[0] * 5)
-    assert shortest_cheapest_path(g, [0] * 5) is None
+    g = _path_graph(arcs1=[0, 0, 0, bit(4), 0], arcs2=[bit(1), 0, bit(3), 0, 0])
+    assert shortest_cheapest_path(g, [0] * 5) == (None, mask_of((2, 3, 4)))
 
 
 def test_path_negative_cycle_detected():
