@@ -307,13 +307,20 @@ def _read_json(path: str, what: str) -> object:
         raise UsageError(f"{what} {path}: invalid JSON: {exc}") from exc
 
 
+def _json_int(x: object) -> int:
+    """A JSON integer; a bool, float or string is refused, not truncated."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"expected an integer, got {json.dumps(x)}")
+    return x
+
+
 def _cmd_gadget(args: argparse.Namespace) -> int:
     doc = _read_json(args.graph, "graph file")
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
         raise UsageError(f"{args.graph}: expected {{'vertices': V, 'edges': [[u,v],...]}}")
     try:
-        vertices = int(doc["vertices"])
-        edges = tuple((int(u), int(v)) for u, v in doc["edges"])
+        vertices = _json_int(doc["vertices"])
+        edges = tuple((_json_int(u), _json_int(v)) for u, v in doc["edges"])
     except (TypeError, ValueError) as exc:
         raise UsageError(f"{args.graph}: {exc}") from exc
     raw = doc.get("coloring")
@@ -321,7 +328,7 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
         raw = _read_json(args.coloring, "coloring file")
     if raw is not None:
         try:
-            coloring = tuple((int(i), int(j)) for i, j in raw)
+            coloring = tuple((_json_int(i), _json_int(j)) for i, j in raw)
         except (TypeError, ValueError) as exc:
             raise UsageError(f"coloring: {exc}") from exc
     else:

@@ -157,6 +157,12 @@ def loads(text: str) -> Instance:
         raw = doc["weights"]
         if not isinstance(raw, list) or len(raw) != n:
             raise InstanceError(f"weights: expected a list of {n} rationals")
+        for x in raw:
+            if isinstance(x, bool) or not isinstance(x, (int, str)):
+                raise InstanceError(
+                    f"weights: {json.dumps(x)} is not an exact rational; write "
+                    'an integer or a string such as "0.1" or "1/3"'
+                )
         try:
             weights = tuple(Fraction(x) for x in raw)
         except (ValueError, ZeroDivisionError) as exc:

@@ -9,9 +9,11 @@ Every mode runs one loop, `_run`: from the empty set, each augmentation
 step either swaps I along a shortest path or stops with a set Z where
 rmin(Z) + rmin(E \\ Z) = |I|. A step is a function `I -> (result, action,
 detail)`; the loop counts each step's queries and writes its trace line.
-The weighted modes price the sets the loop passed through from the
-caller's weights once it has stopped. Paths are priced by `path_cost`, and
-one cheapest-path search answers with a path or its certificate.
+The weighted modes scale the caller's weights once per run to exact ints,
+so path costs add as ints, and price the sets the loop passed through from
+the caller's weights once it has stopped. Paths are priced by `path_cost`,
+and one worklist search for a shortest cheapest path answers with a path or
+its certificate.
 
 Everything here must work through `rmin` alone; the visibility audit in the
 test suite holds this module to that.
@@ -19,7 +21,9 @@ test suite holds this module to that.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
+from math import lcm
 from typing import Callable, NamedTuple, Sequence
 
 from .bitset import bit, elements_of, format_set, iter_bits, mask_of, popcount, subsets_of
@@ -91,39 +95,45 @@ def shortest_cheapest_path(
     the smallest vertex sequence. Returns (path, 0) when a source reaches a
     sink, else (None, Z) with Z the set of vertices that reach a sink.
 
-    Dynamic program over suffix labels relaxed to a fixed point; vertex
-    costs include both endpoints. Labels can only keep improving past the
-    vertex-count round in the presence of a negative-cost cycle, which is a
-    contract violation here: the caller guarantees a weight-maximal base
-    set, and those never see one.
+    One label-correcting search: the sinks are seeded with (cost, length)
+    labels, vertex costs include both endpoints, and a FIFO worklist
+    relaxes labels backwards along predecessor masks until none improves.
+    The weighted modes pass weights scaled once to exact ints, so every
+    label sum is an int addition. Without a negative-cost cycle the fixed
+    point is unique: each label is the minimum over simple paths. A label
+    that improves to more than n vertices repeats a vertex, which only a
+    negative-cost cycle reaching a sink allows; that raises
+    NegativeCycleError, a contract violation, since the caller guarantees a
+    weight-maximal base set.
     """
-    c = [path_cost((v,), g.I, w) for v in range(g.n)]
-    label: dict[int, tuple] = {}
-    for t in elements_of(g.T):
-        label[t] = (c[t], 1)
-    rounds = 0
-    while True:
-        changed = False
-        for u in range(g.n):
-            best = label.get(u)
-            for v in iter_bits(g.successors(u)):
-                lv = label.get(v)
-                if lv is None:
-                    continue
-                cand = (c[u] + lv[0], lv[1] + 1)
-                if best is None or cand < best:
-                    best = cand
-                    changed = True
-            if best is not None:
-                label[u] = best
-        if not changed:
-            break
-        rounds += 1
-        if rounds > g.n:
-            raise NegativeCycleError(
-                "negative-cost cycle in the exchangeability graph; the base "
-                "set was not weight-maximal or the graph is inconsistent"
-            )
+    n = g.n
+    c = [path_cost((v,), g.I, w) for v in range(n)]
+    pred = [0] * n
+    for u in range(n):
+        for v in iter_bits(g.successors(u)):
+            pred[v] |= 1 << u
+    label: dict[int, tuple] = {t: (c[t], 1) for t in elements_of(g.T)}
+    work = deque(label)
+    waiting = g.T
+    while work:
+        v = work.popleft()
+        waiting &= ~(1 << v)
+        cost, length = label[v]
+        length += 1
+        for u in iter_bits(pred[v]):
+            cand = (c[u] + cost, length)
+            lu = label.get(u)
+            if lu is None or cand < lu:
+                if length > n:
+                    raise NegativeCycleError(
+                        "negative-cost cycle in the exchangeability graph; the "
+                        "base set was not weight-maximal or the graph is "
+                        "inconsistent"
+                    )
+                label[u] = cand
+                if not (waiting >> u) & 1:
+                    waiting |= 1 << u
+                    work.append(u)
     start = None
     best = None
     for s in elements_of(g.S):
@@ -261,7 +271,9 @@ def _augment_prelude(o: Oracle, w: Sequence, I: int) -> _Outcome | StarPair:
     return survey.pair
 
 
-def cheapest_path_augment(o: Oracle, w: Sequence, I: int) -> _Outcome:
+def cheapest_path_augment(
+    o: Oracle, w: Sequence, I: int, _price: Callable = path_cost
+) -> _Outcome:
     """One weighted augmentation step at a weight-maximal I.
 
     Steps: (1) every pairwise extension flat -> ground-set certificate;
@@ -269,7 +281,8 @@ def cheapest_path_augment(o: Oracle, w: Sequence, I: int) -> _Outcome:
     (smallest id on ties); (3) intersected graph from the survey's probe
     pair; (4) observations -> clause system -> resolved graph; (5) swap
     along a shortest cheapest source-sink path, or certify with the set of
-    vertices that reach a sink.
+    vertices that reach a sink. The trace line states the path's cost as
+    `_price(path, I, w)`, which each mode sets to speak in its own units.
 
     The result is weight-maximal at |I|+1 under any of the three tractable
     regimes; on arbitrary instances it still runs and the verification
@@ -281,7 +294,7 @@ def cheapest_path_augment(o: Oracle, w: Sequence, I: int) -> _Outcome:
     path, Z = shortest_cheapest_path(almost_consistent_graph(o, I, pair), w)
     if path is None:
         return _certify(Z)
-    detail = f"P={tuple(path)} cost={path_cost(path, I, w)}"
+    detail = f"P={tuple(path)} cost={_price(path, I, w)}"
     return Augmented(I ^ mask_of(path)), "path", detail
 
 
@@ -312,10 +325,18 @@ def _levels(run: _Run, w: Sequence) -> tuple[Level, ...]:
 
 
 def _weighted_run(o: Oracle, w: Sequence, augment) -> WeightedRun:
-    """Run `augment(o, w, I) -> _Outcome` on the weights as Fractions, and
-    price every level from `w`."""
+    """Run `augment(o, iw, I, price) -> _Outcome` on the weights scaled once
+    to exact ints `iw` by the lcm of their denominators, and price every
+    level from `w`. Scaling keeps every comparison; `price(path, I, iw)`
+    states a path's cost in the caller's units again for the trace."""
     fw = [Fraction(v) for v in w]
-    run = _run(o, lambda I: augment(o, fw, I))
+    scale = lcm(*(f.denominator for f in fw))
+    iw = [f.numerator * (scale // f.denominator) for f in fw]
+
+    def price(path: Sequence[int], I: int, _: Sequence) -> Fraction:
+        return Fraction(path_cost(path, I, iw), scale)
+
+    run = _run(o, lambda I: augment(o, iw, I, price))
     return WeightedRun(_levels(run, w), run.Z, run.queries, run.trace)
 
 
@@ -466,7 +487,7 @@ def weighted_fpt_circuit(o: Oracle, w: Sequence, gamma: int) -> WeightedRun:
     """
     if gamma < 2:
         raise ValueError("circuit-size bound must be at least 2")
-    return _weighted_run(o, w, lambda oo, ww, I: _fpt_augment(oo, ww, I, gamma))
+    return _weighted_run(o, w, lambda oo, ww, I, _: _fpt_augment(oo, ww, I, gamma))
 
 
 # -- lexicographic maximality and approximation -------------------------------
@@ -509,7 +530,8 @@ def lexicographic_max(o: Oracle, w: Sequence) -> LexmaxRun:
     most 2n < B = 2n+1 in L1 and integer order equals lexicographic order,
     ties included. The per-level results are class-vector-maximal at each
     cardinality, the heaviest level is the lexicographic maximum, and the
-    levels report the caller's weights."""
+    levels report the caller's weights. A `path` trace line states the cost
+    as the signed class vector, with `path_cost`'s signs."""
     ground = o.ground
     classes = weight_classes(w, ground)
     ell = len(classes)
@@ -518,7 +540,14 @@ def lexicographic_max(o: Oracle, w: Sequence) -> LexmaxRun:
     huge = [0] * o.n
     for e in iter_bits(ground):
         huge[e] = B ** (ell - 1 - pos[Fraction(w[e])])
-    run = _run(o, lambda I: cheapest_path_augment(o, huge, I))
+
+    def price(path: Sequence[int], I: int, _: Sequence) -> tuple[int, ...]:
+        vector = [0] * ell
+        for e in path:
+            vector[pos[Fraction(w[e])]] += 1 if (I >> e) & 1 else -1
+        return tuple(vector)
+
+    run = _run(o, lambda I: cheapest_path_augment(o, huge, I, price))
     best = max(run.sets, key=lambda I: (total_weight(huge, I), -popcount(I)))
     return LexmaxRun(
         best,

@@ -273,6 +273,26 @@ def test_gadget_rejects_bad_edges_without_coloring(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_gadget_rejects_non_integer_numbers(tmp_path, capsys):
+    """Vertex counts, edge endpoints and coloring entries must be JSON
+    integers: a float or a bool is a usage error, never truncated."""
+    for graph in (
+        {"vertices": 3.9, "edges": [[0, 1], [1, 2]]},
+        {"vertices": 3, "edges": [[0, 1.7], [1, 2]]},
+        {"vertices": True, "edges": []},
+        {"vertices": 2, "edges": [[0, True]]},
+        {"vertices": "2", "edges": [[0, 1]]},
+        {"vertices": 2, "edges": [[0, 1]], "coloring": [[2, 2], [2.0, 1]]},
+        {"vertices": 2, "edges": [[0, 1]], "coloring": [[2, 2], [False, 1]]},
+    ):
+        gpath = tmp_path / "bad-numbers.json"
+        gpath.write_text(json.dumps(graph))
+        assert main(["gadget", "--graph", str(gpath)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "expected an integer" in out.err
+
+
 def test_gadget_infeasible_without_four_coloring(tmp_path, capsys):
     # K5 admits no proper 4-coloring.
     edges = [[u, v] for u in range(5) for v in range(u + 1, 5)]

@@ -135,6 +135,12 @@ def test_loads_rejects_wrong_length_names_and_weights():
         loads(_doc(weights=["1"]))
     with pytest.raises(InstanceError, match="weights"):
         loads(_doc(weights=["1", "x", "3", "4"]))
+    # A JSON float is binary, not the decimal written; a bool is no weight.
+    for bad, shown in ((0.1, "0.1"), (True, "true"), (2.0, "2.0"), (None, "null")):
+        with pytest.raises(InstanceError, match=f'weights: {shown} .*"0.1"'):
+            loads(_doc(weights=[1, bad, "3", "4"]))
+    inst = loads(_doc(weights=[1, "0.1", "1/3", "-2"]))
+    assert inst.weights == (1, Fraction(1, 10), Fraction(1, 3), -2)
 
 
 def test_loads_rejects_loops():

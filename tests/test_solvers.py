@@ -53,6 +53,7 @@ from minrank import (
 )
 from minrank.exchange import probe_pair_search
 from minrank.gadgets import COLORS
+from minrank.verify import simple_cycles, simple_st_paths
 from conftest import crossed_pair, fixture_weights, small_zoo, triangle
 
 
@@ -535,6 +536,93 @@ def test_path_negative_cycle_detected():
     w = [0, -1, 0, 0, 0]  # 1 lies in I, so it costs w
     with pytest.raises(NegativeCycleError):
         shortest_cheapest_path(g, w)
+
+
+def _reaches_sink(g: ExchangeGraph) -> int:
+    reach = g.T
+    while True:
+        more = reach | mask_of(v for v in range(g.n) if g.successors(v) & reach)
+        if more == reach:
+            return reach
+        reach = more
+
+
+def test_cheapest_path_matches_brute_force_on_random_graphs():
+    """On seeded random graphs with int and Fraction weights, the search
+    raises exactly when some negative simple cycle has a vertex that reaches
+    a sink; otherwise it returns the brute-force minimum of (`path_cost`,
+    length, vertex sequence) over simple source-sink paths, or (None, Z)
+    with Z the vertices that reach a sink. `_fpt_augment` met no negative
+    cycle in 1,658 searches over `random_fpt_instance(seed, n, 3)`, seeds
+    0..399 and n = 6..9, so this test is what covers the raise rule."""
+    rng = random.Random(12)
+    longer = raised = 0
+    for _ in range(20000):
+        n = rng.randint(1, 9)
+        I = rng.getrandbits(n)
+        outside = full_mask(n) & ~I
+        arcs1 = [rng.getrandbits(n) & outside if (I >> v) & 1 else 0 for v in range(n)]
+        arcs2 = [rng.getrandbits(n) & I if (outside >> v) & 1 else 0 for v in range(n)]
+        S = T = 0
+        for v in iter_bits(outside):  # 10% both, 35% source, 50% sink
+            r = rng.random()
+            S |= (r < 0.45) << v
+            T |= (r < 0.1 or r > 0.5) << v
+        g = ExchangeGraph(n, I, S, T, arcs1, arcs2, kind="resolved")
+        w = [
+            Fraction(rng.randint(-7, 7), 2) if rng.random() < 0.5 else rng.randint(-3, 3)
+            for _ in range(n)
+        ]
+        reach = _reaches_sink(g)
+        if any(
+            path_cost(cycle, I, w) < 0 and mask_of(cycle) & reach
+            for cycle in simple_cycles(g)
+        ):
+            raised += 1
+            with pytest.raises(NegativeCycleError):
+                shortest_cheapest_path(g, w)
+            continue
+        paths = simple_st_paths(g)
+        if not paths:
+            assert shortest_cheapest_path(g, w) == (None, reach)
+            continue
+        best = min(paths, key=lambda p: (path_cost(p, I, w), len(p), p))
+        longer += len(best) > 1
+        assert shortest_cheapest_path(g, w) == (list(best), 0)
+    assert longer >= 1000 and raised >= 1000  # 1330 and 7438
+
+
+INT_PATH_MODES = {
+    "weighted": (random_promise_instance, weighted_no_circuit_inclusion),
+    "fpt": (lambda seed, n: random_fpt_instance(seed, n, 3),
+            lambda o, w: weighted_fpt_circuit(o, w, 3)),
+    "lexmax": (lambda seed, n: random_instance(seed, n, weighted=True), lexicographic_max),
+    "approx": (lambda seed, n: random_instance(seed, n, weighted=True), approx_max_weight),
+}
+
+
+@pytest.mark.parametrize("mode", list(INT_PATH_MODES))
+def test_path_search_receives_only_int_weights(mode, monkeypatch):
+    """Every weighted mode hands the cheapest-path search exact ints, scaled
+    once per run, even when the caller's weights are Fractions; so Fraction
+    arithmetic cannot come back into the path search unnoticed."""
+    seen: list[list] = []
+    search = minrank.solvers.shortest_cheapest_path
+
+    def recorded(g, w):
+        seen.append(list(w))
+        return search(g, w)
+
+    monkeypatch.setattr(minrank.solvers, "shortest_cheapest_path", recorded)
+    make, solve = INT_PATH_MODES[mode]
+    halves = 0
+    for seed in range(20):
+        inst = make(seed, 8)
+        w = inst.weight_vector()
+        halves += any(Fraction(x).denominator > 1 for x in w)
+        solve(MinRankOracle(inst.matroid1, inst.matroid2), w)
+    assert halves and seen
+    assert all(type(x) is int for w in seen for x in w)
 
 
 def test_path_cost_orientation():
