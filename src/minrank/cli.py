@@ -34,6 +34,7 @@ from .gadgets import ColoredGraph, build_gadget, proper_four_colorings, verify_g
 from .instances import (
     Instance,
     InstanceError,
+    _json_int,
     _rng,
     dumps,
     load,
@@ -42,8 +43,6 @@ from .instances import (
 from .oracle import MinRankOracle
 from .solvers import (
     WeightedRun,
-    _cardinality_step,
-    _run,
     approx_max_weight,
     class_vector,
     lexicographic_max,
@@ -58,7 +57,6 @@ from .verify import (
     audit_graphs,
     brute_dual,
     brute_lexmax,
-    brute_max_common,
     brute_w_maximal,
     check_promise_no_circuit_inclusion,
     largest_circuit_size,
@@ -183,8 +181,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def cardinality_trajectory(m1, m2) -> list[int]:
     """Every common independent set the cardinality solver passes through,
     from the empty set to its maximum."""
-    o = MinRankOracle(m1, m2)
-    return list(_run(o, lambda I: _cardinality_step(o, I)).sets)
+    return list(max_cardinality(MinRankOracle(m1, m2)).sets)
 
 
 def _verify_instance(inst: Instance, label: str) -> list[BruteReport]:
@@ -199,15 +196,14 @@ def _verify_instance(inst: Instance, label: str) -> list[BruteReport]:
 
     o = MinRankOracle(m1, m2)
     run = max_cardinality(o)
-    size, _ = brute_max_common(m1, m2)
+    # brute_dual raises unless its value is the largest common set's size.
+    size, _ = brute_dual(m1, m2)
     make("max-common-size", size, popcount(run.I))
-    dual_value, _ = brute_dual(m1, m2)
-    make("dual-certificate-value", dual_value,
-         o.rmin(run.Z) + o.rmin(full_mask(n) & ~run.Z))
+    make("dual-certificate-value", size, o.rmin(run.Z) + o.rmin(full_mask(n) & ~run.Z))
 
     w = inst.weight_vector()
     if n <= 8:
-        for I in cardinality_trajectory(m1, m2):
+        for I in run.sets:
             reports.extend(audit_graphs(m1, m2, I, instance=label))
 
     if n <= 12 and check_promise_no_circuit_inclusion(m1, m2):
@@ -307,13 +303,6 @@ def _read_json(path: str, what: str) -> object:
         raise UsageError(f"{what} {path}: invalid JSON: {exc}") from exc
 
 
-def _json_int(x: object) -> int:
-    """A JSON integer; a bool, float or string is refused, not truncated."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"expected an integer, got {json.dumps(x)}")
-    return x
-
-
 def _cmd_gadget(args: argparse.Namespace) -> int:
     doc = _read_json(args.graph, "graph file")
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
@@ -401,11 +390,11 @@ def _ledger_row(n: int, seed: int, r: int, queries: int, envelope: int) -> dict:
     }
 
 
-def bench_cardinality(sizes: Sequence[int], seeds: int = 2) -> list[dict]:
+def bench_cardinality(sizes: Sequence[int]) -> list[dict]:
     """Ledger rows for the cardinality envelope C = queries / (r * n^2)."""
     rows = []
     for n in sizes:
-        for s in range(seeds):
+        for s in (0, 1):
             inst = random_instance(10_000 + s, n, kinds=("partition",))
             o = MinRankOracle(inst.matroid1, inst.matroid2)
             run = max_cardinality(o)
@@ -414,16 +403,15 @@ def bench_cardinality(sizes: Sequence[int], seeds: int = 2) -> list[dict]:
     return rows
 
 
-def bench_weighted(sizes: Sequence[int], seeds: int = 1) -> list[dict]:
+def bench_weighted(sizes: Sequence[int]) -> list[dict]:
     """Ledger rows for the promise-weighted envelope C = queries / (r^3 n^2)."""
     rows = []
     for n in sizes:
-        for s in range(seeds):
-            inst = _grid_promise_instance(n, s)
-            o = MinRankOracle(inst.matroid1, inst.matroid2)
-            run = weighted_no_circuit_inclusion(o, inst.weight_vector())
-            r = max(1, max(lv.k for lv in run.levels))
-            rows.append(_ledger_row(n, s, r, run.queries, r**3 * n * n))
+        inst = _grid_promise_instance(n, 0)
+        o = MinRankOracle(inst.matroid1, inst.matroid2)
+        run = weighted_no_circuit_inclusion(o, inst.weight_vector())
+        r = max(1, max(lv.k for lv in run.levels))
+        rows.append(_ledger_row(n, 0, r, run.queries, r**3 * n * n))
     return rows
 
 

@@ -42,6 +42,13 @@ class InstanceError(ValueError):
     """A malformed or invalid instance file."""
 
 
+def _json_int(x: object) -> int:
+    """A JSON integer; a bool, float or string is refused, not truncated."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"expected an integer, got {json.dumps(x)}")
+    return x
+
+
 class Instance(NamedTuple):
     """A loaded matroid pair with optional weights and names."""
 
@@ -73,21 +80,37 @@ def _matroid_from_spec(spec: object, n: int, where: str) -> Matroid:
             raise InstanceError(f"{where}: missing field {name!r}")
         return spec[name]
 
+    def ints(name: str, xs: object) -> list[int]:
+        # The type test spares a call per entry; loading is timed set-up.
+        try:
+            return [x if type(x) is int else _json_int(x) for x in xs]
+        except ValueError as exc:
+            raise InstanceError(f"{where}: {name}: {exc}") from exc
+
+    def int_field(name: str) -> int:
+        return ints(name, [field(name)])[0]
+
+    def int_rows(name: str) -> list[list[int]]:
+        rows = field(name)
+        ints(name, [x for row in rows for x in row])
+        return rows
+
     kind = field("kind")
     try:
         if kind == "uniform":
-            m: Matroid = UniformMatroid(int(field("k")), int(field("n")))
+            m: Matroid = UniformMatroid(int_field("k"), int_field("n"))
         elif kind == "partition":
-            blocks = [mask_of(b) for b in field("blocks")]
-            m = PartitionMatroid(int(field("n")), blocks, list(field("capacities")))
+            blocks = [mask_of(b) for b in int_rows("blocks")]
+            caps = ints("capacities", field("capacities"))
+            m = PartitionMatroid(int_field("n"), blocks, caps)
         elif kind == "graphic":
-            edges = [(int(u), int(v)) for u, v in field("edges")]
-            m = GraphicMatroid(int(field("num_vertices")), edges)
+            edges = int_rows("edges")
+            m = GraphicMatroid(int_field("num_vertices"), edges)
         elif kind == "linear-rational":
             m = LinearMatroid(field("rows"))
         elif kind == "explicit":
-            family = [mask_of(f) for f in field("family")]
-            m = ExplicitMatroid(int(field("n")), family)
+            family = [mask_of(f) for f in int_rows("family")]
+            m = ExplicitMatroid(int_field("n"), family)
         else:
             raise InstanceError(
                 f"{where}: unknown kind {kind!r}; expected one of {GENERATOR_KINDS}"
@@ -135,9 +158,10 @@ def loads(text: str) -> Instance:
         )
     if "n" not in doc:
         raise InstanceError("missing field 'n'")
-    n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InstanceError(f"n: expected an integer, got {n!r}")
+    try:
+        n = _json_int(doc["n"])
+    except ValueError as exc:
+        raise InstanceError(f"n: {exc}") from exc
     if not 0 <= n <= 64:
         raise InstanceError(f"n={n} outside the supported range 0..64")
     for key in ("matroid1", "matroid2"):
@@ -297,16 +321,16 @@ def random_instance(
     return Instance(n, m1, m2, w, None)
 
 
-def random_promise_instance(seed: int, n: int, max_tries: int = 200) -> Instance:
+def random_promise_instance(seed: int, n: int) -> Instance:
     """A seeded weighted partition pair where no circuit of one matroid
     contains a circuit of the other (checked, retried until it holds)."""
     rng = _rng("promise", seed, n)
-    for _ in range(max_tries):
+    for _ in range(200):
         m1 = _random_partition(rng, n)
         m2 = _random_partition(rng, n)
         if check_promise_no_circuit_inclusion(m1, m2):
             return Instance(n, m1, m2, _random_weights(rng, n), None)
-    raise RuntimeError(f"no promise instance found in {max_tries} tries (seed={seed})")
+    raise RuntimeError(f"no promise instance found in 200 tries (seed={seed})")
 
 
 def random_fpt_instance(seed: int, n: int, gamma: int) -> Instance:

@@ -189,12 +189,18 @@ def augment_min_rank(o: Oracle, I: int) -> SolveResult:
 
 
 class CardinalityRun(NamedTuple):
-    """Result of a full maximum-cardinality solve."""
+    """The common independent sets a run passed through, from the empty set
+    to the last, and the certificate that stopped it."""
 
-    I: int
+    sets: tuple[int, ...]
     Z: int
     queries: int
     trace: tuple[AugmentStep, ...]
+
+    @property
+    def I(self) -> int:
+        """The last set the run reached."""
+        return self.sets[-1]
 
 
 # One augmentation step's result, then its trace line's action and detail.
@@ -205,17 +211,7 @@ def _certify(Z: int) -> _Outcome:
     return Certificate(Z), "certificate", f"Z={format_set(Z)}"
 
 
-class _Run(NamedTuple):
-    """The common independent sets a run passed through, from the empty set
-    to the last, and the certificate that stopped it."""
-
-    sets: tuple[int, ...]
-    Z: int
-    queries: int
-    trace: tuple[AugmentStep, ...]
-
-
-def _run(o: Oracle, step: Callable[[int], _Outcome]) -> _Run:
+def _run(o: Oracle, step: Callable[[int], _Outcome]) -> CardinalityRun:
     """Step from the empty set until a step certifies maximality, charging
     each trace line with every query its step asked.
 
@@ -236,22 +232,21 @@ def _run(o: Oracle, step: Callable[[int], _Outcome]) -> _Run:
             ) from exc
         trace.append(AugmentStep(popcount(I), action, detail, o.query_count - before))
         if isinstance(res, Certificate):
-            return _Run(tuple(sets), res.Z, o.query_count - base, tuple(trace))
+            return CardinalityRun(tuple(sets), res.Z, o.query_count - base, tuple(trace))
         sets.append(res.J)
-
-
-def _cardinality_step(o: Oracle, I: int) -> _Outcome:
-    res = augment_min_rank(o, I)
-    if isinstance(res, Certificate):
-        return _certify(res.Z)
-    return res, "augment", f"J={format_set(res.J)}"
 
 
 def max_cardinality(o: Oracle) -> CardinalityRun:
     """Grow from the empty set one augmentation at a time until a duality
-    certificate proves maximality."""
-    run = _run(o, lambda I: _cardinality_step(o, I))
-    return CardinalityRun(run.sets[-1], run.Z, run.queries, run.trace)
+    certificate proves maximality, keeping every set passed through."""
+
+    def step(I: int) -> _Outcome:
+        res = augment_min_rank(o, I)
+        if isinstance(res, Certificate):
+            return _certify(res.Z)
+        return res, "augment", f"J={format_set(res.J)}"
+
+    return _run(o, step)
 
 
 # -- weighted augmentation ----------------------------------------------------
@@ -320,7 +315,7 @@ class WeightedRun(NamedTuple):
         return max(self.levels, key=lambda lv: (lv.weight, -lv.k))
 
 
-def _levels(run: _Run, w: Sequence) -> tuple[Level, ...]:
+def _levels(run: CardinalityRun, w: Sequence) -> tuple[Level, ...]:
     return tuple(Level(popcount(I), I, total_weight(w, I)) for I in run.sets)
 
 

@@ -195,53 +195,21 @@ def largest_circuit_size(m: Matroid) -> int:
 # -- matchings ----------------------------------------------------------------
 
 
-def perfect_matchings(
-    adj: dict[int, int], left: Sequence[int], right_mask: int
-) -> list[tuple[tuple[int, int], ...]]:
-    """All perfect matchings covering `left`, as sorted pair tuples.
+def has_perfect_matching(g: ExchangeGraph, layer: int, left: int, right: int) -> bool:
+    """Whether one arc layer of g matches the I-side vertices `left` one to
+    one onto the outside vertices `right`: layer 1 takes the arcs as they
+    are, layer 2 reversed. The search stops at the first matching."""
+    if popcount(left) != popcount(right):
+        return False
+    arc = g.has_arc if layer == 1 else lambda y, x: g.has_arc(x, y)
+    adj = [mask_of(x for x in iter_bits(right) if arc(y, x)) for y in iter_bits(left)]
 
-    `adj[u]` is the mask of right-side vertices adjacent to u. A matching
-    must also cover right_mask exactly (sizes are expected to agree).
-    """
-    left = sorted(left)
-    if len(left) != popcount(right_mask):
-        return []
-    out: list[tuple[tuple[int, int], ...]] = []
+    def extend(i: int, free: int) -> bool:
+        return i == len(adj) or any(
+            extend(i + 1, free & ~bit(x)) for x in iter_bits(adj[i] & free)
+        )
 
-    def assign(i: int, used: int, acc: list[tuple[int, int]]) -> None:
-        if i == len(left):
-            out.append(tuple(acc))
-            return
-        u = left[i]
-        for v in iter_bits(adj.get(u, 0) & right_mask & ~used):
-            acc.append((u, v))
-            assign(i + 1, used | bit(v), acc)
-            acc.pop()
-
-    assign(0, 0, [])
-    return out
-
-
-def _layer_adjacency(g: ExchangeGraph, layer: int) -> dict[int, int]:
-    """Adjacency from I-side to outside-side for the given layer (1 uses the
-    arcs as-is, 2 reverses them)."""
-    adj: dict[int, int] = {}
-    if layer == 1:
-        for y in iter_bits(g.I):
-            adj[y] = g.arcs1[y]
-    else:
-        for x in range(g.n):
-            if not (g.I >> x) & 1:
-                for y in iter_bits(g.arcs2[x]):
-                    adj[y] = adj.get(y, 0) | bit(x)
-    return adj
-
-
-def matching_count(g: ExchangeGraph, layer: int, left_mask: int, right_mask: int) -> int:
-    """Number of perfect matchings between I-side left_mask and outside
-    right_mask in the given arc layer."""
-    adj = _layer_adjacency(g, layer)
-    return len(perfect_matchings(adj, elements_of(left_mask), right_mask))
+    return extend(0, right)
 
 
 # -- path/cycle enumeration ---------------------------------------------------
@@ -493,29 +461,20 @@ def audit_graphs(
     )
 
     # Matching partitions: cycles of the resolved graph, and source-sink
-    # paths, must decompose over the true graph's layers.
-    bad_cycles = []
-    for cyc in simple_cycles(C):
-        cm = mask_of(cyc)
-        inside, outside = cm & I, cm & ~I
-        if matching_count(D, 1, inside, outside) == 0 or (
-            matching_count(D, 2, inside, outside) == 0
-        ):
-            bad_cycles.append(cyc)
-    reports.append(make("cycle-partition", (), tuple(bad_cycles), tuple(bad_cycles)))
+    # paths, must decompose over the true graph's layers. A path's source
+    # has no layer-1 partner and its sink no layer-2 partner.
+    def splits(walk: tuple[int, ...], source: int, sink: int) -> bool:
+        inside, outside = mask_of(walk) & I, mask_of(walk) & ~I
+        return has_perfect_matching(D, 1, inside, outside & ~source) and (
+            has_perfect_matching(D, 2, inside, outside & ~sink)
+        )
 
-    bad_paths = []
-    for path in simple_st_paths(C):
-        pm = mask_of(path)
-        s, t = path[0], path[-1]
-        inside = pm & I
-        if matching_count(D, 1, inside, pm & ~I & ~bit(s)) == 0 or (
-            matching_count(D, 2, inside, pm & ~I & ~bit(t)) == 0
-        ):
-            bad_paths.append(path)
-    reports.append(
-        make("path-cycle-partition", (), tuple(bad_paths), tuple(bad_paths))
+    bad_cycles = tuple(c for c in simple_cycles(C) if not splits(c, 0, 0))
+    reports.append(make("cycle-partition", (), bad_cycles, bad_cycles))
+    bad_paths = tuple(
+        p for p in simple_st_paths(C) if not splits(p, bit(p[0]), bit(p[-1]))
     )
+    reports.append(make("path-cycle-partition", (), bad_paths, bad_paths))
 
     # Weighted checks only make sense at a w-maximal set of its cardinality.
     k = popcount(I)

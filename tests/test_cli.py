@@ -120,6 +120,15 @@ def test_solve_non_integer_n_is_usage_error(tmp_path, capsys):
     assert "n: expected an integer" in capsys.readouterr().err
 
 
+def test_solve_non_integer_matroid_field_is_usage_error(tmp_path, capsys):
+    doc = json.loads(PLAIN)
+    doc["matroid1"] = {"kind": "uniform", "k": 2.7, "n": doc["n"]}
+    path = tmp_path / "bad-k.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == 2
+    assert "matroid1: k: expected an integer, got 2.7" in capsys.readouterr().err
+
+
 def test_solve_bad_mode_is_argparse_usage(fixture_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", fixture_file, "--mode", "bogus"])

@@ -143,6 +143,36 @@ def test_loads_rejects_wrong_length_names_and_weights():
     assert inst.weights == (1, Fraction(1, 10), Fraction(1, 3), -2)
 
 
+_GRAPHIC = {"kind": "graphic", "num_vertices": 3, "edges": [[0, 1], [1, 2], [0, 2], [0, 1]]}
+_EXPLICIT = {"kind": "explicit", "n": 4, "family": [[], [0], [1], [2], [3]]}
+_PARTITION = {"kind": "partition", "n": 4, "blocks": [[0, 1], [2, 3]], "capacities": [1, 1]}
+
+
+@pytest.mark.parametrize(
+    "spec, field, shown",
+    [
+        ({"kind": "uniform", "k": 2.7, "n": 4}, "k", "2.7"),
+        ({"kind": "uniform", "k": True, "n": 4}, "k", "true"),
+        ({"kind": "uniform", "k": "2", "n": 4}, "k", '"2"'),
+        ({"kind": "uniform", "k": 2, "n": 4.0}, "n", "4.0"),
+        ({**_GRAPHIC, "num_vertices": 3.5}, "num_vertices", "3.5"),
+        ({**_GRAPHIC, "edges": [[0, 1.9], [1, 2], [0, 2], [0, 1]]}, "edges", "1.9"),
+        ({**_GRAPHIC, "edges": [[0, True], [1, 2], [0, 2], [0, 1]]}, "edges", "true"),
+        ({**_PARTITION, "capacities": [1.5, True]}, "capacities", "1.5"),
+        ({**_PARTITION, "capacities": [1, True]}, "capacities", "true"),
+        ({**_PARTITION, "blocks": [[0, True], [2, 3]]}, "blocks", "true"),
+        ({**_PARTITION, "n": 4.0}, "n", "4.0"),
+        ({**_EXPLICIT, "n": 4.0}, "n", "4.0"),
+        ({**_EXPLICIT, "family": [[], [0], [True], [2], [3]]}, "family", "true"),
+    ],
+)
+def test_loads_refuses_matroid_fields_that_are_not_json_integers(spec, field, shown):
+    # int() would truncate each float and read each bool as 0 or 1.
+    with pytest.raises(InstanceError) as info:
+        loads(_doc(matroid1=spec))
+    assert str(info.value) == f"matroid1: {field}: expected an integer, got {shown}"
+
+
 def test_loads_rejects_loops():
     # A zero-capacity block makes its elements loops.
     bad = _doc(

@@ -51,6 +51,7 @@ from minrank import (
     weighted_fpt_circuit,
     weighted_no_circuit_inclusion,
 )
+from minrank.cli import cardinality_trajectory
 from minrank.exchange import probe_pair_search
 from minrank.gadgets import COLORS
 from minrank.verify import simple_cycles, simple_st_paths
@@ -188,6 +189,21 @@ def test_max_cardinality_swap_instance():
     m1, m2 = swap_pair()
     run = max_cardinality(MinRankOracle(m1, m2))
     assert run.I == mask_of((0, 2))
+
+
+def test_max_cardinality_sets_follow_the_run():
+    """From the empty set, one element more per augmentation, every set
+    common independent, ending at the maximum: one set per trace line."""
+    for seed in range(120):
+        inst = random_instance(seed, 2 + seed % 11)
+        m1, m2 = inst.matroid1, inst.matroid2
+        run = max_cardinality(MinRankOracle(m1, m2))
+        assert run.sets[0] == 0
+        assert [popcount(I) for I in run.sets] == list(range(len(run.sets)))
+        assert all(m1.is_independent(I) and m2.is_independent(I) for I in run.sets)
+        assert run.sets[-1] == run.I
+        assert len(run.sets) == len(run.trace)
+        assert cardinality_trajectory(m1, m2) == list(run.sets)
 
 
 def test_augment_step_str():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -35,8 +37,7 @@ from minrank import (
     survey_extensions,
 )
 from minrank.verify import (
-    matching_count,
-    perfect_matchings,
+    has_perfect_matching,
     simple_cycles,
     simple_st_paths,
 )
@@ -167,10 +168,53 @@ def test_promise_fails_for_identical_and_nested_circuits():
 
 
 def test_perfect_matchings_two_by_two():
-    adj = {0: mask_of((1, 2)), 3: mask_of((1, 2))}
-    got = perfect_matchings(adj, [0, 3], mask_of((1, 2)))
-    assert sorted(got) == [((0, 1), (3, 2)), ((0, 2), (3, 1))]
-    assert perfect_matchings(adj, [0, 3], mask_of((1,))) == []
+    both = mask_of((1, 2))
+    g = ExchangeGraph(4, mask_of((0, 3)), 0, 0, [both, 0, 0, both], [0] * 4)
+    assert has_perfect_matching(g, 1, mask_of((0, 3)), both)
+    assert not has_perfect_matching(g, 1, mask_of((0, 3)), bit(1))
+    assert not has_perfect_matching(g, 2, mask_of((0, 3)), both)
+    crowded = ExchangeGraph(4, mask_of((0, 3)), 0, 0, [bit(1), 0, 0, bit(1)], [0] * 4)
+    assert not has_perfect_matching(crowded, 1, mask_of((0, 3)), both)
+
+
+def test_has_perfect_matching_matches_brute_force():
+    """Random layers with sides of 0..5 vertices, equal and unequal, judged
+    by trying every assignment of the left side to the right side."""
+    rng = random.Random(7)
+    answers = {True: 0, False: 0}
+    equal_false = 0
+    for _ in range(4000):
+        a, b = rng.randint(0, 5), rng.randint(0, 5)
+        n = a + b
+        order = rng.sample(range(n), n)
+        I = mask_of(order[:a])
+        inside, outside = sorted(order[:a]), sorted(order[a:])
+        p = rng.random()
+        arcs1, arcs2 = [0] * n, [0] * n
+        for y in inside:
+            arcs1[y] = mask_of(x for x in outside if rng.random() < p)
+        for x in outside:
+            arcs2[x] = mask_of(y for y in inside if rng.random() < p)
+        g = ExchangeGraph(n, I, 0, 0, arcs1, arcs2)
+        left = [y for y in inside if rng.random() < 0.7]
+        right = [x for x in outside if rng.random() < 0.7]
+        if rng.random() < 0.5:
+            right = right[: len(left)]
+            left = left[: len(right)]
+        layers = {
+            1: lambda y, x: (arcs1[y] >> x) & 1,
+            2: lambda y, x: (arcs2[x] >> y) & 1,
+        }
+        for layer, adjacent in layers.items():
+            want = len(left) == len(right) and any(
+                all(adjacent(y, x) for y, x in zip(left, xs))
+                for xs in permutations(right)
+            )
+            assert has_perfect_matching(g, layer, mask_of(left), mask_of(right)) == want
+            answers[want] += 1
+            equal_false += len(left) == len(right) and not want
+    assert answers[True] >= 2000 and answers[False] >= 2000, answers
+    assert equal_false >= 1000, equal_false
 
 
 def test_true_graph_cycle_and_matching_count():
@@ -179,7 +223,8 @@ def test_true_graph_cycle_and_matching_count():
     cycles = simple_cycles(D)
     assert len(cycles) == 1
     assert sorted(cycles[0]) == [0, 1, 2, 3]
-    assert matching_count(D, 1, mask_of((0, 3)), mask_of((1, 2))) == 1
+    assert has_perfect_matching(D, 1, mask_of((0, 3)), mask_of((1, 2)))
+    assert has_perfect_matching(D, 2, mask_of((0, 3)), mask_of((1, 2)))
     assert simple_st_paths(D) == []  # no sources or sinks at a maximum
 
 
