@@ -241,9 +241,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         batches.append((args.instance, _load(args.instance)))
     else:
         for i in range(args.seeded):
-            batches.append(
-                (f"seed={i}", random_instance(i, args.size, weighted=True))
-            )
+            try:
+                inst = random_instance(i, args.size, weighted=True)
+            except ValueError as exc:
+                raise UsageError(f"--size {args.size}, seed={i}: {exc}") from exc
+            batches.append((f"seed={i}", inst))
     failures = 0
     checks = 0
     for label, inst in batches:

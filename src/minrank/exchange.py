@@ -14,16 +14,17 @@ from I outward, layer-2 arcs run from outside into I. An augmenting path
 starts at a source, alternates sides, and ends at a sink; swapping I by the
 symmetric difference of such a path grows the common independent set by one.
 
-One arc rule (`_arc_rule`) decides the probe graphs' arcs and one reverse
-BFS (`_search`) finds paths and certificates. The cardinality solver runs
-it over the arc rule itself, with arcs tested on demand. Over a built
-graph (`shortest_augmenting_path`, `reachability_certificate`) it is the
-reference that on-demand search is tested against.
+Every graph is built by one filler (`_fill`) that asks an arc rule one
+outside element at a time: the matroids' rule for the true graph, and
+`_arc_rule` for the probe graphs. One reverse BFS (`_search`) finds paths
+and certificates. The cardinality solver runs it over `_arc_rule` itself,
+with arcs tested on demand. Over a built graph (`shortest_augmenting_path`,
+`reachability_certificate`) it is the reference that on-demand search is
+tested against.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Callable, Iterator, NamedTuple
 
 from .bitset import bit, elements_of, format_set, full_mask, iter_bits, mask_of, popcount
@@ -188,6 +189,26 @@ class ExchangeGraph:
 # -- construction ------------------------------------------------------------
 
 
+def _fill(
+    n: int, I: int, outside: int, arc: Callable[[int, int], bool]
+) -> tuple[list[int], list[int]]:
+    """Every arc that `arc(u, v)` admits, one outside element x at a time in
+    ascending order: first the layer-1 arcs (y, x) into x, then the layer-2
+    arcs (x, y) out of x, each with y ascending. Returns (arcs1, arcs2)."""
+    arcs1 = [0] * n
+    arcs2 = [0] * n
+    inside = elements_of(I)
+    for x in iter_bits(outside):
+        xb = 1 << x
+        for y in inside:
+            if arc(y, x):
+                arcs1[y] |= xb
+        for y in inside:
+            if arc(x, y):
+                arcs2[x] |= 1 << y
+    return arcs1, arcs2
+
+
 def build_true_graph(m1: Matroid, m2: Matroid, I: int) -> ExchangeGraph:
     """The exact exchangeability graph, computed from both matroids.
 
@@ -198,26 +219,17 @@ def build_true_graph(m1: Matroid, m2: Matroid, I: int) -> ExchangeGraph:
     """
     if not (m1.is_independent(I) and m2.is_independent(I)):
         raise ValueError("I is not a common independent set")
-    n = m1.n
-    outside = full_mask(n) & ~I
-    S = 0
-    T = 0
-    for x in iter_bits(outside):
-        if m1.is_independent(I | bit(x)):
-            S |= bit(x)
-        if m2.is_independent(I | bit(x)):
-            T |= bit(x)
-    arcs1 = [0] * n
-    arcs2 = [0] * n
-    for x in iter_bits(outside):
-        ext = I | bit(x)
-        for y in iter_bits(I):
-            swapped = ext & ~bit(y)
-            if m1.is_independent(swapped):
-                arcs1[y] |= bit(x)
-            if m2.is_independent(swapped):
-                arcs2[x] |= bit(y)
-    return ExchangeGraph(n, I, S, T, arcs1, arcs2, kind="true")
+    outside = full_mask(m1.n) & ~I
+    S = mask_of(x for x in iter_bits(outside) if m1.is_independent(I | bit(x)))
+    T = mask_of(x for x in iter_bits(outside) if m2.is_independent(I | bit(x)))
+
+    def arc(u: int, v: int) -> bool:
+        if (I >> u) & 1:
+            return m1.is_independent(I & ~bit(u) | bit(v))
+        return m2.is_independent(I & ~bit(v) | bit(u))
+
+    arcs1, arcs2 = _fill(m1.n, I, outside, arc)
+    return ExchangeGraph(m1.n, I, S, T, arcs1, arcs2, kind="true")
 
 
 def find_star_pair(o: Oracle, I: int) -> StarPair | DirectAugment | None:
@@ -274,14 +286,8 @@ def _star_sets(o: Oracle, I: int, sp: StarPair) -> tuple[int, int]:
     if sp.s == sp.t or (I | ~o.ground) & (bit(sp.s) | bit(sp.t)):
         raise ValueError("probe pair must be two distinct elements outside I")
     sb, tb = bit(sp.s), bit(sp.t)
-    S = 0
-    T = 0
-    for x in iter_bits(outside & ~tb):
-        if o.rmin(I | bit(x) | tb) == k + 1:
-            S |= bit(x)
-    for x in iter_bits(outside & ~sb):
-        if o.rmin(I | sb | bit(x)) == k + 1:
-            T |= bit(x)
+    S = mask_of(x for x in iter_bits(outside & ~tb) if o.rmin(I | bit(x) | tb) == k + 1)
+    T = mask_of(x for x in iter_bits(outside & ~sb) if o.rmin(I | sb | bit(x)) == k + 1)
     if not (S >> sp.s) & 1 or not (T >> sp.t) & 1:
         raise ValueError(f"({sp.s}, {sp.t}) is not a valid probe pair for I")
     return S, T
@@ -297,13 +303,13 @@ def _arc_rule(
 ) -> Callable[[int, int], bool]:
     """The arc test of a probe graph with sources S and sinks T.
 
-    Arcs that touch a source or sink keep their full stars: a layer-1 arc
-    into a source and a layer-2 arc out of a sink are admitted outright,
-    while a layer-1 arc into a sink or a layer-2 arc out of a source costs
-    one swap query. Every other arc is admitted when a three-element swap
-    probe keeps the min-rank flat against each sink-side probe in
-    `t_probes` (layer 1) or each source-side probe in `s_probes` (layer 2),
-    in order, stopping at the first failure.
+    Arcs that touch a source or sink keep their full stars. A layer-1 arc
+    into a source and a layer-2 arc out of a sink are admitted here without
+    a query, and nowhere else; a layer-1 arc into a sink or a layer-2 arc
+    out of a source costs one swap query. Every other arc is admitted when
+    a three-element swap probe keeps the min-rank flat against each
+    sink-side probe in `t_probes` (layer 1) or each source-side probe in
+    `s_probes` (layer 2), in order, stopping at the first failure.
     """
     k = popcount(I)
     t_masks = [bit(t) for t in t_probes]
@@ -343,33 +349,15 @@ def _probe_graph(
     t_probes: list[int],
     s_probes: list[int],
 ) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Every arc that `_arc_rule` admits, with base sure labels: arcs
-    incident to a source or sink are sure. The stars the rule admits without
-    a query (layer-1 arcs into S, layer-2 arcs out of T) are set directly.
-    Each tail in I asks its heads in T \\ S before its plain heads; the
-    query sequence is pinned by the tests. Returns (arcs1, arcs2, sure1,
-    sure2)."""
+    """Every arc that `_arc_rule` admits, asked by `_fill` one outside
+    element at a time (the tests pin the query sequence), with base sure
+    labels: arcs incident to a source or sink are sure. Returns (arcs1,
+    arcs2, sure1, sure2)."""
     arc = _arc_rule(o, I, S, T, t_probes, s_probes)
-    outside = o.ground & ~I
-    arcs1 = [0] * o.n
-    arcs2 = [0] * o.n
-    sure1 = [0] * o.n
-    sure2 = [0] * o.n
-    for y in iter_bits(I):
-        heads = S
-        for x in chain(iter_bits(T & ~S), iter_bits(outside & ~(S | T))):
-            if arc(y, x):
-                heads |= bit(x)
-        arcs1[y] = heads
-        sure1[y] = heads & (S | T)
-    for x in iter_bits(outside):
-        heads = I if (T >> x) & 1 else 0
-        for y in iter_bits(I & ~heads):
-            if arc(x, y):
-                heads |= bit(y)
-        arcs2[x] = heads
-        if ((S | T) >> x) & 1:
-            sure2[x] = heads
+    arcs1, arcs2 = _fill(o.n, I, o.ground & ~I, arc)
+    st = S | T
+    sure1 = [heads & st for heads in arcs1]
+    sure2 = [heads if (st >> x) & 1 else 0 for x, heads in enumerate(arcs2)]
     return arcs1, arcs2, sure1, sure2
 
 
@@ -392,7 +380,7 @@ def intersect_modified(o: Oracle, I: int, sp: StarPair) -> ExchangeGraph:
     With sources and sinks fixed, only the swap-probe arcs vary with the
     probe, so the intersection re-tests each candidate arc against every
     sink-side (layer 1) or source-side (layer 2) probe. Labels: an arc is
-    sure when incident to a source/sink, or when its tail in I misses an
+    sure when incident to a source/sink, or when its end in I misses an
     arc to some sink (layer 1) / from some source (layer 2) — the
     intersection then certifies it as a true arc. All else is suspicious.
     """
@@ -400,16 +388,13 @@ def intersect_modified(o: Oracle, I: int, sp: StarPair) -> ExchangeGraph:
     arcs1, arcs2, sure1, sure2 = _probe_graph(
         o, I, S, T, elements_of(T & ~S), elements_of(S & ~T)
     )
-    outside = o.ground & ~I
-    for y in iter_bits(I):
-        # A sink missing from this tail's heads certifies every plain head.
-        if T & ~arcs1[y]:
-            sure1[y] = arcs1[y]
-        # A source missing among this head's tails certifies every tail.
-        tails = mask_of(x for x in iter_bits(outside) if (arcs2[x] >> y) & 1)
-        if S & ~tails:
-            for x in iter_bits(tails):
-                sure2[x] |= bit(y)
+    # A sink missing from a tail's heads certifies every head of that tail;
+    # a head in I that some source misses is certified for every tail.
+    sure1 = [heads if T & ~heads else sure for sure, heads in zip(sure1, arcs1)]
+    certified = 0
+    for s in iter_bits(S):
+        certified |= I & ~arcs2[s]
+    sure2 = [sure | heads & certified for sure, heads in zip(sure2, arcs2)]
     return ExchangeGraph(o.n, I, S, T, arcs1, arcs2, sure1, sure2, kind="intersected")
 
 

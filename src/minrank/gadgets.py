@@ -126,7 +126,6 @@ class GadgetInstance(NamedTuple):
     vertex_y: tuple[tuple[int, int], ...]
     edge_x: tuple[tuple[int, int, int, int], ...]
     edge_y: tuple[tuple[int, int], ...]
-    orientations: tuple[tuple[str, str], ...]
 
     @property
     def k(self) -> int:
@@ -419,7 +418,6 @@ def build_gadget(g: ColoredGraph, allow_improper: bool = False) -> GadgetInstanc
         vertex_y=tuple(vertex_y),
         edge_x=tuple(edge_x),
         edge_y=tuple(edge_y),
-        orientations=tuple(orientations),
     )
 
 
@@ -617,9 +615,7 @@ def _endpoint_compatible(
     return _block_consistent(gi, states, xloc, yloc)
 
 
-def colorings_from_consistent_graphs(
-    gi: GadgetInstance, g: ColoredGraph | None = None
-) -> set[tuple[Color, ...]]:
+def colorings_from_consistent_graphs(gi: GadgetInstance) -> set[tuple[Color, ...]]:
     """Colorings read off the arc assignments consistent with the table.
 
     Uses only the layout and the value table — never the coloring the
@@ -634,10 +630,8 @@ def colorings_from_consistent_graphs(
     orientation multiplicity of edge sub-gadgets collapses in the
     projection.
     """
-    graph = g if g is not None else ColoredGraph(gi.graph.vertices, gi.graph.edges)
-    edges = graph.normalized_edges()
-    if graph.vertices != gi.graph.vertices or edges != gi.graph.edges:
-        raise ValueError("graph disagrees with the gadget's layout")
+    graph = ColoredGraph(gi.graph.vertices, gi.graph.edges)
+    edges = graph.edges
     if graph.vertices > 4 or len(edges) > 4:
         raise ValueError("enumeration is capped at 4 vertices and 4 edges")
 

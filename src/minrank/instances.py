@@ -314,6 +314,8 @@ def random_instance(
     weighted: bool = False,
 ) -> Instance:
     """A seeded loopless pair of the given kinds, optionally weighted."""
+    if n < 0:
+        raise ValueError(f"ground set size {n} is negative")
     rng = _rng("instance", seed, n)
     m1 = _random_matroid(rng, n, rng.choice(list(kinds)))
     m2 = _random_matroid(rng, n, rng.choice(list(kinds)))

@@ -108,6 +108,22 @@ def test_solve_unweighted_file_defaults_to_ones(plain_file, capsys):
     assert "level k=2: weight 2 set {0,3}" in lines
 
 
+def test_solve_prints_names_from_the_instance_file(tmp_path, capsys):
+    named = crossed_partition_instance(weights=(5, 4, 4, 1))._replace(
+        names=("a", "b", "c", "d")
+    )
+    path = tmp_path / "named.json"
+    path.write_text(dumps(named))
+    assert main(["solve", str(path)]) == 0
+    assert "witness: {a,d}" in capsys.readouterr().out.splitlines()
+    assert main(
+        ["solve", str(path), "--mode", "weighted", "--promise", "no-circuit-inclusion"]
+    ) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "level k=1: weight 5 set {a}" in lines
+    assert "best: k=2 weight 8 set {b,c}" in lines
+
+
 def test_solve_missing_file(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "nope.json")]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -189,6 +205,21 @@ def test_verify_rejects_large_instance(tmp_path, capsys):
     big.write_text(dumps(random_instance(0, 18)))
     assert main(["verify", str(big)]) == 2
     assert "n <= 16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "size, seed, reason",
+    [
+        (-3, 0, "ground set size -3 is negative"),
+        (13, 2, "explicit generation"),
+        (16, 0, "explicit generation"),
+    ],
+)
+def test_verify_seeded_unbuildable_size_is_usage_error(size, seed, reason, capsys):
+    assert main(["verify", "--seeded", "25", "--size", str(size)]) == 2
+    err = capsys.readouterr().err
+    assert f"--size {size}, seed={seed}: " in err
+    assert reason in err
 
 
 # -- graph -----------------------------------------------------------------------

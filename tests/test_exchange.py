@@ -21,7 +21,10 @@ from minrank import (
     full_mask,
     intersect_modified,
     mask_of,
+    random_fpt_instance,
     random_instance,
+    random_lexmax_instance,
+    random_promise_instance,
     reachability_certificate,
     shortest_augmenting_path,
     shortest_cheapest_path,
@@ -322,9 +325,11 @@ class RecordingOracle(MinRankOracle):
 
 
 def test_probe_graph_query_sequence_is_pinned():
-    """`build_modified_graph` and `intersect_modified` ask the same masks in
-    the same order as the probe-graph loop that predates the shared arc
-    rule: the digest below was recorded from that loop on this instance
+    """`build_modified_graph` and `intersect_modified` ask their masks one
+    outside element at a time: for each x ascending, the layer-1 arcs into
+    x, then the layer-2 arcs out of x. The counts are those of the earlier
+    row-by-row fill, which asked the same masks in another order; the
+    digest below was recorded from the per-element fill on this instance
     list."""
 
     def cases():
@@ -357,5 +362,54 @@ def test_probe_graph_query_sequence_is_pinned():
         digest.update(repr(o.asked).encode())
     assert (builds, asked) == (33, 13443)
     assert digest.hexdigest() == (
-        "67fc47cbc7e94b4bb2720389ccbc7f33de2bac6f5d78b62b14cea080f6e33d44"
+        "3e45f09424eb6cadff13f562b96e96e8c4e070ea6c14feaed4d6fb4dad6fbf7b"
+    )
+
+
+def test_probe_graphs_are_pinned():
+    """The true, modified and intersected graphs (kind, I, sources, sinks,
+    arcs and sure labels) at every common independent set with a probe
+    pair, on seeded pairs of four generators, and along the cardinality
+    runs of larger pairs. The digest below was recorded from the row-by-row
+    probe-graph fill that predates the per-element filler; a change to any
+    arc, label, source or sink changes it."""
+
+    def cases():
+        for seed in range(120):
+            n = 4 + seed % 6
+            for inst in (
+                random_instance(seed, n),
+                random_promise_instance(seed, n),
+                random_fpt_instance(seed, n, 3),
+                random_lexmax_instance(seed, n),
+            ):
+                o = MinRankOracle(inst.matroid1, inst.matroid2)
+                for I in range(1 << n):
+                    if o.is_common_independent(I):
+                        yield inst, I
+        for n in (16, 24, 32):
+            for seed in range(4):
+                inst = random_instance(seed, n, kinds=("partition", "graphic"))
+                for I in cardinality_trajectory(inst.matroid1, inst.matroid2):
+                    yield inst, I
+
+    digest = hashlib.sha256()
+    graphs = 0
+    for inst, I in cases():
+        m1, m2 = inst.matroid1, inst.matroid2
+        o = MinRankOracle(m1, m2)
+        sp = survey_extensions(o, I).pair
+        if sp is None:
+            continue
+        for g in (
+            build_true_graph(m1, m2, I),
+            build_modified_graph(o, I, sp),
+            intersect_modified(o, I, sp),
+        ):
+            fields = (g.kind, g.I, g.S, g.T, g.arcs1, g.arcs2, g.sure1, g.sure2)
+            digest.update(repr(fields).encode())
+            graphs += 1
+    assert graphs == 8733
+    assert digest.hexdigest() == (
+        "538a1374889448ea2209bf137d54463aab4b7882040b4b0cdc4ae41208aefc0d"
     )

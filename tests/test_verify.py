@@ -10,6 +10,7 @@ import pytest
 
 from minrank import (
     BruteReport,
+    ColoredGraph,
     ContractViolationError,
     ExchangeGraph,
     ExplicitMatroid,
@@ -23,6 +24,7 @@ from minrank import (
     brute_lexmax,
     brute_max_common,
     brute_w_maximal,
+    build_gadget,
     build_true_graph,
     check_promise_no_circuit_inclusion,
     circuits,
@@ -33,9 +35,13 @@ from minrank import (
     mask_of,
     path_cost,
     popcount,
+    random_fpt_instance,
     random_instance,
+    random_lexmax_instance,
+    random_promise_instance,
     survey_extensions,
 )
+from minrank.gadgets import COLORS
 from minrank.verify import (
     has_perfect_matching,
     simple_cycles,
@@ -330,6 +336,56 @@ def test_audit_covers_the_swapped_orientation():
             reports = audit_graphs(m2, m1, I, w=inst.weight_vector())
             assert [str(r) for r in reports if not r.ok] == []
     assert sets >= 50
+
+
+def test_audit_reaches_every_builder_on_the_weighted_generators():
+    """Most sets of the acceptance sweep stop at `no-probe-pair`. Here every
+    common independent set with a probe pair is audited, so each audit
+    reaches the intersected graph, the clause system and the resolved
+    graph's partition checks."""
+    sets = 0
+    for seed in range(20):
+        n = 5 + seed % 4
+        for inst in (
+            random_promise_instance(seed, n),
+            random_fpt_instance(seed, n, 3),
+            random_lexmax_instance(seed, n),
+        ):
+            m1, m2 = inst.matroid1, inst.matroid2
+            o = MinRankOracle(m1, m2)
+            for I in common_independent_sets(m1, m2):
+                if survey_extensions(o, I).pair is None:
+                    continue
+                sets += 1
+                reports = audit_graphs(m1, m2, I, w=inst.weight_vector())
+                assert [str(r) for r in reports if not r.ok] == []
+                quantities = {r.quantity for r in reports}
+                assert {"intersected-contains-true", "cycle-partition"} <= quantities
+    assert sets >= 200
+
+
+def test_audit_trips_on_an_arc_across_an_evil_pair():
+    """In each single-vertex gadget the resolved graph leaves the evil pair
+    X = {x1, x2}, Y = {y1, y2} underestimated, with no arc between them.
+    An added arc (y1, x1) stays within the intersected graph's bounds but
+    breaks that rule."""
+    for color in COLORS:
+        gi = build_gadget(ColoredGraph(1, (), (color,)))
+        m1, m2 = gi.as_matroids()
+        x1, y1 = gi.vertex_x[0][0], gi.vertex_y[0][0]
+
+        def add_arc(C: ExchangeGraph) -> ExchangeGraph:
+            arcs1 = list(C.arcs1)
+            arcs1[y1] |= bit(x1)
+            return ExchangeGraph(
+                C.n, C.I, C.S, C.T, arcs1, C.arcs2, C.sure1, C.sure2, kind=C.kind
+            )
+
+        assert all(r.ok for r in audit_graphs(m1, m2, gi.I))
+        reports = audit_graphs(m1, m2, gi.I, mutate=add_arc)
+        assert [r.quantity for r in reports if not r.ok] == [
+            "resolved-almost-consistent"
+        ]
 
 
 def test_audit_trivial_when_no_probe_pair():
