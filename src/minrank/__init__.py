@@ -9,7 +9,7 @@ that make the general weighted problem as hard as graph 4-coloring, and it
 ships exhaustive brute-force cross-checks for everything.
 """
 
-from __future__ import annotations
+from types import ModuleType as _ModuleType
 
 from .bitset import (
     bit,
@@ -112,4 +112,9 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The re-exported names only: importing them also binds each submodule here.
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

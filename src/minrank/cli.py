@@ -30,7 +30,7 @@ from .exchange import (
     intersect_modified,
     survey_extensions,
 )
-from .gadgets import ColoredGraph, build_gadget, proper_four_colorings, verify_gadget
+from .gadgets import ColoredGraph, _proper_colorings, build_gadget, verify_gadget
 from .instances import (
     Instance,
     InstanceError,
@@ -115,7 +115,7 @@ def _print_levels(run: WeightedRun, names: tuple[str, ...] | None, out: TextIO) 
         print(f"level k={lv.k}: weight {lv.weight} set {_named(lv.I, names)}", file=out)
     best = run.best
     print(f"best: k={best.k} weight {best.weight} set {_named(best.I, names)}", file=out)
-    print(f"certificate: {format_set(run.certificate)}", file=out)
+    print(f"certificate: {_named(run.certificate, names)}", file=out)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -136,7 +136,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print(f"size: {popcount(run.I)}", file=out)
         print(f"witness: {_named(run.I, inst.names)}", file=out)
         dual = o.rmin(run.Z) + o.rmin(full_mask(inst.n) & ~run.Z)
-        print(f"dual set: {format_set(run.Z)}", file=out)
+        print(f"dual set: {_named(run.Z, inst.names)}", file=out)
         print(f"dual value: {dual}", file=out)
         print(f"oracle queries: {run.queries}", file=out)
         trace = run.trace
@@ -324,21 +324,16 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
             raise UsageError(f"coloring: {exc}") from exc
     else:
         try:
-            candidates = proper_four_colorings(ColoredGraph(vertices, edges, None))
+            coloring = next(_proper_colorings(ColoredGraph(vertices, edges)), None)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        if not candidates:
+        if coloring is None:
             raise Infeasible("graph admits no proper 4-coloring with paired colors")
-        coloring = min(candidates)
         _log(f"coloring: chose {list(coloring)}")
     try:
         gi = build_gadget(ColoredGraph(vertices, edges, coloring))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if gi.n > 64:
-        raise UsageError(
-            f"gadget needs {gi.n} elements; instance files carry at most 64"
-        )
     if gi.n <= 40:
         _log("access class: hidden-ranks (gadget verification)")
         reports = verify_gadget(gi)

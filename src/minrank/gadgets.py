@@ -21,9 +21,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, product
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .bitset import (
+    MAX_GROUND,
     bit,
     elements_of,
     format_set,
@@ -81,14 +82,35 @@ class ColoredGraph(NamedTuple):
         )
 
 
-def proper_four_colorings(g: ColoredGraph) -> set[tuple[Color, ...]]:
-    """All proper 4-colorings, by exhaustive assignment."""
+def _proper_colorings(g: ColoredGraph) -> Iterator[tuple[Color, ...]]:
+    """Proper 4-colorings in lexicographic order, by one depth-first search
+    over the vertices in order and the colors in ascending order; the first
+    one comes without enumerating the others."""
     edges = g.normalized_edges()
-    return {
-        combo
-        for combo in product(COLORS, repeat=g.vertices)
-        if all(combo[u] != combo[w] for u, w in edges)
-    }
+    earlier = [[u for u, w in edges if w == v] for v in range(g.vertices)]
+    chosen: list[int] = []
+    start = 0
+    while True:
+        v = len(chosen)
+        if v == g.vertices:
+            yield tuple(COLORS[c] for c in chosen)
+        free = [
+            c
+            for c in range(start, 4)
+            if v < g.vertices and all(chosen[u] != c for u in earlier[v])
+        ]
+        if free:
+            chosen.append(free[0])
+            start = 0
+        elif chosen:
+            start = chosen.pop() + 1
+        else:
+            return
+
+
+def proper_four_colorings(g: ColoredGraph) -> set[tuple[Color, ...]]:
+    """All proper 4-colorings."""
+    return set(_proper_colorings(g))
 
 
 class GadgetInstance(NamedTuple):
@@ -163,6 +185,19 @@ def _pattern_rank(slots: Sequence[Slot]) -> int:
         if x != x2 and y != y2:
             return 2
     return 1
+
+
+def _slot_arcs(n: int, states: Mapping[Slot, str | None]) -> tuple[list[int], list[int]]:
+    """Arc layers of slot states: "a" is the arc (x, y) into I, "b" the arc
+    (y, x) out of I, "both" is both and None neither."""
+    arcs1 = [0] * n
+    arcs2 = [0] * n
+    for (x, y), st in states.items():
+        if st in ("a", "both"):
+            arcs2[x] |= bit(y)
+        if st in ("b", "both"):
+            arcs1[y] |= bit(x)
+    return arcs1, arcs2
 
 
 def _vertex_slot_arcs(
@@ -243,7 +278,7 @@ def _orientation(cu: Color, cw: Color, index: int) -> str:
     (x1, y_{index+1}). That slot holds "a" under color (1, index+1), "b"
     under (2, 2-index), and nothing under any other color. "A" puts "a" at
     the first endpoint and "b" at the second; "B" mirrors. "A" wins unless
-    only "B" is legal, which also covers equal (improper) endpoint colors.
+    only "B" is legal.
     """
 
     def state(c: Color) -> str | None:
@@ -255,16 +290,15 @@ def _orientation(cu: Color, cw: Color, index: int) -> str:
     return "B" if b_legal and not a_legal else "A"
 
 
-def build_gadget(g: ColoredGraph, allow_improper: bool = False) -> GadgetInstance:
-    """Construct the reduction instance for a colored graph.
+def build_gadget(g: ColoredGraph) -> GadgetInstance:
+    """Construct the reduction instance for a properly colored graph.
 
-    The value table is filled from the realized arc pattern (identity plus
-    distinct primes makes every small-exchange rank equal its pattern
-    rank) and then overlaid with the designated constants; for proper
-    colorings the two agree everywhere, and a disagreement raises
-    RuntimeError. ``allow_improper`` skips the properness check and the
-    agreement check so tests can observe how equal endpoint colors collide
-    with the prescriptions.
+    Refuses an improper coloring, and a graph whose gadget would exceed
+    the 64 elements of an instance file, before building anything. The
+    value table is the realized arc pattern's ranks (identity plus distinct
+    primes makes every small-exchange rank equal its pattern rank); on a
+    proper coloring it agrees with the designated constants, and a
+    disagreement raises RuntimeError.
     """
     if g.coloring is None:
         raise ValueError("a coloring is required to build a gadget")
@@ -274,10 +308,15 @@ def build_gadget(g: ColoredGraph, allow_improper: bool = False) -> GadgetInstanc
         if c not in COLORS:
             raise ValueError(f"unknown color {c}")
     edges = g.normalized_edges()
-    if not allow_improper and not g.is_proper():
+    if not g.is_proper():
         raise ValueError("coloring is not proper: adjacent vertices share a color")
-
     V, F = g.vertices, len(edges)
+    n = 4 * V + 6 * F + 2
+    if n > MAX_GROUND:
+        raise ValueError(
+            f"gadget needs {n} elements; instance files carry at most {MAX_GROUND}"
+        )
+
     names: list[str] = []
     vertex_x: list[tuple[int, int]] = []
     vertex_y: list[tuple[int, int]] = []
@@ -300,83 +339,52 @@ def build_gadget(g: ColoredGraph, allow_improper: bool = False) -> GadgetInstanc
             f"y1.e{e}",
             f"y2.e{e}",
         ]
-    s = 4 * V + 6 * F
-    t = s + 1
+    s, t = n - 2, n - 1
     names += ["s", "t"]
-    n = t + 1
     I = 0
     for vy in vertex_y:
         I |= mask_of(vy)
     for ey in edge_y:
         I |= mask_of(ey)
     k = popcount(I)
+    plain = full_mask(n) & ~I & ~bit(s) & ~bit(t)
 
     designated = _designated_values(k, vertex_x, vertex_y, edge_x, edge_y, edges)
 
-    orientations = [
-        tuple(_orientation(g.coloring[u], g.coloring[w], i) for i in (0, 1))
-        for u, w in edges
-    ]
-
-    # Realized arcs: the color and orientation selections on designated
-    # slots, arcs in both directions on every other slot, nothing on the
-    # cross slots the selections leave empty.
-    designated_slots: set[Slot] = set()
-    for X, Y in designated:
-        for x in iter_bits(X):
-            for y in iter_bits(Y):
-                designated_slots.add((x, y))
-    selected: dict[Slot, str] = {}
+    # Realized arcs: both directions on every slot outside the designated
+    # pairs, nothing on the designated slots except the color and
+    # orientation selections.
+    states: dict[Slot, str | None] = {
+        (x, y): None if (bit(x), bit(y)) in designated else "both"
+        for y in iter_bits(I)
+        for x in iter_bits(plain)
+    }
     for v in range(V):
-        selected.update(_vertex_slot_arcs(g.coloring[v], vertex_x[v], vertex_y[v]))
-    for e in range(F):
+        states.update(_vertex_slot_arcs(g.coloring[v], vertex_x[v], vertex_y[v]))
+    for e, (u, w) in enumerate(edges):
         x1u, x1w, x2u, x2w = edge_x[e]
         y1, y2 = edge_y[e]
-        selected.update(_edge_slot_arcs(orientations[e][0], x1u, x1w, y1))
-        selected.update(_edge_slot_arcs(orientations[e][1], x2u, x2w, y2))
-    arcs1 = [0] * n
-    arcs2 = [0] * n
-    for (x, y), direction in selected.items():
-        if direction == "a":
-            arcs2[x] |= bit(y)
-        else:
-            arcs1[y] |= bit(x)
-    plain = full_mask(n) & ~I & ~bit(s) & ~bit(t)
-    for y in iter_bits(I):
-        for x in iter_bits(plain):
-            if (x, y) not in designated_slots:
-                arcs1[y] |= bit(x)
-                arcs2[x] |= bit(y)
+        cu, cw = g.coloring[u], g.coloring[w]
+        states.update(_edge_slot_arcs(_orientation(cu, cw, 0), x1u, x1w, y1))
+        states.update(_edge_slot_arcs(_orientation(cu, cw, 1), x2u, x2w, y2))
+    arcs1, arcs2 = _slot_arcs(n, states)
 
-    # Value table = pattern ranks of the realization, overlaid with the
-    # designated constants (which agree on proper colorings).
+    # Value table = pattern ranks of the realization, which must agree with
+    # the designated constants.
     values: dict[tuple[int, int], int] = {}
     for X in small_subsets(plain, 2):
         for Y in small_subsets(I, 2):
-            slots1 = [
-                (x, y)
-                for x in iter_bits(X)
-                for y in iter_bits(Y)
-                if (arcs1[y] >> x) & 1
-            ]
-            slots2 = [
-                (x, y)
-                for x in iter_bits(X)
-                for y in iter_bits(Y)
-                if (arcs2[x] >> y) & 1
-            ]
-            values[(X, Y)] = (
-                k - popcount(Y) + min(_pattern_rank(slots1), _pattern_rank(slots2))
+            slots = [(x, y) for x in iter_bits(X) for y in iter_bits(Y)]
+            rank1 = _pattern_rank([(x, y) for x, y in slots if (arcs1[y] >> x) & 1])
+            rank2 = _pattern_rank([(x, y) for x, y in slots if (arcs2[x] >> y) & 1])
+            values[(X, Y)] = k - popcount(Y) + min(rank1, rank2)
+    for key, v in designated.items():
+        if values[key] != v:
+            raise RuntimeError(
+                f"realization disagrees with designation at "
+                f"({format_set(key[0])},{format_set(key[1])}): "
+                f"{values[key]} vs {v}"
             )
-    if not allow_improper:
-        for key, v in designated.items():
-            if values[key] != v:
-                raise RuntimeError(
-                    f"realization disagrees with designation at "
-                    f"({format_set(key[0])},{format_set(key[1])}): "
-                    f"{values[key]} vs {v}"
-                )
-    values.update(designated)
 
     # Matrices: identity on I; t's column ties all of I in Z1 and s's in
     # Z2; the j-th slot in (y ascending, x ascending) order takes the j-th
@@ -428,11 +436,10 @@ def verify_gadget(gi: GadgetInstance) -> list[BruteReport]:
     """Recompute every prescription from the matrices by exact rank.
 
     Checks the full value table and the uniform probe prescriptions through
-    the min-rank oracle; the rest is read off the true exchange graph: the
-    probe circuits (I+s closes on the second matroid, I+t on the first),
-    that s is the only source and t the only sink, that the realized arcs
-    are the true arcs slot by slot, and that s and t exchange freely with
-    all of I in both matroids.
+    the min-rank oracle, and compares the true exchange graph with the one
+    the gadget realizes: s the only source and t the only sink, the
+    realized arcs on the plain slots, and s and t exchanging freely with
+    all of I in both layers.
     """
     if gi.n > 40:
         raise ValueError("verify_gadget is capped at 40 columns")
@@ -477,36 +484,25 @@ def verify_gadget(gi: GadgetInstance) -> list[BruteReport]:
     witnesses = tuple(bad_probe[:5])
     reports.append(make("probe-prescriptions", (), witnesses, witnesses))
 
-    bad_circ = []
-    if (D.T >> s) & 1:
-        bad_circ.append("I+s independent on side 2")
-    if (D.S >> t) & 1:
-        bad_circ.append("I+t independent on side 1")
-    for y in iter_bits(I):
-        if not D.has_arc(s, y):
-            bad_circ.append(f"I+s-{gi.names[y]} dependent on side 2")
-        if not D.has_arc(y, t):
-            bad_circ.append(f"I+t-{gi.names[y]} dependent on side 1")
-    reports.append(make("probe-circuits", (), tuple(bad_circ), tuple(bad_circ)))
-
     sources, sinks = set(elements_of(D.S)), set(elements_of(D.T))
     reports.append(make("source-sink-sets", ({s}, {t}), (sources, sinks)))
 
-    bad_arcs = []
-    for y in iter_bits(I):
-        for x in iter_bits(gi.plain):
-            if D.has_arc(y, x) != bool((gi.arcs1[y] >> x) & 1):
-                bad_arcs.append(f"out-arc ({gi.names[y]},{gi.names[x]})")
-            if D.has_arc(x, y) != bool((gi.arcs2[x] >> y) & 1):
-                bad_arcs.append(f"in-arc ({gi.names[x]},{gi.names[y]})")
-    reports.append(make("true-arcs", (), tuple(bad_arcs[:5]), tuple(bad_arcs[:5])))
-
-    bad_stars = []
-    for y in iter_bits(I):
-        for probe in (s, t):
-            if not (D.has_arc(y, probe) and D.has_arc(probe, y)):
-                bad_stars.append(f"({gi.names[y]},{gi.names[probe]})")
-    reports.append(make("probe-stars", (), tuple(bad_stars), tuple(bad_stars)))
+    stars = bit(s) | bit(t)
+    want = ExchangeGraph(
+        gi.n,
+        I,
+        bit(s),
+        bit(t),
+        [heads | stars if (I >> y) & 1 else 0 for y, heads in enumerate(gi.arcs1)],
+        [I if (stars >> x) & 1 else heads for x, heads in enumerate(gi.arcs2)],
+    )
+    bad_arcs = [
+        f"({gi.names[u]},{gi.names[v]})"
+        for u in range(gi.n)
+        for v in iter_bits(D.successors(u) ^ want.successors(u))
+    ]
+    witnesses = tuple(bad_arcs[:5])
+    reports.append(make("true-graph", (), witnesses, witnesses))
     return reports
 
 
@@ -524,14 +520,7 @@ def _block_consistent(
 ) -> bool:
     """Whether slot states satisfy every observed exchange between xs and
     ys, each judged by `verify.check_consistency` on the states' arcs."""
-    arcs1 = [0] * gi.n
-    arcs2 = [0] * gi.n
-    for (x, y), st in states.items():
-        if st in ("a", "both"):
-            arcs2[x] |= bit(y)
-        if st in ("b", "both"):
-            arcs1[y] |= bit(x)
-    g = ExchangeGraph(gi.n, gi.I, 0, 0, arcs1, arcs2)
+    g = ExchangeGraph(gi.n, gi.I, 0, 0, *_slot_arcs(gi.n, states))
     return all(
         check_consistency(g, LEObservation(X, Y, gi.values[(X, Y)])) == "consistent"
         for X in small_subsets(mask_of(xs), 2)

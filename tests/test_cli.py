@@ -115,13 +115,16 @@ def test_solve_prints_names_from_the_instance_file(tmp_path, capsys):
     path = tmp_path / "named.json"
     path.write_text(dumps(named))
     assert main(["solve", str(path)]) == 0
-    assert "witness: {a,d}" in capsys.readouterr().out.splitlines()
+    lines = capsys.readouterr().out.splitlines()
+    assert "witness: {a,d}" in lines
+    assert "dual set: {a,b,c,d}" in lines
     assert main(
         ["solve", str(path), "--mode", "weighted", "--promise", "no-circuit-inclusion"]
     ) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "level k=1: weight 5 set {a}" in lines
     assert "best: k=2 weight 8 set {b,c}" in lines
+    assert "certificate: {a,b,c,d}" in lines
 
 
 def test_solve_missing_file(tmp_path, capsys):

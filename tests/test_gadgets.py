@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import hashlib
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,10 +12,12 @@ import pytest
 import minrank.gadgets
 from minrank import (
     ColoredGraph,
+    Instance,
     MinRankOracle,
     bit,
     build_gadget,
     colorings_from_consistent_graphs,
+    dumps,
     full_mask,
     mask_of,
     popcount,
@@ -21,6 +25,7 @@ from minrank import (
     verify_gadget,
 )
 from minrank.core import integer_rank
+from minrank.gadgets import _proper_colorings
 
 from conftest import fraction_rank
 from test_visibility import _module_tree
@@ -41,6 +46,18 @@ def triangle_gadget():
 
 
 # -- colored graphs -------------------------------------------------------------
+
+
+def test_coloring_search_finds_the_smallest_coloring_at_once():
+    # Exhaustive enumeration would walk 4**15 assignments first.
+    start = time.perf_counter()
+    first = next(_proper_colorings(ColoredGraph(15, ())))
+    assert first == ((1, 1),) * 15
+    assert time.perf_counter() - start < 0.5
+    triangle = ColoredGraph(3, ((0, 1), (1, 2), (0, 2)))
+    assert list(_proper_colorings(triangle)) == sorted(proper_four_colorings(triangle))
+    k5 = ColoredGraph(5, tuple((u, w) for u in range(5) for w in range(u + 1, 5)))
+    assert next(_proper_colorings(k5), None) is None
 
 
 def test_proper_four_coloring_counts():
@@ -73,7 +90,15 @@ def test_build_requires_proper_coloring():
     bad = ColoredGraph(2, ((0, 1),), ((2, 1), (2, 1)))
     with pytest.raises(ValueError):
         build_gadget(bad)
-    assert build_gadget(bad, allow_improper=True).n == 16
+
+
+def test_build_refuses_more_than_64_elements_before_building():
+    # Eight path vertices and six edges need 4*8 + 6*6 + 2 = 70 elements.
+    path = ColoredGraph(8, tuple((i, i + 1) for i in range(6)), ((1, 1), (1, 2)) * 4)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="gadget needs 70 elements.*at most 64"):
+        build_gadget(path)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_build_rejects_missing_or_bad_coloring():
@@ -171,12 +196,28 @@ def test_verify_gadget_vertex_and_edge():
         assert [str(r) for r in reports if not r.ok] == []
 
 
-def test_verify_gadget_flags_improper():
-    gi = build_gadget(
-        ColoredGraph(2, ((0, 1),), ((1, 2), (1, 2))), allow_improper=True
-    )
-    failing = {r.quantity for r in verify_gadget(gi) if not r.ok}
-    assert "le-values" in failing
+def _failing_reports(gi):
+    return {r.quantity: r.witnesses for r in verify_gadget(gi) if not r.ok}
+
+
+def test_verify_gadget_flags_a_wrong_value():
+    gi = vertex_gadget((1, 1))
+    key = min(gi.values)
+    wrong = gi._replace(values={**gi.values, key: gi.values[key] + 1})
+    assert set(_failing_reports(wrong)) == {"le-values"}
+
+
+def test_verify_gadget_flags_a_moved_arc():
+    """Color (1,1) realizes the arc y2 -> x2; claiming y2 -> x1 instead
+    trips only the graph comparison, which names both differing arcs."""
+    gi = vertex_gadget((1, 1))
+    assert gi.arcs1[3] == bit(1)
+    arcs1 = list(gi.arcs1)
+    arcs1[3] = bit(0)
+    moved = gi._replace(arcs1=tuple(arcs1))
+    assert _failing_reports(moved) == {
+        "true-graph": ("(y2.v0,x1.v0)", "(y2.v0,x2.v0)")
+    }
 
 
 def test_verify_gadget_size_cap():
@@ -242,3 +283,47 @@ def test_int_rank_matches_fraction_elimination():
         frac = [[Fraction(row[c]) for c in cols] for row in rows]
         ints = [[row[c] for c in cols] for row in rows]
         assert integer_rank(ints) == fraction_rank(frac)
+
+
+# -- parity ------------------------------------------------------------------------
+
+PARITY_GRAPHS = (
+    ColoredGraph(1, ()),
+    ColoredGraph(2, ((0, 1),)),
+    ColoredGraph(3, ((0, 1), (1, 2), (0, 2))),
+    ColoredGraph(4, ((0, 1), (0, 2), (0, 3))),
+    ColoredGraph(4, ((0, 1), (1, 2), (2, 3), (3, 0))),
+)
+PARITY_COLORINGS = (
+    ColoredGraph(1, (), ((2, 2),)),
+    ColoredGraph(2, ((0, 1),), ((2, 1), (1, 2))),
+    ColoredGraph(3, ((0, 1), (1, 2), (0, 2)), ((2, 2), (2, 1), (1, 2))),
+)
+PARITY_DIGEST = "95cc0d63466812b084593deaec95d13cc2f03b9e52b82fb10ffc677465adc8a0"
+
+
+def _gadget_fields(gi):
+    return [
+        sorted(value.items()) if isinstance(value, dict) else value
+        for value in gi
+    ]
+
+
+def test_gadget_parity():
+    """What `minrank gadget` prints for five graphs (the smallest proper
+    coloring of each), every field of eight built gadgets, and the
+    colorings read off their consistent graphs, pinned by one digest."""
+    digest = hashlib.sha256()
+    built = []
+    for g in PARITY_GRAPHS:
+        coloring = min(proper_four_colorings(g))
+        gi = build_gadget(ColoredGraph(g.vertices, g.edges, coloring))
+        digest.update(dumps(Instance(gi.n, *gi.as_matroids(), None, gi.names)).encode())
+        built.append(gi)
+    built += [build_gadget(g) for g in PARITY_COLORINGS]
+    assert len(built) == 8
+    for gi in built:
+        digest.update(repr(_gadget_fields(gi)).encode())
+        if gi.graph.vertices <= 4:
+            digest.update(repr(sorted(colorings_from_consistent_graphs(gi))).encode())
+    assert digest.hexdigest() == PARITY_DIGEST

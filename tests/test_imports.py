@@ -1,12 +1,14 @@
 """Static audit: every name a package module imports is used in it.
 
 An import nobody reads hides the module's real dependencies. The package
-`__init__` is exempt, since it imports names to re-export them.
+`__init__` is exempt, since it imports names to re-export them; its
+`__all__` is checked to list only those names.
 """
 
 from __future__ import annotations
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
@@ -44,3 +46,10 @@ def test_audit_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_every_import_is_used(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_all_lists_only_the_reexported_api():
+    # getattr raises for a listed name the package does not bind.
+    exported = {name: getattr(minrank, name) for name in minrank.__all__}
+    assert "annotations" not in exported
+    assert [n for n, v in exported.items() if isinstance(v, types.ModuleType)] == []
