@@ -241,8 +241,10 @@ def find_star_pair(o: Oracle, I: int) -> StarPair | DirectAugment | None:
 
 
 class ExtensionSurvey(NamedTuple):
-    """Addability scan: the rank-lifting singletons and the
-    lexicographically smallest probe pair (None if no pair qualifies)."""
+    """Addability scan: the rank-lifting singletons (`direct`) and the
+    probe pair: the lexicographically smallest (s, t), s < t, of flat
+    elements with `rmin(I + s + t) > |I|`, found by the prefix searches of
+    `survey_extensions` (None if no pair qualifies)."""
 
     direct: tuple[int, ...]
     pair: StarPair | None
@@ -253,13 +255,25 @@ class ExtensionSurvey(NamedTuple):
 
 
 def survey_extensions(o: Oracle, I: int, first: bool = False) -> ExtensionSurvey:
-    """Scan single and pairwise additions to I through the oracle.
+    """Scan the additions to the common independent set I through the oracle.
 
-    Collects every element whose addition lifts the min-rank, then scans
-    the pairs of flat elements for the lexicographically smallest probe
-    pair. The weighted solvers need the pair even when rank-lifting
+    Collects every element whose addition lifts the min-rank, then finds
+    the lexicographically smallest probe pair among the flat elements (the
+    rest). The weighted solvers need the pair even when rank-lifting
     singletons exist. With `first`, the scan stops at the first rank-lifting
     element and reports it alone, with no pair.
+
+    The pair comes from two prefix searches, not from asking every pair. A
+    flat element is addable in one matroid or in neither, never in both, so
+    for P ⊆ flat, `rmin(I ∪ P) > |I|` holds iff P meets both addable
+    classes; along prefixes of the flat list that predicate is monotone.
+    The shortest lifting prefix ends at t; the shortest prefix of the
+    elements before t that lifts with t added ends at s. Each search
+    gallops (`_shortest_lift`): the first asks prefixes of length 2, 4,
+    8, ... and then the whole list, the second asks lengths 1, 2, 4, ...
+    below t's position; then each binary-searches the last gap. A lift is
+    any value above |I|, since a longer prefix can lift by two. An answer
+    outside |I| .. |I| + |P| // 2 breaks the premise and raises ValueError.
     """
     k = popcount(I)
     direct = []
@@ -271,11 +285,62 @@ def survey_extensions(o: Oracle, I: int, first: bool = False) -> ExtensionSurvey
             direct.append(x)
         else:
             flat.append(x)
-    for i, s in enumerate(flat):
-        for t in flat[i + 1 :]:
-            if o.rmin(I | bit(s) | bit(t)) == k + 1:
-                return ExtensionSurvey(tuple(direct), StarPair(s, t))
-    return ExtensionSurvey(tuple(direct), None)
+    prefix = [0]
+    for x in flat:
+        prefix.append(prefix[-1] | bit(x))
+
+    def lifts(P: int) -> bool:
+        value = o.rmin(I | P)
+        # Each flat element of P is addable in at most one matroid.
+        top = k + popcount(P) // 2
+        if not k <= value <= top:
+            raise ValueError(
+                f"rmin({format_set(I | P)}) = {value}, but adding the flat "
+                f"elements {format_set(P)} to I = {format_set(I)} must give "
+                f"{k} to {top}"
+            )
+        return value > k
+
+    # A one-element prefix is flat: the scan above asked it.
+    j = _shortest_lift(lambda L: lifts(prefix[L]), 1, len(flat), False)
+    if j is None:
+        return ExtensionSurvey(tuple(direct), None)
+    t = flat[j - 1]
+    i = _shortest_lift(lambda L: lifts(prefix[L] | bit(t)), 0, j - 1, True)
+    return ExtensionSurvey(tuple(direct), StarPair(flat[i - 1], t))
+
+
+def _shortest_lift(
+    lifts: Callable[[int], bool], lo: int, hi: int, known: bool
+) -> int | None:
+    """The least length L in (lo, hi] with `lifts(L)`, for a predicate
+    monotone in L that fails at lo and, if `known`, holds at hi; None if it
+    fails at hi (or the range is empty).
+
+    Galloping: ask the powers of two above lo and below hi in order, then
+    hi unless known, up to the first that lifts; then binary-search the
+    last gap. A lift at position p costs about 2·log2(p) questions."""
+    if hi <= lo:
+        return None
+    L = 1
+    while L <= lo:
+        L *= 2
+    while L < hi:
+        if lifts(L):
+            hi = L
+            break
+        lo = L
+        L *= 2
+    else:
+        if not known and not lifts(hi):
+            return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if lifts(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _star_sets(o: Oracle, I: int, sp: StarPair) -> tuple[int, int]:

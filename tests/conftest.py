@@ -19,6 +19,14 @@ def crossed_pair() -> tuple[PartitionMatroid, PartitionMatroid]:
     return m1, m2
 
 
+def lift_by_two_pair() -> tuple[PartitionMatroid, PartitionMatroid]:
+    """At the empty set every element is flat: 0 and 1 are loops of the
+    second matroid, 2 and 3 of the first, so {0,1,2,3} has min-rank 2."""
+    m1 = PartitionMatroid(4, (mask_of((0,)), mask_of((1,)), mask_of((2, 3))), (1, 1, 0))
+    m2 = PartitionMatroid(4, (mask_of((0, 1)), mask_of((2,)), mask_of((3,))), (0, 1, 1))
+    return m1, m2
+
+
 def triangle() -> GraphicMatroid:
     """Graphic matroid of the triangle; edges 0=(0,1), 1=(1,2), 2=(0,2)."""
     return GraphicMatroid(3, ((0, 1), (1, 2), (0, 2)))

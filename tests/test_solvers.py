@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -34,6 +35,7 @@ from minrank import (
     cheapest_path_augment,
     class_vector,
     common_independent_sets,
+    format_set,
     full_mask,
     iter_bits,
     lexicographic_max,
@@ -55,7 +57,7 @@ from minrank.cli import cardinality_trajectory
 from minrank.exchange import probe_pair_search
 from minrank.gadgets import COLORS
 from minrank.verify import simple_cycles, simple_st_paths
-from conftest import crossed_pair, fixture_weights, small_zoo, triangle
+from conftest import crossed_pair, fixture_weights, lift_by_two_pair, small_zoo, triangle
 
 
 def swap_pair() -> tuple[PartitionMatroid, PartitionMatroid]:
@@ -178,11 +180,12 @@ def test_max_cardinality_matches_brute():
 
 def test_max_cardinality_query_count_pinned():
     """The n=64 partition pair: 3,877 queries while the cardinality solver
-    built the whole probe-pair graph, 1,341 with on-demand arc tests."""
+    built the whole probe-pair graph, 1,341 with on-demand arc tests, and
+    1,345 since the survey finds its probe pair by prefix search."""
     inst = random_instance(7, 64, kinds=("partition",), weighted=True)
     run = max_cardinality(MinRankOracle(inst.matroid1, inst.matroid2))
     assert popcount(run.I) == 47
-    assert run.queries == 1341
+    assert run.queries == 1345
 
 
 def test_max_cardinality_swap_instance():
@@ -668,6 +671,37 @@ class PerturbedOracle(MinRankOracle):
         if self._rng.random() < 0.05:
             value += self._rng.choice((-1, 1))
         return value
+
+
+class ScriptedLiar(MinRankOracle):
+    """Answers `lies[mask]` for the masks it lies about, honestly elsewhere."""
+
+    def __init__(self, m1, m2, lies: dict[int, int]):
+        super().__init__(m1, m2)
+        self._lies = lies
+
+    def rmin(self, mask: int) -> int:
+        value = super().rmin(mask)
+        return self._lies.get(mask, value)
+
+
+@pytest.mark.parametrize(
+    "mask,value",
+    [
+        (mask_of((0, 1)), 2),  # the first prefix lifts two flat elements by two
+        (mask_of((0, 1)), -1),  # a prefix falls below |I|
+        (mask_of((0, 2)), 2),  # the first prefix of the second search, with t
+    ],
+    ids=["lifts-by-two", "below-I", "second-search"],
+)
+def test_survey_lie_is_a_contract_violation(mask, value):
+    """An answer the prefix searches of the survey cannot hold to (a set of
+    flat elements lifts the min-rank by more than half its size, or below
+    |I|) surfaces as ContractViolationError naming the set, never as a
+    TypeError or IndexError from a search."""
+    m1, m2 = lift_by_two_pair()
+    with pytest.raises(ContractViolationError, match=re.escape(format_set(mask))):
+        max_cardinality(ScriptedLiar(m1, m2, {mask: value}))
 
 
 @pytest.mark.parametrize("mode", ["cardinality", "lexmax", "weighted", "fpt"])
