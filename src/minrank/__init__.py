@@ -48,8 +48,6 @@ from .exchange import (
     build_true_graph,
     find_star_pair,
     intersect_modified,
-    reachability_certificate,
-    shortest_augmenting_path,
     survey_extensions,
 )
 from .gadgets import (

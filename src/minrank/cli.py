@@ -55,11 +55,7 @@ from .solvers import (
 from .verify import (
     BruteReport,
     audit_graphs,
-    brute_dual,
-    brute_lexmax,
-    brute_w_maximal,
-    check_promise_no_circuit_inclusion,
-    largest_circuit_size,
+    brute_table,
 )
 
 EXIT_OK = 0
@@ -196,8 +192,9 @@ def _verify_instance(inst: Instance, label: str) -> list[BruteReport]:
 
     o = MinRankOracle(m1, m2)
     run = max_cardinality(o)
-    # brute_dual raises unless its value is the largest common set's size.
-    size, _ = brute_dual(m1, m2)
+    table = brute_table(m1, m2)
+    # The dual read raises unless its value is the largest common set's size.
+    size, _ = table.dual()
     make("max-common-size", size, popcount(run.I))
     make("dual-certificate-value", size, o.rmin(run.Z) + o.rmin(full_mask(n) & ~run.Z))
 
@@ -206,10 +203,10 @@ def _verify_instance(inst: Instance, label: str) -> list[BruteReport]:
         for I in run.sets:
             reports.extend(audit_graphs(m1, m2, I, instance=label))
 
-    if n <= 12 and check_promise_no_circuit_inclusion(m1, m2):
+    if n <= 12 and table.no_circuit_inclusion():
         wrun = weighted_no_circuit_inclusion(MinRankOracle(m1, m2), w)
         for lv in wrun.levels:
-            best, _ = brute_w_maximal(m1, m2, w, lv.k)
+            best, _ = table.w_maximal(w, lv.k)
             make(f"promise-weight-k{lv.k}", best, lv.weight)
             if n <= 8:
                 reports.extend(
@@ -217,16 +214,16 @@ def _verify_instance(inst: Instance, label: str) -> list[BruteReport]:
                 )
 
     if n <= 12:
-        gamma = max(largest_circuit_size(m1), largest_circuit_size(m2))
+        gamma = table.largest_circuit()
         if gamma <= 4:
             frun = weighted_fpt_circuit(MinRankOracle(m1, m2), w, max(gamma, 2))
             for lv in frun.levels:
-                best, _ = brute_w_maximal(m1, m2, w, lv.k)
+                best, _ = table.w_maximal(w, lv.k)
                 make(f"fpt-weight-k{lv.k}", best, lv.weight)
 
     if n <= 12:
         lrun = lexicographic_max(MinRankOracle(m1, m2), w)
-        best_vec, _ = brute_lexmax(m1, m2, w)
+        best_vec, _ = table.lexmax(w)
         make("lexmax-vector", best_vec, lrun.vector)
         witness_vec = class_vector(w, full_mask(n), lrun.I)
         make("lexmax-vector-of-witness", best_vec, witness_vec)

@@ -272,14 +272,25 @@ def survey_extensions(o: Oracle, I: int, first: bool = False) -> ExtensionSurvey
     gallops (`_shortest_lift`): the first asks prefixes of length 2, 4,
     8, ... and then the whole list, the second asks lengths 1, 2, 4, ...
     below t's position; then each binary-searches the last gap. A lift is
-    any value above |I|, since a longer prefix can lift by two. An answer
-    outside |I| .. |I| + |P| // 2 breaks the premise and raises ValueError.
+    any value above |I|, since a longer prefix can lift by two. A singleton
+    answer outside |I| .. |I| + 1, or a prefix answer outside
+    |I| .. |I| + |P| // 2, breaks the premise and raises ValueError.
     """
     k = popcount(I)
+
+    def lifts(P: int, top: int) -> bool:
+        value = o.rmin(I | P)
+        if not k <= value <= top:
+            raise ValueError(
+                f"rmin({format_set(I | P)}) = {value}, but adding "
+                f"{format_set(P)} to I = {format_set(I)} must give {k} to {top}"
+            )
+        return value > k
+
     direct = []
     flat = []
     for x in iter_bits(o.ground & ~I):
-        if o.rmin(I | bit(x)) == k + 1:
+        if lifts(bit(x), k + 1):
             if first:
                 return ExtensionSurvey((x,), None)
             direct.append(x)
@@ -289,24 +300,16 @@ def survey_extensions(o: Oracle, I: int, first: bool = False) -> ExtensionSurvey
     for x in flat:
         prefix.append(prefix[-1] | bit(x))
 
-    def lifts(P: int) -> bool:
-        value = o.rmin(I | P)
+    def lifts_flat(P: int) -> bool:
         # Each flat element of P is addable in at most one matroid.
-        top = k + popcount(P) // 2
-        if not k <= value <= top:
-            raise ValueError(
-                f"rmin({format_set(I | P)}) = {value}, but adding the flat "
-                f"elements {format_set(P)} to I = {format_set(I)} must give "
-                f"{k} to {top}"
-            )
-        return value > k
+        return lifts(P, k + popcount(P) // 2)
 
     # A one-element prefix is flat: the scan above asked it.
-    j = _shortest_lift(lambda L: lifts(prefix[L]), 1, len(flat), False)
+    j = _shortest_lift(lambda L: lifts_flat(prefix[L]), 1, len(flat), False)
     if j is None:
         return ExtensionSurvey(tuple(direct), None)
     t = flat[j - 1]
-    i = _shortest_lift(lambda L: lifts(prefix[L] | bit(t)), 0, j - 1, True)
+    i = _shortest_lift(lambda L: lifts_flat(prefix[L] | bit(t)), 0, j - 1, True)
     return ExtensionSurvey(tuple(direct), StarPair(flat[i - 1], t))
 
 

@@ -9,7 +9,7 @@ instances, not to compete with them.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .bitset import bit, elements_of, full_mask, iter_bits, mask_of, popcount
@@ -78,16 +78,80 @@ def common_independent_sets(m1: Matroid, m2: Matroid) -> Iterator[int]:
     yield from grow(0, 0)
 
 
+class BruteTable:
+    """Both hidden rank functions on every subset of E, each asked once.
+
+    `common` lists the common independent sets (r1 = r2 = |X|) ascending,
+    so the first best set of a read is its smallest witness. `circuits`
+    holds each matroid's dependent sets whose one-smaller subsets all have
+    rank one less. Every brute-force fact below is a read of these lists.
+    """
+
+    def __init__(self, m1: Matroid, m2: Matroid):
+        self.E = full_mask(m1.n)
+        subsets = range(self.E + 1)
+        self.r1 = [m1.rank(X) for X in subsets]
+        self.r2 = self.r1 if m2 is m1 else [m2.rank(X) for X in subsets]
+        self.common = [X for X in subsets if self.r1[X] == self.r2[X] == popcount(X)]
+
+    @cached_property
+    def circuits(self) -> tuple[list[int], list[int]]:
+        def minimal_dependent(r: list[int]) -> list[int]:
+            return [
+                X for X, v in enumerate(r) if v != popcount(X)
+                and all(r[X & ~bit(e)] == popcount(X) - 1 for e in iter_bits(X))
+            ]
+
+        return minimal_dependent(self.r1), minimal_dependent(self.r2)
+
+    def max_common(self) -> tuple[int, int]:
+        best = max(self.common, key=popcount)
+        return popcount(best), best
+
+    def dual(self) -> tuple[int, int]:
+        E, r1, r2 = self.E, self.r1, self.r2
+        rmin = [min(a, b) for a, b in zip(r1, r2)]
+        argmin = min(range(E + 1), key=lambda Z: rmin[Z] + rmin[E ^ Z])
+        value = rmin[argmin] + rmin[E ^ argmin]
+        classic = min(r1[Z] + r2[E ^ Z] for Z in range(E + 1))
+        size, _ = self.max_common()
+        if not value == classic == size:
+            raise ContractViolationError(
+                f"duality mismatch: min-rank form {value}, classical {classic}, "
+                f"max common {size}"
+            )
+        return value, argmin
+
+    def w_maximal(self, w: Sequence, k: int) -> tuple[Fraction | None, tuple[int, ...]]:
+        weighed = [(total_weight(w, I), I) for I in self.common if popcount(I) == k]
+        best = max((x for x, _ in weighed), default=None)
+        return best, tuple(I for x, I in weighed if x == best)
+
+    def lexmax(self, w: Sequence) -> tuple[tuple[int, ...], int]:
+        best = max(self.common, key=partial(class_vector, w, self.E))
+        return class_vector(w, self.E, best), best
+
+    def no_circuit_inclusion(self) -> bool:
+        c1, c2 = self.circuits
+        return not any(a & b in (a, b) for a in c1 for b in c2)
+
+    def largest_circuit(self) -> int:
+        c1, c2 = self.circuits
+        return max(map(popcount, c1 + c2), default=0)
+
+
+@lru_cache(maxsize=1)
+def brute_table(m1: Matroid, m2: Matroid) -> BruteTable:
+    """The table of the pair asked for last: the many checks on one pair
+    (each weight level, each audited set) build it once. Matroids are not
+    changed after construction, and readers copy what they hand out."""
+    return BruteTable(m1, m2)
+
+
 def brute_max_common(m1: Matroid, m2: Matroid) -> tuple[int, int]:
     """(max size, lexicographically smallest witness)."""
     _require(m1.n, 20, "brute_max_common")
-    best_size = -1
-    best = 0
-    for I in common_independent_sets(m1, m2):
-        k = popcount(I)
-        if k > best_size or (k == best_size and I < best):
-            best_size, best = k, I
-    return best_size, best
+    return brute_table(m1, m2).max_common()
 
 
 def brute_dual(m1: Matroid, m2: Matroid) -> tuple[int, int]:
@@ -97,27 +161,8 @@ def brute_dual(m1: Matroid, m2: Matroid) -> tuple[int, int]:
     r1(Z) + r2(E \\ Z) form, and the maximum common independent set size
     all agree.
     """
-    n = m1.n
-    _require(n, 20, "brute_dual")
-    E = full_mask(n)
-    best_min = None
-    best_classic = None
-    argmin = 0
-    for Z in range(E + 1):
-        co = E & ~Z
-        v_min = min(m1.rank(Z), m2.rank(Z)) + min(m1.rank(co), m2.rank(co))
-        v_classic = m1.rank(Z) + m2.rank(co)
-        if best_min is None or v_min < best_min:
-            best_min, argmin = v_min, Z
-        if best_classic is None or v_classic < best_classic:
-            best_classic = v_classic
-    size, _ = brute_max_common(m1, m2)
-    if not best_min == best_classic == size:
-        raise ContractViolationError(
-            f"duality mismatch: min-rank form {best_min}, classical {best_classic}, "
-            f"max common {size}"
-        )
-    return best_min, argmin
+    _require(m1.n, 20, "brute_dual")
+    return brute_table(m1, m2).dual()
 
 
 def brute_w_maximal(
@@ -128,17 +173,7 @@ def brute_w_maximal(
     Returns (None, ()) when no size-k common independent set exists.
     """
     _require(m1.n, 16, "brute_w_maximal")
-    best: Fraction | None = None
-    arg: list[int] = []
-    for I in common_independent_sets(m1, m2):
-        if popcount(I) != k:
-            continue
-        weight = total_weight(w, I)
-        if best is None or weight > best:
-            best, arg = weight, [I]
-        elif weight == best:
-            arg.append(I)
-    return best, tuple(sorted(arg))
+    return brute_table(m1, m2).w_maximal(w, k)
 
 
 def brute_lexmax(
@@ -147,27 +182,13 @@ def brute_lexmax(
     """(best class-count vector, smallest witness) over all common
     independent sets, comparing vectors lexicographically heaviest-first."""
     _require(m1.n, 16, "brute_lexmax")
-    ground = full_mask(m1.n)
-    best_vec: tuple[int, ...] | None = None
-    best = 0
-    for I in common_independent_sets(m1, m2):
-        vec = class_vector(w, ground, I)
-        if best_vec is None or vec > best_vec or (vec == best_vec and I < best):
-            best_vec, best = vec, I
-    assert best_vec is not None
-    return best_vec, best
+    return brute_table(m1, m2).lexmax(w)
 
 
 def circuits(m: Matroid) -> list[int]:
     """All minimal dependent sets, ascending as masks."""
     _require(m.n, 14, "circuit enumeration")
-    out = []
-    for X in range(1, full_mask(m.n) + 1):
-        if m.is_independent(X):
-            continue
-        if all(m.is_independent(X & ~bit(e)) for e in iter_bits(X)):
-            out.append(X)
-    return out
+    return list(brute_table(m, m).circuits[0])
 
 
 def check_promise_no_circuit_inclusion(m1: Matroid, m2: Matroid) -> bool:
@@ -177,19 +198,14 @@ def check_promise_no_circuit_inclusion(m1: Matroid, m2: Matroid) -> bool:
     empty, but the oracle hides which matroid is which, so this conservative
     symmetric check is what instance generators test against.
     """
-    c1 = circuits(m1)
-    c2 = circuits(m2)
-    for a in c1:
-        for b in c2:
-            if a & b in (a, b):  # b subset of a, or a subset of b
-                return False
-    return True
+    _require(m1.n, 14, "circuit enumeration")
+    return brute_table(m1, m2).no_circuit_inclusion()
 
 
 def largest_circuit_size(m: Matroid) -> int:
     """Size of the largest circuit; 0 for a free matroid."""
-    cs = circuits(m)
-    return max((popcount(c) for c in cs), default=0)
+    _require(m.n, 14, "circuit enumeration")
+    return brute_table(m, m).largest_circuit()
 
 
 # -- matchings ----------------------------------------------------------------
@@ -306,20 +322,10 @@ def consistency_summary(
     """Roll-up over all observations: ``consistent`` when every one is,
     ``overestimated-only``/``underestimated-only`` when all violations lean
     one way, ``neither`` when both kinds appear."""
-    over = under = False
-    for obs in observations:
-        verdict = check_consistency(g, obs)
-        if verdict == "overestimated-only":
-            over = True
-        elif verdict == "underestimated-only":
-            under = True
-    if over and under:
+    verdicts = {check_consistency(g, obs) for obs in observations} - {"consistent"}
+    if len(verdicts) > 1:
         return "neither"
-    if over:
-        return "overestimated-only"
-    if under:
-        return "underestimated-only"
-    return "consistent"
+    return verdicts.pop() if verdicts else "consistent"
 
 
 def audit_graphs(
@@ -477,18 +483,11 @@ def audit_graphs(
     reports.append(make("path-cycle-partition", (), bad_paths, bad_paths))
 
     # Weighted checks only make sense at a w-maximal set of its cardinality.
-    k = popcount(I)
-    best_w, arg = brute_w_maximal(m1, m2, w, k)
-    my_w = total_weight(w, I)
-    w_maximal = best_w is not None and my_w == best_w
-    has_neg_cycle_true = any(
-        path_cost(cyc, I, w) < 0 for cyc in simple_cycles(D)
-    )
+    w_maximal = brute_w_maximal(m1, m2, w, popcount(I))[0] == total_weight(w, I)
+    has_neg_cycle_true = any(path_cost(cyc, I, w) < 0 for cyc in simple_cycles(D))
     reports.append(make("neg-cycle-iff-not-maximal", not w_maximal, has_neg_cycle_true))
     if w_maximal:
-        neg = tuple(
-            cyc for cyc in simple_cycles(C) if path_cost(cyc, I, w) < 0
-        )
+        neg = tuple(cyc for cyc in simple_cycles(C) if path_cost(cyc, I, w) < 0)
         reports.append(make("resolved-no-negative-cycle", (), neg, neg))
 
         def optimal_paths(g: ExchangeGraph) -> tuple[object, set[frozenset[int]]]:

@@ -28,13 +28,16 @@ from minrank import (
     random_instance,
     random_lexmax_instance,
     random_promise_instance,
-    reachability_certificate,
-    shortest_augmenting_path,
     shortest_cheapest_path,
     survey_extensions,
 )
 from minrank.cli import cardinality_trajectory
-from minrank.exchange import _search, probe_pair_search
+from minrank.exchange import (
+    _search,
+    probe_pair_search,
+    reachability_certificate,
+    shortest_augmenting_path,
+)
 from minrank.verify import shortest_st_paths
 from conftest import crossed_pair, lift_by_two_pair, small_zoo, triangle
 

@@ -704,6 +704,16 @@ def test_survey_lie_is_a_contract_violation(mask, value):
         max_cardinality(ScriptedLiar(m1, m2, {mask: value}))
 
 
+@pytest.mark.parametrize("value", [-1, 2])
+def test_singleton_lie_is_a_contract_violation(value):
+    """A singleton answer outside |I| .. |I| + 1 (here at I = {}) is no
+    flat element and no lift; the survey's scan reports it by its mask
+    instead of filing the element as flat."""
+    m1, m2 = crossed_pair()
+    with pytest.raises(ContractViolationError, match=re.escape(format_set(bit(0)))):
+        max_cardinality(ScriptedLiar(m1, m2, {bit(0): value}))
+
+
 @pytest.mark.parametrize("mode", ["cardinality", "lexmax", "weighted", "fpt"])
 def test_lying_oracle_returns_or_reports_contract_violation(mode):
     """A lie may pass unnoticed, but it must never surface as a ValueError."""

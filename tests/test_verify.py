@@ -43,11 +43,25 @@ from minrank import (
 )
 from minrank.gadgets import COLORS
 from minrank.verify import (
+    BruteTable,
     has_perfect_matching,
     simple_cycles,
     simple_st_paths,
 )
 from conftest import crossed_pair, fixture_weights, small_zoo, triangle
+
+
+def _table_pairs() -> list:
+    """Every same-size pair of the zoo, and a pair that breaks exchange."""
+    pairs = [
+        pytest.param(m1, m2, id=f"{m1.kind}-{m2.kind}-n{m1.n}")
+        for m1 in small_zoo()
+        for m2 in small_zoo()
+        if m1.n == m2.n
+    ]
+    non_matroid = ExplicitMatroid(4, [0, 1, 2, 3, 4, 8, 12])
+    other = ExplicitMatroid(4, [0, 2, 4, 6, 8, 10])
+    return pairs + [pytest.param(non_matroid, other, id="non-matroid")]
 
 
 # -- exhaustive enumeration ----------------------------------------------------
@@ -58,6 +72,24 @@ def test_common_independent_sets_crossed():
     sets = sorted(common_independent_sets(m1, m2))
     assert sets == [0, 1, 2, 4, 6, 8, 9]
     assert all(m1.is_independent(I) and m2.is_independent(I) for I in sets)
+
+
+@pytest.mark.parametrize("m1,m2", _table_pairs())
+def test_brute_table_agrees_with_independent_judges(m1, m2):
+    """The table's common sets are the depth-first enumeration's (an
+    ExplicitMatroid reads independence off its bases, so its independent
+    sets stay downward closed even where exchange fails), and its circuits
+    are the minimal dependent sets."""
+    table = BruteTable(m1, m2)
+    assert table.common == sorted(common_independent_sets(m1, m2))
+    for m, got in zip((m1, m2), table.circuits):
+        minimal_dependent = [
+            X
+            for X in range(1, full_mask(m.n) + 1)
+            if not m.is_independent(X)
+            and all(m.is_independent(X & ~bit(e)) for e in range(m.n) if (X >> e) & 1)
+        ]
+        assert got == minimal_dependent
 
 
 def test_brute_max_common_crossed():
