@@ -40,7 +40,6 @@ from .core import (
 )
 from .errors import ContractViolationError, NegativeCycleError
 from .exchange import (
-    DirectAugment,
     ExchangeGraph,
     ExtensionSurvey,
     StarPair,

@@ -8,7 +8,7 @@ difference is ``^``.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 MAX_GROUND = 64
 
@@ -66,9 +66,10 @@ def small_subsets(mask: int, k: int) -> list[int]:
     return [mask_of(c) for r in range(1, k + 1) for c in combinations(elems, r)]
 
 
-def format_set(mask: int) -> str:
-    """Render a mask as '{0,3,5}' with ascending ids (deterministic)."""
-    return "{" + ",".join(str(e) for e in iter_bits(mask)) + "}"
+def format_set(mask: int, names: Sequence[str] | None = None) -> str:
+    """Render a mask as '{0,3,5}' with ascending ids (deterministic), or
+    with each id replaced by its entry in `names`."""
+    return "{" + ",".join(names[e] if names else str(e) for e in iter_bits(mask)) + "}"
 
 
 def parse_set(text: str) -> int:

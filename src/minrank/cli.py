@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence, TextIO
 
-from .bitset import format_set, full_mask, iter_bits, mask_of, parse_set, popcount
+from .bitset import format_set, full_mask, mask_of, parse_set, popcount
 from .consistency import almost_consistent_graph
 from .core import PartitionMatroid
 from .errors import ContractViolationError
@@ -91,12 +91,6 @@ def _parse_mask(text: str, n: int) -> int:
     return mask
 
 
-def _named(mask: int, names: tuple[str, ...] | None) -> str:
-    if names is None:
-        return format_set(mask)
-    return "{" + ",".join(names[e] for e in iter_bits(mask)) + "}"
-
-
 def _load(path: str) -> Instance:
     try:
         return load(path)
@@ -108,10 +102,10 @@ def _load(path: str) -> Instance:
 
 def _print_levels(run: WeightedRun, names: tuple[str, ...] | None, out: TextIO) -> None:
     for lv in run.levels:
-        print(f"level k={lv.k}: weight {lv.weight} set {_named(lv.I, names)}", file=out)
+        print(f"level k={lv.k}: weight {lv.weight} set {format_set(lv.I, names)}", file=out)
     best = run.best
-    print(f"best: k={best.k} weight {best.weight} set {_named(best.I, names)}", file=out)
-    print(f"certificate: {_named(run.certificate, names)}", file=out)
+    print(f"best: k={best.k} weight {best.weight} set {format_set(best.I, names)}", file=out)
+    print(f"certificate: {format_set(run.certificate, names)}", file=out)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -130,9 +124,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.mode == "cardinality":
         run = max_cardinality(o)
         print(f"size: {popcount(run.I)}", file=out)
-        print(f"witness: {_named(run.I, inst.names)}", file=out)
+        print(f"witness: {format_set(run.I, inst.names)}", file=out)
         dual = o.rmin(run.Z) + o.rmin(full_mask(inst.n) & ~run.Z)
-        print(f"dual set: {_named(run.Z, inst.names)}", file=out)
+        print(f"dual set: {format_set(run.Z, inst.names)}", file=out)
         print(f"dual value: {dual}", file=out)
         print(f"oracle queries: {run.queries}", file=out)
         trace = run.trace
@@ -154,13 +148,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         classes = weight_classes(w, full_mask(inst.n))
         print(f"classes: {' '.join(str(c) for c in classes)}", file=out)
         print(f"vector: {' '.join(str(c) for c in lrun.vector)}", file=out)
-        print(f"witness: {_named(lrun.I, inst.names)}", file=out)
+        print(f"witness: {format_set(lrun.I, inst.names)}", file=out)
         print(f"weight: {total_weight(w, lrun.I)}", file=out)
         print(f"oracle queries: {lrun.queries}", file=out)
         trace = lrun.trace
     else:  # approx
         arun = approx_max_weight(o, w)
-        print(f"witness: {_named(arun.I, inst.names)}", file=out)
+        print(f"witness: {format_set(arun.I, inst.names)}", file=out)
         print(f"weight: {arun.weight}", file=out)
         print(f"guarantee: {arun.guarantee}", file=out)
         print(f"alpha: {arun.alpha if arun.alpha is not None else 'n/a'}", file=out)
@@ -203,30 +197,25 @@ def _verify_instance(inst: Instance, label: str) -> list[BruteReport]:
         for I in run.sets:
             reports.extend(audit_graphs(m1, m2, I, instance=label))
 
-    if n <= 12 and table.no_circuit_inclusion():
-        wrun = weighted_no_circuit_inclusion(MinRankOracle(m1, m2), w)
-        for lv in wrun.levels:
-            best, _ = table.w_maximal(w, lv.k)
-            make(f"promise-weight-k{lv.k}", best, lv.weight)
-            if n <= 8:
-                reports.extend(
-                    audit_graphs(m1, m2, lv.I, w=w, instance=label)
-                )
-
     if n <= 12:
+        if table.no_circuit_inclusion():
+            wrun = weighted_no_circuit_inclusion(MinRankOracle(m1, m2), w)
+            for lv in wrun.levels:
+                best, _ = table.w_maximal(w, lv.k)
+                make(f"promise-weight-k{lv.k}", best, lv.weight)
+                if n <= 8:
+                    reports.extend(audit_graphs(m1, m2, lv.I, w=w, instance=label))
         gamma = table.largest_circuit()
         if gamma <= 4:
             frun = weighted_fpt_circuit(MinRankOracle(m1, m2), w, max(gamma, 2))
             for lv in frun.levels:
                 best, _ = table.w_maximal(w, lv.k)
                 make(f"fpt-weight-k{lv.k}", best, lv.weight)
-
-    if n <= 12:
         lrun = lexicographic_max(MinRankOracle(m1, m2), w)
         best_vec, _ = table.lexmax(w)
         make("lexmax-vector", best_vec, lrun.vector)
-        witness_vec = class_vector(w, full_mask(n), lrun.I)
-        make("lexmax-vector-of-witness", best_vec, witness_vec)
+        classes = weight_classes(w, full_mask(n))
+        make("lexmax-vector-of-witness", best_vec, class_vector(w, classes, lrun.I))
     return reports
 
 
@@ -268,7 +257,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     inst = _load(args.instance)
     I = _parse_mask(args.set, inst.n)
     o = MinRankOracle(inst.matroid1, inst.matroid2)
-    if o.rmin(I) != popcount(I):
+    if not o.is_common_independent(I):
         raise UsageError(f"--set {format_set(I)} is not a common independent set")
     g: ExchangeGraph
     if args.which == "true":

@@ -103,18 +103,11 @@ class TwoSat:
         """Add a disjunction of two folded literals (True/False/signed int)."""
         if l1 is True or l2 is True:
             return
-        if l1 is False and l2 is False:
-            self.contradiction = True
-            return
-        if l1 is False:
-            assert isinstance(l2, int)
-            self.clauses.append((l2, l2))
-        elif l2 is False:
-            assert isinstance(l1, int)
-            self.clauses.append((l1, l1))
+        lits = [lit for lit in (l1, l2) if lit is not False]
+        if lits:
+            self.clauses.append((lits[0], lits[-1]))
         else:
-            assert isinstance(l1, int) and isinstance(l2, int)
-            self.clauses.append((l1, l2))
+            self.contradiction = True
 
     def unsatisfied(self, assignment: Mapping[Arc, bool]) -> list[tuple[int, int]]:
         """The clauses that `assignment` falsifies, in clause order."""

@@ -291,11 +291,8 @@ class ExplicitMatroid(Matroid):
         fam = set(family)
         fam.add(0)
         self.family = frozenset(fam)
-        maximal = [
-            f for f in fam if not any(g != f and g & f == f for g in fam)
-        ]
-        top = max((popcount(f) for f in maximal), default=0)
-        self.bases = tuple(sorted(f for f in maximal if popcount(f) == top))
+        top = max(map(popcount, fam))
+        self.bases = tuple(sorted(f for f in fam if popcount(f) == top))
         self._rank_cache: dict[int, int] = {}
 
     def _rank(self, mask: int) -> int:

@@ -40,12 +40,6 @@ class StarPair(NamedTuple):
     t: int
 
 
-class DirectAugment(NamedTuple):
-    """An element whose single addition already lifts the min-rank."""
-
-    x: int
-
-
 class ExchangeGraph:
     """Dense bipartite arc structure over (E \\ I, I) with sure/suspicious labels.
 
@@ -232,12 +226,10 @@ def build_true_graph(m1: Matroid, m2: Matroid, I: int) -> ExchangeGraph:
     return ExchangeGraph(m1.n, I, S, T, arcs1, arcs2, kind="true")
 
 
-def find_star_pair(o: Oracle, I: int) -> StarPair | DirectAugment | None:
-    """`survey_extensions` with early exit: a DirectAugment for the smallest
-    rank-lifting element, else the probe pair, else None (every pairwise
-    addition is flat; the whole ground set is then a dual certificate)."""
-    survey = survey_extensions(o, I, first=True)
-    return DirectAugment(survey.direct[0]) if survey.direct else survey.pair
+def find_star_pair(o: Oracle, I: int) -> ExtensionSurvey:
+    """`survey_extensions(o, I, first=True)`. No solver calls it; it stays
+    because `perfbench/spans.py` hooks this name, and goes with that hook."""
+    return survey_extensions(o, I, first=True)
 
 
 class ExtensionSurvey(NamedTuple):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, product
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .bitset import (
     MAX_GROUND,
@@ -449,9 +449,6 @@ def verify_gadget(gi: GadgetInstance) -> list[BruteReport]:
     D = build_true_graph(m1, m2, gi.I)
     rmin = MinRankOracle(m1, m2).rmin
 
-    def nameset(mask: int) -> str:
-        return "{" + ",".join(gi.names[e] for e in iter_bits(mask)) + "}"
-
     reports: list[BruteReport] = []
     I, s, t, k = gi.I, gi.s, gi.t, gi.k
 
@@ -459,7 +456,10 @@ def verify_gadget(gi: GadgetInstance) -> list[BruteReport]:
     for (X, Y), want in sorted(gi.values.items()):
         got = rmin((I | X) & ~Y)
         if got != want:
-            bad_values.append(f"{nameset(X)}-for-{nameset(Y)}: rank {got} vs {want}")
+            bad_values.append(
+                f"{format_set(X, gi.names)}-for-{format_set(Y, gi.names)}: "
+                f"rank {got} vs {want}"
+            )
     witnesses = tuple(bad_values[:5])
     reports.append(make("le-values", (), witnesses, witnesses))
 
@@ -528,49 +528,60 @@ def _block_consistent(
     )
 
 
+def _block_situations(
+    gi: GadgetInstance,
+    xs: Sequence[int],
+    ys: Sequence[int],
+    situation: Callable[[dict[Slot, str | None]], object],
+    expected: Sequence,
+    label: str,
+) -> dict:
+    """Slot states between xs and ys that satisfy their observed values,
+    keyed by `situation(states)`.
+
+    Exhausts the 3^(|xs|·|ys|) states of the block's slots and requires
+    exactly one survivor per key in `expected`.
+    """
+    slots = [(x, y) for x in xs for y in ys]
+    survivors = []
+    for combo in product(_SLOT_STATES, repeat=len(slots)):
+        states = dict(zip(slots, combo))
+        if _block_consistent(gi, states, xs, ys):
+            survivors.append((situation(states), states))
+    out = dict(survivors)
+    if len(survivors) != len(expected) or set(out) != set(expected):
+        keys = [key for key, _ in survivors]
+        raise RuntimeError(f"{label}: consistent situations {keys}")
+    return out
+
+
 def _vertex_configs(
     gi: GadgetInstance, v: int
 ) -> dict[Color, dict[Slot, str | None]]:
-    """Slot states of one vertex block satisfying its observed values.
-
-    Exhausts all 3^4 states of the four suspicious slots; exactly the four
-    color situations survive, keyed by the position of the arc into I.
-    """
+    """Slot states of one vertex block: exactly the four color situations
+    survive, keyed by the position of the arc into I."""
     vx, vy = gi.vertex_x[v], gi.vertex_y[v]
-    slots = [(x, y) for x in vx for y in vy]
-    survivors: list[tuple[Color, dict[Slot, str | None]]] = []
-    for combo in product(_SLOT_STATES, repeat=len(slots)):
-        states = dict(zip(slots, combo))
-        if not _block_consistent(gi, states, vx, vy):
-            continue
-        color = next(
-            (i + 1, j + 1)
-            for i, x in enumerate(vx)
-            for j, y in enumerate(vy)
-            if states[(x, y)] == "a"
-        )
-        survivors.append((color, states))
-    out = dict(survivors)
-    if len(survivors) != 4 or len(out) != 4:
-        raise RuntimeError(f"vertex {v}: {len(survivors)} consistent situations")
-    return out
+    colors = {(x, y): (i + 1, j + 1) for i, x in enumerate(vx) for j, y in enumerate(vy)}
+
+    def color(states: Mapping[Slot, str | None]) -> Color | None:
+        return next((colors[slot] for slot, st in states.items() if st == "a"), None)
+
+    return _block_situations(gi, vx, vy, color, COLORS, f"vertex {v}")
 
 
 def _edge_index_configs(
     gi: GadgetInstance, e: int, index: int
 ) -> dict[str, dict[Slot, str | None]]:
-    """Slot states of one edge sub-gadget; exactly "A" and "B" survive."""
-    ex, ey = gi.edge_x[e], gi.edge_y[e]
-    xu, xw = (ex[0], ex[1]) if index == 0 else (ex[2], ex[3])
-    ye = ey[index]
-    survivors: dict[str, dict[Slot, str | None]] = {}
-    for du, dw in product(_SLOT_STATES, repeat=2):
-        states: dict[Slot, str | None] = {(xu, ye): du, (xw, ye): dw}
-        if _block_consistent(gi, states, (xu, xw), (ye,)):
-            survivors["A" if du == "a" else "B"] = states
-    if len(survivors) != 2:
-        raise RuntimeError(f"edge {e} index {index}: {sorted(survivors)}")
-    return survivors
+    """Slot states of one edge sub-gadget: exactly one "A" (the arc into I
+    at the first endpoint's element) and one "B" survive."""
+    ex = gi.edge_x[e]
+    xs = (ex[0], ex[1]) if index == 0 else (ex[2], ex[3])
+    ye = gi.edge_y[e][index]
+
+    def orientation(states: Mapping[Slot, str | None]) -> str:
+        return "A" if states[(xs[0], ye)] == "a" else "B"
+
+    return _block_situations(gi, xs, (ye,), orientation, "AB", f"edge {e} index {index}")
 
 
 def _endpoint_compatible(
@@ -578,23 +589,22 @@ def _endpoint_compatible(
     e: int,
     side: int,
     color_states: Mapping[Slot, str | None],
-    cfgs: tuple[str, str],
+    edge_states: Sequence[Mapping[Slot, str | None]],
 ) -> bool:
-    """Whether a vertex situation coexists with an edge orientation pair.
+    """Whether a vertex situation coexists with the situations of the
+    edge's two sub-gadgets.
 
     Checks every small-exchange value over the joint local universe of the
     vertex block and the edge's elements at this endpoint, with the forced
     double arcs filled in on unconstrained slots and the cross slots left
     empty.
     """
-    u, w = gi.graph.edges[e]
-    v = (u, w)[side]
+    v = gi.graph.edges[e][side]
     ex, ey = gi.edge_x[e], gi.edge_y[e]
     vx, vy = gi.vertex_x[v], gi.vertex_y[v]
     states: dict[Slot, str | None] = dict(color_states)
-    for i, cfg in enumerate(cfgs):
-        xu, xw = (ex[0], ex[1]) if i == 0 else (ex[2], ex[3])
-        states.update(_edge_slot_arcs(cfg, xu, xw, ey[i]))
+    for sub in edge_states:
+        states.update(sub)
     xloc = [vx[0], vx[1], ex[side], ex[2 + side]]
     yloc = [vy[0], vy[1], ey[0], ey[1]]
     for x in xloc:
@@ -625,18 +635,17 @@ def colorings_from_consistent_graphs(gi: GadgetInstance) -> set[tuple[Color, ...
         raise ValueError("enumeration is capped at 4 vertices and 4 edges")
 
     vertex_configs = [_vertex_configs(gi, v) for v in range(graph.vertices)]
-    for e in range(len(edges)):
-        for index in (0, 1):
-            _edge_index_configs(gi, e, index)
     cfg_pairs = tuple(product("AB", repeat=2))
     edge_ok: list[dict[tuple[int, Color, tuple[str, str]], bool]] = []
     for e, (u, w) in enumerate(edges):
+        subs = [_edge_index_configs(gi, e, index) for index in (0, 1)]
         table: dict[tuple[int, Color, tuple[str, str]], bool] = {}
         for side, v in ((0, u), (1, w)):
             for color, cstates in vertex_configs[v].items():
                 for cfgs in cfg_pairs:
+                    edge_states = (subs[0][cfgs[0]], subs[1][cfgs[1]])
                     table[(side, color, cfgs)] = _endpoint_compatible(
-                        gi, e, side, cstates, cfgs
+                        gi, e, side, cstates, edge_states
                     )
         edge_ok.append(table)
 

@@ -36,10 +36,8 @@ from .consistency import (
 )
 from .errors import ContractViolationError, NegativeCycleError
 from .exchange import (
-    DirectAugment,
     ExchangeGraph,
     StarPair,
-    find_star_pair,
     intersect_modified,
     probe_pair_search,
     survey_extensions,
@@ -161,15 +159,23 @@ def shortest_cheapest_path(
 # -- cardinality --------------------------------------------------------------
 
 
-def augment_min_rank(o: Oracle, I: int) -> SolveResult:
+# One augmentation step's result, then its trace line's action and detail.
+_Outcome = tuple[SolveResult, str, str]
+
+
+def _certify(Z: int) -> _Outcome:
+    return Certificate(Z), "certificate", f"Z={format_set(Z)}"
+
+
+def augment_min_rank(o: Oracle, I: int) -> _Outcome:
     """One cardinality augmentation step.
 
-    In order: if some single element lifts the min-rank, add the smallest
-    such; if every pairwise extension stays flat, the whole ground set is a
-    duality certificate; otherwise search the graph of the survey's probe
+    In order: if every pairwise extension stays flat, the whole ground set
+    is a duality certificate; if some single element lifts the min-rank,
+    add the smallest such; otherwise search the graph of the survey's probe
     pair from its sinks, testing arcs on demand, and either swap along a
-    shortest source-sink path or return the set of vertices that reach a
-    sink.
+    shortest source-sink path or certify with the set of vertices that
+    reach a sink.
 
     The size of the result does not depend on the probe pair, but J and Z
     can: the survey's lexicographically smallest pair may have a true sink
@@ -177,15 +183,17 @@ def augment_min_rank(o: Oracle, I: int) -> SolveResult:
     `random_instance(111, 7)` at I={1,3,4})."""
     if not o.is_common_independent(I):
         raise ValueError("I is not a common independent set")
-    probe = find_star_pair(o, I)
-    if probe is None:
-        return Certificate(o.ground)
-    if isinstance(probe, DirectAugment):
-        return Augmented(I | bit(probe.x))
-    path, Z = probe_pair_search(o, I, probe)
-    if path is None:
-        return Certificate(Z)
-    return Augmented(I ^ mask_of(path))
+    survey = survey_extensions(o, I, first=True)
+    if survey.all_flat:
+        return _certify(o.ground)
+    if survey.direct:
+        J = I | bit(survey.direct[0])
+    else:
+        path, Z = probe_pair_search(o, I, survey.pair)
+        if path is None:
+            return _certify(Z)
+        J = I ^ mask_of(path)
+    return Augmented(J), "augment", f"J={format_set(J)}"
 
 
 class CardinalityRun(NamedTuple):
@@ -201,14 +209,6 @@ class CardinalityRun(NamedTuple):
     def I(self) -> int:
         """The last set the run reached."""
         return self.sets[-1]
-
-
-# One augmentation step's result, then its trace line's action and detail.
-_Outcome = tuple[SolveResult, str, str]
-
-
-def _certify(Z: int) -> _Outcome:
-    return Certificate(Z), "certificate", f"Z={format_set(Z)}"
 
 
 def _run(o: Oracle, step: Callable[[int], _Outcome]) -> CardinalityRun:
@@ -239,14 +239,7 @@ def _run(o: Oracle, step: Callable[[int], _Outcome]) -> CardinalityRun:
 def max_cardinality(o: Oracle) -> CardinalityRun:
     """Grow from the empty set one augmentation at a time until a duality
     certificate proves maximality, keeping every set passed through."""
-
-    def step(I: int) -> _Outcome:
-        res = augment_min_rank(o, I)
-        if isinstance(res, Certificate):
-            return _certify(res.Z)
-        return res, "augment", f"J={format_set(res.J)}"
-
-    return _run(o, step)
+    return _run(o, lambda I: augment_min_rank(o, I))
 
 
 # -- weighted augmentation ----------------------------------------------------
@@ -493,14 +486,13 @@ def weight_classes(w: Sequence, ground: int) -> list[Fraction]:
     return sorted({Fraction(w[e]) for e in iter_bits(ground)}, reverse=True)
 
 
-def class_vector(w: Sequence, ground: int, I: int) -> tuple[int, ...]:
-    """Element counts of I per weight class, heaviest class first."""
-    classes = weight_classes(w, ground)
-    pos = {c: i for i, c in enumerate(classes)}
-    counts = [0] * len(classes)
+def class_vector(w: Sequence, classes: Sequence[Fraction], I: int) -> tuple[int, ...]:
+    """Element counts of I per weight class, in the order of `classes`
+    (from `weight_classes`, so heaviest first)."""
+    counts = dict.fromkeys(classes, 0)
     for e in iter_bits(I):
-        counts[pos[Fraction(w[e])]] += 1
-    return tuple(counts)
+        counts[Fraction(w[e])] += 1
+    return tuple(counts.values())
 
 
 class LexmaxRun(NamedTuple):
@@ -519,34 +511,31 @@ def lexicographic_max(o: Oracle, w: Sequence) -> LexmaxRun:
     possible, then second-heaviest, and so on.
 
     Runs the weighted augmentation with the proof's huge weights, exact as
-    Python ints: an element of the i-th heaviest of `ell` classes weighs
-    B^(ell-1-i). Every cost compared is a signed class-count vector of a
+    Python ints: an element of the j-th lightest class, counting from 0,
+    weighs B^j. Every cost compared is a signed class-count vector of a
     simple path or set, with L1 norm at most n, so two of them differ by at
     most 2n < B = 2n+1 in L1 and integer order equals lexicographic order,
     ties included. The per-level results are class-vector-maximal at each
     cardinality, the heaviest level is the lexicographic maximum, and the
     levels report the caller's weights. A `path` trace line states the cost
-    as the signed class vector, with `path_cost`'s signs."""
-    ground = o.ground
-    classes = weight_classes(w, ground)
-    ell = len(classes)
-    pos = {c: i for i, c in enumerate(classes)}
+    of a path P as the class vector of P ∩ I minus that of P \\ I, the
+    signs of `path_cost`."""
+    classes = weight_classes(w, o.ground)
     B = 2 * o.n + 1
-    huge = [0] * o.n
-    for e in iter_bits(ground):
-        huge[e] = B ** (ell - 1 - pos[Fraction(w[e])])
+    weight = {c: B**i for i, c in enumerate(reversed(classes))}
+    huge = [weight[Fraction(w[e])] if (o.ground >> e) & 1 else 0 for e in range(o.n)]
 
     def price(path: Sequence[int], I: int, _: Sequence) -> tuple[int, ...]:
-        vector = [0] * ell
-        for e in path:
-            vector[pos[Fraction(w[e])]] += 1 if (I >> e) & 1 else -1
-        return tuple(vector)
+        P = mask_of(path)
+        inside = class_vector(w, classes, P & I)
+        outside = class_vector(w, classes, P & ~I)
+        return tuple(a - b for a, b in zip(inside, outside))
 
     run = _run(o, lambda I: cheapest_path_augment(o, huge, I, price))
     best = max(run.sets, key=lambda I: (total_weight(huge, I), -popcount(I)))
     return LexmaxRun(
         best,
-        class_vector(w, ground, best),
+        class_vector(w, classes, best),
         _levels(run, w),
         run.Z,
         run.queries,

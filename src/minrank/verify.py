@@ -25,7 +25,7 @@ from .exchange import (
     survey_extensions,
 )
 from .oracle import MinRankOracle
-from .solvers import class_vector, path_cost, total_weight
+from .solvers import class_vector, path_cost, total_weight, weight_classes
 
 
 class BruteReport(NamedTuple):
@@ -128,8 +128,9 @@ class BruteTable:
         return best, tuple(I for x, I in weighed if x == best)
 
     def lexmax(self, w: Sequence) -> tuple[tuple[int, ...], int]:
-        best = max(self.common, key=partial(class_vector, w, self.E))
-        return class_vector(w, self.E, best), best
+        vector = partial(class_vector, w, weight_classes(w, self.E))
+        best = max(self.common, key=vector)
+        return vector(best), best
 
     def no_circuit_inclusion(self) -> bool:
         c1, c2 = self.circuits

@@ -378,6 +378,18 @@ def test_twosat_constant_folding():
     assert solve_2sat(ts) is None
 
 
+def test_twosat_folds_constants_on_either_side():
+    ts = TwoSat([(0, 1), (1, 0)])
+    ts.add(1, True)
+    ts.add(True, False)
+    assert ts.clauses == [] and not ts.contradiction
+    ts.add(-2, False)
+    ts.add(False, 1)
+    ts.add(1, -2)
+    assert ts.clauses == [(-2, -2), (1, 1), (1, -2)]
+    assert not ts.contradiction
+
+
 def test_twosat_unsatisfied():
     ts = TwoSat([(0, 1), (2, 3)])
     ts.add(1, 2)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,25 @@ def test_explicit_from_family():
     e = ExplicitMatroid(3, fam)
     for mask in range(8):
         assert e.rank(mask) == u.rank(mask)
+
+
+def test_explicit_bases_are_the_largest_maximal_members():
+    """The bases are the largest members, which are exactly the maximal
+    members of the largest size, for matroid and non-matroid families."""
+    families = [
+        (m.n, [X for X in range(1 << m.n) if m.is_independent(X)]) for m in small_zoo()
+    ]
+    families.append((4, [0, 1, 2, 3, 4, 8, 12]))  # not a matroid
+    rng = random.Random(0)
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        families.append((n, rng.sample(range(1 << n), rng.randint(1, min(40, 1 << n)))))
+    for n, family in families:
+        fam = set(family) | {0}
+        maximal = [f for f in fam if not any(g != f and g & f == f for g in fam)]
+        top = max(map(popcount, maximal))
+        want = tuple(sorted(f for f in maximal if popcount(f) == top))
+        assert ExplicitMatroid(n, family).bases == want
 
 
 def test_rank_axioms_exhaustive():

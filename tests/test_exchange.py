@@ -8,7 +8,6 @@ import random
 import pytest
 
 from minrank import (
-    DirectAugment,
     ExchangeGraph,
     ExtensionSurvey,
     MinRankOracle,
@@ -81,17 +80,17 @@ def test_true_graph_rejects_dependent_set():
 
 def test_find_star_pair_direct_augment():
     o = MinRankOracle(*crossed_pair())
-    assert find_star_pair(o, bit(0)) == DirectAugment(3)
+    assert find_star_pair(o, bit(0)).direct == (3,)
 
 
 def test_find_star_pair_none_at_maximum():
     o = MinRankOracle(*crossed_pair())
-    assert find_star_pair(o, mask_of((0, 3))) is None
+    assert find_star_pair(o, mask_of((0, 3))).all_flat
 
 
 def test_find_star_pair_empty_set_loopless():
     o = MinRankOracle(*crossed_pair())
-    assert find_star_pair(o, 0) == DirectAugment(0)
+    assert find_star_pair(o, 0).direct == (0,)
 
 
 def test_survey_extensions_lists_all_direct():
@@ -292,7 +291,7 @@ def test_modified_graph_contains_true_graph():
         for I in range(1 << n):
             if not (m1.is_independent(I) and m2.is_independent(I)):
                 continue
-            sp = find_star_pair(o, I)
+            sp = find_star_pair(o, I).pair
             if not isinstance(sp, StarPair):
                 continue
             D = build_true_graph(m1, m2, I)
@@ -313,7 +312,7 @@ def test_sure_arcs_are_true_arcs():
     for I in range(16):
         if not o.is_common_independent(I):
             continue
-        sp = find_star_pair(o, I)
+        sp = find_star_pair(o, I).pair
         if not isinstance(sp, StarPair):
             continue
         D = build_true_graph(m1, m2, I)
@@ -337,7 +336,7 @@ def test_single_sink_intersection_equals_modified():
             for I in range(1 << m1.n):
                 if not o.is_common_independent(I):
                     continue
-                sp = find_star_pair(o, I)
+                sp = find_star_pair(o, I).pair
                 if not isinstance(sp, StarPair):
                     continue
                 M = build_modified_graph(o, I, sp)
@@ -361,7 +360,7 @@ def test_to_dot_styles():
 
 def test_star_pair_definition_holds():
     o = MinRankOracle(triangle(), UniformMatroid(2, 3))
-    sp = find_star_pair(o, bit(0))
+    sp = find_star_pair(o, bit(0)).pair
     if isinstance(sp, StarPair):
         k = 1
         assert o.rmin(bit(0) | bit(sp.s)) == k
@@ -386,7 +385,7 @@ def test_probe_pair_search_matches_full_build():
     for inst in instances:
         o = MinRankOracle(inst.matroid1, inst.matroid2)
         for I in cardinality_trajectory(inst.matroid1, inst.matroid2):
-            sp = find_star_pair(o, I)
+            sp = find_star_pair(o, I).pair
             if not isinstance(sp, StarPair):
                 continue
             before = o.query_count
@@ -439,7 +438,7 @@ def test_probe_graph_query_sequence_is_pinned():
     builds = asked = 0
     for inst, I in cases():
         m1, m2 = inst.matroid1, inst.matroid2
-        sp = find_star_pair(MinRankOracle(m1, m2), I)
+        sp = find_star_pair(MinRankOracle(m1, m2), I).pair
         if not isinstance(sp, StarPair):
             continue
         o = RecordingOracle(m1, m2)

@@ -251,6 +251,28 @@ def test_coloring_counts_from_consistent_graphs():
     assert len(colorings_from_consistent_graphs(triangle_gadget())) == 24
 
 
+def test_enumeration_reads_only_the_value_table(monkeypatch):
+    """The colorings come from the enumerated slot states alone: the
+    construction's own orientation rule is never consulted."""
+    gi = triangle_gadget()
+
+    def refuse(*args):
+        raise AssertionError("enumeration used the construction's arc rule")
+
+    monkeypatch.setattr(minrank.gadgets, "_edge_slot_arcs", refuse)
+    uncolored = ColoredGraph(gi.graph.vertices, gi.graph.edges)
+    assert colorings_from_consistent_graphs(gi) == proper_four_colorings(uncolored)
+
+
+def test_edge_block_wants_exactly_one_state_per_orientation(monkeypatch):
+    """If every slot state of an edge sub-gadget passed its values, several
+    states would share a key; that is an error, not a two-key survivor."""
+    gi = edge_gadget()
+    monkeypatch.setattr(minrank.gadgets, "_block_consistent", lambda *args: True)
+    with pytest.raises(RuntimeError, match="edge 0 index 0"):
+        minrank.gadgets._edge_index_configs(gi, 0, 0)
+
+
 def test_enumeration_size_cap():
     g = ColoredGraph(
         5, (), ((1, 1), (1, 1), (1, 1), (1, 1), (1, 1))

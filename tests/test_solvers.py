@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import random
 import re
 from fractions import Fraction
@@ -73,20 +74,20 @@ def swap_pair() -> tuple[PartitionMatroid, PartitionMatroid]:
 def test_augment_direct():
     m1, m2 = crossed_pair()
     o = MinRankOracle(m1, m2)
-    res = augment_min_rank(o, bit(0))
+    res, _, _ = augment_min_rank(o, bit(0))
     assert res == Augmented(mask_of((0, 3)))
 
 
 def test_augment_from_empty_picks_smallest():
     m1, m2 = crossed_pair()
-    res = augment_min_rank(MinRankOracle(m1, m2), 0)
+    res, _, _ = augment_min_rank(MinRankOracle(m1, m2), 0)
     assert res == Augmented(bit(0))
 
 
 def test_augment_path_swap():
     m1, m2 = swap_pair()
     o = MinRankOracle(m1, m2)
-    res = augment_min_rank(o, bit(1))
+    res, _, _ = augment_min_rank(o, bit(1))
     # {0, 2} is the only common independent pair, so the swap is forced.
     assert res == Augmented(mask_of((0, 2)))
 
@@ -94,7 +95,7 @@ def test_augment_path_swap():
 def test_augment_certificate_at_maximum():
     m1, m2 = crossed_pair()
     o = MinRankOracle(m1, m2)
-    res = augment_min_rank(o, mask_of((0, 3)))
+    res, _, _ = augment_min_rank(o, mask_of((0, 3)))
     assert isinstance(res, Certificate)
     Z = res.Z
     comp = full_mask(4) & ~Z
@@ -134,7 +135,7 @@ def test_augment_star_pair_choice_does_not_change_size():
                 ]
                 if len(pairs) < 2:
                     continue
-                baseline = augment_min_rank(o, I)
+                baseline, _, _ = augment_min_rank(o, I)
                 for sp in pairs:
                     path, Z = probe_pair_search(o, I, sp)
                     assert (path is None) == isinstance(baseline, Certificate)
@@ -398,8 +399,8 @@ def test_lexmax_matches_brute():
     vector, witness = brute_lexmax(m1, m2, w)
     run = lexicographic_max(MinRankOracle(m1, m2), w)
     assert run.vector == vector
-    assert class_vector(w, full_mask(4), run.I) == vector
-    assert class_vector(w, full_mask(4), witness) == vector
+    assert class_vector(w, weight_classes(w, full_mask(4)), run.I) == vector
+    assert class_vector(w, weight_classes(w, full_mask(4)), witness) == vector
 
 
 def test_lexmax_beats_heavier_set_lexicographically():
@@ -407,7 +408,7 @@ def test_lexmax_beats_heavier_set_lexicographically():
     m1, m2 = crossed_pair()
     w = fixture_weights()
     run = lexicographic_max(MinRankOracle(m1, m2), w)
-    other = class_vector(w, full_mask(4), mask_of((1, 2)))
+    other = class_vector(w, weight_classes(w, full_mask(4)), mask_of((1, 2)))
     assert other == (0, 2, 0)
     assert run.vector > other
     assert total_weight(w, run.I) < total_weight(w, mask_of((1, 2)))
@@ -416,15 +417,15 @@ def test_lexmax_beats_heavier_set_lexicographically():
 def _assert_lexmax_levels(m1, m2, w):
     """Each level holds the best class vector among sets of its size and
     reports its own weight under the caller's weights."""
-    ground = full_mask(m1.n)
+    classes = weight_classes(w, full_mask(m1.n))
     best: dict[int, tuple[int, ...]] = {}
     for I in common_independent_sets(m1, m2):
         k = popcount(I)
-        best[k] = max(best.get(k, ()), class_vector(w, ground, I))
+        best[k] = max(best.get(k, ()), class_vector(w, classes, I))
     run = lexicographic_max(MinRankOracle(m1, m2), w)
     assert [lv.k for lv in run.levels] == sorted(best)
     for lv in run.levels:
-        assert class_vector(w, ground, lv.I) == best[lv.k]
+        assert class_vector(w, classes, lv.I) == best[lv.k]
         assert lv.weight == total_weight(w, lv.I)
     assert run.vector == max(best.values())
 
@@ -437,6 +438,32 @@ def test_lexmax_levels_are_class_vector_maximal(n):
             random_instance(seed, n, weighted=True),
         ):
             _assert_lexmax_levels(inst.matroid1, inst.matroid2, inst.weight_vector())
+
+
+def test_lexmax_path_cost_is_the_signed_class_count():
+    """A `path` trace line's cost is, per weight class heaviest first, the
+    path's elements inside I minus those outside, read off the sets the
+    run passed through (its levels)."""
+    paths = 0
+    for n in range(6, 10):
+        for seed in range(30):
+            inst = random_lexmax_instance(seed, n)
+            w = inst.weight_vector()
+            run = lexicographic_max(MinRankOracle(inst.matroid1, inst.matroid2), w)
+            classes = sorted({Fraction(x) for x in w}, reverse=True)
+            sets = [lv.I for lv in run.levels]
+            for I, J, step in zip(sets, sets[1:], run.trace):
+                if step.action != "path":
+                    continue
+                P, cost = step.detail.removeprefix("P=").split(" cost=")
+                assert mask_of(ast.literal_eval(P)) == I ^ J
+                want = tuple(
+                    sum(1 if (I >> e) & 1 else -1 for e in iter_bits(I ^ J) if w[e] == c)
+                    for c in classes
+                )
+                assert ast.literal_eval(cost) == want
+                paths += 1
+    assert paths >= 10
 
 
 def test_lexmax_levels_need_a_large_base():
@@ -453,10 +480,11 @@ def test_lexmax_levels_need_a_large_base():
 def test_weight_classes_and_class_vector():
     w = fixture_weights()
     ground = full_mask(4)
-    assert weight_classes(w, ground) == [Fraction(5), Fraction(4), Fraction(1)]
-    assert class_vector(w, ground, mask_of((0, 3))) == (1, 0, 1)
-    assert class_vector(w, ground, mask_of((1, 2))) == (0, 2, 0)
-    assert class_vector(w, ground, 0) == (0, 0, 0)
+    classes = weight_classes(w, ground)
+    assert classes == [Fraction(5), Fraction(4), Fraction(1)]
+    assert class_vector(w, classes, mask_of((0, 3))) == (1, 0, 1)
+    assert class_vector(w, classes, mask_of((1, 2))) == (0, 2, 0)
+    assert class_vector(w, classes, 0) == (0, 0, 0)
 
 
 # -- positive-weight approximation --------------------------------------------

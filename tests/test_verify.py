@@ -40,6 +40,7 @@ from minrank import (
     random_lexmax_instance,
     random_promise_instance,
     survey_extensions,
+    weight_classes,
 )
 from minrank.gadgets import COLORS
 from minrank.verify import (
@@ -158,7 +159,8 @@ def test_brute_lexmax_crossed():
     vector, witness = brute_lexmax(m1, m2, fixture_weights())
     assert vector == (1, 0, 1)
     assert witness == mask_of((0, 3))
-    assert class_vector(fixture_weights(), full_mask(4), witness) == vector
+    w = fixture_weights()
+    assert class_vector(w, weight_classes(w, full_mask(4)), witness) == vector
 
 
 # -- circuit structure ---------------------------------------------------------
