@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence, TextIO
 
-from .bitset import format_set, full_mask, mask_of, parse_set, popcount
+from .bitset import MAX_GROUND, format_set, full_mask, mask_of, parse_set, popcount
 from .consistency import almost_consistent_graph
 from .core import PartitionMatroid
 from .errors import ContractViolationError
@@ -30,7 +30,7 @@ from .exchange import (
     intersect_modified,
     survey_extensions,
 )
-from .gadgets import ColoredGraph, _proper_colorings, build_gadget, verify_gadget
+from .gadgets import VERIFY_MAX_N, ColoredGraph, _proper_colorings, build_gadget, verify_gadget
 from .instances import (
     Instance,
     InstanceError,
@@ -114,6 +114,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise UsageError("--mode weighted requires --promise no-circuit-inclusion")
     if args.mode == "fpt" and args.gamma is None:
         raise UsageError("--mode fpt requires --gamma")
+    if args.mode == "fpt" and args.gamma < 2:
+        raise UsageError("--gamma must be at least 2")
     _log("access class: oracle-only")
     o = MinRankOracle(inst.matroid1, inst.matroid2)
     w = inst.weight_vector()
@@ -136,8 +138,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print(f"oracle queries: {wrun.queries}", file=out)
         trace = wrun.trace
     elif args.mode == "fpt":
-        if args.gamma < 2:
-            raise UsageError("--gamma must be at least 2")
         wrun = weighted_fpt_circuit(o, w, args.gamma)
         print(f"gamma: {args.gamma}", file=out)
         _print_levels(wrun, inst.names, out)
@@ -320,14 +320,14 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
         gi = build_gadget(ColoredGraph(vertices, edges, coloring))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if gi.n <= 40:
+    if gi.n <= VERIFY_MAX_N:
         _log("access class: hidden-ranks (gadget verification)")
         reports = verify_gadget(gi)
         bad = [r for r in reports if not r.ok]
         for r in reports:
             _log(str(r))
     else:
-        _log(f"verification skipped: n={gi.n} exceeds the 40-column exact-rank cap")
+        _log(f"verification skipped: n={gi.n} exceeds the {VERIFY_MAX_N}-column exact-rank cap")
         reports, bad = [], []
     sys.stdout.write(
         dumps(Instance(gi.n, *gi.as_matroids(), None, gi.names))
@@ -416,8 +416,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
     except ValueError as exc:
         raise UsageError(f"--sizes: {exc}") from exc
-    if not sizes or any(n < 2 or n > 64 for n in sizes):
-        raise UsageError("--sizes wants comma-separated integers in 2..64")
+    if not sizes or any(n < 2 or n > MAX_GROUND for n in sizes):
+        raise UsageError(f"--sizes wants comma-separated integers in 2..{MAX_GROUND}")
     out = sys.stdout
     _print_bench(
         "cardinality envelope: queries <= C * r * n^2 (seeded partition pairs)",

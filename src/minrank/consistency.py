@@ -230,47 +230,37 @@ def solve_2sat(f: TwoSat) -> dict[Arc, bool] | None:
     index = [-1] * nn
     low = [0] * nn
     comp = [-1] * nn
-    on_stack = [False] * nn
     stack: list[int] = []
     counter = 0
     comp_count = 0
     for root in range(nn):
         if index[root] != -1:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
+        # One frame per open vertex: it and an iterator over its unread
+        # successors. A visited vertex is on the stack while comp is -1.
+        work = [(root, iter(adj[root]))]
         while work:
-            v, pi = work.pop()
-            if pi == 0:
+            v, succ = work[-1]
+            if index[v] == -1:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
-                on_stack[v] = True
-            descend = False
-            while pi < len(adj[v]):
-                u = adj[v][pi]
-                pi += 1
+            for u in succ:
                 if index[u] == -1:
-                    work.append((v, pi))
-                    work.append((u, 0))
-                    descend = True
+                    work.append((u, iter(adj[u])))
                     break
-                if on_stack[u] and index[u] < low[v]:
+                if comp[u] == -1 and index[u] < low[v]:
                     low[v] = index[u]
-            if descend:
-                continue
-            if low[v] == index[v]:
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    comp[u] = comp_count
-                    if u == v:
-                        break
-                comp_count += 1
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-        # next root
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    u = -1
+                    while u != v:
+                        u = stack.pop()
+                        comp[u] = comp_count
+                    comp_count += 1
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
     result: dict[Arc, bool] = {}
     for i, arc in enumerate(f.variables):
         if comp[2 * i] == comp[2 * i + 1]:

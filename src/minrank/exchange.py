@@ -16,19 +16,21 @@ symmetric difference of such a path grows the common independent set by one.
 
 Every graph is built by one filler (`_fill`) that asks an arc rule one
 outside element at a time: the matroids' rule for the true graph, and
-`_arc_rule` for the probe graphs. One reverse BFS (`_search`) finds paths
-and certificates. The cardinality solver runs it over `_arc_rule` itself,
-with arcs tested on demand. Over a built graph (`shortest_augmenting_path`,
-`reachability_certificate`) it is the reference that on-demand search is
-tested against.
+`_arc_rule` for the probe graphs. One label-correcting search over a built
+graph (`shortest_cheapest_path`) finds a shortest cheapest path or its
+certificate; at zero costs it answers `shortest_augmenting_path` and
+`reachability_certificate`. Only the cardinality solver, which tests arcs
+of `_arc_rule` on demand, walks a reverse BFS (`_search`) instead.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple
+from collections import deque
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .bitset import bit, elements_of, format_set, full_mask, iter_bits, mask_of, popcount
 from .core import Matroid
+from .errors import NegativeCycleError
 from .oracle import Oracle
 
 
@@ -487,60 +489,116 @@ def _search(
     return reached, nxt
 
 
-def _graph_search(g: ExchangeGraph) -> tuple[int, dict[int, int]]:
-    return _search(g.I, full_mask(g.n) & ~g.I, g.S, g.T, g.has_arc)
-
-
-def _path(reached: int, nxt: dict[int, int], S: int) -> list[int] | None:
-    """From the smallest reached source along the recorded successors to a
-    sink: the minimum-arc path with the smallest vertex sequence."""
-    v = next(iter_bits(reached & S), None)
-    if v is None:
-        return None
-    path = [v]
-    while v in nxt:
-        v = nxt[v]
-        path.append(v)
-    return path
-
-
-def _certificate(reached: int, S: int) -> int:
-    if reached & S:
-        raise ValueError("a source reaches a sink; an augmenting path exists")
-    return reached
-
-
 def probe_pair_search(
     o: Oracle, I: int, sp: StarPair
 ) -> tuple[list[int] | None, int]:
     """The probe-pair graph's shortest augmenting path, or its certificate,
     with arcs tested on demand.
 
-    Same answer as `shortest_augmenting_path` and `reachability_certificate`
-    on `build_modified_graph(o, I, sp)`, but the search asks the probe rule
-    only for the arcs its reverse BFS scans. Returns (path, 0) when a path
-    exists, else (None, Z) with Z the set of vertices that reach a sink.
+    Same answer as `shortest_cheapest_path` at zero costs on
+    `build_modified_graph(o, I, sp)`, but the reverse BFS asks the probe
+    rule only for the arcs it scans, and the path walks from the smallest
+    reached source along the recorded successors. Returns (path, 0) when a
+    path exists, else (None, Z) with Z the set of vertices that reach a sink.
     """
     S, T = _star_sets(o, I, sp)
     arc = _arc_rule(o, I, S, T, [sp.t], [sp.s])
     reached, nxt = _search(I, o.ground & ~I, S, T, arc)
-    path = _path(reached, nxt, S)
-    return (path, 0) if path is not None else (None, _certificate(reached, S))
+    v = next(iter_bits(reached & S), None)
+    if v is None:
+        return None, reached
+    path = [v]
+    while v in nxt:
+        v = nxt[v]
+        path.append(v)
+    return path, 0
+
+
+def shortest_cheapest_path(
+    g: ExchangeGraph, w: Sequence
+) -> tuple[list[int] | None, int]:
+    """Minimum (`path_cost`, length) source-to-sink path, ties broken toward
+    the smallest vertex sequence. Returns (path, 0) when a source reaches a
+    sink, else (None, Z) with Z the set of vertices that reach a sink.
+
+    One label-correcting search: the sinks are seeded with (cost, length)
+    labels, vertex costs include both endpoints, and a FIFO worklist
+    relaxes labels backwards along predecessor masks until none improves.
+    The weighted modes pass weights scaled once to exact ints, so every
+    label sum is an int addition. Without a negative-cost cycle the fixed
+    point is unique: each label is the minimum over simple paths. A label
+    that improves to more than n vertices repeats a vertex, which only a
+    negative-cost cycle reaching a sink allows; that raises
+    NegativeCycleError, a contract violation, since the caller guarantees a
+    weight-maximal base set.
+    """
+    n = g.n
+    c = [w[v] if (g.I >> v) & 1 else -w[v] for v in range(n)]
+    pred = [0] * n
+    for u in range(n):
+        for v in iter_bits(g.successors(u)):
+            pred[v] |= 1 << u
+    label: dict[int, tuple] = {t: (c[t], 1) for t in elements_of(g.T)}
+    work = deque(label)
+    waiting = g.T
+    while work:
+        v = work.popleft()
+        waiting &= ~(1 << v)
+        cost, length = label[v]
+        length += 1
+        for u in iter_bits(pred[v]):
+            cand = (c[u] + cost, length)
+            lu = label.get(u)
+            if lu is None or cand < lu:
+                if length > n:
+                    raise NegativeCycleError(
+                        "negative-cost cycle in the exchangeability graph; the "
+                        "base set was not weight-maximal or the graph is "
+                        "inconsistent"
+                    )
+                label[u] = cand
+                if not (waiting >> u) & 1:
+                    waiting |= 1 << u
+                    work.append(u)
+    start = None
+    best = None
+    for s in elements_of(g.S):
+        ls = label.get(s)
+        if ls is not None and (best is None or ls < best):
+            best, start = ls, s
+    if start is None:
+        return None, mask_of(label)
+    path = [start]
+    v = start
+    cost_v, len_v = label[v]
+    while len_v > 1:
+        v = min(
+            u
+            for u in iter_bits(g.successors(v))
+            if u in label
+            and label[u][1] == len_v - 1
+            and c[v] + label[u][0] == cost_v
+        )
+        path.append(v)
+        cost_v, len_v = label[v]
+    return path, 0
 
 
 def shortest_augmenting_path(g: ExchangeGraph) -> list[int] | None:
-    """Minimum-arc source-to-sink path, ties broken toward the smallest
-    vertex sequence; None when no sink is reachable. A source that is also
-    a sink yields a single-vertex path."""
-    reached, nxt = _graph_search(g)
-    return _path(reached, nxt, g.S)
+    """`shortest_cheapest_path` at zero costs: the minimum-arc source-to-sink
+    path with the smallest vertex sequence, or None when no sink is
+    reachable. A source that is also a sink yields a single-vertex path."""
+    return shortest_cheapest_path(g, [0] * g.n)[0]
 
 
 def reachability_certificate(g: ExchangeGraph) -> int:
     """The set of vertices that can reach a sink (sinks included).
 
-    Only valid when no source reaches a sink; the caller pairs the returned
-    set with its complement as a min-rank duality certificate.
+    Only valid when no source reaches a sink, else ValueError; the caller
+    pairs the returned set with its complement as a min-rank duality
+    certificate.
     """
-    reached, _ = _graph_search(g)
-    return _certificate(reached, g.S)
+    path, Z = shortest_cheapest_path(g, [0] * g.n)
+    if path is not None:
+        raise ValueError("a source reaches a sink; an augmenting path exists")
+    return Z

@@ -41,6 +41,8 @@ from .verify import BruteReport, LEObservation, check_consistency
 
 Color = tuple[int, int]
 COLORS: tuple[Color, ...] = ((1, 1), (1, 2), (2, 1), (2, 2))
+# The most columns (elements) of a gadget that `verify_gadget` checks by exact rank.
+VERIFY_MAX_N = 40
 
 # A slot is an (x, y) position with x outside I and y inside; its state is
 # None (no arcs), "a" (arc into I), "b" (arc out of I), or "both".
@@ -59,7 +61,9 @@ class ColoredGraph(NamedTuple):
     coloring: tuple[Color, ...] | None = None
 
     def normalized_edges(self) -> tuple[tuple[int, int], ...]:
-        """Edges sorted with min endpoint first; rejects loops/duplicates."""
+        """Sorted edges, min endpoint first; rejects a negative count, loops, duplicates."""
+        if self.vertices < 0:
+            raise ValueError(f"vertex count {self.vertices} is negative")
         out = []
         seen = set()
         for u, w in self.edges:
@@ -441,8 +445,8 @@ def verify_gadget(gi: GadgetInstance) -> list[BruteReport]:
     realized arcs on the plain slots, and s and t exchanging freely with
     all of I in both layers.
     """
-    if gi.n > 40:
-        raise ValueError("verify_gadget is capped at 40 columns")
+    if gi.n > VERIFY_MAX_N:
+        raise ValueError(f"verify_gadget is capped at {VERIFY_MAX_N} columns")
     label = f"gadget(V={gi.graph.vertices},E={len(gi.graph.edges)})"
     make = partial(BruteReport.check, label)
     m1, m2 = gi.as_matroids()

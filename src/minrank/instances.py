@@ -20,7 +20,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .bitset import bit, mask_of
+from .bitset import MAX_GROUND, bit, mask_of
 from .core import (
     ExplicitMatroid,
     GraphicMatroid,
@@ -162,8 +162,8 @@ def loads(text: str) -> Instance:
         n = _json_int(doc["n"])
     except ValueError as exc:
         raise InstanceError(f"n: {exc}") from exc
-    if not 0 <= n <= 64:
-        raise InstanceError(f"n={n} outside the supported range 0..64")
+    if not 0 <= n <= MAX_GROUND:
+        raise InstanceError(f"n={n} outside the supported range 0..{MAX_GROUND}")
     for key in ("matroid1", "matroid2"):
         if key not in doc:
             raise InstanceError(f"missing field {key!r}")

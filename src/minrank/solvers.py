@@ -11,9 +11,9 @@ rmin(Z) + rmin(E \\ Z) = |I|. A step is a function `I -> (result, action,
 detail)`; the loop counts each step's queries and writes its trace line.
 The weighted modes scale the caller's weights once per run to exact ints,
 so path costs add as ints, and price the sets the loop passed through from
-the caller's weights once it has stopped. Paths are priced by `path_cost`,
-and one worklist search for a shortest cheapest path answers with a path or
-its certificate.
+the caller's weights once it has stopped. Paths are priced by `path_cost`;
+the search for a shortest cheapest path, which answers with a path or its
+certificate, lives in `exchange` beside the graphs it reads.
 
 Everything here must work through `rmin` alone; the visibility audit in the
 test suite holds this module to that.
@@ -21,7 +21,6 @@ test suite holds this module to that.
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from math import lcm
 from typing import Callable, NamedTuple, Sequence
@@ -40,6 +39,7 @@ from .exchange import (
     StarPair,
     intersect_modified,
     probe_pair_search,
+    shortest_cheapest_path,
     survey_extensions,
 )
 from .oracle import Oracle, RestrictedOracle
@@ -81,79 +81,6 @@ def path_cost(path: Sequence[int], I: int, w: Sequence) -> Fraction | int:
     swapping I along it changes the weight by exactly minus the cost. Exact
     for int and Fraction weights."""
     return sum(w[v] if (I >> v) & 1 else -w[v] for v in path)
-
-
-# -- paths in resolved graphs -------------------------------------------------
-
-
-def shortest_cheapest_path(
-    g: ExchangeGraph, w: Sequence
-) -> tuple[list[int] | None, int]:
-    """Minimum (`path_cost`, length) source-to-sink path, ties broken toward
-    the smallest vertex sequence. Returns (path, 0) when a source reaches a
-    sink, else (None, Z) with Z the set of vertices that reach a sink.
-
-    One label-correcting search: the sinks are seeded with (cost, length)
-    labels, vertex costs include both endpoints, and a FIFO worklist
-    relaxes labels backwards along predecessor masks until none improves.
-    The weighted modes pass weights scaled once to exact ints, so every
-    label sum is an int addition. Without a negative-cost cycle the fixed
-    point is unique: each label is the minimum over simple paths. A label
-    that improves to more than n vertices repeats a vertex, which only a
-    negative-cost cycle reaching a sink allows; that raises
-    NegativeCycleError, a contract violation, since the caller guarantees a
-    weight-maximal base set.
-    """
-    n = g.n
-    c = [path_cost((v,), g.I, w) for v in range(n)]
-    pred = [0] * n
-    for u in range(n):
-        for v in iter_bits(g.successors(u)):
-            pred[v] |= 1 << u
-    label: dict[int, tuple] = {t: (c[t], 1) for t in elements_of(g.T)}
-    work = deque(label)
-    waiting = g.T
-    while work:
-        v = work.popleft()
-        waiting &= ~(1 << v)
-        cost, length = label[v]
-        length += 1
-        for u in iter_bits(pred[v]):
-            cand = (c[u] + cost, length)
-            lu = label.get(u)
-            if lu is None or cand < lu:
-                if length > n:
-                    raise NegativeCycleError(
-                        "negative-cost cycle in the exchangeability graph; the "
-                        "base set was not weight-maximal or the graph is "
-                        "inconsistent"
-                    )
-                label[u] = cand
-                if not (waiting >> u) & 1:
-                    waiting |= 1 << u
-                    work.append(u)
-    start = None
-    best = None
-    for s in elements_of(g.S):
-        ls = label.get(s)
-        if ls is not None and (best is None or ls < best):
-            best, start = ls, s
-    if start is None:
-        return None, mask_of(label)
-    path = [start]
-    v = start
-    cost_v, len_v = label[v]
-    while len_v > 1:
-        v = min(
-            u
-            for u in iter_bits(g.successors(v))
-            if u in label
-            and label[u][1] == len_v - 1
-            and c[v] + label[u][0] == cost_v
-        )
-        path.append(v)
-        cost_v, len_v = label[v]
-    return path, 0
 
 
 # -- cardinality --------------------------------------------------------------

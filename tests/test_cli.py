@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from minrank import ContractViolationError, crossed_partition_instance, dumps, loads
+import minrank.cli
+from minrank import BruteReport, ContractViolationError, crossed_partition_instance, dumps, loads
 from minrank.cli import main
 
 FIXTURE = dumps(crossed_partition_instance(weights=(5, 4, 4, 1)))
@@ -79,7 +80,11 @@ def test_solve_fpt(fixture_file, capsys):
 def test_solve_fpt_gamma_validation(fixture_file, capsys):
     assert main(["solve", fixture_file, "--mode", "fpt"]) == 2
     assert main(["solve", fixture_file, "--mode", "fpt", "--gamma", "1"]) == 2
-    capsys.readouterr()
+    out = capsys.readouterr()
+    # Both refusals come before any result line.
+    assert out.out == ""
+    assert "--mode fpt requires --gamma" in out.err
+    assert "--gamma must be at least 2" in out.err
 
 
 def test_solve_lexmax(fixture_file, capsys):
@@ -190,6 +195,34 @@ def test_verify_seeded_batch(capsys):
     out = capsys.readouterr().out
     assert "all passed: 3 instances," in out
     assert "seed=0: ok (" in out
+
+
+def test_verify_seeded_zero_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--seeded", "0"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--seeded wants a positive count" in out.err
+
+
+def test_verify_reports_a_mismatch(fixture_file, monkeypatch, capsys):
+    """A cardinality run that stops one set short of the maximum is caught:
+    each failed check prints a [MISMATCH] line, the batch ends with FAIL,
+    and the exit code is 1."""
+    real = minrank.cli.max_cardinality
+
+    def short(o):
+        run = real(o)
+        return run._replace(sets=run.sets[:-1])
+
+    monkeypatch.setattr(minrank.cli, "max_cardinality", short)
+    assert main(["verify", fixture_file]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    mismatches = [l for l in lines if l.startswith("[MISMATCH] ")]
+    assert mismatches and any(": max-common-size brute=2 solver=1" in l for l in mismatches)
+    assert lines[-2].startswith(f"{fixture_file}: {len(mismatches)} MISMATCH (")
+    assert lines[-1] == f"FAIL: {len(mismatches)} mismatches across 1 instances"
 
 
 def test_verify_wants_exactly_one_input(fixture_file, capsys):
@@ -334,6 +367,39 @@ def test_gadget_rejects_non_integer_numbers(tmp_path, capsys):
         out = capsys.readouterr()
         assert out.out == ""
         assert "expected an integer" in out.err
+
+
+def test_gadget_rejects_negative_vertex_count(tmp_path, capsys):
+    """A negative vertex count is a usage error, not an uncolorable graph;
+    zero vertices still build."""
+    gpath = tmp_path / "negative.json"
+    gpath.write_text(json.dumps({"vertices": -1, "edges": []}))
+    assert main(["gadget", "--graph", str(gpath)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "vertex count -1 is negative" in out.err
+    assert "no proper 4-coloring" not in out.err
+    gpath.write_text(json.dumps({"vertices": 0, "edges": []}))
+    assert main(["gadget", "--graph", str(gpath)]) == 0
+    assert "gadget ok: n=2 k=0" in capsys.readouterr().err
+
+
+def test_gadget_reports_failed_checks(tmp_path, monkeypatch, capsys):
+    """A failed gadget check still emits the instance on stdout, then says
+    FAIL on stderr and exits 1."""
+    real = minrank.cli.verify_gadget
+
+    def one_wrong(gi):
+        return real(gi) + [BruteReport.check("gadget", "forced", 0, 1)]
+
+    monkeypatch.setattr(minrank.cli, "verify_gadget", one_wrong)
+    gpath = tmp_path / "edge.json"
+    gpath.write_text(json.dumps({"vertices": 2, "edges": [[0, 1]]}))
+    assert main(["gadget", "--graph", str(gpath)]) == 1
+    out = capsys.readouterr()
+    assert loads(out.out).n == 16
+    assert "[MISMATCH] gadget: forced brute=0 solver=1" in out.err
+    assert out.err.splitlines()[-1] == "FAIL: 1 gadget checks mismatched"
 
 
 def test_gadget_infeasible_without_four_coloring(tmp_path, capsys):

@@ -427,6 +427,31 @@ def test_solve_2sat_matches_truth_table_small():
         assert (got is not None) == brute_sat
 
 
+def test_solve_2sat_assignments_are_pinned():
+    """Every verdict and assignment on seeded random systems of 1..14
+    variables; the digest was recorded before the Tarjan pass lost its
+    resume index and on-stack flags, so roots, successor order and
+    component numbers stayed the same."""
+    rng = random.Random(2019)
+    digest = hashlib.sha256()
+    satisfiable = 0
+    for _ in range(3000):
+        nvars = rng.randint(1, 14)
+        ts = TwoSat([(v, v + 1) for v in range(nvars)])
+        for _ in range(rng.randint(1, 3 * nvars)):
+            ts.add(
+                rng.choice((-1, 1)) * rng.randint(1, nvars),
+                rng.choice((-1, 1)) * rng.randint(1, nvars),
+            )
+        got = solve_2sat(ts)
+        satisfiable += got is not None
+        digest.update(repr(got).encode())
+    assert satisfiable == 2128
+    assert digest.hexdigest() == (
+        "8f57fc4f196ccaf7e8dd6bd6313d43ade35938ea41cd48adf945b34f09d5ec32"
+    )
+
+
 def test_check_consistency_verdicts():
     from minrank import ExchangeGraph
 

@@ -11,6 +11,7 @@ from minrank import (
     ExplicitMatroid,
     GraphicMatroid,
     LinearMatroid,
+    Matroid,
     PartitionMatroid,
     UniformMatroid,
     bit,
@@ -161,6 +162,55 @@ def test_ground_set_bounds():
     m = UniformMatroid(2, 4)
     with pytest.raises(ValueError):
         m.rank(bit(10))
+
+
+def test_constructors_refuse_malformed_input():
+    with pytest.raises(ValueError, match="nonnegative"):
+        UniformMatroid(-1, 3)
+    for blocks, caps, message in (
+        ([mask_of((0, 1)), mask_of((2, 3))], [1], "one capacity per block"),
+        ([mask_of((0, 1)), mask_of((1, 2, 3))], [1, 1], "overlap"),
+        ([mask_of((0, 1)), bit(2)], [1, 1], "cover every element"),
+        ([mask_of((0, 1)), mask_of((2, 3))], [1, -1], "nonnegative"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            PartitionMatroid(4, blocks, caps)
+    with pytest.raises(ValueError, match="outside vertex range"):
+        GraphicMatroid(3, ((0, 1), (1, 3)))
+    with pytest.raises(ValueError, match="ragged"):
+        LinearMatroid([[1, 0, 1], [0, 1]])
+
+
+class _Broken(Matroid):
+    """A rank function that breaks one axiom."""
+
+    kind = "broken"
+
+    def __init__(self, n, rank):
+        super().__init__(n)
+        self._rank = rank
+
+
+@pytest.mark.parametrize(
+    "rank, axiom",
+    [
+        (lambda X: 1, "empty-rank"),
+        (lambda X: 2 * popcount(X), "unit-monotone"),
+        (lambda X: max(popcount(X) - 1, 0), "submodular"),
+    ],
+)
+@pytest.mark.parametrize("n", [4, 14])
+def test_validate_reports_each_broken_axiom(rank, axiom, n):
+    """Exhaustive checks at n <= 12 and sampled ones above both catch each
+    broken axiom, and name it."""
+    report = validate(_Broken(n, rank))
+    assert not report.ok and report.axiom == axiom
+    assert str(report).startswith(f"violation: {axiom} (")
+
+
+def test_validate_samples_above_twelve_elements():
+    assert validate(UniformMatroid(3, 14)).ok
+    assert validate(PartitionMatroid(14, [full_mask(7), full_mask(14) & ~full_mask(7)], [2, 3])).ok
 
 
 def test_graphic_edge_list_params():

@@ -223,6 +223,19 @@ def test_bfs_tie_breaks_lexicographic():
     ]
 
 
+def _random_built_graph(rng: random.Random) -> ExchangeGraph:
+    """A random exchange graph on 1..9 vertices with random arcs, sources
+    and sinks."""
+    n = rng.randint(1, 9)
+    I = rng.getrandbits(n)
+    outside = full_mask(n) & ~I
+    arcs1 = [rng.getrandbits(n) & outside if (I >> v) & 1 else 0 for v in range(n)]
+    arcs2 = [rng.getrandbits(n) & I if (outside >> v) & 1 else 0 for v in range(n)]
+    S = rng.getrandbits(n) & outside
+    T = rng.getrandbits(n) & outside
+    return ExchangeGraph(n, I, S, T, arcs1, arcs2)
+
+
 def test_bfs_path_is_the_smallest_brute_force_shortest_path():
     """The BFS and, at zero weights, the cheapest-path search both find the
     smallest brute-force shortest path. Without a path, the cheapest-path
@@ -232,14 +245,8 @@ def test_bfs_path_is_the_smallest_brute_force_shortest_path():
     wrng = random.Random(7)
     longer = unreachable = cycles = 0
     for _ in range(3000):
-        n = rng.randint(1, 9)
-        I = rng.getrandbits(n)
-        outside = full_mask(n) & ~I
-        arcs1 = [rng.getrandbits(n) & outside if (I >> v) & 1 else 0 for v in range(n)]
-        arcs2 = [rng.getrandbits(n) & I if (outside >> v) & 1 else 0 for v in range(n)]
-        S = rng.getrandbits(n) & outside
-        T = rng.getrandbits(n) & outside
-        g = ExchangeGraph(n, I, S, T, arcs1, arcs2)
+        g = _random_built_graph(rng)
+        n = g.n
         paths = shortest_st_paths(g)
         longer += bool(paths) and len(paths[0]) > 1
         path = list(paths[0]) if paths else None
@@ -256,6 +263,32 @@ def test_bfs_path_is_the_smallest_brute_force_shortest_path():
             cycles += 1
     assert longer >= 150  # 221 graphs whose shortest path has an arc
     assert unreachable - cycles >= 1000 and cycles >= 10  # 1313 and 134
+
+
+def test_reverse_bfs_answers_as_the_cheapest_path_search():
+    """The on-demand reverse BFS, run over a built graph's arcs and walked
+    from the smallest reached source along the recorded successors, gives
+    `shortest_cheapest_path` at zero costs: the same path, or the same
+    certificate. So the BFS is judged on arbitrary graphs, not only on the
+    probe graphs it searches in the solver."""
+    rng = random.Random(19)
+    paths = certificates = 0
+    for _ in range(3000):
+        g = _random_built_graph(rng)
+        reached, nxt = _search(g.I, full_mask(g.n) & ~g.I, g.S, g.T, g.has_arc)
+        v = min((s for s in range(g.n) if (reached & g.S) >> s & 1), default=None)
+        if v is None:
+            expected = (None, reached)
+            certificates += 1
+        else:
+            path = [v]
+            while v in nxt:
+                v = nxt[v]
+                path.append(v)
+            expected = (path, 0)
+            paths += len(path) > 1
+        assert shortest_cheapest_path(g, [0] * g.n) == expected
+    assert paths >= 150 and certificates >= 1000  # 218 and 1377
 
 
 def test_search_asks_each_arc_once_and_stops_at_first_source_level():

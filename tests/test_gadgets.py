@@ -77,6 +77,14 @@ def test_colored_graph_rejects_bad_edges():
         ColoredGraph(2, ((0, 2),)).normalized_edges()  # out of range
 
 
+def test_colored_graph_rejects_a_negative_vertex_count():
+    """A negative count is refused, not read as an uncolorable graph; an
+    empty graph has the one empty coloring."""
+    with pytest.raises(ValueError, match="vertex count -1 is negative"):
+        proper_four_colorings(ColoredGraph(-1, ()))
+    assert proper_four_colorings(ColoredGraph(0, ())) == {()}
+
+
 def test_is_proper():
     assert ColoredGraph(2, ((0, 1),), ((1, 1), (1, 2))).is_proper()
     assert not ColoredGraph(2, ((0, 1),), ((1, 1), (1, 1))).is_proper()

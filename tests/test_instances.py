@@ -12,6 +12,7 @@ from minrank import (
     Instance,
     InstanceError,
     MinRankOracle,
+    UniformMatroid,
     bit,
     check_promise_no_circuit_inclusion,
     crossed_partition_instance,
@@ -110,6 +111,20 @@ def test_loads_rejects_missing_or_unknown_matroid():
         loads(_doc(matroid1={"kind": "frobnicated"}))
     with pytest.raises(InstanceError, match="missing field 'k'"):
         loads(_doc(matroid1={"kind": "uniform", "n": 4}))
+
+
+def test_loads_refuses_a_matroid_spec_that_is_not_an_object():
+    with pytest.raises(InstanceError, match="matroid1: expected an object, got list"):
+        loads(_doc(matroid1=["uniform", 2]))
+
+
+def test_dumps_refuses_a_kind_without_a_file_form():
+    class Opaque(UniformMatroid):
+        kind = "opaque"
+
+    inst = crossed_partition_instance()
+    with pytest.raises(InstanceError, match="matroid kind 'opaque' has no file form"):
+        dumps(inst._replace(matroid2=Opaque(2, inst.n)))
 
 
 def test_loads_rejects_bad_linear_entries_with_fraction_errors():

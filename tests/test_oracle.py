@@ -94,6 +94,16 @@ def test_restricted_oracle():
         r.rmin(bit(3))
 
 
+def test_restricted_oracle_refuses_a_larger_ground_set():
+    o = MinRankOracle(triangle(), UniformMatroid(2, 3))
+    with pytest.raises(ValueError, match="exceeds"):
+        RestrictedOracle(o, bit(3))
+    r = RestrictedOracle(o, mask_of((0, 1)))
+    assert r.is_common_independent(mask_of((0, 1)))
+    assert not RestrictedOracle(o, full_mask(3)).is_common_independent(full_mask(3))
+    assert o.query_count == 2
+
+
 def test_restricted_oracle_shares_ledger():
     o = MinRankOracle(*crossed_pair())
     r = RestrictedOracle(o, mask_of((0, 1)))
