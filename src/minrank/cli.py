@@ -38,6 +38,7 @@ from .instances import (
     _rng,
     dumps,
     load,
+    loads,
     random_instance,
 )
 from .oracle import MinRankOracle
@@ -320,6 +321,11 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
         gi = build_gadget(ColoredGraph(vertices, edges, coloring))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    text = dumps(Instance(gi.n, *gi.as_matroids(), None, gi.names))
+    try:
+        loads(text)  # one loopless rule for every instance a subcommand reads
+    except InstanceError as exc:
+        raise UsageError(f"gadget instance: {exc}") from exc
     if gi.n <= VERIFY_MAX_N:
         _log("access class: hidden-ranks (gadget verification)")
         reports = verify_gadget(gi)
@@ -329,9 +335,7 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
     else:
         _log(f"verification skipped: n={gi.n} exceeds the {VERIFY_MAX_N}-column exact-rank cap")
         reports, bad = [], []
-    sys.stdout.write(
-        dumps(Instance(gi.n, *gi.as_matroids(), None, gi.names))
-    )
+    sys.stdout.write(text)
     if bad:
         _log(f"FAIL: {len(bad)} gadget checks mismatched")
         return EXIT_MISMATCH

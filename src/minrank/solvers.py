@@ -26,16 +26,9 @@ from math import lcm
 from typing import Callable, NamedTuple, Sequence
 
 from .bitset import bit, elements_of, format_set, iter_bits, mask_of, popcount, subsets_of
-from .consistency import (
-    ArcLiteral,
-    ObservationTable,
-    almost_consistent_graph,
-    build_cnf,
-    solve_2sat,
-)
+from .consistency import ObservationTable, almost_consistent_graph, build_cnf, solve_2sat
 from .errors import ContractViolationError, NegativeCycleError
 from .exchange import (
-    ExchangeGraph,
     StarPair,
     intersect_modified,
     probe_pair_search,
@@ -265,48 +258,6 @@ def weighted_no_circuit_inclusion(o: Oracle, w: Sequence) -> WeightedRun:
 # -- bounded circuit size -----------------------------------------------------
 
 
-_SKIP = object()
-
-
-def _fpt_clause(
-    N: ExchangeGraph,
-    X: int,
-    Y: int,
-    J: int,
-    Jp: int,
-    side: int,
-) -> object:
-    """Extra clause for one unresolved two-for-two observation under a
-    guessed exclusion set, following the bounded-circuit analysis.
-
-    Returns None (no clause needed), _SKIP (the guess is self-contradictory
-    and must be abandoned), or a clause as arc-literal pairs. `side` says
-    which layer the suspicious-head bound J lives on: 2 constrains arcs
-    into I, 1 arcs out of I.
-    """
-
-    def arc(x: int, y: int) -> tuple[int, int]:
-        return (x, y) if side == 2 else (y, x)
-
-    xs = elements_of(X)
-    outside_J = Y & ~J
-    if outside_J:
-        yc = min(elements_of(outside_J))
-        yo = elements_of(Y & ~bit(yc))[0]
-        if any(N.has_arc(*arc(x, yc)) for x in xs):
-            # Any such arc is sure (yc is not a suspicious head), so the
-            # base clauses already rule out underestimation.
-            return None
-        return ((arc(xs[0], yo), False), (arc(xs[1], yo), False))
-    inside = Y & Jp
-    if inside == Y:
-        return _SKIP
-    if popcount(inside) == 1:
-        yo = elements_of(Y & ~inside)[0]
-        return ((arc(xs[0], yo), False), (arc(xs[1], yo), False))
-    return None
-
-
 def _validate_candidate(o: Oracle, I: int, path: Sequence[int]) -> bool:
     """Constructive acceptance test for a guessed augmentation: the swap
     must lift the min-rank, and every even prefix ending inside I and even
@@ -346,36 +297,53 @@ def _fpt_augment(o: Oracle, w: Sequence, I: int, gamma: int) -> _Outcome:
             f"suspicious-arc heads exceed the circuit-size bound {gamma} "
             "on both layers; the bound does not hold for this oracle"
         )
-    evils = table.evil_pairs(J)
+
+    # J lives on layer `side`: 2 constrains arcs into I, 1 arcs out of I.
+    def arc(x: int, y: int) -> tuple[int, int]:
+        return (x, y) if side == 2 else (y, x)
+
+    def clause(X: int, Y1: int) -> tuple:
+        """(arc(x0, y) | arc(x1, y)) for X = {x0, x1} and Y1 = {y}."""
+        (y,) = elements_of(Y1)
+        return tuple((arc(x, y), False) for x in elements_of(X))
+
+    # Each evil pair is read once. Its Y meets J; an arc from X at an
+    # element of Y outside J is sure (no suspicious head), so the base
+    # clauses already rule out underestimation and the pair is dropped.
+    kept = [
+        (X, Y)
+        for X, Y in table.evil_pairs(J)
+        if not any(
+            N.has_arc(*arc(x, y)) for x in elements_of(X) for y in elements_of(Y & ~J)
+        )
+    ]
     candidates: list[int] = []
     certificates: list[int] = []
     guesses = 0
     for Jp in subsets_of(J):
-        extra: list[tuple[ArcLiteral, ArcLiteral]] = []
-        skip = False
-        for X, Y in evils:
-            clause = _fpt_clause(N, X, Y, J, Jp, side)
-            if clause is _SKIP:
-                skip = True
-                break
-            if clause is not None:
-                extra.append(clause)  # type: ignore[arg-type]
-        if skip:
-            continue
-        guesses += 1
-        f = build_cnf(table, N, extra=extra)
-        assignment = solve_2sat(f)
-        if assignment is None:
-            continue
-        try:
-            path, Z = shortest_cheapest_path(N.with_assignment(assignment), w)
-        except NegativeCycleError:
-            continue  # only a wrong guess can fabricate one
-        if path is None:
-            certificates.append(Z)
-            continue
-        if _validate_candidate(o, I, path):
-            candidates.append(I ^ mask_of(path))
+        # Jp guesses the heads in J that truly have no arc. A kept Y that
+        # leaves J needs the clause at its element in J under every guess.
+        extra = []
+        for X, Y in kept:
+            if Y & ~J:
+                extra.append(clause(X, Y & J))
+            elif Y & Jp == Y:
+                break  # the guess contradicts itself
+            elif Y & Jp:
+                extra.append(clause(X, Y & ~Jp))
+        else:
+            guesses += 1
+            assignment = solve_2sat(build_cnf(table, N, extra=extra))
+            if assignment is None:
+                continue
+            try:
+                path, Z = shortest_cheapest_path(N.with_assignment(assignment), w)
+            except NegativeCycleError:
+                continue  # only a wrong guess can fabricate one
+            if path is None:
+                certificates.append(Z)
+            elif _validate_candidate(o, I, path):
+                candidates.append(I ^ mask_of(path))
     detail = f"J={format_set(J)} tried={guesses} candidates={len(candidates)}"
     if candidates:
         # The first heaviest candidate in ascending mask order.
@@ -395,10 +363,14 @@ def weighted_fpt_circuit(o: Oracle, w: Sequence, gamma: int) -> WeightedRun:
     """Weight-maximal common independent sets of every cardinality when one
     matroid has no circuit larger than `gamma`.
 
-    Each augmentation guesses, among the at most `gamma` elements of I with
-    suspicious arcs on the small-circuit layer, which ones truly have none,
-    patches the clause system per guess (at most 2^gamma guesses), and
-    accepts the heaviest candidate that passes the swap checks.
+    Each augmentation reads the evil two-for-two observations once, then
+    guesses, among the at most `gamma` suspicious heads J on the
+    small-circuit layer, which ones truly have no arc (at most 2^gamma
+    guesses, in `subsets_of` order). A guess holding all of an evil pair's
+    Y contradicts itself and is not tried; otherwise the pair adds its
+    clause at the element of Y outside the guess. The step accepts the
+    heaviest candidate that passes the swap checks, else the first
+    certificate that verifies.
     """
     if gamma < 2:
         raise ValueError("circuit-size bound must be at least 2")

@@ -370,8 +370,9 @@ def test_gadget_rejects_non_integer_numbers(tmp_path, capsys):
 
 
 def test_gadget_rejects_negative_vertex_count(tmp_path, capsys):
-    """A negative vertex count is a usage error, not an uncolorable graph;
-    zero vertices still build."""
+    """A negative vertex count is a usage error, not an uncolorable graph.
+    Zero or one vertex builds a gadget with a loop, which no subcommand
+    could load, so it is refused before anything is printed."""
     gpath = tmp_path / "negative.json"
     gpath.write_text(json.dumps({"vertices": -1, "edges": []}))
     assert main(["gadget", "--graph", str(gpath)]) == 2
@@ -379,9 +380,13 @@ def test_gadget_rejects_negative_vertex_count(tmp_path, capsys):
     assert out.out == ""
     assert "vertex count -1 is negative" in out.err
     assert "no proper 4-coloring" not in out.err
-    gpath.write_text(json.dumps({"vertices": 0, "edges": []}))
-    assert main(["gadget", "--graph", str(gpath)]) == 0
-    assert "gadget ok: n=2 k=0" in capsys.readouterr().err
+    for vertices in (0, 1):
+        gpath.write_text(json.dumps({"vertices": vertices, "edges": []}))
+        assert main(["gadget", "--graph", str(gpath)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "element 0 is a loop" in out.err
+        assert "gadget ok" not in out.err
 
 
 def test_gadget_reports_failed_checks(tmp_path, monkeypatch, capsys):

@@ -34,11 +34,19 @@ The five `verify` rows were pinned before `minrank verify` began reading
 every brute-force fact from one hidden-rank table per matroid pair; they
 passed unchanged across that refactor. `verify` prints the instance file's
 name, so every row runs in the test's own directory on a relative name.
+
+`gadget` and `bench` take no instance file, so their rows live in a second
+table, `TOOL_GOLDEN`, and hash stderr too: the sha256 of the exit code, a
+newline, stdout, a newline and stderr. Both rows were pinned before the
+bounded-circuit step began reading each evil pair once. The `bench` row
+prints query counts, so a change that alters queries re-pins it, as it
+does the `solve` rows.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -120,3 +128,19 @@ def test_cli_output_unchanged(name, command, digest, tmp_path, monkeypatch, caps
     out = capsys.readouterr().out
     got = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
     assert got == digest, f"output of `minrank {sub} {name}.json {' '.join(rest)}` changed"
+
+
+TOOL_GOLDEN = [
+    ("gadget --graph edge.json", "ebbed6a0f8a5eb011b9a7f798d193a9c299f726d8ab717debce0832151bceee5"),
+    ("bench --sizes 8,16,32", "02e9b03579ac54c13df73c6609f866bf84c08c98438def4731f4bb15d8a0d69a"),
+]
+
+
+@pytest.mark.parametrize("command,digest", TOOL_GOLDEN, ids=[c for c, _ in TOOL_GOLDEN])
+def test_tool_output_unchanged(command, digest, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "edge.json").write_text(json.dumps({"vertices": 2, "edges": [[0, 1]]}))
+    code = main(command.split())
+    out = capsys.readouterr()
+    got = hashlib.sha256(f"{code}\n{out.out}\n{out.err}".encode()).hexdigest()
+    assert got == digest, f"output of `minrank {command}` changed"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -42,6 +43,7 @@ from minrank import (
     lexicographic_max,
     mask_of,
     max_cardinality,
+    parse_set,
     path_cost,
     popcount,
     random_fpt_instance,
@@ -323,17 +325,17 @@ def test_fpt_degenerate_gamma_equals_n():
 def test_fpt_guess_inside_J_skips_or_adds_a_clause(monkeypatch):
     # Single-vertex gadgets are the instances whose evil observations have
     # Y inside the suspicious-head bound J, which the random generators
-    # never reach.
-    inside_J = []
+    # never reach. A guess holding all of such a Y contradicts itself and is
+    # not tried; one holding a single element of Y adds a clause.
+    extras = []
 
-    def counted(N, X, Y, J, Jp, side):
-        out = fpt_clause(N, X, Y, J, Jp, side)
-        if not Y & ~J:
-            inside_J.append(out)
-        return out
+    def counted(table, g, extra=()):
+        extras.append(tuple(extra))
+        return build_cnf(table, g, extra=extra)
 
-    fpt_clause = minrank.solvers._fpt_clause
-    monkeypatch.setattr(minrank.solvers, "_fpt_clause", counted)
+    build_cnf = minrank.solvers.build_cnf
+    monkeypatch.setattr(minrank.solvers, "build_cnf", counted)
+    skipped = 0
     for color in COLORS:
         m1, m2 = build_gadget(ColoredGraph(1, (), (color,))).as_matroids()
         for seed in range(20):
@@ -344,8 +346,13 @@ def test_fpt_guess_inside_J_skips_or_adds_a_clause(monkeypatch):
                 best, argmaxes = brute_w_maximal(m1, m2, w, lv.k)
                 assert lv.weight == best
                 assert lv.I in argmaxes
-    assert any(out is minrank.solvers._SKIP for out in inside_J)
-    assert any(isinstance(out, tuple) for out in inside_J)
+            for step in run.trace:
+                if step.action == "guesses":
+                    found = re.fullmatch(r"J=(\S+) tried=(\d+) .*", step.detail)
+                    J, tried = found.groups()
+                    skipped += int(tried) < 2 ** popcount(parse_set(J))
+    assert skipped > 0
+    assert any(extras)
 
 
 def test_fpt_rejects_small_gamma():
@@ -701,6 +708,22 @@ class PerturbedOracle(MinRankOracle):
         return value
 
 
+class HashedLiar(MinRankOracle):
+    """Answers off by one on about 5% of masks, picked and signed by a
+    sha256 of (seed, mask): a function, so a repeated query repeats its lie."""
+
+    def __init__(self, m1, m2, seed: int):
+        super().__init__(m1, m2)
+        self._seed = seed
+
+    def rmin(self, mask: int) -> int:
+        value = super().rmin(mask)
+        h = hashlib.sha256(f"{self._seed}:{mask}".encode()).digest()
+        if h[0] < 13:  # 13/256, about 5%
+            value += 1 if h[1] & 1 else -1
+        return value
+
+
 class ScriptedLiar(MinRankOracle):
     """Answers `lies[mask]` for the masks it lies about, honestly elsewhere."""
 
@@ -742,9 +765,17 @@ def test_singleton_lie_is_a_contract_violation(value):
         max_cardinality(ScriptedLiar(m1, m2, {bit(0): value}))
 
 
-@pytest.mark.parametrize("mode", ["cardinality", "lexmax", "weighted", "fpt"])
-def test_lying_oracle_returns_or_reports_contract_violation(mode):
-    """A lie may pass unnoticed, but it must never surface as a ValueError."""
+LYING_MODES = ["cardinality", "lexmax", "weighted", "fpt", "approx"]
+
+
+@pytest.mark.parametrize(
+    "liar,mode",
+    [(liar, m) for liar in (PerturbedOracle, HashedLiar) for m in LYING_MODES],
+    ids=LYING_MODES + [f"{m}-per-mask" for m in LYING_MODES],
+)
+def test_lying_oracle_returns_or_reports_contract_violation(liar, mode):
+    """A lie may pass unnoticed, but it must never surface as a ValueError,
+    whether the liar draws its lies per query or fixes them per mask."""
     violations = 0
     for seed in range(40):
         if mode == "weighted":
@@ -753,7 +784,7 @@ def test_lying_oracle_returns_or_reports_contract_violation(mode):
             inst = random_fpt_instance(seed, 8, 3)
         else:
             inst = random_instance(seed, 8, weighted=True)
-        o = PerturbedOracle(inst.matroid1, inst.matroid2, seed)
+        o = liar(inst.matroid1, inst.matroid2, seed)
         w = inst.weight_vector()
         try:
             if mode == "cardinality":
@@ -762,8 +793,10 @@ def test_lying_oracle_returns_or_reports_contract_violation(mode):
                 lexicographic_max(o, w)
             elif mode == "weighted":
                 weighted_no_circuit_inclusion(o, w)
-            else:
+            elif mode == "fpt":
                 weighted_fpt_circuit(o, w, 3)
+            else:
+                approx_max_weight(o, w)
         except ContractViolationError:
             violations += 1
     assert violations > 0  # the lies do reach the augmentation steps
