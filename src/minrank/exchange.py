@@ -14,13 +14,20 @@ from I outward, layer-2 arcs run from outside into I. An augmenting path
 starts at a source, alternates sides, and ends at a sink; swapping I by the
 symmetric difference of such a path grows the common independent set by one.
 
-Every graph is built by one filler (`_fill`) that asks an arc rule one
-outside element at a time: the matroids' rule for the true graph, and
-`_arc_rule` for the probe graphs. One label-correcting search over a built
-graph (`shortest_cheapest_path`) finds a shortest cheapest path or its
-certificate; at zero costs it answers `shortest_augmenting_path` and
-`reachability_certificate`. Only the cardinality solver, which tests arcs
-of `_arc_rule` on demand, walks a reverse BFS (`_search`) instead.
+The true graph is built by one filler (`_fill`) that asks the matroids'
+arc rule one outside element at a time. The probe graphs are built from
+group tests on fundamental circuits instead. A star (an element of exactly
+one of S and T) x has `rmin((I ∖ Y) + x)` equal to |I| − |Y| + 1 when Y
+meets x's circuit in I and |I| − |Y| otherwise; a plain element gets the
+same test with a probe of the other side added, on the part of I that
+misses the probe's circuit. One splitting search (`_split`) finds each
+circuit from such tests, holds every answer to its two allowed values and
+asks every member it reports. It serves `_probe_graph`, which both probe
+builders share, and the reverse BFS (`_search`) of the cardinality solver,
+which asks only about the arcs it scans. One label-correcting search over
+a built graph (`shortest_cheapest_path`) finds a shortest cheapest path or
+its certificate; at zero costs it answers `shortest_augmenting_path` and
+`reachability_certificate`.
 """
 
 from __future__ import annotations
@@ -355,52 +362,55 @@ def _star_sets(o: Oracle, I: int, sp: StarPair) -> tuple[int, int]:
     return S, T
 
 
-def _arc_rule(
-    o: Oracle,
-    I: int,
-    S: int,
-    T: int,
-    t_probes: list[int],
-    s_probes: list[int],
-) -> Callable[[int, int], bool]:
-    """The arc test of a probe graph with sources S and sinks T.
+def _split(o: Oracle, G: int, query: Callable[[int], tuple[int, int]]) -> int:
+    """The members of G in a hidden set C, found by group tests.
 
-    Arcs that touch a source or sink keep their full stars. A layer-1 arc
-    into a source and a layer-2 arc out of a sink are admitted here without
-    a query, and nowhere else; a layer-1 arc into a sink or a layer-2 arc
-    out of a source costs one swap query. Every other arc is admitted when
-    a three-element swap probe keeps the min-rank flat against each
-    sink-side probe in `t_probes` (layer 1) or each source-side probe in
-    `s_probes` (layer 2), in order, stopping at the first failure.
+    `query(Y)` names, for a nonempty Y ⊆ G, the set X whose min-rank is
+    `low` when Y misses C and `low + 1` when Y meets it, as (X, low). G is
+    asked whole; a group that meets C splits in two halves, the lower half
+    is asked, and the upper half is asked too when the lower one meets C,
+    else it is known to meet C. A group of one known to meet C without
+    being asked is asked still, so every member found stands on its own
+    answer. That takes about |C ∩ G|·log2|G| questions instead of |G|.
+
+    An answer outside `low` .. `low + 1`, or a group of one that misses C
+    although its sibling's answer says it meets it, breaks the premise and
+    raises ValueError naming the set.
     """
+
+    def meets(Y: int, known: bool = False) -> bool:
+        X, low = query(Y)
+        value = o.rmin(X)
+        if not low + known <= value <= low + 1:
+            allowed = f"{low + 1}" if known else f"{low} or {low + 1}"
+            raise ValueError(
+                f"rmin({format_set(X)}) = {value}, but the group test of "
+                f"{format_set(Y)} must give {allowed}"
+            )
+        return value > low
+
+    def find(Y: int, asked: bool) -> int:
+        # Y meets C: its own answer says so, or its sibling's does.
+        if not Y & (Y - 1):
+            return Y if asked or meets(Y, True) else 0
+        members = elements_of(Y)
+        A = mask_of(members[: len(members) // 2])
+        B = Y & ~A
+        if meets(A):
+            return find(A, True) | (find(B, True) if meets(B) else 0)
+        return find(B, False)
+
+    return find(G, True) if G and meets(G) else 0
+
+
+def _column(o: Oracle, I: int, G: int, xb: int) -> int:
+    """The members y of G ⊆ I on the fundamental circuit of an outside
+    element, by group tests on `rmin((I ∖ Y) | xb)`, which is |I| − |Y| + 1
+    when Y meets the circuit and |I| − |Y| otherwise. xb holds the element
+    alone for a star (a source or sink of one side only), or with a probe
+    of the other side whose own circuit misses G."""
     k = popcount(I)
-    t_masks = [bit(t) for t in t_probes]
-    s_masks = [bit(s) for s in s_probes]
-    rmin = o.rmin
-
-    def arc(u: int, v: int) -> bool:
-        if (I >> u) & 1:
-            xb = 1 << v
-            if S & xb:
-                return True
-            base = I & ~(1 << u) | xb
-            if T & xb:
-                return rmin(base) == k
-            probes = t_masks
-        else:
-            xb = 1 << u
-            if T & xb:
-                return True
-            base = I & ~(1 << v) | xb
-            if S & xb:
-                return rmin(base) == k
-            probes = s_masks
-        for pb in probes:
-            if rmin(base | pb) != k:
-                return False
-        return True
-
-    return arc
+    return _split(o, G, lambda Y: (I & ~Y | xb, k - popcount(Y)))
 
 
 def _probe_graph(
@@ -411,12 +421,53 @@ def _probe_graph(
     t_probes: list[int],
     s_probes: list[int],
 ) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Every arc that `_arc_rule` admits, asked by `_fill` one outside
-    element at a time (the tests pin the query sequence), with base sure
-    labels: arcs incident to a source or sink are sure. Returns (arcs1,
-    arcs2, sure1, sure2)."""
-    arc = _arc_rule(o, I, S, T, t_probes, s_probes)
-    arcs1, arcs2 = _fill(o.n, I, o.ground & ~I, arc)
+    """The probe graph with sources S and sinks T, whose plain arcs hold
+    against every sink-side probe in `t_probes` (layer 1) and every
+    source-side probe in `s_probes` (layer 2), by group tests.
+
+    In probe orientation layer 1 reads the matroid that S extends and
+    layer 2 the one that T extends. A layer-1 arc into a source and a
+    layer-2 arc out of a sink are free. A star, an element of one of S and
+    T only, has one circuit C(x) in I: its layer-1 column if it is a sink,
+    its layer-2 row if it is a source, and the stars are asked first. A
+    plain element x (in neither) has the arc (y, x) against a probe t' iff
+    y lies in C(x) or in the column of t', so its layer-1 column is C(x)
+    together with K1, the elements of I in every probe's column. The rest
+    of I is cut into groups, each the part left over that misses the
+    column of one probe, and searched with x and that probe added. Layer 2
+    mirrors this with the rows of the source-side probes. Arcs incident to
+    a source or sink are sure. Returns (arcs1, arcs2, sure1, sure2).
+    """
+    n = o.n
+    outside = o.ground & ~I
+    star = {x: _column(o, I, I, bit(x)) for x in iter_bits(outside & (S ^ T))}
+
+    def groups(probes: list[int]) -> tuple[int, list[tuple[int, int]]]:
+        known = I
+        for p in probes:
+            known &= star[p]
+        cut, rest = [], I & ~known
+        for p in probes:
+            if rest & ~star[p]:
+                cut.append((rest & ~star[p], bit(p)))
+                rest &= star[p]
+        return known, cut
+
+    def plain(xb: int, layer: tuple[int, list[tuple[int, int]]]) -> int:
+        known, cut = layer
+        for G, pb in cut:
+            known |= _column(o, I, G, xb | pb)
+        return known
+
+    layer1, layer2 = groups(t_probes), groups(s_probes)
+    arcs1 = [0] * n
+    arcs2 = [0] * n
+    for x in iter_bits(outside):
+        xb = 1 << x
+        column = I if S & xb else star[x] if T & xb else plain(xb, layer1)
+        arcs2[x] = I if T & xb else star[x] if S & xb else plain(xb, layer2)
+        for y in iter_bits(column):
+            arcs1[y] |= xb
     st = S | T
     sure1 = [heads & st for heads in arcs1]
     sure2 = [heads if (st >> x) & 1 else 0 for x, heads in enumerate(arcs2)]
@@ -464,28 +515,29 @@ def intersect_modified(o: Oracle, I: int, sp: StarPair) -> ExchangeGraph:
 
 
 def _search(
-    I: int, outside: int, S: int, T: int, arc: Callable[[int, int], bool]
+    I: int, outside: int, S: int, T: int, tails: Callable[[int, int], int]
 ) -> tuple[int, dict[int, int]]:
-    """Reverse BFS from the sinks T over the arcs that `arc(u, v)` admits.
+    """Reverse BFS from the sinks T over the arcs that `tails` reports.
 
-    Each frontier is scanned in ascending order, and (u, v) is asked only
-    for a u on the other side that no earlier test reached, so every arc is
-    asked at most once. The first v that reaches u is recorded: it is u's
-    smallest successor one level down. The search stops after the first
-    level that holds a source, so a sink that is also a source ends it at
-    level 0. Returns (reached, nxt): the mask of reached vertices, and the
-    recorded successor of each reached non-sink.
+    Each frontier is scanned in ascending order, and `tails(v, U)` returns
+    the members u of U with an arc (u, v), where U is every vertex on the
+    other side that no earlier scan reached, so every arc is asked at most
+    once. The first v that reaches u is recorded: it is u's smallest
+    successor one level down. The search stops after the first level that
+    holds a source, so a sink that is also a source ends it at level 0.
+    Returns (reached, nxt): the mask of reached vertices, and the recorded
+    successor of each reached non-sink.
     """
     nxt: dict[int, int] = {}
     reached = frontier = T
     while frontier and not frontier & S:
         scan, frontier = frontier, 0
         for v in iter_bits(scan):
-            for u in iter_bits((outside if (I >> v) & 1 else I) & ~reached):
-                if arc(u, v):
-                    nxt[u] = v
-                    reached |= bit(u)
-                    frontier |= bit(u)
+            found = tails(v, (outside if (I >> v) & 1 else I) & ~reached)
+            for u in iter_bits(found):
+                nxt[u] = v
+            reached |= found
+            frontier |= found
     return reached, nxt
 
 
@@ -493,17 +545,37 @@ def probe_pair_search(
     o: Oracle, I: int, sp: StarPair
 ) -> tuple[list[int] | None, int]:
     """The probe-pair graph's shortest augmenting path, or its certificate,
-    with arcs tested on demand.
+    with arcs found on demand by group tests.
 
     Same answer as `shortest_cheapest_path` at zero costs on
-    `build_modified_graph(o, I, sp)`, but the reverse BFS asks the probe
-    rule only for the arcs it scans, and the path walks from the smallest
-    reached source along the recorded successors. Returns (path, 0) when a
-    path exists, else (None, Z) with Z the set of vertices that reach a sink.
+    `build_modified_graph(o, I, sp)`, but the reverse BFS asks only about
+    the arcs it scans, and the path walks from the smallest reached source
+    along the recorded successors. The arcs into an outside vertex v are
+    its column: a sink's star column, or, for a plain v, the group tests
+    with t* added; every element of I whose arc reaches t* was reached at
+    level 1, so the rest misses t*'s column. The arcs out to an element v
+    of I group by tail: for U ⊆ S ∖ T, `rmin((I − v) ∪ U)` is |I| if some
+    u in U has the arc (u, v) and |I| − 1 otherwise; plain tails are
+    grouped the same way with s* added when (s*, v) is no arc, and all
+    have the arc when it is one. Returns (path, 0) when a path exists, else
+    (None, Z) with Z the set of vertices that reach a sink.
     """
     S, T = _star_sets(o, I, sp)
-    arc = _arc_rule(o, I, S, T, [sp.t], [sp.s])
-    reached, nxt = _search(I, o.ground & ~I, S, T, arc)
+    k = popcount(I)
+    sb, tb = bit(sp.s), bit(sp.t)
+
+    def tails(v: int, U: int) -> int:
+        vb = 1 << v
+        if not I & vb:
+            return _column(o, I, U, vb if T & vb else vb | tb)
+        rest = I & ~vb
+        plain = U & ~S
+        star = _split(o, U & S | (sb if plain else 0), lambda W: (rest | W, k - 1))
+        if plain and not star & sb:
+            plain = _split(o, plain, lambda W: (rest | W | sb, k - 1))
+        return (star | plain) & U
+
+    reached, nxt = _search(I, o.ground & ~I, S, T, tails)
     v = next(iter_bits(reached & S), None)
     if v is None:
         return None, reached

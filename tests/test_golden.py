@@ -29,6 +29,19 @@ cardinality and 28 -> 21 for the weighted modes, `fpt-8` one query less
 in every mode, `lexmax-7` cardinality 19 -> 18 and, in the weighted modes,
 one step's `queries=` up by one and another's down by one). The outputs
 with those numbers masked are identical to the pair loop's.
+The `promise-7` and `fpt-8` rows of the five `solve --mode ... --trace`
+commands, when the probe graphs and the on-demand search began finding
+arcs by group tests on fundamental circuits: only `oracle queries:` and
+`queries=` changed. `oracle queries:` went 25 -> 28 (cardinality),
+67 -> 76 (weighted, lexmax, approx) and 72 -> 81 (fpt) on `promise-7`,
+whose seven elements leave groups too small to pay for their first
+question, and 42 -> 41 (cardinality), 142 -> 140 (weighted, lexmax,
+approx) and 151 -> 149 (fpt) on `fpt-8`. The step lines moved with them:
+on `promise-7` one cardinality step 13 -> 16, and three weighted and
+lexmax steps 17 -> 20, 16 -> 19 and 15 -> 18 (fpt 18 -> 21, 17 -> 20,
+18 -> 21); on `fpt-8` one cardinality step 23 -> 22, and two weighted and
+lexmax steps 25 -> 29 and 54 -> 48 (fpt 26 -> 30 and 60 -> 54). The
+outputs with those numbers masked are identical to the per-arc rule's.
 
 The five `verify` rows were pinned before `minrank verify` began reading
 every brute-force fact from one hidden-rank table per matroid pair; they
@@ -40,7 +53,12 @@ table, `TOOL_GOLDEN`, and hash stderr too: the sha256 of the exit code, a
 newline, stdout, a newline and stderr. Both rows were pinned before the
 bounded-circuit step began reading each evil pair once. The `bench` row
 prints query counts, so a change that alters queries re-pins it, as it
-does the `solve` rows.
+does the `solve` rows. It was re-pinned when the arcs began to be found by
+group tests: the cardinality queries at n = 16 went 92 -> 80 and
+103 -> 96, at n = 32 270 -> 198 and 328 -> 247 (max C 0.057 -> 0.054),
+and the weighted queries at n = 16 297 -> 266 and at n = 32 637 -> 514,
+each row's C with its queries; the n = 8 rows and the rest stayed the
+same.
 """
 
 from __future__ import annotations
@@ -83,16 +101,16 @@ GOLDEN = [
     ("random-7", "solve --mode fpt --gamma 3 --trace", "62f487532da2f3a5c47d214bc6ef3541e145bfbaa9a35f4d3c9bf0c31f112412"),
     ("random-7", "solve --mode lexmax --trace", "4f26da98a5ee0eb7d4e3178c6a593251c1aaf53ae2c2ce5112ce7ec9c470abe6"),
     ("random-7", "solve --mode approx --trace", "acbf4e57ffd70ad2da317c54ce64c4c1a28108dc966ffd55a027475e5ce32abb"),
-    ("promise-7", "solve --mode cardinality --trace", "4886b7268ea9be9028c2efce1d3726d77f4be58751907d95fb603080d3704281"),
-    ("promise-7", "solve --mode weighted --promise no-circuit-inclusion --trace", "068352bf1538a01df63e3da7041a722a4f4389ecb8893a8ce8808dec3f76b58e"),
-    ("promise-7", "solve --mode fpt --gamma 3 --trace", "de57a2d3c9a3438cec5d311c3b8e5894a4b4cbf9fd7a2873daa4156e75e473d3"),
-    ("promise-7", "solve --mode lexmax --trace", "eb898dcf97ab2c2407481049d6a7377102209adaacc42e2d7631309585bd6622"),
-    ("promise-7", "solve --mode approx --trace", "68b93da4d4347af903dd3f1038577d49a570d7a5942c1be195f4349bfebf80df"),
-    ("fpt-8", "solve --mode cardinality --trace", "0e22316df2c55325115d02dd0a24cd162542a66732563974efd4bcbb297cf900"),
-    ("fpt-8", "solve --mode weighted --promise no-circuit-inclusion --trace", "68d3e91263c10617fed5187069695dd9deb44ee01f5eceb4428c817b74889853"),
-    ("fpt-8", "solve --mode fpt --gamma 3 --trace", "1c8fa1761c24071fbfb8a3f74cb3bd2dd9f17f3ec547b9feb7650e5af2711c9b"),
-    ("fpt-8", "solve --mode lexmax --trace", "549cde6b9162b5ee8f8dccfbda13ce84b277c49c74bca6732fae76ec451e4314"),
-    ("fpt-8", "solve --mode approx --trace", "6ca9c4120ec468f298442809cee6150d3b920803f82b61bc04acca3a805195d4"),
+    ("promise-7", "solve --mode cardinality --trace", "e3a2a7cda4019399368ed77e11bb6056837058e0d1dfbdcfef836eac6790f0ac"),
+    ("promise-7", "solve --mode weighted --promise no-circuit-inclusion --trace", "9034b837af4a300bf646b10992588d84f8e2c7c2bd078887f508ba0e2f2915f9"),
+    ("promise-7", "solve --mode fpt --gamma 3 --trace", "86d22f9178df5cd3ceb04b9f827ce4f8b529c61f1411816e34278653824974e1"),
+    ("promise-7", "solve --mode lexmax --trace", "bedaf11416c6aec6f26ca13e65ecd77b852ba4b19455ecfdaef60fdfe9746d11"),
+    ("promise-7", "solve --mode approx --trace", "83ff1dd7c0f074a1647aaf4f70c82394153adb76421a513ab5e9640d7c0510f6"),
+    ("fpt-8", "solve --mode cardinality --trace", "919172d3876d8df0ef07ec43b20d760aace705db8491ed9d2e0d0827cdbad543"),
+    ("fpt-8", "solve --mode weighted --promise no-circuit-inclusion --trace", "6fdfc9c1c1ab4fd272ced6e81fdf92124363276511921198f15c695f56134e4b"),
+    ("fpt-8", "solve --mode fpt --gamma 3 --trace", "9b0f6fb320e9f51891a138ab67c0a697e51f0d5eefee02c31984ecf68245a7a1"),
+    ("fpt-8", "solve --mode lexmax --trace", "9977017630bd505d8adb22bd1fac0b4cd09173ca9a4a23557b0f7525b3516c05"),
+    ("fpt-8", "solve --mode approx --trace", "6b871aab844f5a19f08757cba7ce4c9003b65c12f5b1a395a03b55206cebbbcc"),
     ("lexmax-7", "solve --mode cardinality --trace", "05034fdc246aef541a8150b743b532fb60f9b43fd0881918c1f084fe41e6a810"),
     ("lexmax-7", "solve --mode weighted --promise no-circuit-inclusion --trace", "ebfad139cc36c73260696285dbd212ff8057bcc3844d27c9073a36370e2666c5"),
     ("lexmax-7", "solve --mode fpt --gamma 3 --trace", "0b6276077adb70a0e1db745e86914189cd326227f54ea4ff5731f21c86b4335a"),
@@ -132,7 +150,7 @@ def test_cli_output_unchanged(name, command, digest, tmp_path, monkeypatch, caps
 
 TOOL_GOLDEN = [
     ("gadget --graph edge.json", "ebbed6a0f8a5eb011b9a7f798d193a9c299f726d8ab717debce0832151bceee5"),
-    ("bench --sizes 8,16,32", "02e9b03579ac54c13df73c6609f866bf84c08c98438def4731f4bb15d8a0d69a"),
+    ("bench --sizes 8,16,32", "476deb941947248684b905da082f8106a9aa5ddf3bfca8c9fe454eb051b75d39"),
 ]
 
 

@@ -183,12 +183,13 @@ def test_max_cardinality_matches_brute():
 
 def test_max_cardinality_query_count_pinned():
     """The n=64 partition pair: 3,877 queries while the cardinality solver
-    built the whole probe-pair graph, 1,341 with on-demand arc tests, and
-    1,345 since the survey finds its probe pair by prefix search."""
+    built the whole probe-pair graph, 1,341 with on-demand arc tests,
+    1,345 since the survey finds its probe pair by prefix search, and 665
+    since the on-demand search finds arcs by group tests."""
     inst = random_instance(7, 64, kinds=("partition",), weighted=True)
     run = max_cardinality(MinRankOracle(inst.matroid1, inst.matroid2))
     assert popcount(run.I) == 47
-    assert run.queries == 1345
+    assert run.queries == 665
 
 
 def test_max_cardinality_swap_instance():
@@ -763,6 +764,39 @@ def test_singleton_lie_is_a_contract_violation(value):
     m1, m2 = crossed_pair()
     with pytest.raises(ContractViolationError, match=re.escape(format_set(bit(0)))):
         max_cardinality(ScriptedLiar(m1, m2, {bit(0): value}))
+
+
+@pytest.mark.parametrize(
+    "seed,n,mode,mask,value",
+    [
+        (None, 7, "lexmax", mask_of((0, 2)), 3),
+        (None, 7, "lexmax", mask_of((0, 3, 4, 5)), 4),
+        (5, 5, "cardinality", bit(3), 2),
+        (5, 5, "cardinality", mask_of((1, 2, 4)), 3),
+        (None, 7, "lexmax", mask_of((0, 1, 5)), 2),
+    ],
+    ids=["star", "plain", "bfs-column", "bfs-tail", "denied-member"],
+)
+def test_group_test_lie_is_a_contract_violation(seed, n, mode, mask, value):
+    """A group test answered outside its two allowed values surfaces as
+    ContractViolationError naming the set it asked, never as a wrong arc:
+    in a star's circuit and in a plain element's group with a probe (both
+    in the intersected graph of `random_lexmax_instance(1, 7)`), and in the
+    on-demand search of `random_instance(5, 5)`, at a sink's column and in
+    a group of tails. A member implied by its sibling's answer but denied
+    by its own (`denied-member`, an answer in range) is reported the same
+    way."""
+    if seed is None:
+        inst = random_lexmax_instance(1, n)
+    else:
+        inst = random_instance(seed, n, weighted=True)
+    o = ScriptedLiar(inst.matroid1, inst.matroid2, {mask: value})
+    message = f"rmin({format_set(mask)}) = {value}, but the group test of"
+    with pytest.raises(ContractViolationError, match=re.escape(message)):
+        if mode == "cardinality":
+            max_cardinality(o)
+        else:
+            lexicographic_max(o, inst.weight_vector())
 
 
 LYING_MODES = ["cardinality", "lexmax", "weighted", "fpt", "approx"]
