@@ -255,7 +255,9 @@ class ExtensionSurvey(NamedTuple):
         return not self.direct and self.pair is None
 
 
-def survey_extensions(o: Oracle, I: int, first: bool = False) -> ExtensionSurvey:
+def survey_extensions(
+    o: Oracle, I: int, first: bool = False, known_flat: int = 0
+) -> ExtensionSurvey:
     """Scan the additions to the common independent set I through the oracle.
 
     Collects every element whose addition lifts the min-rank, then finds
@@ -263,6 +265,12 @@ def survey_extensions(o: Oracle, I: int, first: bool = False) -> ExtensionSurvey
     rest). The weighted solvers need the pair even when rank-lifting
     singletons exist. With `first`, the scan stops at the first rank-lifting
     element and reports it alone, with no pair.
+
+    `known_flat` names elements outside I known to be flat, which the scan
+    files as flat without asking. A flat element stays flat while I grows
+    (I + y is dependent in one matroid, and so is every superset), so once
+    the scan with `first` stops at its lift x, every element outside I
+    below x, and every one of `known_flat`, is flat at I + x.
 
     The pair comes from two prefix searches, not from asking every pair. A
     flat element is addable in one matroid or in neither, never in both, so
@@ -291,12 +299,12 @@ def survey_extensions(o: Oracle, I: int, first: bool = False) -> ExtensionSurvey
     direct = []
     flat = []
     for x in iter_bits(o.ground & ~I):
-        if lifts(bit(x), k + 1):
-            if first:
-                return ExtensionSurvey((x,), None)
-            direct.append(x)
-        else:
+        if (known_flat >> x) & 1 or not lifts(bit(x), k + 1):
             flat.append(x)
+        elif first:
+            return ExtensionSurvey((x,), None)
+        else:
+            direct.append(x)
     prefix = [0]
     for x in flat:
         prefix.append(prefix[-1] | bit(x))
@@ -305,7 +313,7 @@ def survey_extensions(o: Oracle, I: int, first: bool = False) -> ExtensionSurvey
         # Each flat element of P is addable in at most one matroid.
         return lifts(P, k + popcount(P) // 2)
 
-    # A one-element prefix is flat: the scan above asked it.
+    # A one-element prefix is flat: the scan above asked it or knew it.
     j = _shortest_lift(lambda L: lifts_flat(prefix[L]), 1, len(flat), False)
     if j is None:
         return ExtensionSurvey(tuple(direct), None)

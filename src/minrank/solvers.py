@@ -87,6 +87,10 @@ def _certify(Z: int) -> _Outcome:
     return Certificate(Z), "certificate", f"Z={format_set(Z)}"
 
 
+def _grown(J: int) -> _Outcome:
+    return Augmented(J), "augment", f"J={format_set(J)}"
+
+
 def augment_min_rank(o: Oracle, I: int) -> _Outcome:
     """One cardinality augmentation step.
 
@@ -95,25 +99,43 @@ def augment_min_rank(o: Oracle, I: int) -> _Outcome:
     add the smallest such; otherwise search the graph of the survey's probe
     pair from its sinks, testing arcs on demand, and either swap along a
     shortest source-sink path or certify with the set of vertices that
-    reach a sink.
+    reach a sink. A certificate is checked before it is returned:
+    `rmin(Z) + rmin(E \\ Z) = |I|`, or ContractViolationError.
 
     The size of the result does not depend on the probe pair, but J and Z
     can: the survey's lexicographically smallest pair may have a true sink
     as `s`, and then the graph is the one of the swapped matroid pair (e.g.
     `random_instance(111, 7)` at I={1,3,4})."""
-    if not o.is_common_independent(I):
+    return _augment(o, I, None)[0]
+
+
+def _augment(o: Oracle, I: int, known_flat: int | None) -> tuple[_Outcome, int | None]:
+    """`augment_min_rank`, resumed after a direct add when `known_flat` is
+    not None: then I needs no entry check, the survey does not ask the
+    elements of `known_flat`, and the certificate check asks `rmin(I)`.
+    Returns the outcome and, after a direct add of x, the elements known
+    flat at I + x (see `survey_extensions`); None otherwise."""
+    if known_flat is None and not o.is_common_independent(I):
         raise ValueError("I is not a common independent set")
-    survey = survey_extensions(o, I, first=True)
-    if survey.all_flat:
-        return _certify(o.ground)
+    survey = survey_extensions(o, I, first=True, known_flat=known_flat or 0)
     if survey.direct:
-        J = I | bit(survey.direct[0])
-    else:
+        x = survey.direct[0]
+        after = (known_flat or 0) | o.ground & ~I & (bit(x) - 1)
+        return _grown(I | bit(x)), after
+    path, Z = None, o.ground
+    if survey.pair is not None:
         path, Z = probe_pair_search(o, I, survey.pair)
-        if path is None:
-            return _certify(Z)
-        J = I ^ mask_of(path)
-    return Augmented(J), "augment", f"J={format_set(J)}"
+    if path is not None:
+        return _grown(I ^ mask_of(path)), None
+    k, rest = popcount(I), o.ground & ~Z
+    rI = k if known_flat is None else o.rmin(I)
+    rZ, rR = o.rmin(Z), o.rmin(rest)
+    if rI != k or rZ + rR != k:
+        raise ContractViolationError(
+            f"certificate fails at |I| = {k}: rmin({format_set(I)}) = {rI}, "
+            f"rmin({format_set(Z)}) = {rZ}, rmin({format_set(rest)}) = {rR}"
+        )
+    return _certify(Z), None
 
 
 class CardinalityRun(NamedTuple):
@@ -158,8 +180,18 @@ def _run(o: Oracle, step: Callable[[int], _Outcome]) -> CardinalityRun:
 
 def max_cardinality(o: Oracle) -> CardinalityRun:
     """Grow from the empty set one augmentation at a time until a duality
-    certificate proves maximality, keeping every set passed through."""
-    return _run(o, lambda I: augment_min_rank(o, I))
+    certificate proves maximality, keeping every set passed through.
+
+    A step after a direct add resumes the one before: it skips the entry
+    check and the singletons known to be flat (`_augment`)."""
+    known_flat = None
+
+    def step(I: int) -> _Outcome:
+        nonlocal known_flat
+        outcome, known_flat = _augment(o, I, known_flat)
+        return outcome
+
+    return _run(o, step)
 
 
 # -- weighted augmentation ----------------------------------------------------
@@ -184,12 +216,10 @@ def cheapest_path_augment(
 ) -> _Outcome:
     """One weighted augmentation step at a weight-maximal I.
 
-    Steps: (1) every pairwise extension flat -> ground-set certificate;
-    (2) no valid probe pair -> add the heaviest rank-lifting element
-    (smallest id on ties); (3) intersected graph from the survey's probe
-    pair; (4) observations -> clause system -> resolved graph; (5) swap
-    along a shortest cheapest source-sink path, or certify with the set of
-    vertices that reach a sink. The trace line states the path's cost as
+    Steps: `_augment_prelude`; the intersected graph from its probe pair;
+    observations -> clause system -> resolved graph; a swap along a
+    shortest cheapest source-sink path, or the certificate of the vertices
+    that reach a sink. The trace line states the path's cost as
     `_price(path, I, w)`, which each mode sets to speak in its own units.
 
     The result is weight-maximal at |I|+1 under any of the three tractable
@@ -265,15 +295,13 @@ def _validate_candidate(o: Oracle, I: int, path: Sequence[int]) -> bool:
     (the property a genuine shortest cheapest path always has)."""
     k = popcount(I)
     J = I ^ mask_of(path)
-    if popcount(J) != k + 1 or o.rmin(J) != k + 1:
-        return False
-    for m in range(2, len(path), 2):
-        if o.rmin(I ^ mask_of(path[:m])) != k:
-            return False
-    for j in range(1, len(path), 2):
-        if o.rmin(I ^ mask_of(path[j:])) != k:
-            return False
-    return True
+    swaps = [path[:m] for m in range(2, len(path), 2)]
+    swaps += [path[j:] for j in range(1, len(path), 2)]
+    return (
+        popcount(J) == k + 1
+        and o.rmin(J) == k + 1
+        and all(o.rmin(I ^ mask_of(P)) == k for P in swaps)
+    )
 
 
 def _fpt_augment(o: Oracle, w: Sequence, I: int, gamma: int) -> _Outcome:
@@ -283,8 +311,7 @@ def _fpt_augment(o: Oracle, w: Sequence, I: int, gamma: int) -> _Outcome:
     k = popcount(I)
     N = intersect_modified(o, I, pair)
     table = ObservationTable(o, I, N.S, N.T)
-    J1 = 0
-    J2 = 0
+    J1 = J2 = 0
     for u, v in N.suspicious_pairs():
         if (N.I >> u) & 1:
             J1 |= bit(u)
@@ -457,20 +484,11 @@ def approx_max_weight(o: Oracle, w: Sequence) -> ApproxResult:
     report the worst-case ratio min{1, alpha/2}, where alpha is the
     smallest ratio between consecutive distinct positive weights (a single
     positive weight class is solved exactly, guarantee 1)."""
-    pos = 0
-    for e in iter_bits(o.ground):
-        if Fraction(w[e]) > 0:
-            pos |= bit(e)
+    pos = mask_of(e for e in iter_bits(o.ground) if Fraction(w[e]) > 0)
     if pos == 0:
         return ApproxResult(0, Fraction(0), Fraction(1), None, 0)
     run = lexicographic_max(RestrictedOracle(o, pos), w)
     distinct = weight_classes(w, pos)
-    if len(distinct) <= 1:
-        alpha = None
-        guarantee = Fraction(1)
-    else:
-        alpha = min(
-            distinct[i] / distinct[i + 1] for i in range(len(distinct) - 1)
-        )
-        guarantee = min(Fraction(1), alpha / 2)
+    alpha = min((a / b for a, b in zip(distinct, distinct[1:])), default=None)
+    guarantee = Fraction(1) if alpha is None else min(Fraction(1), alpha / 2)
     return ApproxResult(run.I, total_weight(w, run.I), guarantee, alpha, run.queries)

@@ -42,6 +42,17 @@ lexmax steps 17 -> 20, 16 -> 19 and 15 -> 18 (fpt 18 -> 21, 17 -> 20,
 18 -> 21); on `fpt-8` one cardinality step 23 -> 22, and two weighted and
 lexmax steps 25 -> 29 and 54 -> 48 (fpt 26 -> 30 and 60 -> 54). The
 outputs with those numbers masked are identical to the per-arc rule's.
+The five `solve --mode cardinality --trace` rows, when a step after a
+direct add began resuming the survey before it (no entry check, and the
+singletons known to be flat not asked) and the certifying step began
+checking `rmin(I) = |I|` and `rmin(Z) + rmin(E \\ Z) = |I|`: only
+`oracle queries:` and `queries=` changed. `oracle queries:` went
+10 -> 9 (`crossed`), 13 -> 14 (`random-7`), 28 -> 25 (`promise-7`),
+41 -> 34 (`fpt-8`) and 18 -> 13 (`lexmax-7`). Step lines: `crossed`
+4 -> 3; `random-7` 2 -> 1 and the certificate 9 -> 11; `promise-7`
+2, 2, 2, 2, 16 -> 1, 1, 1, 1, 15 and the certificate 2 -> 4; `fpt-8`
+3, 4, 4, 22 -> 2, 2, 1, 19 and the certificate 6 -> 8; `lexmax-7`
+2, 3, 5 -> 1, 2, 3 and the certificate 6 -> 5.
 
 The five `verify` rows were pinned before `minrank verify` began reading
 every brute-force fact from one hidden-rank table per matroid pair; they
@@ -58,7 +69,11 @@ group tests: the cardinality queries at n = 16 went 92 -> 80 and
 103 -> 96, at n = 32 270 -> 198 and 328 -> 247 (max C 0.057 -> 0.054),
 and the weighted queries at n = 16 297 -> 266 and at n = 32 637 -> 514,
 each row's C with its queries; the n = 8 rows and the rest stayed the
-same.
+same. It was re-pinned again when the cardinality survey began resuming
+after a direct add: the cardinality queries went 16 -> 14 and 17 -> 12
+at n = 8, 80 -> 58 and 96 -> 70 at n = 16, and 198 -> 124 and
+247 -> 161 at n = 32 (max C 0.054 -> 0.044), each row's C with its
+queries; the weighted rows stayed the same.
 """
 
 from __future__ import annotations
@@ -91,27 +106,27 @@ INSTANCES = {
 }
 
 GOLDEN = [
-    ("crossed", "solve --mode cardinality --trace", "5b12ef1af6e61e39a409c9e6f7b7a4188a6c7acbab29b3f9c7fd74207e4b5fdf"),
+    ("crossed", "solve --mode cardinality --trace", "9fbcae25c94927dba663e638ee2aa97716114b4bddc72417e8ad0cc6de6bc83a"),
     ("crossed", "solve --mode weighted --promise no-circuit-inclusion --trace", "142bf2177972639f31c31b70e1ca730cf2fa9df3cd564bd15761b5d3d652ae6b"),
     ("crossed", "solve --mode fpt --gamma 3 --trace", "ad4f52a19f18969054c770c39eee850ae83ed1332dd952a5506fe4b916480f30"),
     ("crossed", "solve --mode lexmax --trace", "19cbc201c2a5d1334271d1044ca240fde83b0c50d8ce74bd2744b1acc0d4a8b0"),
     ("crossed", "solve --mode approx --trace", "af58946e4424a66933344ee61560f953121f20e78b1e8dc3ce7f3ad951267ff8"),
-    ("random-7", "solve --mode cardinality --trace", "fb4f4d5ad0f3a54cea3b74e7bee52556be83e68e559935f6c1c7280b7e120ac7"),
+    ("random-7", "solve --mode cardinality --trace", "3638eb48b1d0cdaef20deb0a4b5dd10f91993da9e41373a215914513d29ce36a"),
     ("random-7", "solve --mode weighted --promise no-circuit-inclusion --trace", "da890c69d4c09b3668ce1006b27681046cb6d142160fc8baef725455b43d2a20"),
     ("random-7", "solve --mode fpt --gamma 3 --trace", "62f487532da2f3a5c47d214bc6ef3541e145bfbaa9a35f4d3c9bf0c31f112412"),
     ("random-7", "solve --mode lexmax --trace", "4f26da98a5ee0eb7d4e3178c6a593251c1aaf53ae2c2ce5112ce7ec9c470abe6"),
     ("random-7", "solve --mode approx --trace", "acbf4e57ffd70ad2da317c54ce64c4c1a28108dc966ffd55a027475e5ce32abb"),
-    ("promise-7", "solve --mode cardinality --trace", "e3a2a7cda4019399368ed77e11bb6056837058e0d1dfbdcfef836eac6790f0ac"),
+    ("promise-7", "solve --mode cardinality --trace", "61206a375eb0cd8234449a57d4c0411b759f01ed41aad9fb2d8d24fbde96868f"),
     ("promise-7", "solve --mode weighted --promise no-circuit-inclusion --trace", "9034b837af4a300bf646b10992588d84f8e2c7c2bd078887f508ba0e2f2915f9"),
     ("promise-7", "solve --mode fpt --gamma 3 --trace", "86d22f9178df5cd3ceb04b9f827ce4f8b529c61f1411816e34278653824974e1"),
     ("promise-7", "solve --mode lexmax --trace", "bedaf11416c6aec6f26ca13e65ecd77b852ba4b19455ecfdaef60fdfe9746d11"),
     ("promise-7", "solve --mode approx --trace", "83ff1dd7c0f074a1647aaf4f70c82394153adb76421a513ab5e9640d7c0510f6"),
-    ("fpt-8", "solve --mode cardinality --trace", "919172d3876d8df0ef07ec43b20d760aace705db8491ed9d2e0d0827cdbad543"),
+    ("fpt-8", "solve --mode cardinality --trace", "8c7231de71becd4cf61fd4f5d3abcddd9c3b596d540d24e441e3d1b361bcafa3"),
     ("fpt-8", "solve --mode weighted --promise no-circuit-inclusion --trace", "6fdfc9c1c1ab4fd272ced6e81fdf92124363276511921198f15c695f56134e4b"),
     ("fpt-8", "solve --mode fpt --gamma 3 --trace", "9b0f6fb320e9f51891a138ab67c0a697e51f0d5eefee02c31984ecf68245a7a1"),
     ("fpt-8", "solve --mode lexmax --trace", "9977017630bd505d8adb22bd1fac0b4cd09173ca9a4a23557b0f7525b3516c05"),
     ("fpt-8", "solve --mode approx --trace", "6b871aab844f5a19f08757cba7ce4c9003b65c12f5b1a395a03b55206cebbbcc"),
-    ("lexmax-7", "solve --mode cardinality --trace", "05034fdc246aef541a8150b743b532fb60f9b43fd0881918c1f084fe41e6a810"),
+    ("lexmax-7", "solve --mode cardinality --trace", "a6278f365e2072f90a568af546f15e26d372abea6105684094bfbc2df7f6f8a4"),
     ("lexmax-7", "solve --mode weighted --promise no-circuit-inclusion --trace", "ebfad139cc36c73260696285dbd212ff8057bcc3844d27c9073a36370e2666c5"),
     ("lexmax-7", "solve --mode fpt --gamma 3 --trace", "0b6276077adb70a0e1db745e86914189cd326227f54ea4ff5731f21c86b4335a"),
     ("lexmax-7", "solve --mode lexmax --trace", "25784ea21aad451cde63ab32b897d85196317d45a5f970b0758a2f6a09f9aff4"),
@@ -150,7 +165,7 @@ def test_cli_output_unchanged(name, command, digest, tmp_path, monkeypatch, caps
 
 TOOL_GOLDEN = [
     ("gadget --graph edge.json", "ebbed6a0f8a5eb011b9a7f798d193a9c299f726d8ab717debce0832151bceee5"),
-    ("bench --sizes 8,16,32", "476deb941947248684b905da082f8106a9aa5ddf3bfca8c9fe454eb051b75d39"),
+    ("bench --sizes 8,16,32", "716123413dbf385c7736c79d9f2a08b2112fadc6dbc19626e479bf5d36141134"),
 ]
 
 

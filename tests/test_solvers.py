@@ -59,7 +59,7 @@ from minrank import (
 from minrank.cli import cardinality_trajectory
 from minrank.exchange import probe_pair_search
 from minrank.gadgets import COLORS
-from minrank.verify import simple_cycles, simple_st_paths
+from minrank.verify import BruteTable, simple_cycles, simple_st_paths
 from conftest import crossed_pair, fixture_weights, lift_by_two_pair, small_zoo, triangle
 
 
@@ -184,12 +184,53 @@ def test_max_cardinality_matches_brute():
 def test_max_cardinality_query_count_pinned():
     """The n=64 partition pair: 3,877 queries while the cardinality solver
     built the whole probe-pair graph, 1,341 with on-demand arc tests,
-    1,345 since the survey finds its probe pair by prefix search, and 665
-    since the on-demand search finds arcs by group tests."""
+    1,345 since the survey finds its probe pair by prefix search, 665
+    since the on-demand search finds arcs by group tests, and 361 since a
+    step after a direct add resumes the survey before it."""
     inst = random_instance(7, 64, kinds=("partition",), weighted=True)
     run = max_cardinality(MinRankOracle(inst.matroid1, inst.matroid2))
     assert popcount(run.I) == 47
-    assert run.queries == 665
+    assert run.queries == 361
+
+
+def test_resumed_steps_match_the_unresumed_loop(monkeypatch):
+    """A step after a direct add skips its entry check and the singletons
+    known to be flat. That changes no set, certificate or trace line, only
+    asks less; and every element a survey was told is flat is flat (I + y
+    dependent in one of the two matroids)."""
+    known: list[tuple[int, int]] = []
+    survey = minrank.solvers.survey_extensions
+
+    def recording(o, I, first=False, known_flat=0):
+        known.append((I, known_flat))
+        return survey(o, I, first, known_flat)
+
+    monkeypatch.setattr(minrank.solvers, "survey_extensions", recording)
+    saved = skipped = 0
+    for n in range(6, 13):
+        for seed in range(12):
+            for inst in (
+                random_instance(seed, n),
+                random_fpt_instance(seed, n, 3),
+                random_lexmax_instance(seed, n),
+            ):
+                m1, m2 = inst.matroid1, inst.matroid2
+                o = MinRankOracle(m1, m2)
+                plain = minrank.solvers._run(o, lambda I: augment_min_rank(o, I))
+                known.clear()
+                run = max_cardinality(MinRankOracle(m1, m2))
+                assert (run.sets, run.Z) == (plain.sets, plain.Z)
+                assert [(t.k, t.action, t.detail) for t in run.trace] == [
+                    (t.k, t.action, t.detail) for t in plain.trace
+                ]
+                assert run.queries <= plain.queries
+                saved += plain.queries - run.queries
+                for I, flat in known:
+                    skipped += popcount(flat)
+                    for y in iter_bits(flat):
+                        J = I | bit(y)
+                        assert not (m1.is_independent(J) and m2.is_independent(J))
+    assert saved > 0 and skipped > 0
 
 
 def test_max_cardinality_swap_instance():
@@ -799,6 +840,35 @@ def test_group_test_lie_is_a_contract_violation(seed, n, mode, mask, value):
             lexicographic_max(o, inst.weight_vector())
 
 
+class NthQueryLiar(MinRankOracle):
+    """Answers `value` to the `nth` query (counting from 1), honestly
+    elsewhere."""
+
+    def __init__(self, m1, m2, nth: int, value: int):
+        super().__init__(m1, m2)
+        self._nth = nth
+        self._value = value
+
+    def rmin(self, mask: int) -> int:
+        value = super().rmin(mask)
+        return self._value if self.query_count == self._nth else value
+
+
+@pytest.mark.parametrize(
+    "nth,named",
+    [(7, "rmin({0,3}) = 1,"), (8, "rmin({0,1,2,3}) = 1,"), (9, "rmin({}) = 1")],
+    ids=["I", "Z", "E-minus-Z"],
+)
+def test_certificate_lie_is_a_contract_violation(nth, named):
+    """On the crossed pair the last step follows the direct add of 3, so no
+    entry check asks rmin({0,3}): its certificate check asks it (query 7),
+    then rmin(Z) and rmin(E \\ Z) with Z = E. A lie in any of the three is
+    a ContractViolationError naming the masks and values."""
+    m1, m2 = crossed_pair()
+    with pytest.raises(ContractViolationError, match=re.escape(named)):
+        max_cardinality(NthQueryLiar(m1, m2, nth, 1))
+
+
 LYING_MODES = ["cardinality", "lexmax", "weighted", "fpt", "approx"]
 
 
@@ -834,3 +904,21 @@ def test_lying_oracle_returns_or_reports_contract_violation(liar, mode):
         except ContractViolationError:
             violations += 1
     assert violations > 0  # the lies do reach the augmentation steps
+
+
+@pytest.mark.parametrize("liar", [PerturbedOracle, HashedLiar])
+def test_lying_oracle_never_gets_a_wrong_cardinality_answer(liar):
+    """Under either liar, `max_cardinality` raises ContractViolationError
+    or returns a largest common independent set. A resumed step asks
+    fewer questions, so a lie can slip past the survey (seeds 71 and 174
+    end at a wrong set without the certificate check); the certifying
+    step's `rmin(I) = |I|` and `rmin(Z) + rmin(E \\ Z) = |I|` catch it."""
+    for seed in range(200):
+        inst = random_instance(seed, 8, weighted=True)
+        table = BruteTable(inst.matroid1, inst.matroid2)
+        try:
+            run = max_cardinality(liar(inst.matroid1, inst.matroid2, seed))
+        except ContractViolationError:
+            continue
+        assert run.I in table.common
+        assert popcount(run.I) == table.max_common()[0]
