@@ -1,9 +1,9 @@
 """Matroid representations reduced to exact rank oracles.
 
 Five kinds are supported: uniform, partition, graphic, linear-rational
-(exact integer fraction-free elimination), and explicit (an arbitrary
-small independence family given extensionally). Every kind exposes the same
-interface: ``rank(mask)`` and ``is_independent(mask)``.
+(exact integer elimination on one stack per matroid), and explicit (an
+arbitrary small independence family given extensionally). Every kind exposes
+the same interface: ``rank(mask)`` and ``is_independent(mask)``.
 
 All matroids here are expected to be loopless; `validate` reports the first
 violated axiom (with witness sets) instead of silently repairing anything.
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 from .bitset import (
@@ -173,12 +173,17 @@ class GraphicMatroid(Matroid):
 
 
 class LinearMatroid(Matroid):
-    """Columns of a matrix over Q; rank by exact integer fraction-free
-    elimination.
+    """Columns of a matrix over Q; exact rank from one elimination stack.
 
     Each row is scaled by the lcm of its denominators once, at
     construction; scaling a row by a nonzero integer keeps the column
     matroid. `matrix` keeps the rational entries as given.
+
+    The stack holds the last independent query's columns in the order added,
+    each reduced against those below it: O(r^2) integers for rank r and
+    independent rows. A query keeps the longest prefix of the stack inside
+    its mask and reduces only the rest of the mask on top; an independent
+    query leaves its result as the stack.
     """
 
     kind = "linear-rational"
@@ -191,24 +196,30 @@ class LinearMatroid(Matroid):
         n = widths.pop() if widths else 0
         super().__init__(n)
         self.matrix = tuple(tuple(r) for r in rows)
-        # Column tuples, so a query gathers only the columns it selects.
+        # Column tuples, so a query reads only the columns it reduces.
         self._columns = tuple(zip(*map(_integer_row, rows)))
         self._rank_cache: dict[int, int] = {}
+        # (element, reduced column, pivot index), in the order added.
+        self._stack: list[tuple[int, list[int], int]] = []
 
     def _rank(self, mask: int) -> int:
         cached = self._rank_cache.get(mask)
         if cached is not None:
             return cached
-        # The selected columns become the rows of the work matrix: the
-        # transpose has the same rank.
-        columns = self._columns
-        work = []
         rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            work.append(columns[low.bit_length() - 1])
-        r = integer_rank(work)
+        stack = []
+        for entry in self._stack:
+            if not rest >> entry[0] & 1:
+                break
+            rest ^= 1 << entry[0]
+            stack.append(entry)
+        for e in iter_bits(rest):
+            reduced = _reduce(self._columns[e], stack)
+            if reduced is not None:
+                stack.append((e, *reduced))
+        r = len(stack)
+        if r == popcount(mask):
+            self._stack = stack
         self._rank_cache[mask] = r
         return r
 
@@ -236,51 +247,32 @@ def _integer_row(row: Sequence[Fraction | int]) -> list[int]:
     return [v.numerator * (scale // v.denominator) for v in row]
 
 
-def integer_rank(rows: list[Sequence[int]]) -> int:
-    """Rank of an integer matrix given as a list of equal-length rows.
-
-    The list is consumed; the rows themselves are only read. Bareiss's
-    fraction-free elimination (1968): after a pivot step every entry left
-    below it is a minor of the input, so dividing by the previous pivot is
-    exact. A remainder would mean a wrong rank, so it raises
-    ArithmeticError instead.
-    """
-    rank = 0
-    prev = 1
-    # `rows` holds the rows not yet used as pivots, each cut down to the
-    # columns not yet eliminated.
-    while rows and rows[0]:
-        for i, row in enumerate(rows):
-            if row[0]:
-                break
-        else:
-            rows = [row[1:] for row in rows]
-            continue
-        pivot = rows.pop(i)
-        rank += 1
-        p = pivot[0]
-        tail = pivot[1:]
-        tail_sum = sum(tail)
-        reduced = []
-        for row in rows:
-            a = row[0]
-            rest = row[1:]
-            new = [(x * p - y * a) // prev for x, y in zip(rest, tail)]
-            # Floor remainders all have the sign of `prev`, so every entry
-            # divided exactly iff the row sum did.
-            if sum(new) * prev != p * sum(rest) - a * tail_sum:
-                raise ArithmeticError("inexact fraction-free elimination step")
-            reduced.append(new)
-        rows = reduced
-        prev = p
-    return rank
+def _reduce(column: Sequence[int], stack: list) -> tuple[list[int], int] | None:
+    """`column` with every stacked pivot cancelled, divided by the gcd of its
+    entries (an exact division), and its pivot; None if it lies in the
+    stack's span. Each stacked column is zero at the pivots below it, so
+    cancelling them in stack order leaves the result zero at all of them."""
+    v = column
+    for _, below, p in stack:
+        a = v[p]
+        if a:
+            b = below[p]
+            v = [x * b - y * a for x, y in zip(v, below)]
+    g = gcd(*v)
+    if not g:
+        return None
+    if g != 1:
+        v = [x // g for x in v]
+    # The first nonzero value sits first at its own index.
+    return v, v.index(next(filter(None, v)))
 
 
 class ExplicitMatroid(Matroid):
     """An independence family given extensionally (any small matroid).
 
     Accepts the full family or just its maximal members; stores the bases and
-    answers rank queries as max_B |B ∩ X| with memoization. Whether the input
+    answers rank queries as max_B |B ∩ X| with memoization, stopping at a
+    base that meets min(|X|, |B|), a bound no base exceeds. Whether the input
     actually is a matroid is checked by `validate`, not the constructor.
     """
 
@@ -299,7 +291,12 @@ class ExplicitMatroid(Matroid):
         cached = self._rank_cache.get(mask)
         if cached is not None:
             return cached
-        r = max((popcount(mask & b) for b in self.bases), default=0)
+        bound = min(popcount(mask), popcount(self.bases[0]))
+        r = 0
+        for b in self.bases:
+            r = max(r, popcount(mask & b))
+            if r == bound:
+                break
         self._rank_cache[mask] = r
         return r
 

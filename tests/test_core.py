@@ -6,7 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import minrank.core
 from minrank import (
     ExplicitMatroid,
     GraphicMatroid,
@@ -15,12 +18,13 @@ from minrank import (
     PartitionMatroid,
     UniformMatroid,
     bit,
+    elements_of,
     full_mask,
     mask_of,
     popcount,
     validate,
 )
-from conftest import crossed_pair, small_zoo, triangle
+from conftest import crossed_pair, fraction_rank, small_zoo, triangle
 
 
 def test_uniform_rank():
@@ -74,6 +78,82 @@ def test_linear_string_entry_reads_as_fraction(text):
     assert m.rank(bit(0)) == (want != 0)
 
 
+# -- the linear elimination stack ----------------------------------------------
+
+_ENTRIES = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-(10**30), max_value=10**30),
+)
+
+
+@st.composite
+def stack_walk(draw):
+    """A matrix with zero and scaled duplicate columns, and a walk of
+    (move, value) steps over its column masks."""
+    nr = draw(st.integers(min_value=1, max_value=4))
+    nc = draw(st.integers(min_value=1, max_value=8))
+    rows = draw(st.lists(st.lists(_ENTRIES, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+    cols = st.integers(min_value=0, max_value=nc - 1)
+    for c in draw(st.sets(cols, max_size=2)):
+        for row in rows:
+            row[c] = 0
+    scales = st.sampled_from([-1, 2, 10**30])
+    for src, dst, k in draw(st.lists(st.tuples(cols, cols, scales), max_size=2)):
+        for row in rows:
+            row[dst] = row[src] * k
+    moves = st.sampled_from(["toggle", "drop-early", "jump", "repeat"])
+    steps = draw(st.lists(st.tuples(moves, st.integers(min_value=0)), min_size=1, max_size=40))
+    return rows, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(stack_walk())
+def test_linear_rank_walk_matches_fraction_elimination(case):
+    """One matroid answers a walk of masks: single-element toggles near the
+    anchor, removals of one of the first two stacked elements, far jumps
+    and repeats of an earlier mask. Every answer is the exact rank."""
+    rows, steps = case
+    m = LinearMatroid(rows)
+    mask = 0
+    asked = [0]
+    for move, value in steps:
+        if move == "toggle":
+            mask ^= bit(value % m.n)
+        elif move == "drop-early" and m._stack:
+            mask &= ~bit(m._stack[value % min(2, len(m._stack))][0])
+        elif move == "jump":
+            mask = value & full_mask(m.n)
+        elif move == "repeat":
+            mask = asked[value % len(asked)]
+        asked.append(mask)
+        cols = elements_of(mask)
+        assert m.rank(mask) == fraction_rank([[Fraction(row[c]) for c in cols] for row in rows])
+
+
+def test_linear_rank_adds_one_column_to_an_independent_anchor(monkeypatch):
+    """After rank(I) on an independent I, rank(I + x) reduces only x's
+    column, whether I + x is independent or not."""
+    reduce = minrank.core._reduce
+    reduced = []
+
+    def spy(column, rows):
+        reduced.append(column)
+        return reduce(column, rows)
+
+    monkeypatch.setattr(minrank.core, "_reduce", spy)
+    m = LinearMatroid([[1, 0, 0, 1, 2, 1, 0], [0, 1, 0, 1, 3, 1, 0], [0, 0, 1, 1, 5, 0, 0]])
+    anchor = mask_of((0, 2))
+    assert m.rank(anchor) == 2
+    for x in (1, 3, 4, 5, 6):
+        reduced.clear()
+        m.rank(anchor | bit(x))
+        assert len(reduced) == 1
+    # Dropping the first stacked element re-reduces what was stacked after it.
+    reduced.clear()
+    assert m.rank(mask_of((2, 5))) == 2
+    assert len(reduced) == 2
+
+
 def test_explicit_from_family():
     u = UniformMatroid(1, 3)
     fam = [m for m in range(8) if u.is_independent(m)]
@@ -98,7 +178,10 @@ def test_explicit_bases_are_the_largest_maximal_members():
         maximal = [f for f in fam if not any(g != f and g & f == f for g in fam)]
         top = max(map(popcount, maximal))
         want = tuple(sorted(f for f in maximal if popcount(f) == top))
-        assert ExplicitMatroid(n, family).bases == want
+        e = ExplicitMatroid(n, family)
+        assert e.bases == want
+        for X in rng.sample(range(1 << n), min(16, 1 << n)):
+            assert e.rank(X) == max(popcount(X & b) for b in want)
 
 
 def test_rank_axioms_exhaustive():

@@ -13,6 +13,7 @@ import minrank.gadgets
 from minrank import (
     ColoredGraph,
     Instance,
+    LinearMatroid,
     MinRankOracle,
     bit,
     build_gadget,
@@ -24,7 +25,6 @@ from minrank import (
     proper_four_colorings,
     verify_gadget,
 )
-from minrank.core import integer_rank
 from minrank.gadgets import _proper_colorings
 
 from conftest import fraction_rank
@@ -293,11 +293,16 @@ def test_enumeration_size_cap():
 # -- exact integer rank ------------------------------------------------------------
 
 
+def _linear_rank(rows):
+    m = LinearMatroid(rows)
+    return m.rank(full_mask(m.n))
+
+
 def test_int_rank_prime_blocks():
-    assert integer_rank([[7, 0], [0, 11]]) == 2
-    assert integer_rank([[0, 7], [11, 0]]) == 2
-    assert integer_rank([[7, 11], [7, 11]]) == 1
-    assert integer_rank([[0, 0], [0, 0]]) == 0
+    assert _linear_rank([[7, 0], [0, 11]]) == 2
+    assert _linear_rank([[0, 7], [11, 0]]) == 2
+    assert _linear_rank([[7, 11], [7, 11]]) == 1
+    assert _linear_rank([[0, 0], [0, 0]]) == 0
 
 
 def test_int_rank_matches_fraction_elimination():
@@ -311,8 +316,7 @@ def test_int_rank_matches_fraction_elimination():
         mask = rng.randrange(1, 1 << nc)
         cols = [c for c in range(nc) if (mask >> c) & 1]
         frac = [[Fraction(row[c]) for c in cols] for row in rows]
-        ints = [[row[c] for c in cols] for row in rows]
-        assert integer_rank(ints) == fraction_rank(frac)
+        assert LinearMatroid(rows).rank(mask) == fraction_rank(frac)
 
 
 # -- parity ------------------------------------------------------------------------
