@@ -9,8 +9,10 @@ Three constructions live here:
   source/sink sets are fixed, with each arc labeled sure (certainly true)
   or suspicious (membership undetermined by the oracle).
 
-All graphs are directed and bipartite between I and E \\ I: layer-1 arcs run
-from I outward, layer-2 arcs run from outside into I. An augmenting path
+All graphs are directed and bipartite between I and E \\ I, and an arc's
+layer is named by the side of its tail: an arc (y, x) out of y ∈ I is a
+layer-1 arc, an exchange in the first matroid, and an arc (x, y) out of
+x ∉ I is a layer-2 arc, an exchange in the second. An augmenting path
 starts at a source, alternates sides, and ends at a sink; swapping I by the
 symmetric difference of such a path grows the common independent set by one.
 
@@ -52,14 +54,14 @@ class StarPair(NamedTuple):
 class ExchangeGraph:
     """Dense bipartite arc structure over (E \\ I, I) with sure/suspicious labels.
 
-    ``arcs1[y]`` is the head mask of layer-1 arcs (y, x) leaving y ∈ I;
-    ``arcs2[x]`` is the head mask of layer-2 arcs (x, y) leaving x ∉ I.
-    ``sure1``/``sure2`` mark the sure subset of each layer; the rest of the
-    arcs are suspicious. Instances are immutable; mutation helpers return
-    fresh graphs.
+    ``succ[v]`` is the head mask of the arcs leaving v: heads outside I when
+    v ∈ I (layer 1), heads in I when v ∉ I (layer 2). ``sure[v]`` marks the
+    sure subset of ``succ[v]``; the rest of the arcs are suspicious, and
+    without ``sure`` every arc is sure. Instances are immutable; mutation
+    helpers return fresh graphs.
     """
 
-    __slots__ = ("n", "I", "S", "T", "arcs1", "arcs2", "sure1", "sure2", "kind")
+    __slots__ = ("n", "I", "S", "T", "succ", "sure", "kind")
 
     def __init__(
         self,
@@ -67,10 +69,9 @@ class ExchangeGraph:
         I: int,
         S: int,
         T: int,
-        arcs1: list[int] | tuple[int, ...],
-        arcs2: list[int] | tuple[int, ...],
-        sure1: list[int] | tuple[int, ...] | None = None,
-        sure2: list[int] | tuple[int, ...] | None = None,
+        succ: list[int] | tuple[int, ...],
+        *,
+        sure: list[int] | tuple[int, ...] | None = None,
         kind: str = "true",
     ):
         outside = full_mask(n) & ~I
@@ -80,78 +81,53 @@ class ExchangeGraph:
         self.I = I
         self.S = S
         self.T = T
-        self.arcs1 = tuple(arcs1)
-        self.arcs2 = tuple(arcs2)
-        self.sure1 = tuple(sure1) if sure1 is not None else tuple(arcs1)
-        self.sure2 = tuple(sure2) if sure2 is not None else tuple(arcs2)
-        for y in range(n):
-            heads = self.arcs1[y]
-            if heads and not (I >> y) & 1:
-                raise ValueError("layer-1 arcs must leave I")
-            if heads & ~outside or self.sure1[y] & ~heads:
-                raise ValueError("bad layer-1 head mask")
-        for x in range(n):
-            heads = self.arcs2[x]
-            if heads and (I >> x) & 1:
-                raise ValueError("layer-2 arcs must leave E \\ I")
-            if heads & ~I or self.sure2[x] & ~heads:
-                raise ValueError("bad layer-2 head mask")
+        self.succ = tuple(succ)
+        self.sure = self.succ if sure is None else tuple(sure)
+        if len(self.succ) != n or len(self.sure) != n:
+            raise ValueError(f"expected one head mask per vertex, {n} in all")
+        for v, heads in enumerate(self.succ):
+            if heads & ~(outside if (I >> v) & 1 else I):
+                raise ValueError(f"an arc out of {v} does not cross between I and E \\ I")
+            if self.sure[v] & ~heads:
+                raise ValueError(f"a sure arc out of {v} is not an arc")
         self.kind = kind
 
     # -- structure ---------------------------------------------------------
 
-    def successors(self, v: int) -> int:
-        return self.arcs1[v] if (self.I >> v) & 1 else self.arcs2[v]
-
     def has_arc(self, u: int, v: int) -> bool:
-        return bool((self.successors(u) >> v) & 1)
+        return bool((self.succ[u] >> v) & 1)
 
     def is_sure(self, u: int, v: int) -> bool:
-        layer = self.sure1 if (self.I >> u) & 1 else self.sure2
-        return bool((layer[u] >> v) & 1)
+        return bool((self.sure[u] >> v) & 1)
 
-    def arcs1_pairs(self) -> Iterator[tuple[int, int]]:
-        for y in iter_bits(self.I):
-            for x in iter_bits(self.arcs1[y]):
-                yield (y, x)
-
-    def arcs2_pairs(self) -> Iterator[tuple[int, int]]:
-        for x in range(self.n):
-            if not (self.I >> x) & 1:
-                for y in iter_bits(self.arcs2[x]):
-                    yield (x, y)
+    def arcs(self) -> Iterator[tuple[int, int]]:
+        """Every arc (u, v), ascending."""
+        for u, heads in enumerate(self.succ):
+            for v in iter_bits(heads):
+                yield (u, v)
 
     def suspicious_pairs(self) -> Iterator[tuple[int, int]]:
-        for y in iter_bits(self.I):
-            for x in iter_bits(self.arcs1[y] & ~self.sure1[y]):
-                yield (y, x)
-        for x in range(self.n):
-            if not (self.I >> x) & 1:
-                for y in iter_bits(self.arcs2[x] & ~self.sure2[x]):
-                    yield (x, y)
+        for u, heads in enumerate(self.succ):
+            for v in iter_bits(heads & ~self.sure[u]):
+                yield (u, v)
 
     def arc_count(self) -> int:
-        return sum(popcount(m) for m in self.arcs1) + sum(
-            popcount(m) for m in self.arcs2
-        )
+        return sum(popcount(m) for m in self.succ)
 
     # -- derived graphs ----------------------------------------------------
 
     def with_assignment(self, chosen: dict[tuple[int, int], bool]) -> "ExchangeGraph":
         """Keep sure arcs; keep a suspicious arc iff chosen[(u, v)] is True."""
-        arcs1, arcs2 = list(self.sure1), list(self.sure2)
-        sure1, sure2 = list(self.sure1), list(self.sure2)
+        succ = list(self.sure)
+        suspicious = set(self.suspicious_pairs())
         for (u, v), keep in chosen.items():
             if not keep:
                 continue
-            if not self.has_arc(u, v) or self.is_sure(u, v):
+            if (u, v) not in suspicious:
                 raise ValueError(f"({u},{v}) is not a suspicious arc")
-            if (self.I >> u) & 1:
-                arcs1[u] |= bit(v)
-            else:
-                arcs2[u] |= bit(v)
+            succ[u] |= bit(v)
         return ExchangeGraph(
-            self.n, self.I, self.S, self.T, arcs1, arcs2, sure1, sure2, "consistent"
+            self.n, self.I, self.S, self.T, succ, sure=self.sure, kind="consistent"
         )
 
     def to_dot(self, names: tuple[str, ...] | None = None) -> str:
@@ -159,7 +135,9 @@ class ExchangeGraph:
         sure arcs solid, suspicious arcs dashed."""
 
         def label(v: int) -> str:
-            return names[v] if names else str(v)
+            if not names:
+                return str(v)
+            return names[v].replace("\\", "\\\\").replace('"', '\\"')
 
         lines = ["digraph exchange {", "  rankdir=LR;"]
         for v in range(self.n):
@@ -174,8 +152,7 @@ class ExchangeGraph:
                 attrs.append("peripheries=2")
                 attrs.append(f'xlabel="{"+".join(roles)}"')
             lines.append(f"  v{v} [{', '.join(attrs)}];")
-        arcs = sorted(list(self.arcs1_pairs()) + list(self.arcs2_pairs()))
-        for u, v in arcs:
+        for u, v in self.arcs():
             style = "solid" if self.is_sure(u, v) else "dashed"
             lines.append(f"  v{u} -> v{v} [style={style}];")
         lines.append("}")
@@ -192,24 +169,21 @@ class ExchangeGraph:
 # -- construction ------------------------------------------------------------
 
 
-def _fill(
-    n: int, I: int, outside: int, arc: Callable[[int, int], bool]
-) -> tuple[list[int], list[int]]:
+def _fill(n: int, I: int, outside: int, arc: Callable[[int, int], bool]) -> list[int]:
     """Every arc that `arc(u, v)` admits, one outside element x at a time in
-    ascending order: first the layer-1 arcs (y, x) into x, then the layer-2
-    arcs (x, y) out of x, each with y ascending. Returns (arcs1, arcs2)."""
-    arcs1 = [0] * n
-    arcs2 = [0] * n
+    ascending order: first the arcs (y, x) into x, then the arcs (x, y) out
+    of x, each with y ascending. Returns the head mask of every vertex."""
+    succ = [0] * n
     inside = elements_of(I)
     for x in iter_bits(outside):
         xb = 1 << x
         for y in inside:
             if arc(y, x):
-                arcs1[y] |= xb
+                succ[y] |= xb
         for y in inside:
             if arc(x, y):
-                arcs2[x] |= 1 << y
-    return arcs1, arcs2
+                succ[x] |= 1 << y
+    return succ
 
 
 def build_true_graph(m1: Matroid, m2: Matroid, I: int) -> ExchangeGraph:
@@ -231,8 +205,7 @@ def build_true_graph(m1: Matroid, m2: Matroid, I: int) -> ExchangeGraph:
             return m1.is_independent(I & ~bit(u) | bit(v))
         return m2.is_independent(I & ~bit(v) | bit(u))
 
-    arcs1, arcs2 = _fill(m1.n, I, outside, arc)
-    return ExchangeGraph(m1.n, I, S, T, arcs1, arcs2, kind="true")
+    return ExchangeGraph(m1.n, I, S, T, _fill(m1.n, I, outside, arc), kind="true")
 
 
 def find_star_pair(o: Oracle, I: int) -> ExtensionSurvey:
@@ -428,7 +401,7 @@ def _probe_graph(
     T: int,
     t_probes: list[int],
     s_probes: list[int],
-) -> tuple[list[int], list[int], list[int], list[int]]:
+) -> tuple[list[int], list[int]]:
     """The probe graph with sources S and sinks T, whose plain arcs hold
     against every sink-side probe in `t_probes` (layer 1) and every
     source-side probe in `s_probes` (layer 2), by group tests.
@@ -444,7 +417,7 @@ def _probe_graph(
     of I is cut into groups, each the part left over that misses the
     column of one probe, and searched with x and that probe added. Layer 2
     mirrors this with the rows of the source-side probes. Arcs incident to
-    a source or sink are sure. Returns (arcs1, arcs2, sure1, sure2).
+    a source or sink are sure. Returns (succ, sure).
     """
     n = o.n
     outside = o.ground & ~I
@@ -468,18 +441,15 @@ def _probe_graph(
         return known
 
     layer1, layer2 = groups(t_probes), groups(s_probes)
-    arcs1 = [0] * n
-    arcs2 = [0] * n
+    succ = [0] * n
     for x in iter_bits(outside):
         xb = 1 << x
         column = I if S & xb else star[x] if T & xb else plain(xb, layer1)
-        arcs2[x] = I if T & xb else star[x] if S & xb else plain(xb, layer2)
+        succ[x] = I if T & xb else star[x] if S & xb else plain(xb, layer2)
         for y in iter_bits(column):
-            arcs1[y] |= xb
+            succ[y] |= xb
     st = S | T
-    sure1 = [heads & st for heads in arcs1]
-    sure2 = [heads if (st >> x) & 1 else 0 for x, heads in enumerate(arcs2)]
-    return arcs1, arcs2, sure1, sure2
+    return succ, [heads if (st >> v) & 1 else heads & st for v, heads in enumerate(succ)]
 
 
 def build_modified_graph(o: Oracle, I: int, sp: StarPair) -> ExchangeGraph:
@@ -491,8 +461,8 @@ def build_modified_graph(o: Oracle, I: int, sp: StarPair) -> ExchangeGraph:
     are labeled sure, the rest suspicious.
     """
     S, T = _star_sets(o, I, sp)
-    arcs1, arcs2, sure1, sure2 = _probe_graph(o, I, S, T, [sp.t], [sp.s])
-    return ExchangeGraph(o.n, I, S, T, arcs1, arcs2, sure1, sure2, kind="modified")
+    succ, sure = _probe_graph(o, I, S, T, [sp.t], [sp.s])
+    return ExchangeGraph(o.n, I, S, T, succ, sure=sure, kind="modified")
 
 
 def intersect_modified(o: Oracle, I: int, sp: StarPair) -> ExchangeGraph:
@@ -506,17 +476,17 @@ def intersect_modified(o: Oracle, I: int, sp: StarPair) -> ExchangeGraph:
     intersection then certifies it as a true arc. All else is suspicious.
     """
     S, T = _star_sets(o, I, sp)
-    arcs1, arcs2, sure1, sure2 = _probe_graph(
-        o, I, S, T, elements_of(T & ~S), elements_of(S & ~T)
-    )
+    succ, sure = _probe_graph(o, I, S, T, elements_of(T & ~S), elements_of(S & ~T))
     # A sink missing from a tail's heads certifies every head of that tail;
     # a head in I that some source misses is certified for every tail.
-    sure1 = [heads if T & ~heads else sure for sure, heads in zip(sure1, arcs1)]
     certified = 0
     for s in iter_bits(S):
-        certified |= I & ~arcs2[s]
-    sure2 = [sure | heads & certified for sure, heads in zip(sure2, arcs2)]
-    return ExchangeGraph(o.n, I, S, T, arcs1, arcs2, sure1, sure2, kind="intersected")
+        certified |= I & ~succ[s]
+    sure = [
+        (heads if T & ~heads else mark) if (I >> v) & 1 else mark | heads & certified
+        for v, (heads, mark) in enumerate(zip(succ, sure))
+    ]
+    return ExchangeGraph(o.n, I, S, T, succ, sure=sure, kind="intersected")
 
 
 # -- paths -------------------------------------------------------------------
@@ -616,7 +586,7 @@ def shortest_cheapest_path(
     c = [w[v] if (g.I >> v) & 1 else -w[v] for v in range(n)]
     pred = [0] * n
     for u in range(n):
-        for v in iter_bits(g.successors(u)):
+        for v in iter_bits(g.succ[u]):
             pred[v] |= 1 << u
     label: dict[int, tuple] = {t: (c[t], 1) for t in elements_of(g.T)}
     work = deque(label)
@@ -654,7 +624,7 @@ def shortest_cheapest_path(
     while len_v > 1:
         v = min(
             u
-            for u in iter_bits(g.successors(v))
+            for u in iter_bits(g.succ[v])
             if u in label
             and label[u][1] == len_v - 1
             and c[v] + label[u][0] == cost_v

@@ -133,8 +133,9 @@ class GadgetInstance(NamedTuple):
 
     ``Z1``/``Z2`` realize the table: identity on I, all-ones column tying t
     to I in Z1 and s to I in Z2, and one distinct prime per slot, entering
-    Z1 for an arc out of I and Z2 for an arc into I. ``arcs1[y]``/
-    ``arcs2[x]`` record the realized arcs as bitmasks of heads.
+    Z1 for an arc out of I and Z2 for an arc into I. ``succ[v]`` records
+    the realized arcs leaving v as a bitmask of heads, as in
+    `ExchangeGraph`.
     """
 
     graph: ColoredGraph
@@ -146,8 +147,7 @@ class GadgetInstance(NamedTuple):
     values: dict[tuple[int, int], int]
     Z1: tuple[tuple[Fraction, ...], ...]
     Z2: tuple[tuple[Fraction, ...], ...]
-    arcs1: tuple[int, ...]
-    arcs2: tuple[int, ...]
+    succ: tuple[int, ...]
     vertex_x: tuple[tuple[int, int], ...]
     vertex_y: tuple[tuple[int, int], ...]
     edge_x: tuple[tuple[int, int, int, int], ...]
@@ -191,17 +191,16 @@ def _pattern_rank(slots: Sequence[Slot]) -> int:
     return 1
 
 
-def _slot_arcs(n: int, states: Mapping[Slot, str | None]) -> tuple[list[int], list[int]]:
-    """Arc layers of slot states: "a" is the arc (x, y) into I, "b" the arc
+def _slot_arcs(n: int, states: Mapping[Slot, str | None]) -> list[int]:
+    """Head masks of slot states: "a" is the arc (x, y) into I, "b" the arc
     (y, x) out of I, "both" is both and None neither."""
-    arcs1 = [0] * n
-    arcs2 = [0] * n
+    succ = [0] * n
     for (x, y), st in states.items():
         if st in ("a", "both"):
-            arcs2[x] |= bit(y)
+            succ[x] |= bit(y)
         if st in ("b", "both"):
-            arcs1[y] |= bit(x)
-    return arcs1, arcs2
+            succ[y] |= bit(x)
+    return succ
 
 
 def _vertex_slot_arcs(
@@ -371,7 +370,7 @@ def build_gadget(g: ColoredGraph) -> GadgetInstance:
         cu, cw = g.coloring[u], g.coloring[w]
         states.update(_edge_slot_arcs(_orientation(cu, cw, 0), x1u, x1w, y1))
         states.update(_edge_slot_arcs(_orientation(cu, cw, 1), x2u, x2w, y2))
-    arcs1, arcs2 = _slot_arcs(n, states)
+    succ = _slot_arcs(n, states)
 
     # Value table = pattern ranks of the realization, which must agree with
     # the designated constants.
@@ -379,8 +378,8 @@ def build_gadget(g: ColoredGraph) -> GadgetInstance:
     for X in small_subsets(plain, 2):
         for Y in small_subsets(I, 2):
             slots = [(x, y) for x in iter_bits(X) for y in iter_bits(Y)]
-            rank1 = _pattern_rank([(x, y) for x, y in slots if (arcs1[y] >> x) & 1])
-            rank2 = _pattern_rank([(x, y) for x, y in slots if (arcs2[x] >> y) & 1])
+            rank1 = _pattern_rank([(x, y) for x, y in slots if (succ[y] >> x) & 1])
+            rank2 = _pattern_rank([(x, y) for x, y in slots if (succ[x] >> y) & 1])
             values[(X, Y)] = k - popcount(Y) + min(rank1, rank2)
     for key, v in designated.items():
         if values[key] != v:
@@ -409,9 +408,9 @@ def build_gadget(g: ColoredGraph) -> GadgetInstance:
     for y in sorted(iter_bits(I)):
         for x in plain_list:
             p = Fraction(next(prime_iter))
-            if (arcs1[y] >> x) & 1:
+            if (succ[y] >> x) & 1:
                 Z1[row_of[y]][x] = p
-            if (arcs2[x] >> y) & 1:
+            if (succ[x] >> y) & 1:
                 Z2[row_of[y]][x] = p
 
     return GadgetInstance(
@@ -424,8 +423,7 @@ def build_gadget(g: ColoredGraph) -> GadgetInstance:
         values=values,
         Z1=tuple(tuple(r) for r in Z1),
         Z2=tuple(tuple(r) for r in Z2),
-        arcs1=tuple(arcs1),
-        arcs2=tuple(arcs2),
+        succ=tuple(succ),
         vertex_x=tuple(vertex_x),
         vertex_y=tuple(vertex_y),
         edge_x=tuple(edge_x),
@@ -492,18 +490,14 @@ def verify_gadget(gi: GadgetInstance) -> list[BruteReport]:
     reports.append(make("source-sink-sets", ({s}, {t}), (sources, sinks)))
 
     stars = bit(s) | bit(t)
-    want = ExchangeGraph(
-        gi.n,
-        I,
-        bit(s),
-        bit(t),
-        [heads | stars if (I >> y) & 1 else 0 for y, heads in enumerate(gi.arcs1)],
-        [I if (stars >> x) & 1 else heads for x, heads in enumerate(gi.arcs2)],
-    )
+    want = [
+        heads | stars if (I >> v) & 1 else I if (stars >> v) & 1 else heads
+        for v, heads in enumerate(gi.succ)
+    ]
     bad_arcs = [
         f"({gi.names[u]},{gi.names[v]})"
         for u in range(gi.n)
-        for v in iter_bits(D.successors(u) ^ want.successors(u))
+        for v in iter_bits(D.succ[u] ^ want[u])
     ]
     witnesses = tuple(bad_arcs[:5])
     reports.append(make("true-graph", (), witnesses, witnesses))
@@ -524,7 +518,7 @@ def _block_consistent(
 ) -> bool:
     """Whether slot states satisfy every observed exchange between xs and
     ys, each judged by `verify.check_consistency` on the states' arcs."""
-    g = ExchangeGraph(gi.n, gi.I, 0, 0, *_slot_arcs(gi.n, states))
+    g = ExchangeGraph(gi.n, gi.I, 0, 0, _slot_arcs(gi.n, states))
     return all(
         check_consistency(g, LEObservation(X, Y, gi.values[(X, Y)])) == "consistent"
         for X in small_subsets(mask_of(xs), 2)

@@ -173,9 +173,11 @@ def loads(text: str) -> Instance:
     names: tuple[str, ...] | None = None
     if "names" in doc:
         raw = doc["names"]
-        if not isinstance(raw, list) or len(raw) != n:
+        if not isinstance(raw, list) or len(raw) != n or not all(
+            isinstance(x, str) for x in raw
+        ):
             raise InstanceError(f"names: expected a list of {n} strings")
-        names = tuple(str(x) for x in raw)
+        names = tuple(raw)
     weights: tuple[Fraction, ...] | None = None
     if "weights" in doc:
         raw = doc["weights"]

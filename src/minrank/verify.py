@@ -238,7 +238,7 @@ def simple_cycles(g: ExchangeGraph) -> list[tuple[int, ...]]:
     seen: set[tuple[int, ...]] = set()
 
     def walk(start: int, v: int, visited: int, acc: list[int]) -> None:
-        for u in iter_bits(g.successors(v)):
+        for u in iter_bits(g.succ[v]):
             if u == start:
                 seen.add(tuple(acc))
             elif u > start and not (visited >> u) & 1:
@@ -258,7 +258,7 @@ def simple_st_paths(g: ExchangeGraph) -> list[tuple[int, ...]]:
     def walk(v: int, visited: int, acc: list[int]) -> None:
         if (g.T >> v) & 1:
             out.append(tuple(acc))
-        for u in iter_bits(g.successors(v) & ~visited):
+        for u in iter_bits(g.succ[v] & ~visited):
             acc.append(u)
             walk(u, visited | bit(u), acc)
             acc.pop()
@@ -276,14 +276,6 @@ def shortest_st_paths(g: ExchangeGraph) -> list[tuple[int, ...]]:
 
 
 # -- graph audits -------------------------------------------------------------
-
-
-def _arc_set(g: ExchangeGraph) -> set[tuple[int, int]]:
-    return set(g.arcs1_pairs()) | set(g.arcs2_pairs())
-
-
-def _sure_set(g: ExchangeGraph) -> set[tuple[int, int]]:
-    return _arc_set(g) - set(g.suspicious_pairs())
 
 
 class LEObservation(NamedTuple):
@@ -310,8 +302,8 @@ def check_consistency(g: ExchangeGraph, obs: LEObservation) -> str:
     """
     k = popcount(g.I)
     high = obs.value >= k - popcount(obs.Y) + 1
-    dir1 = any(g.arcs1[y] & obs.X for y in iter_bits(obs.Y))
-    dir2 = any(g.arcs2[x] & obs.Y for x in iter_bits(obs.X))
+    dir1 = any(g.succ[y] & obs.X for y in iter_bits(obs.Y))
+    dir2 = any(g.succ[x] & obs.Y for x in iter_bits(obs.X))
     if high:
         return "consistent" if (dir1 and dir2) else "underestimated-only"
     return "overestimated-only" if (dir1 and dir2) else "consistent"
@@ -357,7 +349,7 @@ def audit_graphs(
     make = partial(BruteReport.check, instance)
     reports: list[BruteReport] = []
     D = build_true_graph(m1, m2, I)
-    true_arcs = _arc_set(D)
+    true_arcs = set(D.arcs())
     o = MinRankOracle(m1, m2)
     survey = survey_extensions(o, I)
     if survey.pair is None:
@@ -379,7 +371,7 @@ def audit_graphs(
         sink, and adds a fake (y, x) only where (y, t) is true for every
         sink-side probe t, a fake (x, y) only where (s, y) is true for every
         source-side probe s."""
-        g_arcs = _arc_set(G)
+        g_arcs = set(G.arcs())
         missing = tuple(sorted(true_arcs - g_arcs))
         reports.append(make(f"{tag}-contains-true", (), missing, missing))
         extras = sorted(g_arcs - true_arcs)
@@ -410,18 +402,15 @@ def audit_graphs(
             first_intersected = N
         else:
             reports.append(
-                make(
-                    f"{tag}-intersected-invariant",
-                    (first_intersected.arcs1, first_intersected.arcs2),
-                    (N.arcs1, N.arcs2),
-                )
+                make(f"{tag}-intersected-invariant", first_intersected.succ, N.succ)
             )
 
     assert first_intersected is not None
     N = first_intersected
-    n_arcs = _arc_set(N)
+    n_arcs = set(N.arcs())
+    n_sure = n_arcs - set(N.suspicious_pairs())
     audit_probe_graph("intersected", N, elements_of(D.T), elements_of(D.S))
-    lying_sure = tuple(sorted(_sure_set(N) - true_arcs))
+    lying_sure = tuple(sorted(n_sure - true_arcs))
     reports.append(make("sure-arcs-true", (), lying_sure, lying_sure))
     reports.append(make("intersected-shortest-paths", true_paths, shortest_st_paths(N)))
 
@@ -444,9 +433,9 @@ def audit_graphs(
     C = N.with_assignment(assignment)
     if mutate is not None:
         C = mutate(C)
-    c_arcs = _arc_set(C)
+    c_arcs = set(C.arcs())
 
-    sure_ok = _sure_set(N) <= c_arcs <= n_arcs
+    sure_ok = n_sure <= c_arcs <= n_arcs
     reports.append(make("resolved-within-bounds", True, sure_ok))
     bad_pairs = []
     for obs in observations:
@@ -456,8 +445,8 @@ def audit_graphs(
         if table.is_evil(obs.X, obs.Y):
             # Evil observations may go unresolved, but only by dropping
             # every arc between X and Y.
-            arcs_between = any(C.arcs1[y] & obs.X for y in iter_bits(obs.Y)) or any(
-                C.arcs2[x] & obs.Y for x in iter_bits(obs.X)
+            arcs_between = any(C.succ[y] & obs.X for y in iter_bits(obs.Y)) or any(
+                C.succ[x] & obs.Y for x in iter_bits(obs.X)
             )
             if verdict != "underestimated-only" or arcs_between:
                 bad_pairs.append((obs, verdict))

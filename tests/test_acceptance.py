@@ -274,19 +274,17 @@ def test_criterion_06_maximality_audits_and_fault_injection():
             N = intersect_modified(o, I, StarPair(sources[0], sinks[0]))
 
             target = next(
-                ((y, x) for y in iter_bits(N.I) for x in iter_bits(N.sure1[y])), None
+                ((y, x) for y in iter_bits(N.I) for x in iter_bits(N.sure[y])), None
             )
             if target is not None:
                 y0, x0 = target
 
                 def drop(C: ExchangeGraph) -> ExchangeGraph:
-                    arcs1 = list(C.arcs1)
-                    sure1 = list(C.sure1)
-                    arcs1[y0] &= ~bit(x0)
-                    sure1[y0] &= ~bit(x0)
-                    return ExchangeGraph(
-                        C.n, C.I, C.S, C.T, arcs1, C.arcs2, sure1, C.sure2, kind=C.kind
-                    )
+                    succ = list(C.succ)
+                    sure = list(C.sure)
+                    succ[y0] &= ~bit(x0)
+                    sure[y0] &= ~bit(x0)
+                    return ExchangeGraph(C.n, C.I, C.S, C.T, succ, sure=sure, kind=C.kind)
 
                 drops += 1
                 reports = audit_graphs(m1, m2, I, w=w, mutate=drop)
@@ -298,7 +296,7 @@ def test_criterion_06_maximality_audits_and_fault_injection():
                 (
                     (y, x)
                     for y in iter_bits(I)
-                    for x in iter_bits(outside & ~N.arcs1[y])
+                    for x in iter_bits(outside & ~N.succ[y])
                 ),
                 None,
             )
@@ -306,11 +304,9 @@ def test_criterion_06_maximality_audits_and_fault_injection():
                 y1, x1 = extra
 
                 def add(C: ExchangeGraph) -> ExchangeGraph:
-                    arcs1 = list(C.arcs1)
-                    arcs1[y1] |= bit(x1)
-                    return ExchangeGraph(
-                        C.n, C.I, C.S, C.T, arcs1, C.arcs2, C.sure1, C.sure2, kind=C.kind
-                    )
+                    succ = list(C.succ)
+                    succ[y1] |= bit(x1)
+                    return ExchangeGraph(C.n, C.I, C.S, C.T, succ, sure=C.sure, kind=C.kind)
 
                 adds += 1
                 reports = audit_graphs(m1, m2, I, w=w, mutate=add)

@@ -276,6 +276,18 @@ def test_graph_true_uses_hidden_ranks(fixture_file, capsys):
     assert "solid" in out.out  # true arcs are sure arcs
 
 
+def test_graph_escapes_names_in_labels(tmp_path, capsys):
+    """Names come from the instance file; a quote or a backslash in one is
+    escaped, so each label stays one DOT string."""
+    named = crossed_partition_instance()._replace(names=('a"b', "c\\", "d", "e"))
+    path = tmp_path / "q.json"
+    path.write_text(dumps(named))
+    assert main(["graph", str(path), "--set", "{0}", "--which", "true"]) == 0
+    out = capsys.readouterr().out
+    assert 'v0 [label="a\\"b", ' in out
+    assert 'v1 [label="c\\\\", ' in out
+
+
 def test_graph_accepts_bare_masks(fixture_file, capsys):
     assert main(["graph", fixture_file, "--set", "9", "--which", "true"]) == 0
     assert main(["graph", fixture_file, "--set", "0b1001", "--which", "true"]) == 0

@@ -173,9 +173,8 @@ def test_cnf_case_1x1_high_forces_both():
     o = MinRankOracle(m, m)
     I = mask_of((0, 1))
     t = ObservationTable(o, I, 0, 0)
-    arcs1 = [bit(2), bit(2), 0]  # out of I: 0->2, 1->2
-    arcs2 = [0, 0, mask_of((0, 1))]  # into I: 2->0, 2->1
-    g = ExchangeGraph(3, I, 0, 0, arcs1, arcs2, [0] * 3, [0] * 3, kind="intersected")
+    succ = [bit(2), bit(2), mask_of((0, 1))]  # 0->2, 1->2 out of I; 2->0, 2->1 into I
+    g = ExchangeGraph(3, I, 0, 0, succ, sure=[0] * 3, kind="intersected")
     f = build_cnf(t, g)
     assert f.clauses
     assignment = solve_2sat(f)
@@ -185,7 +184,7 @@ def test_cnf_case_1x1_high_forces_both():
 
     # Dropping one reverse arc makes the same high pair unsatisfiable.
     g_broken = ExchangeGraph(
-        3, I, 0, 0, [0, bit(2), 0], arcs2, [0] * 3, [0] * 3, kind="intersected"
+        3, I, 0, 0, [0, bit(2), mask_of((0, 1))], sure=[0] * 3, kind="intersected"
     )
     assert solve_2sat(build_cnf(t, g_broken)) is None
 
@@ -200,9 +199,8 @@ def test_cnf_case_1x1_high_forces_both():
 
 def _compiled(n, I, values, names):
     out = full_mask(n) & ~I
-    arcs1 = [out if (I >> v) & 1 else 0 for v in range(n)]
-    arcs2 = [0 if (I >> v) & 1 else I for v in range(n)]
-    g = ExchangeGraph(n, I, 0, 0, arcs1, arcs2, [0] * n, [0] * n, kind="intersected")
+    succ = [out if (I >> v) & 1 else I for v in range(n)]
+    g = ExchangeGraph(n, I, 0, 0, succ, sure=[0] * n, kind="intersected")
     f = build_cnf(ObservationTable(_Prescribed(n, I, values), I, 0, 0), g)
     assert not f.contradiction
 
@@ -456,8 +454,8 @@ def test_check_consistency_verdicts():
     from minrank import ExchangeGraph
 
     I = bit(0)
-    both = ExchangeGraph(2, I, 0, 0, [bit(1), 0], [0, bit(0)], [0, 0], [0, 0])
-    none_g = ExchangeGraph(2, I, 0, 0, [0, 0], [0, 0], [0, 0], [0, 0])
+    both = ExchangeGraph(2, I, 0, 0, [bit(1), bit(0)], sure=[0, 0])
+    none_g = ExchangeGraph(2, I, 0, 0, [0, 0], sure=[0, 0])
     high = LEObservation(bit(1), bit(0), 1)  # value = |I| -> needs both ways
     low = LEObservation(bit(1), bit(0), 0)  # value = |I|-1 -> forbids both
     assert check_consistency(both, high) == "consistent"
@@ -470,7 +468,7 @@ def test_consistency_summary_rollup():
     from minrank import ExchangeGraph
 
     I = bit(0)
-    g = ExchangeGraph(2, I, 0, 0, [bit(1), 0], [0, bit(0)], [0, 0], [0, 0])
+    g = ExchangeGraph(2, I, 0, 0, [bit(1), bit(0)], sure=[0, 0])
     high = LEObservation(bit(1), bit(0), 1)
     low = LEObservation(bit(1), bit(0), 0)
     assert consistency_summary(g, [high]) == "consistent"
@@ -524,8 +522,7 @@ def test_almost_consistent_graph_no_suspicious_equals_true():
                 D = build_true_graph(m2, m1, I)
                 swapped += 1
             assert (D.S, D.T) == (C.S, C.T)
-            assert set(C.arcs1_pairs()) == set(D.arcs1_pairs())
-            assert set(C.arcs2_pairs()) == set(D.arcs2_pairs())
+            assert set(C.arcs()) == set(D.arcs())
             checked += 1
     assert checked >= 40 and swapped >= 5  # 49 and 8 when written
 

@@ -46,12 +46,46 @@ from minrank.verify import shortest_st_paths
 from conftest import crossed_pair, lift_by_two_pair, small_zoo, triangle
 
 
-def arcs1_pairs(g: ExchangeGraph) -> set[tuple[int, int]]:
-    return set(g.arcs1_pairs())
+# Arcs 0->1 (sure), 0->2 and 1->0 (suspicious) over I = {0}.
+_LABELLED = ExchangeGraph(3, bit(0), 0, 0, [mask_of((1, 2)), bit(0), 0], sure=[bit(1), 0, 0])
 
 
-def arcs2_pairs(g: ExchangeGraph) -> set[tuple[int, int]]:
-    return set(g.arcs2_pairs())
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: ExchangeGraph(3, bit(0), bit(0), 0, [0, 0, 0]), ValueError),
+        (lambda: ExchangeGraph(3, bit(0), 0, bit(0), [0, 0, 0]), ValueError),
+        (lambda: ExchangeGraph(3, mask_of((0, 1)), 0, 0, [bit(1), 0, 0]), ValueError),
+        (lambda: ExchangeGraph(3, bit(0), 0, 0, [0, bit(2), 0]), ValueError),
+        (lambda: ExchangeGraph(3, bit(0), 0, 0, [bit(1), 0, 0], sure=[bit(2), 0, 0]), ValueError),
+        (lambda: ExchangeGraph(3, bit(0), 0, 0, [bit(1), 0]), ValueError),
+        (lambda: _LABELLED.with_assignment({(0, 1): True}), ValueError),
+        (lambda: _LABELLED.with_assignment({(2, 0): True}), ValueError),
+        (lambda: _LABELLED.with_assignment({(-2, 0): True}), ValueError),
+        (lambda: ExchangeGraph(3, bit(0), 0, 0, [bit(1), 0, 0], [0, bit(0), 0]), TypeError),
+    ],
+    ids=[
+        "source-in-I",
+        "sink-in-I",
+        "arc-from-I-into-I",
+        "arc-outside-to-outside",
+        "sure-arc-not-an-arc",
+        "short-head-list",
+        "assign-a-sure-arc",
+        "assign-an-absent-arc",
+        "assign-a-negative-tail",
+        "old-two-layer-call",
+    ],
+)
+def test_exchange_graph_refuses_malformed_input(build, error):
+    """The constructor refuses sources or sinks in I, arcs that do not
+    cross between I and E \\ I, sure arcs that are no arcs and a head list
+    of the wrong length; `with_assignment` accepts only suspicious arcs, so
+    a negative index does not wrap round to another vertex; and
+    a call in the old form, with a second layer list where `sure` now
+    stands, fails instead of reading that list as sure labels."""
+    with pytest.raises(error):
+        build()
 
 
 def test_true_graph_crossed_fixture():
@@ -59,8 +93,7 @@ def test_true_graph_crossed_fixture():
     m1, m2 = crossed_pair()
     g = build_true_graph(m1, m2, mask_of((0, 3)))
     assert g.S == 0 and g.T == 0
-    assert arcs1_pairs(g) == {(0, 1), (3, 2)}
-    assert arcs2_pairs(g) == {(1, 3), (2, 0)}
+    assert set(g.arcs()) == {(0, 1), (3, 2), (1, 3), (2, 0)}
 
 
 def test_true_graph_empty_I():
@@ -72,8 +105,7 @@ def test_true_graph_empty_I():
 
 def test_true_graph_triangle_vs_uniform():
     g = build_true_graph(triangle(), UniformMatroid(2, 3), mask_of((0, 1)))
-    assert arcs1_pairs(g) == {(0, 2), (1, 2)}
-    assert arcs2_pairs(g) == {(2, 0), (2, 1)}
+    assert set(g.arcs()) == {(0, 2), (1, 2), (2, 0), (2, 1)}
     assert g.S == 0 and g.T == 0
 
 
@@ -208,17 +240,14 @@ def test_shortest_path_none_when_unreachable():
 
 
 def test_reachability_certificate_empty_sinks():
-    g = ExchangeGraph(2, bit(0), 0, 0, [0, 0], [0, 0], [0, 0], [0, 0])
+    g = ExchangeGraph(2, bit(0), 0, 0, [0, 0], sure=[0, 0])
     assert reachability_certificate(g) == 0
 
 
 def test_bfs_tie_breaks_lexicographic():
     # I={2}; sources {0,1}, sinks {3,4}; every s->2->t path has 3 vertices.
-    arcs1 = [0, 0, mask_of((3, 4)), 0, 0]
-    arcs2 = [bit(2), bit(2), 0, 0, 0]
-    g = ExchangeGraph(
-        5, bit(2), mask_of((0, 1)), mask_of((3, 4)), arcs1, arcs2, arcs1, arcs2
-    )
+    succ = [bit(2), bit(2), mask_of((3, 4)), 0, 0]
+    g = ExchangeGraph(5, bit(2), mask_of((0, 1)), mask_of((3, 4)), succ, sure=succ)
     assert shortest_augmenting_path(g) == [0, 2, 3]
     assert shortest_st_paths(g) == [
         (0, 2, 3),
@@ -234,11 +263,14 @@ def _random_built_graph(rng: random.Random) -> ExchangeGraph:
     n = rng.randint(1, 9)
     I = rng.getrandbits(n)
     outside = full_mask(n) & ~I
-    arcs1 = [rng.getrandbits(n) & outside if (I >> v) & 1 else 0 for v in range(n)]
-    arcs2 = [rng.getrandbits(n) & I if (outside >> v) & 1 else 0 for v in range(n)]
+    # Heads out of I are drawn first, then heads into I; the counts the
+    # tests below assert rest on that order.
+    succ = [rng.getrandbits(n) & outside if (I >> v) & 1 else 0 for v in range(n)]
+    for v in iter_bits(outside):
+        succ[v] = rng.getrandbits(n) & I
     S = rng.getrandbits(n) & outside
     T = rng.getrandbits(n) & outside
-    return ExchangeGraph(n, I, S, T, arcs1, arcs2)
+    return ExchangeGraph(n, I, S, T, succ)
 
 
 def test_bfs_path_is_the_smallest_brute_force_shortest_path():
@@ -306,9 +338,8 @@ def test_search_asks_each_arc_once_and_stops_at_first_source_level():
     # I={2,5}; sources {0,1}, sinks {3,4}; 5 -> 0 would only be found at
     # level 3, after level 2 already holds the sources.
     I = mask_of((2, 5))
-    arcs1 = [0, 0, mask_of((3, 4)), 0, 0, bit(0)]
-    arcs2 = [bit(2), bit(2), 0, 0, 0, 0]
-    g = ExchangeGraph(6, I, mask_of((0, 1)), mask_of((3, 4)), arcs1, arcs2)
+    succ = [bit(2), bit(2), mask_of((3, 4)), 0, 0, bit(0)]
+    g = ExchangeGraph(6, I, mask_of((0, 1)), mask_of((3, 4)), succ)
     asked = []
 
     def arc(u, v):
@@ -343,14 +374,13 @@ def test_modified_graph_contains_true_graph():
                 continue
             D = build_true_graph(m1, m2, I)
             M = build_modified_graph(o, I, sp)
-            assert set(D.arcs1_pairs()) <= set(M.arcs1_pairs())
-            assert set(D.arcs2_pairs()) <= set(M.arcs2_pairs())
-            for y, x in set(M.arcs1_pairs()) - set(D.arcs1_pairs()):
-                assert not ((D.S | D.T) >> x) & 1 or not ((D.S | D.T) >> y) & 1
-                assert (D.arcs1[y] >> sp.t) & 1  # shortcut through the sink probe
+            assert set(D.arcs()) <= set(M.arcs())
+            for y, x in set(M.arcs()) - set(D.arcs()):
+                if (I >> y) & 1:  # an extra arc out of I
+                    assert not ((D.S | D.T) >> x) & 1 or not ((D.S | D.T) >> y) & 1
+                    assert D.has_arc(y, sp.t)  # shortcut through the sink probe
             N = intersect_modified(o, I, sp)
-            assert set(D.arcs1_pairs()) <= set(N.arcs1_pairs()) <= set(M.arcs1_pairs())
-            assert set(D.arcs2_pairs()) <= set(N.arcs2_pairs()) <= set(M.arcs2_pairs())
+            assert set(D.arcs()) <= set(N.arcs()) <= set(M.arcs())
 
 
 def test_sure_arcs_are_true_arcs():
@@ -364,13 +394,10 @@ def test_sure_arcs_are_true_arcs():
             continue
         D = build_true_graph(m1, m2, I)
         N = intersect_modified(o, I, sp)
-        true1, true2 = set(D.arcs1_pairs()), set(D.arcs2_pairs())
-        for u, v in N.arcs1_pairs():
+        true = set(D.arcs())
+        for u, v in N.arcs():
             if N.is_sure(u, v):
-                assert (u, v) in true1
-        for u, v in N.arcs2_pairs():
-            if N.is_sure(u, v):
-                assert (u, v) in true2
+                assert (u, v) in true
 
 
 def test_single_sink_intersection_equals_modified():
@@ -390,8 +417,7 @@ def test_single_sink_intersection_equals_modified():
                 if M.T & ~M.S != bit(sp.t):
                     continue
                 N = intersect_modified(o, I, sp)
-                assert set(N.arcs1_pairs()) == set(M.arcs1_pairs())
-                assert set(N.arcs2_pairs()) == set(M.arcs2_pairs())
+                assert set(N.arcs()) == set(M.arcs())
 
 
 def test_to_dot_styles():
@@ -442,15 +468,28 @@ def per_arc_probe_graph(o, I, S, T, t_probes, s_probes):
                 return o.rmin(base) == k
         return all(o.rmin(base | bit(p)) == k for p in probes)
 
-    arcs1, arcs2 = _fill(o.n, I, o.ground & ~I, arc)
+    succ = _fill(o.n, I, o.ground & ~I, arc)
     ends = S | T
-    sure1 = [heads & ends for heads in arcs1]
-    sure2 = [heads if (ends >> x) & 1 else 0 for x, heads in enumerate(arcs2)]
-    return arcs1, arcs2, sure1, sure2
+    return succ, [heads if (ends >> v) & 1 else heads & ends for v, heads in enumerate(succ)]
 
 
 def graph_fields(g: ExchangeGraph) -> tuple:
-    return (g.kind, g.I, g.S, g.T, g.arcs1, g.arcs2, g.sure1, g.sure2)
+    return (g.kind, g.I, g.S, g.T, g.succ, g.sure)
+
+
+def layer_fields(g: ExchangeGraph) -> tuple:
+    """The fields in the shape the pinned digest was recorded in: the head
+    masks and sure masks split by the side of each tail, arcs out of I
+    first, each list zero at the tails of the other side."""
+
+    def split(masks, inside):
+        return tuple(m if bool((g.I >> v) & 1) == inside else 0 for v, m in enumerate(masks))
+
+    return (
+        g.kind, g.I, g.S, g.T,
+        split(g.succ, True), split(g.succ, False),
+        split(g.sure, True), split(g.sure, False),
+    )
 
 
 @settings(max_examples=200, deadline=None)
@@ -615,8 +654,7 @@ def test_probe_graphs_are_pinned():
             build_modified_graph(o, I, sp),
             intersect_modified(o, I, sp),
         ):
-            fields = (g.kind, g.I, g.S, g.T, g.arcs1, g.arcs2, g.sure1, g.sure2)
-            digest.update(repr(fields).encode())
+            digest.update(repr(layer_fields(g)).encode())
             graphs += 1
     assert graphs == 8733
     assert digest.hexdigest() == (

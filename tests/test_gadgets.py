@@ -143,8 +143,8 @@ def test_single_vertex_matrix_pattern():
     assert gi.Z1[0][5] == gi.Z1[1][5] == 1
     assert gi.Z2[0][4] == gi.Z2[1][4] == 1
     # Realized arcs mirror the primes.
-    assert gi.arcs2[0] == bit(2)  # x1 -> y1
-    assert gi.arcs1[3] == bit(1)  # y2 -> x2
+    assert gi.succ[0] == bit(2)  # x1 -> y1
+    assert gi.succ[3] == bit(1)  # y2 -> x2
 
 
 def test_value_table_is_coloring_independent():
@@ -219,10 +219,10 @@ def test_verify_gadget_flags_a_moved_arc():
     """Color (1,1) realizes the arc y2 -> x2; claiming y2 -> x1 instead
     trips only the graph comparison, which names both differing arcs."""
     gi = vertex_gadget((1, 1))
-    assert gi.arcs1[3] == bit(1)
-    arcs1 = list(gi.arcs1)
-    arcs1[3] = bit(0)
-    moved = gi._replace(arcs1=tuple(arcs1))
+    assert gi.succ[3] == bit(1)
+    succ = list(gi.succ)
+    succ[3] = bit(0)
+    moved = gi._replace(succ=tuple(succ))
     assert _failing_reports(moved) == {
         "true-graph": ("(y2.v0,x1.v0)", "(y2.v0,x2.v0)")
     }
@@ -337,10 +337,18 @@ PARITY_DIGEST = "95cc0d63466812b084593deaec95d13cc2f03b9e52b82fb10ffc677465adc8a
 
 
 def _gadget_fields(gi):
-    return [
-        sorted(value.items()) if isinstance(value, dict) else value
-        for value in gi
-    ]
+    """Every field, in the shape the pinned digest was recorded in: `succ`
+    stands as two lists split by the side of each tail, the heads out of I
+    first, each zero at the tails of the other side."""
+    fields = []
+    for name, value in zip(gi._fields, gi):
+        if name == "succ":
+            inside = [(gi.I >> v) & 1 for v in range(gi.n)]
+            fields.append(tuple(m if i else 0 for m, i in zip(value, inside)))
+            fields.append(tuple(0 if i else m for m, i in zip(value, inside)))
+        else:
+            fields.append(sorted(value.items()) if isinstance(value, dict) else value)
+    return fields
 
 
 def test_gadget_parity():

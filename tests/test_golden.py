@@ -59,6 +59,10 @@ every brute-force fact from one hidden-rank table per matroid pair; they
 passed unchanged across that refactor. `verify` prints the instance file's
 name, so every row runs in the test's own directory on a relative name.
 
+The three `graph --which true` rows were pinned before the exchange graph
+kept one successor mask per vertex in place of its two arc lists and two
+sure lists, so they cover the true graph's filler across that change.
+
 `gadget` and `bench` take no instance file, so their rows live in a second
 table, `TOOL_GOLDEN`, and hash stderr too: the sha256 of the exit code, a
 newline, stdout, a newline and stderr. Both rows were pinned before the
@@ -131,12 +135,15 @@ GOLDEN = [
     ("lexmax-7", "solve --mode fpt --gamma 3 --trace", "0b6276077adb70a0e1db745e86914189cd326227f54ea4ff5731f21c86b4335a"),
     ("lexmax-7", "solve --mode lexmax --trace", "25784ea21aad451cde63ab32b897d85196317d45a5f970b0758a2f6a09f9aff4"),
     ("lexmax-7", "solve --mode approx --trace", "b80f9a582efabef8348088af13d2f67be7788a403ecb0f6e1570026c5171740d"),
+    ("lexmax-7", "graph --set {0,2,5} --which true", "407bdedf4f1b5f1376e9474a7fcb83354cd90b4776adeadb169969e9afee29e6"),
     ("lexmax-7", "graph --set {0,2,5} --which modified", "2d007c3ccdf46ff526d8680870c6b8e10faa53468b1d2ab0b689c1b2d3de6b49"),
     ("lexmax-7", "graph --set {0,2,5} --which intersected", "ccb0a657e7f72c2da5733e92ff7e8cb301752fda3c9539d4316b74439a1f677b"),
     ("lexmax-7", "graph --set {0,2,5} --which consistent", "c512e5a75aca7c58764d297384dcfa718ca70370a1261ceb1a15531a20d929c3"),
+    ("mixed-8", "graph --set {1,5,6} --which true", "46fe9dcd1333b7c31af9addb1d9de5a2bcc63012da2e8b5739f4e5ded69cb0c1"),
     ("mixed-8", "graph --set {1,5,6} --which modified", "6457db025456c9437a9e0f20e3bc8a074092c54e71d3a8ecf4837fdbd9f526b2"),
     ("mixed-8", "graph --set {1,5,6} --which intersected", "000570c877c78adfb9ad2dd0065e986d418c7821fa3bfeec5740e3e0f726e6ed"),
     ("mixed-8", "graph --set {1,5,6} --which consistent", "fdaabdbfd96ea3c9ffca897832418689d8826559cf00e0b5c2a7dacce9551c1f"),
+    ("promise-8", "graph --set {0,1,3,5,6} --which true", "8926c115b416382ced47b072a6f961075f9612db96bbe19dd33215d3816f101e"),
     ("promise-8", "graph --set {0,1,3,5,6} --which modified", "7cd37a57f4f3cdff309995ed927b1c1dbc61ebe851217dc98681f023f6b94eb6"),
     ("promise-8", "graph --set {0,1,3,5,6} --which intersected", "f92b026d86d6e967d396511a866b3bb1eb8856991f8a00a8770243d23b75e312"),
     ("promise-8", "graph --set {0,1,3,5,6} --which consistent", "83329935c13726748c5f9806fb092320587714f98d5598d71b801ab6b2959192"),

@@ -146,6 +146,8 @@ def test_loads_rejects_size_disagreement():
 def test_loads_rejects_wrong_length_names_and_weights():
     with pytest.raises(InstanceError, match="names"):
         loads(_doc(names=["a", "b"]))
+    with pytest.raises(InstanceError, match="names: expected a list of 4 strings"):
+        loads(_doc(names=[1, None, {"a": 2}, [3]]))
     with pytest.raises(InstanceError, match="weights"):
         loads(_doc(weights=["1"]))
     with pytest.raises(InstanceError, match="weights"):

@@ -577,44 +577,35 @@ def test_approx_all_non_positive():
 # -- shortest cheapest paths --------------------------------------------------
 
 
-def _path_graph(arcs1, arcs2, n=5, I=mask_of((1, 3)), S=bit(0), T=bit(4)):
-    return ExchangeGraph(n, I, S, T, arcs1, arcs2, kind="resolved")
+def _path_graph(succ, n=5, I=mask_of((1, 3)), S=bit(0), T=bit(4)):
+    return ExchangeGraph(n, I, S, T, succ, kind="resolved")
 
 
 def test_path_tie_breaks_shorter_then_lexicographic():
     # 0->1->2->3->4 and 0->3->4 at equal (zero) cost: shorter wins.
-    g = _path_graph(
-        arcs1=[0, bit(2), 0, bit(4), 0],
-        arcs2=[bit(1) | bit(3), 0, bit(3), 0, 0],
-    )
+    g = _path_graph([bit(1) | bit(3), bit(2), bit(3), bit(4), 0])
     w = [0] * 5
     assert shortest_cheapest_path(g, w) == ([0, 3, 4], 0)
 
     # Two length-3 paths 0->1->4 / 0->3->4: smaller vertex sequence wins.
-    g2 = _path_graph(
-        arcs1=[0, bit(4), 0, bit(4), 0],
-        arcs2=[bit(1) | bit(3), 0, 0, 0, 0],
-    )
+    g2 = _path_graph([bit(1) | bit(3), bit(4), 0, bit(4), 0])
     assert shortest_cheapest_path(g2, w) == ([0, 1, 4], 0)
 
 
 def test_path_prefers_cheaper_over_shorter():
-    g = _path_graph(
-        arcs1=[0, bit(2), 0, bit(4), 0],
-        arcs2=[bit(1) | bit(3), 0, bit(3), 0, 0],
-    )
+    g = _path_graph([bit(1) | bit(3), bit(2), bit(3), bit(4), 0])
     w = [0, -6, 0, -1, 0]  # 1 and 3 lie in I, so they cost w
     # 0,1,2,3,4 costs -7; 0,3,4 costs -1.
     assert shortest_cheapest_path(g, w) == ([0, 1, 2, 3, 4], 0)
 
 
 def test_path_single_vertex_when_source_is_sink():
-    g = ExchangeGraph(2, bit(1), bit(0), bit(0), [0, 0], [0, 0], kind="resolved")
+    g = ExchangeGraph(2, bit(1), bit(0), bit(0), [0, 0], kind="resolved")
     assert shortest_cheapest_path(g, [2, 1]) == ([0], 0)
 
 
 def test_path_unreachable_returns_none():
-    g = _path_graph(arcs1=[0, 0, 0, bit(4), 0], arcs2=[bit(1), 0, bit(3), 0, 0])
+    g = _path_graph([bit(1), 0, bit(3), bit(4), 0])
     assert shortest_cheapest_path(g, [0] * 5) == (None, mask_of((2, 3, 4)))
 
 
@@ -625,8 +616,7 @@ def test_path_negative_cycle_detected():
         bit(1),
         bit(0),
         bit(4),
-        arcs1=[0, bit(2) | bit(4), 0, 0, 0],
-        arcs2=[bit(1), 0, bit(1), 0, 0],
+        [bit(1), bit(2) | bit(4), bit(1), 0, 0],
         kind="resolved",
     )
     w = [0, -1, 0, 0, 0]  # 1 lies in I, so it costs w
@@ -637,7 +627,7 @@ def test_path_negative_cycle_detected():
 def _reaches_sink(g: ExchangeGraph) -> int:
     reach = g.T
     while True:
-        more = reach | mask_of(v for v in range(g.n) if g.successors(v) & reach)
+        more = reach | mask_of(v for v in range(g.n) if g.succ[v] & reach)
         if more == reach:
             return reach
         reach = more
@@ -657,14 +647,16 @@ def test_cheapest_path_matches_brute_force_on_random_graphs():
         n = rng.randint(1, 9)
         I = rng.getrandbits(n)
         outside = full_mask(n) & ~I
-        arcs1 = [rng.getrandbits(n) & outside if (I >> v) & 1 else 0 for v in range(n)]
-        arcs2 = [rng.getrandbits(n) & I if (outside >> v) & 1 else 0 for v in range(n)]
+        # Heads out of I are drawn first, then heads into I.
+        succ = [rng.getrandbits(n) & outside if (I >> v) & 1 else 0 for v in range(n)]
+        for v in iter_bits(outside):
+            succ[v] = rng.getrandbits(n) & I
         S = T = 0
         for v in iter_bits(outside):  # 10% both, 35% source, 50% sink
             r = rng.random()
             S |= (r < 0.45) << v
             T |= (r < 0.1 or r > 0.5) << v
-        g = ExchangeGraph(n, I, S, T, arcs1, arcs2, kind="resolved")
+        g = ExchangeGraph(n, I, S, T, succ, kind="resolved")
         w = [
             Fraction(rng.randint(-7, 7), 2) if rng.random() < 0.5 else rng.randint(-3, 3)
             for _ in range(n)

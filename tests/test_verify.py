@@ -31,6 +31,7 @@ from minrank import (
     class_vector,
     common_independent_sets,
     full_mask,
+    iter_bits,
     largest_circuit_size,
     mask_of,
     path_cost,
@@ -209,11 +210,11 @@ def test_promise_fails_for_identical_and_nested_circuits():
 
 def test_perfect_matchings_two_by_two():
     both = mask_of((1, 2))
-    g = ExchangeGraph(4, mask_of((0, 3)), 0, 0, [both, 0, 0, both], [0] * 4)
+    g = ExchangeGraph(4, mask_of((0, 3)), 0, 0, [both, 0, 0, both])
     assert has_perfect_matching(g, 1, mask_of((0, 3)), both)
     assert not has_perfect_matching(g, 1, mask_of((0, 3)), bit(1))
     assert not has_perfect_matching(g, 2, mask_of((0, 3)), both)
-    crowded = ExchangeGraph(4, mask_of((0, 3)), 0, 0, [bit(1), 0, 0, bit(1)], [0] * 4)
+    crowded = ExchangeGraph(4, mask_of((0, 3)), 0, 0, [bit(1), 0, 0, bit(1)])
     assert not has_perfect_matching(crowded, 1, mask_of((0, 3)), both)
 
 
@@ -230,20 +231,20 @@ def test_has_perfect_matching_matches_brute_force():
         I = mask_of(order[:a])
         inside, outside = sorted(order[:a]), sorted(order[a:])
         p = rng.random()
-        arcs1, arcs2 = [0] * n, [0] * n
+        succ = [0] * n
         for y in inside:
-            arcs1[y] = mask_of(x for x in outside if rng.random() < p)
+            succ[y] = mask_of(x for x in outside if rng.random() < p)
         for x in outside:
-            arcs2[x] = mask_of(y for y in inside if rng.random() < p)
-        g = ExchangeGraph(n, I, 0, 0, arcs1, arcs2)
+            succ[x] = mask_of(y for y in inside if rng.random() < p)
+        g = ExchangeGraph(n, I, 0, 0, succ)
         left = [y for y in inside if rng.random() < 0.7]
         right = [x for x in outside if rng.random() < 0.7]
         if rng.random() < 0.5:
             right = right[: len(left)]
             left = left[: len(right)]
         layers = {
-            1: lambda y, x: (arcs1[y] >> x) & 1,
-            2: lambda y, x: (arcs2[x] >> y) & 1,
+            1: lambda y, x: (succ[y] >> x) & 1,
+            2: lambda y, x: (succ[x] >> y) & 1,
         }
         for layer, adjacent in layers.items():
             want = len(left) == len(right) and any(
@@ -323,17 +324,15 @@ def test_audit_flags_dropped_sure_arc():
     m1, m2 = crossed_pair()
 
     def drop_first(C: ExchangeGraph) -> ExchangeGraph:
-        arcs1 = list(C.arcs1)
-        sure1 = list(C.sure1)
-        for y in range(C.n):
-            if arcs1[y]:
-                x = arcs1[y] & -arcs1[y]
-                arcs1[y] &= ~x
-                sure1[y] &= ~x
+        succ = list(C.succ)
+        sure = list(C.sure)
+        for y in iter_bits(C.I):
+            if succ[y]:
+                x = succ[y] & -succ[y]
+                succ[y] &= ~x
+                sure[y] &= ~x
                 break
-        return ExchangeGraph(
-            C.n, C.I, C.S, C.T, arcs1, C.arcs2, sure1, C.sure2, kind=C.kind
-        )
+        return ExchangeGraph(C.n, C.I, C.S, C.T, succ, sure=sure, kind=C.kind)
 
     reports = audit_graphs(m1, m2, bit(0), w=fixture_weights(), mutate=drop_first)
     failing = {r.quantity for r in reports if not r.ok}
@@ -345,8 +344,11 @@ def test_audit_flags_rewired_graph():
     m1, m2 = crossed_pair()
 
     def clear_layer2(C: ExchangeGraph) -> ExchangeGraph:
+        def out_of_I(masks):
+            return [m if (C.I >> v) & 1 else 0 for v, m in enumerate(masks)]
+
         return ExchangeGraph(
-            C.n, C.I, C.S, C.T, C.arcs1, [0] * C.n, C.sure1, [0] * C.n, kind=C.kind
+            C.n, C.I, C.S, C.T, out_of_I(C.succ), sure=out_of_I(C.sure), kind=C.kind
         )
 
     reports = audit_graphs(m1, m2, bit(0), mutate=clear_layer2)
@@ -409,11 +411,9 @@ def test_audit_trips_on_an_arc_across_an_evil_pair():
         x1, y1 = gi.vertex_x[0][0], gi.vertex_y[0][0]
 
         def add_arc(C: ExchangeGraph) -> ExchangeGraph:
-            arcs1 = list(C.arcs1)
-            arcs1[y1] |= bit(x1)
-            return ExchangeGraph(
-                C.n, C.I, C.S, C.T, arcs1, C.arcs2, C.sure1, C.sure2, kind=C.kind
-            )
+            succ = list(C.succ)
+            succ[y1] |= bit(x1)
+            return ExchangeGraph(C.n, C.I, C.S, C.T, succ, sure=C.sure, kind=C.kind)
 
         assert all(r.ok for r in audit_graphs(m1, m2, gi.I))
         reports = audit_graphs(m1, m2, gi.I, mutate=add_arc)
