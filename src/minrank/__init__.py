@@ -21,13 +21,7 @@ from .bitset import (
     parse_set,
     popcount,
 )
-from .consistency import (
-    ObservationTable,
-    TwoSat,
-    almost_consistent_graph,
-    build_cnf,
-    solve_2sat,
-)
+from .consistency import almost_consistent_graph
 from .core import (
     ExplicitMatroid,
     GraphicMatroid,
@@ -45,7 +39,6 @@ from .exchange import (
     StarPair,
     build_modified_graph,
     build_true_graph,
-    find_star_pair,
     intersect_modified,
     survey_extensions,
 )
@@ -74,23 +67,14 @@ from .instances import (
 from .oracle import MinRankOracle, RestrictedOracle
 from .solvers import (
     ApproxResult,
-    Augmented,
     AugmentStep,
     CardinalityRun,
-    Certificate,
     Level,
     LexmaxRun,
     WeightedRun,
     approx_max_weight,
-    augment_min_rank,
-    cheapest_path_augment,
-    class_vector,
     lexicographic_max,
     max_cardinality,
-    path_cost,
-    shortest_cheapest_path,
-    total_weight,
-    weight_classes,
     weighted_fpt_circuit,
     weighted_no_circuit_inclusion,
 )
@@ -109,7 +93,8 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-# The re-exported names only: importing them also binds each submodule here.
+# The user-facing names only; internals are imported from their own module.
+# Importing them also binds each submodule here.
 __all__ = [
     name
     for name, value in globals().items()

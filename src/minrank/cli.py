@@ -131,19 +131,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         dual = o.rmin(run.Z) + o.rmin(full_mask(inst.n) & ~run.Z)
         print(f"dual set: {format_set(run.Z, inst.names)}", file=out)
         print(f"dual value: {dual}", file=out)
-        print(f"oracle queries: {run.queries}", file=out)
-        trace = run.trace
+        queries, trace = run.queries, run.trace
     elif args.mode == "weighted":
         wrun = weighted_no_circuit_inclusion(o, w)
         _print_levels(wrun, inst.names, out)
-        print(f"oracle queries: {wrun.queries}", file=out)
-        trace = wrun.trace
+        queries, trace = wrun.queries, wrun.trace
     elif args.mode == "fpt":
         wrun = weighted_fpt_circuit(o, w, args.gamma)
         print(f"gamma: {args.gamma}", file=out)
         _print_levels(wrun, inst.names, out)
-        print(f"oracle queries: {wrun.queries}", file=out)
-        trace = wrun.trace
+        queries, trace = wrun.queries, wrun.trace
     elif args.mode == "lexmax":
         lrun = lexicographic_max(o, w)
         classes = weight_classes(w, full_mask(inst.n))
@@ -151,15 +148,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print(f"vector: {' '.join(str(c) for c in lrun.vector)}", file=out)
         print(f"witness: {format_set(lrun.I, inst.names)}", file=out)
         print(f"weight: {total_weight(w, lrun.I)}", file=out)
-        print(f"oracle queries: {lrun.queries}", file=out)
-        trace = lrun.trace
+        queries, trace = lrun.queries, lrun.trace
     else:  # approx
         arun = approx_max_weight(o, w)
         print(f"witness: {format_set(arun.I, inst.names)}", file=out)
         print(f"weight: {arun.weight}", file=out)
         print(f"guarantee: {arun.guarantee}", file=out)
         print(f"alpha: {arun.alpha if arun.alpha is not None else 'n/a'}", file=out)
-        print(f"oracle queries: {arun.queries}", file=out)
+        queries = arun.queries
+    print(f"oracle queries: {queries}", file=out)
     if args.trace:
         for step in trace:
             print(f"trace: {step}", file=out)
@@ -167,12 +164,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 # -- verify ---------------------------------------------------------------------
-
-
-def cardinality_trajectory(m1, m2) -> list[int]:
-    """Every common independent set the cardinality solver passes through,
-    from the empty set to its maximum."""
-    return list(max_cardinality(MinRankOracle(m1, m2)).sets)
 
 
 def _verify_instance(inst: Instance, label: str) -> list[BruteReport]:

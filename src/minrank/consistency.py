@@ -156,9 +156,9 @@ def build_cnf(
     # Absent arcs fold to False, sure arcs to True, suspicious ones to ±(index+1).
     def lit(arc: Arc, neg: bool = False) -> int | bool:
         u, v = arc
-        if not g.has_arc(u, v):
+        if not (g.succ[u] >> v) & 1:
             return neg
-        if g.is_sure(u, v):
+        if (g.sure[u] >> v) & 1:
             return not neg
         i = f.index[arc] + 1
         return -i if neg else i

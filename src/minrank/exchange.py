@@ -55,10 +55,10 @@ class ExchangeGraph:
     """Dense bipartite arc structure over (E \\ I, I) with sure/suspicious labels.
 
     ``succ[v]`` is the head mask of the arcs leaving v: heads outside I when
-    v ∈ I (layer 1), heads in I when v ∉ I (layer 2). ``sure[v]`` marks the
-    sure subset of ``succ[v]``; the rest of the arcs are suspicious, and
-    without ``sure`` every arc is sure. Instances are immutable; mutation
-    helpers return fresh graphs.
+    v ∈ I (layer 1), heads in I when v ∉ I (layer 2), so arc (u, v) is bit
+    v of ``succ[u]``. ``sure[v]`` marks the sure subset of ``succ[v]``; the
+    rest of the arcs are suspicious, and without ``sure`` every arc is sure.
+    Instances are immutable; mutation helpers return fresh graphs.
     """
 
     __slots__ = ("n", "I", "S", "T", "succ", "sure", "kind")
@@ -94,12 +94,6 @@ class ExchangeGraph:
 
     # -- structure ---------------------------------------------------------
 
-    def has_arc(self, u: int, v: int) -> bool:
-        return bool((self.succ[u] >> v) & 1)
-
-    def is_sure(self, u: int, v: int) -> bool:
-        return bool((self.sure[u] >> v) & 1)
-
     def arcs(self) -> Iterator[tuple[int, int]]:
         """Every arc (u, v), ascending."""
         for u, heads in enumerate(self.succ):
@@ -111,19 +105,17 @@ class ExchangeGraph:
             for v in iter_bits(heads & ~self.sure[u]):
                 yield (u, v)
 
-    def arc_count(self) -> int:
-        return sum(popcount(m) for m in self.succ)
-
     # -- derived graphs ----------------------------------------------------
 
     def with_assignment(self, chosen: dict[tuple[int, int], bool]) -> "ExchangeGraph":
-        """Keep sure arcs; keep a suspicious arc iff chosen[(u, v)] is True."""
+        """Keep sure arcs; keep a suspicious arc iff chosen[(u, v)] is True.
+        Choosing a sure, absent or out-of-range arc raises ValueError."""
         succ = list(self.sure)
-        suspicious = set(self.suspicious_pairs())
         for (u, v), keep in chosen.items():
             if not keep:
                 continue
-            if (u, v) not in suspicious:
+            loose = self.succ[u] & ~self.sure[u] if 0 <= u < self.n else 0
+            if v < 0 or not (loose >> v) & 1:
                 raise ValueError(f"({u},{v}) is not a suspicious arc")
             succ[u] |= bit(v)
         return ExchangeGraph(
@@ -153,7 +145,7 @@ class ExchangeGraph:
                 attrs.append(f'xlabel="{"+".join(roles)}"')
             lines.append(f"  v{v} [{', '.join(attrs)}];")
         for u, v in self.arcs():
-            style = "solid" if self.is_sure(u, v) else "dashed"
+            style = "solid" if (self.sure[u] >> v) & 1 else "dashed"
             lines.append(f"  v{u} -> v{v} [style={style}];")
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -162,7 +154,7 @@ class ExchangeGraph:
         return (
             f"ExchangeGraph(kind={self.kind!r}, I={format_set(self.I)}, "
             f"S={format_set(self.S)}, T={format_set(self.T)}, "
-            f"arcs={self.arc_count()})"
+            f"arcs={sum(map(popcount, self.succ))})"
         )
 
 

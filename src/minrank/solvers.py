@@ -311,12 +311,14 @@ def _fpt_augment(o: Oracle, w: Sequence, I: int, gamma: int) -> _Outcome:
     k = popcount(I)
     N = intersect_modified(o, I, pair)
     table = ObservationTable(o, I, N.S, N.T)
+    # The ends in I of the suspicious arcs: tails on layer 1, heads on layer 2.
     J1 = J2 = 0
-    for u, v in N.suspicious_pairs():
-        if (N.I >> u) & 1:
-            J1 |= bit(u)
-        else:
-            J2 |= bit(v)
+    for v, heads in enumerate(N.succ):
+        loose = heads & ~N.sure[v]
+        if not (I >> v) & 1:
+            J2 |= loose
+        elif loose:
+            J1 |= bit(v)
     side = 2 if popcount(J2) <= popcount(J1) else 1
     J = J2 if side == 2 else J1
     if popcount(J) > gamma:
@@ -329,6 +331,11 @@ def _fpt_augment(o: Oracle, w: Sequence, I: int, gamma: int) -> _Outcome:
     def arc(x: int, y: int) -> tuple[int, int]:
         return (x, y) if side == 2 else (y, x)
 
+    def joined(X: int, Y: int) -> bool:
+        """Whether layer `side` has an arc between X and Y."""
+        tails, heads = (X, Y) if side == 2 else (Y, X)
+        return any(N.succ[u] & heads for u in iter_bits(tails))
+
     def clause(X: int, Y1: int) -> tuple:
         """(arc(x0, y) | arc(x1, y)) for X = {x0, x1} and Y1 = {y}."""
         (y,) = elements_of(Y1)
@@ -337,13 +344,7 @@ def _fpt_augment(o: Oracle, w: Sequence, I: int, gamma: int) -> _Outcome:
     # Each evil pair is read once. Its Y meets J; an arc from X at an
     # element of Y outside J is sure (no suspicious head), so the base
     # clauses already rule out underestimation and the pair is dropped.
-    kept = [
-        (X, Y)
-        for X, Y in table.evil_pairs(J)
-        if not any(
-            N.has_arc(*arc(x, y)) for x in elements_of(X) for y in elements_of(Y & ~J)
-        )
-    ]
+    kept = [(X, Y) for X, Y in table.evil_pairs(J) if not joined(X, Y & ~J)]
     candidates: list[int] = []
     certificates: list[int] = []
     guesses = 0

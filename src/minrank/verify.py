@@ -218,8 +218,13 @@ def has_perfect_matching(g: ExchangeGraph, layer: int, left: int, right: int) ->
     are, layer 2 reversed. The search stops at the first matching."""
     if popcount(left) != popcount(right):
         return False
-    arc = g.has_arc if layer == 1 else lambda y, x: g.has_arc(x, y)
-    adj = [mask_of(x for x in iter_bits(right) if arc(y, x)) for y in iter_bits(left)]
+    if layer == 1:
+        adj = [g.succ[y] & right for y in iter_bits(left)]
+    else:
+        adj = [
+            mask_of(x for x in iter_bits(right) if (g.succ[x] >> y) & 1)
+            for y in iter_bits(left)
+        ]
 
     def extend(i: int, free: int) -> bool:
         return i == len(adj) or any(
@@ -364,9 +369,7 @@ def audit_graphs(
     st_mask = D.S | D.T
     true_paths = shortest_st_paths(D)
 
-    def audit_probe_graph(
-        tag: str, G: ExchangeGraph, t_probes: list[int], s_probes: list[int]
-    ) -> None:
+    def audit_probe_graph(tag: str, G: ExchangeGraph, t_probes: int, s_probes: int) -> None:
         """A probe graph holds every true arc, adds none at a source or
         sink, and adds a fake (y, x) only where (y, t) is true for every
         sink-side probe t, a fake (x, y) only where (s, y) is true for every
@@ -383,9 +386,9 @@ def audit_graphs(
             (u, v)
             for u, v in extras
             if not (
-                all(D.has_arc(u, t) for t in t_probes)
+                D.succ[u] & t_probes == t_probes
                 if (I >> u) & 1
-                else all(D.has_arc(s, v) for s in s_probes)
+                else all((D.succ[s] >> v) & 1 for s in iter_bits(s_probes))
             )
         )
         reports.append(make(f"{tag}-fake-shortcut", (), bad_shortcut, bad_shortcut))
@@ -395,7 +398,7 @@ def audit_graphs(
         tag = f"pair({sp.s},{sp.t})"
         M = build_modified_graph(o, I, sp)
         reports.append(make(f"{tag}-st-sets", (D.S, D.T), (M.S, M.T)))
-        audit_probe_graph(tag, M, [sp.t], [sp.s])
+        audit_probe_graph(tag, M, bit(sp.t), bit(sp.s))
         reports.append(make(f"{tag}-shortest-paths", true_paths, shortest_st_paths(M)))
         N = intersect_modified(o, I, sp)
         if first_intersected is None:
@@ -409,7 +412,7 @@ def audit_graphs(
     N = first_intersected
     n_arcs = set(N.arcs())
     n_sure = n_arcs - set(N.suspicious_pairs())
-    audit_probe_graph("intersected", N, elements_of(D.T), elements_of(D.S))
+    audit_probe_graph("intersected", N, D.T, D.S)
     lying_sure = tuple(sorted(n_sure - true_arcs))
     reports.append(make("sure-arcs-true", (), lying_sure, lying_sure))
     reports.append(make("intersected-shortest-paths", true_paths, shortest_st_paths(N)))

@@ -18,7 +18,6 @@ from minrank import (
     ExchangeGraph,
     MinRankOracle,
     StarPair,
-    TwoSat,
     approx_max_weight,
     bit,
     build_gadget,
@@ -34,13 +33,13 @@ from minrank import (
     random_instance,
     random_lexmax_instance,
     random_promise_instance,
-    solve_2sat,
     survey_extensions,
     verify_gadget,
     weighted_fpt_circuit,
     weighted_no_circuit_inclusion,
 )
-from minrank.cli import bench_cardinality, bench_weighted, cardinality_trajectory, main
+from minrank.cli import bench_cardinality, bench_weighted, main
+from minrank.consistency import TwoSat, solve_2sat
 from minrank.verify import (
     audit_graphs,
     brute_dual,

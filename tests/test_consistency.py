@@ -11,12 +11,9 @@ import minrank.solvers
 from minrank import (
     ExchangeGraph,
     MinRankOracle,
-    ObservationTable,
-    TwoSat,
     UniformMatroid,
     almost_consistent_graph,
     bit,
-    build_cnf,
     build_true_graph,
     full_mask,
     intersect_modified,
@@ -26,11 +23,11 @@ from minrank import (
     random_fpt_instance,
     random_instance,
     random_promise_instance,
-    solve_2sat,
     survey_extensions,
     weighted_fpt_circuit,
     weighted_no_circuit_inclusion,
 )
+from minrank.consistency import ObservationTable, TwoSat, build_cnf, solve_2sat
 from minrank.verify import (
     LEObservation,
     all_observations,
@@ -544,7 +541,8 @@ def test_clause_systems_are_pinned(monkeypatch):
         nonlocal systems, extras
 
         def holds(arc, neg):
-            return neg if not g.has_arc(*arc) else g.is_sure(*arc) and not neg
+            u, v = arc
+            return neg if not (g.succ[u] >> v) & 1 else (g.sure[u] >> v) & 1 and not neg
 
         f = full_cnf(table, g, extra)
         kept = [c for c in extra if not any(holds(*lit) for lit in c)]

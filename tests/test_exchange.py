@@ -21,26 +21,25 @@ from minrank import (
     build_modified_graph,
     build_true_graph,
     common_independent_sets,
-    find_star_pair,
     full_mask,
     intersect_modified,
     iter_bits,
     mask_of,
+    max_cardinality,
     popcount,
     random_fpt_instance,
     random_instance,
     random_lexmax_instance,
     random_promise_instance,
-    shortest_cheapest_path,
     survey_extensions,
 )
-from minrank.cli import cardinality_trajectory
 from minrank.exchange import (
     _fill,
     _search,
     probe_pair_search,
     reachability_certificate,
     shortest_augmenting_path,
+    shortest_cheapest_path,
 )
 from minrank.verify import shortest_st_paths
 from conftest import crossed_pair, lift_by_two_pair, small_zoo, triangle
@@ -62,6 +61,8 @@ _LABELLED = ExchangeGraph(3, bit(0), 0, 0, [mask_of((1, 2)), bit(0), 0], sure=[b
         (lambda: _LABELLED.with_assignment({(0, 1): True}), ValueError),
         (lambda: _LABELLED.with_assignment({(2, 0): True}), ValueError),
         (lambda: _LABELLED.with_assignment({(-2, 0): True}), ValueError),
+        (lambda: _LABELLED.with_assignment({(3, 0): True}), ValueError),
+        (lambda: _LABELLED.with_assignment({(0, -1): True}), ValueError),
         (lambda: ExchangeGraph(3, bit(0), 0, 0, [bit(1), 0, 0], [0, bit(0), 0]), TypeError),
     ],
     ids=[
@@ -74,6 +75,8 @@ _LABELLED = ExchangeGraph(3, bit(0), 0, 0, [mask_of((1, 2)), bit(0), 0], sure=[b
         "assign-a-sure-arc",
         "assign-an-absent-arc",
         "assign-a-negative-tail",
+        "assign-an-out-of-range-tail",
+        "assign-a-negative-head",
         "old-two-layer-call",
     ],
 )
@@ -81,7 +84,8 @@ def test_exchange_graph_refuses_malformed_input(build, error):
     """The constructor refuses sources or sinks in I, arcs that do not
     cross between I and E \\ I, sure arcs that are no arcs and a head list
     of the wrong length; `with_assignment` accepts only suspicious arcs, so
-    a negative index does not wrap round to another vertex; and
+    a negative or out-of-range index does not wrap round to another vertex
+    and raises ValueError; and
     a call in the old form, with a second layer list where `sure` now
     stands, fails instead of reading that list as sure labels."""
     with pytest.raises(error):
@@ -100,7 +104,7 @@ def test_true_graph_empty_I():
     m1, m2 = crossed_pair()
     g = build_true_graph(m1, m2, 0)
     assert g.S == full_mask(4) and g.T == full_mask(4)
-    assert g.arc_count() == 0
+    assert not any(g.succ)
 
 
 def test_true_graph_triangle_vs_uniform():
@@ -117,17 +121,17 @@ def test_true_graph_rejects_dependent_set():
 
 def test_find_star_pair_direct_augment():
     o = MinRankOracle(*crossed_pair())
-    assert find_star_pair(o, bit(0)).direct == (3,)
+    assert survey_extensions(o, bit(0), first=True).direct == (3,)
 
 
 def test_find_star_pair_none_at_maximum():
     o = MinRankOracle(*crossed_pair())
-    assert find_star_pair(o, mask_of((0, 3))).all_flat
+    assert survey_extensions(o, mask_of((0, 3)), first=True).all_flat
 
 
 def test_find_star_pair_empty_set_loopless():
     o = MinRankOracle(*crossed_pair())
-    assert find_star_pair(o, 0).direct == (0,)
+    assert survey_extensions(o, 0, first=True).direct == (0,)
 
 
 def test_survey_extensions_lists_all_direct():
@@ -312,7 +316,8 @@ def test_reverse_bfs_answers_as_the_cheapest_path_search():
     paths = certificates = 0
     for _ in range(3000):
         g = _random_built_graph(rng)
-        reached, nxt = _search(g.I, full_mask(g.n) & ~g.I, g.S, g.T, arc_tails(g.has_arc))
+        tails = arc_tails(lambda u, v: (g.succ[u] >> v) & 1)
+        reached, nxt = _search(g.I, full_mask(g.n) & ~g.I, g.S, g.T, tails)
         v = min((s for s in range(g.n) if (reached & g.S) >> s & 1), default=None)
         if v is None:
             expected = (None, reached)
@@ -344,7 +349,7 @@ def test_search_asks_each_arc_once_and_stops_at_first_source_level():
 
     def arc(u, v):
         asked.append((u, v))
-        return g.has_arc(u, v)
+        return (g.succ[u] >> v) & 1
 
     reached, nxt = _search(I, full_mask(6) & ~I, g.S, g.T, arc_tails(arc))
     assert reached == mask_of((0, 1, 2, 3, 4))
@@ -369,7 +374,7 @@ def test_modified_graph_contains_true_graph():
         for I in range(1 << n):
             if not (m1.is_independent(I) and m2.is_independent(I)):
                 continue
-            sp = find_star_pair(o, I).pair
+            sp = survey_extensions(o, I, first=True).pair
             if not isinstance(sp, StarPair):
                 continue
             D = build_true_graph(m1, m2, I)
@@ -378,7 +383,7 @@ def test_modified_graph_contains_true_graph():
             for y, x in set(M.arcs()) - set(D.arcs()):
                 if (I >> y) & 1:  # an extra arc out of I
                     assert not ((D.S | D.T) >> x) & 1 or not ((D.S | D.T) >> y) & 1
-                    assert D.has_arc(y, sp.t)  # shortcut through the sink probe
+                    assert (D.succ[y] >> sp.t) & 1  # shortcut through the sink probe
             N = intersect_modified(o, I, sp)
             assert set(D.arcs()) <= set(N.arcs()) <= set(M.arcs())
 
@@ -389,14 +394,14 @@ def test_sure_arcs_are_true_arcs():
     for I in range(16):
         if not o.is_common_independent(I):
             continue
-        sp = find_star_pair(o, I).pair
+        sp = survey_extensions(o, I, first=True).pair
         if not isinstance(sp, StarPair):
             continue
         D = build_true_graph(m1, m2, I)
         N = intersect_modified(o, I, sp)
         true = set(D.arcs())
         for u, v in N.arcs():
-            if N.is_sure(u, v):
+            if (N.sure[u] >> v) & 1:
                 assert (u, v) in true
 
 
@@ -410,7 +415,7 @@ def test_single_sink_intersection_equals_modified():
             for I in range(1 << m1.n):
                 if not o.is_common_independent(I):
                     continue
-                sp = find_star_pair(o, I).pair
+                sp = survey_extensions(o, I, first=True).pair
                 if not isinstance(sp, StarPair):
                     continue
                 M = build_modified_graph(o, I, sp)
@@ -433,7 +438,7 @@ def test_to_dot_styles():
 
 def test_star_pair_definition_holds():
     o = MinRankOracle(triangle(), UniformMatroid(2, 3))
-    sp = find_star_pair(o, bit(0)).pair
+    sp = survey_extensions(o, bit(0), first=True).pair
     if isinstance(sp, StarPair):
         k = 1
         assert o.rmin(bit(0) | bit(sp.s)) == k
@@ -515,7 +520,7 @@ def test_grouped_probe_graphs_equal_the_per_arc_rule(kinds_cap, n, seed):
     kinds, cap = kinds_cap
     inst = random_instance(seed, min(n, cap), kinds=kinds)
     m1, m2 = inst.matroid1, inst.matroid2
-    for I in cardinality_trajectory(m1, m2):
+    for I in max_cardinality(MinRankOracle(m1, m2)).sets:
         o = MinRankOracle(m1, m2)
         sp = survey_extensions(o, I).pair
         if sp is None:
@@ -544,8 +549,8 @@ def test_probe_pair_search_matches_full_build():
     paths = certificates = 0
     for inst in instances:
         o = MinRankOracle(inst.matroid1, inst.matroid2)
-        for I in cardinality_trajectory(inst.matroid1, inst.matroid2):
-            sp = find_star_pair(o, I).pair
+        for I in max_cardinality(MinRankOracle(inst.matroid1, inst.matroid2)).sets:
+            sp = survey_extensions(o, I, first=True).pair
             if not isinstance(sp, StarPair):
                 continue
             before = o.query_count
@@ -592,14 +597,14 @@ def test_probe_graph_query_sequence_is_pinned():
         for n in (16, 24, 32, 40):
             for seed in range(10):
                 inst = random_instance(seed, n, kinds=("partition", "graphic"))
-                for I in cardinality_trajectory(inst.matroid1, inst.matroid2):
+                for I in max_cardinality(MinRankOracle(inst.matroid1, inst.matroid2)).sets:
                     yield inst, I
 
     digest = hashlib.sha256()
     builds = asked = 0
     for inst, I in cases():
         m1, m2 = inst.matroid1, inst.matroid2
-        sp = find_star_pair(MinRankOracle(m1, m2), I).pair
+        sp = survey_extensions(MinRankOracle(m1, m2), I, first=True).pair
         if not isinstance(sp, StarPair):
             continue
         o = RecordingOracle(m1, m2)
@@ -638,7 +643,7 @@ def test_probe_graphs_are_pinned():
         for n in (16, 24, 32):
             for seed in range(4):
                 inst = random_instance(seed, n, kinds=("partition", "graphic"))
-                for I in cardinality_trajectory(inst.matroid1, inst.matroid2):
+                for I in max_cardinality(MinRankOracle(inst.matroid1, inst.matroid2)).sets:
                     yield inst, I
 
     digest = hashlib.sha256()

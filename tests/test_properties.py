@@ -12,7 +12,6 @@ from minrank import (
     LinearMatroid,
     MinRankOracle,
     PartitionMatroid,
-    TwoSat,
     bit,
     dumps,
     elements_of,
@@ -23,8 +22,8 @@ from minrank import (
     mask_of,
     popcount,
     random_instance,
-    solve_2sat,
 )
+from minrank.consistency import TwoSat, solve_2sat
 
 from conftest import fraction_rank
 

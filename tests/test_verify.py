@@ -28,22 +28,20 @@ from minrank import (
     build_true_graph,
     check_promise_no_circuit_inclusion,
     circuits,
-    class_vector,
     common_independent_sets,
     full_mask,
     iter_bits,
     largest_circuit_size,
     mask_of,
-    path_cost,
     popcount,
     random_fpt_instance,
     random_instance,
     random_lexmax_instance,
     random_promise_instance,
     survey_extensions,
-    weight_classes,
 )
 from minrank.gadgets import COLORS
+from minrank.solvers import class_vector, path_cost, weight_classes
 from minrank.verify import (
     BruteTable,
     has_perfect_matching,
