@@ -38,7 +38,6 @@ from .exchange import (
     ExtensionSurvey,
     StarPair,
     build_modified_graph,
-    build_true_graph,
     intersect_modified,
     survey_extensions,
 )
@@ -85,6 +84,7 @@ from .verify import (
     brute_lexmax,
     brute_max_common,
     brute_w_maximal,
+    build_true_graph,
     check_promise_no_circuit_inclusion,
     circuits,
     common_independent_sets,

@@ -26,7 +26,6 @@ from .errors import ContractViolationError
 from .exchange import (
     ExchangeGraph,
     build_modified_graph,
-    build_true_graph,
     intersect_modified,
     survey_extensions,
 )
@@ -57,6 +56,7 @@ from .verify import (
     BruteReport,
     audit_graphs,
     brute_table,
+    build_true_graph,
 )
 
 EXIT_OK = 0

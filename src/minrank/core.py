@@ -11,6 +11,7 @@ violated axiom (with witness sets) instead of silently repairing anything.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -229,15 +230,22 @@ class LinearMatroid(Matroid):
         }
 
 
+# The refusal of a float or bool where an exact rational is due.
+_INEXACT = '{} is not an exact rational; write an integer or a string such as "0.1" or "1/3"'
+
+
 def _entry(v: Fraction | int | str) -> Fraction | int:
     """A matrix entry as an exact rational. Integer strings skip the
     `Fraction` parser: every string `int` accepts, `Fraction` accepts with
-    the same value. Others fall back to `Fraction`, errors included."""
+    the same value. A float or bool is refused, as for weights; others fall
+    back to `Fraction`, errors included."""
     if isinstance(v, str):
         try:
             return int(v)
         except ValueError:
             pass
+    elif isinstance(v, (bool, float)):
+        raise ValueError(_INEXACT.format(json.dumps(v)))
     return Fraction(v)
 
 
@@ -272,14 +280,18 @@ class ExplicitMatroid(Matroid):
 
     Accepts the full family or just its maximal members; stores the bases and
     answers rank queries as max_B |B ∩ X| with memoization, stopping at a
-    base that meets min(|X|, |B|), a bound no base exceeds. Whether the input
-    actually is a matroid is checked by `validate`, not the constructor.
+    base that meets min(|X|, |B|), a bound no base exceeds. The constructor
+    refuses a member outside [0, n); whether the input actually is a matroid
+    is checked by `validate`.
     """
 
     kind = "explicit"
 
     def __init__(self, n: int, family: Sequence[int]):
         super().__init__(n)
+        for f in family:
+            if f & ~self._ground:
+                raise ValueError(f"family member {bin(f)} has elements outside [0, {n})")
         fam = set(family)
         fam.add(0)
         self.family = frozenset(fam)

@@ -1,13 +1,15 @@
-"""Exchangeability graphs over a common independent set.
+"""Exchangeability graphs over a common independent set, from the oracle.
 
-Three constructions live here:
+Two constructions live here:
 
-* the true graph (verification only — needs both matroids in the clear),
 * the probe-pair graph built purely from min-rank queries, which contains
   the true graph and preserves its shortest source-sink paths, and
 * the intersected graph: the intersection of all probe-pair graphs once the
   source/sink sets are fixed, with each arc labeled sure (certainly true)
   or suspicious (membership undetermined by the oracle).
+
+The true graph, which needs both matroids in the clear, is built in
+`minrank.verify` and serves only to check these two.
 
 All graphs are directed and bipartite between I and E \\ I, and an arc's
 layer is named by the side of its tail: an arc (y, x) out of y ∈ I is a
@@ -16,19 +18,18 @@ x ∉ I is a layer-2 arc, an exchange in the second. An augmenting path
 starts at a source, alternates sides, and ends at a sink; swapping I by the
 symmetric difference of such a path grows the common independent set by one.
 
-The true graph is built by one filler (`_fill`) that asks the matroids'
-arc rule one outside element at a time. The probe graphs are built from
-group tests on fundamental circuits instead. A star (an element of exactly
-one of S and T) x has `rmin((I ∖ Y) + x)` equal to |I| − |Y| + 1 when Y
-meets x's circuit in I and |I| − |Y| otherwise; a plain element gets the
-same test with a probe of the other side added, on the part of I that
-misses the probe's circuit. One splitting search (`_split`) finds each
-circuit from such tests, holds every answer to its two allowed values and
-asks every member it reports. It serves `_probe_graph`, which both probe
-builders share, and the reverse BFS (`_search`) of the cardinality solver,
-which asks only about the arcs it scans. One label-correcting search over
-a built graph (`shortest_cheapest_path`) finds a shortest cheapest path or
-its certificate; at zero costs it answers `shortest_augmenting_path` and
+The probe graphs are built from group tests on fundamental circuits. A
+star (an element of exactly one of S and T) x has `rmin((I ∖ Y) + x)`
+equal to |I| − |Y| + 1 when Y meets x's circuit in I and |I| − |Y|
+otherwise; a plain element gets the same test with a probe of the other
+side added, on the part of I that misses the probe's circuit. One
+splitting search (`_split`) finds each circuit from such tests, holds
+every answer to its two allowed values and asks every member it reports.
+It serves `_probe_graph`, which both probe builders share, and the reverse
+BFS (`_search`) of the cardinality solver, which asks only about the arcs
+it scans. One label-correcting search over a built graph
+(`shortest_cheapest_path`) finds a shortest cheapest path or its
+certificate; at zero costs it answers `shortest_augmenting_path` and
 `reachability_certificate`.
 """
 
@@ -38,7 +39,6 @@ from collections import deque
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .bitset import bit, elements_of, format_set, full_mask, iter_bits, mask_of, popcount
-from .core import Matroid
 from .errors import NegativeCycleError
 from .oracle import Oracle
 
@@ -159,45 +159,6 @@ class ExchangeGraph:
 
 
 # -- construction ------------------------------------------------------------
-
-
-def _fill(n: int, I: int, outside: int, arc: Callable[[int, int], bool]) -> list[int]:
-    """Every arc that `arc(u, v)` admits, one outside element x at a time in
-    ascending order: first the arcs (y, x) into x, then the arcs (x, y) out
-    of x, each with y ascending. Returns the head mask of every vertex."""
-    succ = [0] * n
-    inside = elements_of(I)
-    for x in iter_bits(outside):
-        xb = 1 << x
-        for y in inside:
-            if arc(y, x):
-                succ[y] |= xb
-        for y in inside:
-            if arc(x, y):
-                succ[x] |= 1 << y
-    return succ
-
-
-def build_true_graph(m1: Matroid, m2: Matroid, I: int) -> ExchangeGraph:
-    """The exact exchangeability graph, computed from both matroids.
-
-    Layer-1 arc (y, x) means I + x - y stays independent in the first
-    matroid; layer-2 arc (x, y) says the same for the second. Sources are
-    the elements addable in the first matroid, sinks in the second.
-    Verification-only: solvers never see the matroids individually.
-    """
-    if not (m1.is_independent(I) and m2.is_independent(I)):
-        raise ValueError("I is not a common independent set")
-    outside = full_mask(m1.n) & ~I
-    S = mask_of(x for x in iter_bits(outside) if m1.is_independent(I | bit(x)))
-    T = mask_of(x for x in iter_bits(outside) if m2.is_independent(I | bit(x)))
-
-    def arc(u: int, v: int) -> bool:
-        if (I >> u) & 1:
-            return m1.is_independent(I & ~bit(u) | bit(v))
-        return m2.is_independent(I & ~bit(v) | bit(u))
-
-    return ExchangeGraph(m1.n, I, S, T, _fill(m1.n, I, outside, arc), kind="true")
 
 
 def find_star_pair(o: Oracle, I: int) -> ExtensionSurvey:

@@ -35,9 +35,9 @@ from .bitset import (
     small_subsets,
 )
 from .core import LinearMatroid, Matroid
-from .exchange import ExchangeGraph, build_true_graph
+from .exchange import ExchangeGraph
 from .oracle import MinRankOracle
-from .verify import BruteReport, LEObservation, check_consistency
+from .verify import BruteReport, LEObservation, build_true_graph, check_consistency
 
 Color = tuple[int, int]
 COLORS: tuple[Color, ...] = ((1, 1), (1, 2), (2, 1), (2, 2))

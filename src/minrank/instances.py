@@ -22,6 +22,7 @@ from typing import NamedTuple, Sequence
 
 from .bitset import MAX_GROUND, bit, mask_of
 from .core import (
+    _INEXACT,
     ExplicitMatroid,
     GraphicMatroid,
     LinearMatroid,
@@ -185,10 +186,7 @@ def loads(text: str) -> Instance:
             raise InstanceError(f"weights: expected a list of {n} rationals")
         for x in raw:
             if isinstance(x, bool) or not isinstance(x, (int, str)):
-                raise InstanceError(
-                    f"weights: {json.dumps(x)} is not an exact rational; write "
-                    'an integer or a string such as "0.1" or "1/3"'
-                )
+                raise InstanceError("weights: " + _INEXACT.format(json.dumps(x)))
         try:
             weights = tuple(Fraction(x) for x in raw)
         except (ValueError, ZeroDivisionError) as exc:

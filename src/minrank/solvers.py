@@ -114,14 +114,16 @@ def _augment(o: Oracle, I: int, known_flat: int | None) -> tuple[_Outcome, int |
     not None: then I needs no entry check, the survey does not ask the
     elements of `known_flat`, and the certificate check asks `rmin(I)`.
     Returns the outcome and, after a direct add of x, the elements known
-    flat at I + x (see `survey_extensions`); None otherwise."""
+    flat at I + x (see `survey_extensions`): those outside I below x; None
+    otherwise. A resumed step's `known_flat` is thus the elements below the
+    x added before it; the survey skips them and x is in I now, so the
+    step's own lift lies above x and its mask already covers `known_flat`."""
     if known_flat is None and not o.is_common_independent(I):
         raise ValueError("I is not a common independent set")
     survey = survey_extensions(o, I, first=True, known_flat=known_flat or 0)
     if survey.direct:
         x = survey.direct[0]
-        after = (known_flat or 0) | o.ground & ~I & (bit(x) - 1)
-        return _grown(I | bit(x)), after
+        return _grown(I | bit(x)), o.ground & ~I & (bit(x) - 1)
     path, Z = None, o.ground
     if survey.pair is not None:
         path, Z = probe_pair_search(o, I, survey.pair)

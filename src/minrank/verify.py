@@ -20,7 +20,6 @@ from .exchange import (
     ExchangeGraph,
     StarPair,
     build_modified_graph,
-    build_true_graph,
     intersect_modified,
     survey_extensions,
 )
@@ -207,6 +206,48 @@ def largest_circuit_size(m: Matroid) -> int:
     """Size of the largest circuit; 0 for a free matroid."""
     _require(m.n, 14, "circuit enumeration")
     return brute_table(m, m).largest_circuit()
+
+
+# -- the true exchange graph -------------------------------------------------
+
+
+def _fill(n: int, I: int, outside: int, arc: Callable[[int, int], bool]) -> list[int]:
+    """Every arc that `arc(u, v)` admits, one outside element x at a time in
+    ascending order: first the arcs (y, x) into x, then the arcs (x, y) out
+    of x, each with y ascending. Returns the head mask of every vertex."""
+    succ = [0] * n
+    inside = elements_of(I)
+    for x in iter_bits(outside):
+        xb = 1 << x
+        for y in inside:
+            if arc(y, x):
+                succ[y] |= xb
+        for y in inside:
+            if arc(x, y):
+                succ[x] |= 1 << y
+    return succ
+
+
+def build_true_graph(m1: Matroid, m2: Matroid, I: int) -> ExchangeGraph:
+    """The exact exchangeability graph, computed from both matroids.
+
+    Layer-1 arc (y, x) means I + x - y stays independent in the first
+    matroid; layer-2 arc (x, y) says the same for the second. Sources are
+    the elements addable in the first matroid, sinks in the second.
+    Verification-only: solvers never see the matroids individually.
+    """
+    if not (m1.is_independent(I) and m2.is_independent(I)):
+        raise ValueError("I is not a common independent set")
+    outside = full_mask(m1.n) & ~I
+    S = mask_of(x for x in iter_bits(outside) if m1.is_independent(I | bit(x)))
+    T = mask_of(x for x in iter_bits(outside) if m2.is_independent(I | bit(x)))
+
+    def arc(u: int, v: int) -> bool:
+        if (I >> u) & 1:
+            return m1.is_independent(I & ~bit(u) | bit(v))
+        return m2.is_independent(I & ~bit(v) | bit(u))
+
+    return ExchangeGraph(m1.n, I, S, T, _fill(m1.n, I, outside, arc), kind="true")
 
 
 # -- matchings ----------------------------------------------------------------

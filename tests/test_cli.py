@@ -153,6 +153,31 @@ def test_solve_non_integer_matroid_field_is_usage_error(tmp_path, capsys):
     assert "matroid1: k: expected an integer, got 2.7" in capsys.readouterr().err
 
 
+def test_solve_explicit_member_out_of_range_is_usage_error(tmp_path, capsys):
+    doc = json.loads(PLAIN)
+    doc["matroid1"] = {"kind": "explicit", "n": 4, "family": [[0], [1], [2], [3], [5]]}
+    path = tmp_path / "bad-family.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "matroid1: family member 0b100000 has elements outside [0, 4)" in err
+
+
+@pytest.mark.parametrize(
+    "entry, shown", [("true", "true"), ("0.1", "0.1"), ("1e400", "Infinity"), ("NaN", "NaN")]
+)
+def test_solve_inexact_matrix_entry_is_usage_error(tmp_path, capsys, entry, shown):
+    """A matrix entry obeys the weights' rule: a float or bool is refused."""
+    doc = json.loads(PLAIN)
+    doc["matroid1"] = {"kind": "linear-rational", "rows": [[1, 1, 0, 0], [0, 0, 1, "?"]]}
+    path = tmp_path / "bad-entry.json"
+    path.write_text(json.dumps(doc).replace('"?"', entry))
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"matroid1: {shown} is not an exact rational" in err
+    assert "Traceback" not in err
+
+
 def test_solve_bad_mode_is_argparse_usage(fixture_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", fixture_file, "--mode", "bogus"])

@@ -262,6 +262,12 @@ def test_constructors_refuse_malformed_input():
         GraphicMatroid(3, ((0, 1), (1, 3)))
     with pytest.raises(ValueError, match="ragged"):
         LinearMatroid([[1, 0, 1], [0, 1]])
+    for entry in (True, 0.5):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            LinearMatroid([[1, entry]])
+    for family in ([bit(0), bit(1), bit(5)], [bit(0), -1]):
+        with pytest.raises(ValueError, match="outside"):
+            ExplicitMatroid(2, family)
 
 
 class _Broken(Matroid):

@@ -34,14 +34,13 @@ from minrank import (
     survey_extensions,
 )
 from minrank.exchange import (
-    _fill,
     _search,
     probe_pair_search,
     reachability_certificate,
     shortest_augmenting_path,
     shortest_cheapest_path,
 )
-from minrank.verify import shortest_st_paths
+from minrank.verify import _fill, shortest_st_paths
 from conftest import crossed_pair, lift_by_two_pair, small_zoo, triangle
 
 
