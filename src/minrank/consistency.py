@@ -274,16 +274,19 @@ def solve_2sat(f: TwoSat) -> dict[Arc, bool] | None:
 # -- assembled graphs ---------------------------------------------------------
 
 
-def almost_consistent_graph(o: Oracle, I: int, sp: StarPair) -> ExchangeGraph:
+def almost_consistent_graph(
+    o: Oracle, I: int, sp: StarPair, circuits: dict[int, int] | None = None
+) -> ExchangeGraph:
     """Resolve every suspicious arc of the intersected graph.
 
     Builds the intersected graph for the probe pair `sp`, observes the small
     exchanges that touch a suspicious arc, compiles and solves the clause
     system, and keeps exactly the sure arcs plus the suspicious arcs
     assigned true. Genuine oracles always admit a solution;
-    unsatisfiability is a contract violation.
+    unsatisfiability is a contract violation. `circuits` goes on to
+    `intersect_modified`.
     """
-    g = intersect_modified(o, I, sp)
+    g = intersect_modified(o, I, sp, circuits)
     table = ObservationTable(o, I, g.S, g.T)
     f = build_cnf(table, g)
     assignment = solve_2sat(f)

@@ -27,7 +27,10 @@ splitting search (`_split`) finds each circuit from such tests, holds
 every answer to its two allowed values and asks every member it reports.
 It serves `_probe_graph`, which both probe builders share, and the reverse
 BFS (`_search`) of the cardinality solver, which asks only about the arcs
-it scans. One label-correcting search over a built graph
+it scans. A weighted run carries its stars' circuits from step to step,
+since C + x stays a circuit whatever I is, and confirms each one it reuses
+with a single query (`_probe_graph`); the BFS learns only parts of columns
+and carries none. One label-correcting search over a built graph
 (`shortest_cheapest_path`) finds a shortest cheapest path or its
 certificate; at zero costs it answers `shortest_augmenting_path` and
 `reachability_certificate`.
@@ -354,6 +357,7 @@ def _probe_graph(
     T: int,
     t_probes: list[int],
     s_probes: list[int],
+    circuits: dict[int, int] | None = None,
 ) -> tuple[list[int], list[int]]:
     """The probe graph with sources S and sinks T, whose plain arcs hold
     against every sink-side probe in `t_probes` (layer 1) and every
@@ -371,10 +375,31 @@ def _probe_graph(
     column of one probe, and searched with x and that probe added. Layer 2
     mirrors this with the rows of the source-side probes. Arcs incident to
     a source or sink are sure. Returns (succ, sure).
+
+    `circuits`, a run's map from stars to the columns split before, gains
+    every column split here. A star x whose carried C lies in I takes C
+    after one query, `rmin(C + x)` = |C| (the group test of I ∖ C, missing
+    the circuit); any other answer raises ValueError naming the mask. C + x
+    is a circuit of the matroid x was dependent in, whatever I is, so x is
+    dependent there at every I with C ⊆ I and x ∉ I; a star is dependent in
+    one matroid only, so its circuit in I + x is C + x again.
     """
     n = o.n
     outside = o.ground & ~I
-    star = {x: _column(o, I, I, bit(x)) for x in iter_bits(outside & (S ^ T))}
+    carried = {} if circuits is None else circuits
+
+    def circuit(x: int) -> int:
+        C = carried.get(x, -1)  # -1: none carried, and it meets ~I too
+        if C & ~I:
+            C = carried[x] = _column(o, I, I, bit(x))
+        elif (value := o.rmin(C | bit(x))) != popcount(C):
+            raise ValueError(
+                f"rmin({format_set(C | bit(x))}) = {value}, but the circuit "
+                f"{format_set(C)} carried for {x} must give {popcount(C)}"
+            )
+        return C
+
+    star = {x: circuit(x) for x in iter_bits(outside & (S ^ T))}
 
     def groups(probes: list[int]) -> tuple[int, list[tuple[int, int]]]:
         known = I
@@ -418,7 +443,9 @@ def build_modified_graph(o: Oracle, I: int, sp: StarPair) -> ExchangeGraph:
     return ExchangeGraph(o.n, I, S, T, succ, sure=sure, kind="modified")
 
 
-def intersect_modified(o: Oracle, I: int, sp: StarPair) -> ExchangeGraph:
+def intersect_modified(
+    o: Oracle, I: int, sp: StarPair, circuits: dict[int, int] | None = None
+) -> ExchangeGraph:
     """Intersection of the probe-pair graphs over all probe choices.
 
     With sources and sinks fixed, only the swap-probe arcs vary with the
@@ -427,9 +454,12 @@ def intersect_modified(o: Oracle, I: int, sp: StarPair) -> ExchangeGraph:
     sure when incident to a source/sink, or when its end in I misses an
     arc to some sink (layer 1) / from some source (layer 2) — the
     intersection then certifies it as a true arc. All else is suspicious.
+    A run passes its star circuits in `circuits` (see `_probe_graph`).
     """
     S, T = _star_sets(o, I, sp)
-    succ, sure = _probe_graph(o, I, S, T, elements_of(T & ~S), elements_of(S & ~T))
+    succ, sure = _probe_graph(
+        o, I, S, T, elements_of(T & ~S), elements_of(S & ~T), circuits
+    )
     # A sink missing from a tail's heads certifies every head of that tail;
     # a head in I that some source misses is certified for every tail.
     certified = 0

@@ -10,10 +10,10 @@ step either swaps I along a shortest path or stops with a set Z where
 rmin(Z) + rmin(E \\ Z) = |I|. A step is a function `I -> (result, action,
 detail)`; the loop counts each step's queries and writes its trace line.
 The weighted modes scale the caller's weights once per run to exact ints,
-so path costs add as ints, and price the sets the loop passed through from
-the caller's weights once it has stopped. Paths are priced by `path_cost`;
-the search for a shortest cheapest path, which answers with a path or its
-certificate, lives in `exchange` beside the graphs it reads.
+so path costs add as ints, carry one map of star circuits from step to
+step, check every set they passed through and the last Z before they stop,
+and then price those sets from the caller's weights. Paths are priced by
+`path_cost`; the search for a shortest cheapest path lives in `exchange`.
 
 Everything here must work through `rmin` alone; the visibility audit in the
 test suite holds this module to that.
@@ -129,15 +129,17 @@ def _augment(o: Oracle, I: int, known_flat: int | None) -> tuple[_Outcome, int |
         path, Z = probe_pair_search(o, I, survey.pair)
     if path is not None:
         return _grown(I ^ mask_of(path)), None
-    k, rest = popcount(I), o.ground & ~Z
-    rI = k if known_flat is None else o.rmin(I)
-    rZ, rR = o.rmin(Z), o.rmin(rest)
-    if rI != k or rZ + rR != k:
-        raise ContractViolationError(
-            f"certificate fails at |I| = {k}: rmin({format_set(I)}) = {rI}, "
-            f"rmin({format_set(Z)}) = {rZ}, rmin({format_set(rest)}) = {rR}"
-        )
+    _check_certificate(o, [] if known_flat is None else [I], Z, popcount(I))
     return _certify(Z), None
+
+
+def _check_certificate(o: Oracle, sets: Sequence[int], Z: int, k: int) -> None:
+    """Ask `rmin(I) = |I|` for each I of `sets`, then `rmin(Z) +
+    rmin(E \\ Z) = k`, or raise ContractViolationError naming every answer."""
+    asked = [(X, o.rmin(X)) for X in (*sets, Z, o.ground & ~Z)]
+    if asked[-2][1] + asked[-1][1] != k or any(v != popcount(X) for X, v in asked[:-2]):
+        told = ", ".join(f"rmin({format_set(X)}) = {v}" for X, v in asked)
+        raise ContractViolationError(f"certificate fails at |I| = {k}: {told}")
 
 
 class CardinalityRun(NamedTuple):
@@ -155,13 +157,17 @@ class CardinalityRun(NamedTuple):
         return self.sets[-1]
 
 
-def _run(o: Oracle, step: Callable[[int], _Outcome]) -> CardinalityRun:
+def _run(
+    o: Oracle, step: Callable[[int], _Outcome], exit_check: bool = False
+) -> CardinalityRun:
     """Step from the empty set until a step certifies maximality, charging
     each trace line with every query its step asked.
 
     A step that rejects its own input (ValueError) was handed a set and a
     probe pair built from the oracle's earlier answers, so the oracle broke
-    the matroid contract."""
+    the matroid contract. With `exit_check`, the certificate's trace line
+    also pays for `_check_certificate` over every nonempty set the run
+    passed through."""
     base = o.query_count
     sets = [0]
     trace: list[AugmentStep] = []
@@ -174,6 +180,8 @@ def _run(o: Oracle, step: Callable[[int], _Outcome]) -> CardinalityRun:
             raise ContractViolationError(
                 f"oracle answers contradict each other: {exc}"
             ) from exc
+        if exit_check and isinstance(res, Certificate):
+            _check_certificate(o, sets[1:], res.Z, popcount(I))
         trace.append(AugmentStep(popcount(I), action, detail, o.query_count - before))
         if isinstance(res, Certificate):
             return CardinalityRun(tuple(sets), res.Z, o.query_count - base, tuple(trace))
@@ -199,12 +207,18 @@ def max_cardinality(o: Oracle) -> CardinalityRun:
 # -- weighted augmentation ----------------------------------------------------
 
 
-def _augment_prelude(o: Oracle, w: Sequence, I: int) -> _Outcome | StarPair:
+def _augment_prelude(
+    o: Oracle, w: Sequence, I: int, circuits: dict[int, int] | None = None
+) -> _Outcome | StarPair:
     """Steps shared by the weighted augmentations: every pairwise extension
     flat -> ground-set certificate; no valid probe pair -> the heaviest
     rank-lifting element (smallest id on ties); otherwise the survey's
-    probe pair to build from."""
-    survey = survey_extensions(o, I)
+    probe pair to build from. An element x ∉ I whose carried circuit lies
+    in I is dependent at I, so the survey files it as flat unasked."""
+    carried = mask_of(
+        x for x, C in (circuits or {}).items() if not (I >> x) & 1 and not C & ~I
+    )
+    survey = survey_extensions(o, I, known_flat=carried)
     if survey.all_flat:
         return _certify(o.ground)
     if survey.pair is None:
@@ -214,7 +228,11 @@ def _augment_prelude(o: Oracle, w: Sequence, I: int) -> _Outcome | StarPair:
 
 
 def cheapest_path_augment(
-    o: Oracle, w: Sequence, I: int, _price: Callable = path_cost
+    o: Oracle,
+    w: Sequence,
+    I: int,
+    _price: Callable = path_cost,
+    circuits: dict[int, int] | None = None,
 ) -> _Outcome:
     """One weighted augmentation step at a weight-maximal I.
 
@@ -223,15 +241,16 @@ def cheapest_path_augment(
     shortest cheapest source-sink path, or the certificate of the vertices
     that reach a sink. The trace line states the path's cost as
     `_price(path, I, w)`, which each mode sets to speak in its own units.
+    `circuits` is the run's map of star circuits (`exchange._probe_graph`).
 
     The result is weight-maximal at |I|+1 under any of the three tractable
     regimes; on arbitrary instances it still runs and the verification
     module audits the output.
     """
-    pair = _augment_prelude(o, w, I)
+    pair = _augment_prelude(o, w, I, circuits)
     if not isinstance(pair, StarPair):
         return pair
-    path, Z = shortest_cheapest_path(almost_consistent_graph(o, I, pair), w)
+    path, Z = shortest_cheapest_path(almost_consistent_graph(o, I, pair, circuits), w)
     if path is None:
         return _certify(Z)
     detail = f"P={tuple(path)} cost={_price(path, I, w)}"
@@ -265,10 +284,12 @@ def _levels(run: CardinalityRun, w: Sequence) -> tuple[Level, ...]:
 
 
 def _weighted_run(o: Oracle, w: Sequence, augment) -> WeightedRun:
-    """Run `augment(o, iw, I, price) -> _Outcome` on the weights scaled once
-    to exact ints `iw` by the lcm of their denominators, and price every
-    level from `w`. Scaling keeps every comparison; `price(path, I, iw)`
-    states a path's cost in the caller's units again for the trace."""
+    """Run `augment(o, iw, I, price, circuits) -> _Outcome` on the weights
+    scaled once to exact ints `iw` by the lcm of their denominators, and
+    price every level from `w`. Scaling keeps every comparison;
+    `price(path, I, iw)` states a path's cost in the caller's units again
+    for the trace. Every step gets the run's one map of star circuits, and
+    the run ends with the exit check (`_run`)."""
     fw = [Fraction(v) for v in w]
     scale = lcm(*(f.denominator for f in fw))
     iw = [f.numerator * (scale // f.denominator) for f in fw]
@@ -276,7 +297,8 @@ def _weighted_run(o: Oracle, w: Sequence, augment) -> WeightedRun:
     def price(path: Sequence[int], I: int, _: Sequence) -> Fraction:
         return Fraction(path_cost(path, I, iw), scale)
 
-    run = _run(o, lambda I: augment(o, iw, I, price))
+    circuits: dict[int, int] = {}
+    run = _run(o, lambda I: augment(o, iw, I, price, circuits), exit_check=True)
     return WeightedRun(_levels(run, w), run.Z, run.queries, run.trace)
 
 
@@ -306,12 +328,14 @@ def _validate_candidate(o: Oracle, I: int, path: Sequence[int]) -> bool:
     )
 
 
-def _fpt_augment(o: Oracle, w: Sequence, I: int, gamma: int) -> _Outcome:
-    pair = _augment_prelude(o, w, I)
+def _fpt_augment(
+    o: Oracle, w: Sequence, I: int, gamma: int, circuits: dict[int, int] | None = None
+) -> _Outcome:
+    pair = _augment_prelude(o, w, I, circuits)
     if not isinstance(pair, StarPair):
         return pair
     k = popcount(I)
-    N = intersect_modified(o, I, pair)
+    N = intersect_modified(o, I, pair, circuits)
     table = ObservationTable(o, I, N.S, N.T)
     # The ends in I of the suspicious arcs: tails on layer 1, heads on layer 2.
     J1 = J2 = 0
@@ -404,7 +428,9 @@ def weighted_fpt_circuit(o: Oracle, w: Sequence, gamma: int) -> WeightedRun:
     """
     if gamma < 2:
         raise ValueError("circuit-size bound must be at least 2")
-    return _weighted_run(o, w, lambda oo, ww, I, _: _fpt_augment(oo, ww, I, gamma))
+    return _weighted_run(
+        o, w, lambda oo, ww, I, _, circuits: _fpt_augment(oo, ww, I, gamma, circuits)
+    )
 
 
 # -- lexicographic maximality and approximation -------------------------------
@@ -460,7 +486,10 @@ def lexicographic_max(o: Oracle, w: Sequence) -> LexmaxRun:
         outside = class_vector(w, classes, P & ~I)
         return tuple(a - b for a, b in zip(inside, outside))
 
-    run = _run(o, lambda I: cheapest_path_augment(o, huge, I, price))
+    circuits: dict[int, int] = {}
+    run = _run(
+        o, lambda I: cheapest_path_augment(o, huge, I, price, circuits), exit_check=True
+    )
     best = max(run.sets, key=lambda I: (total_weight(huge, I), -popcount(I)))
     return LexmaxRun(
         best,

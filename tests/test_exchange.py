@@ -21,6 +21,7 @@ from minrank import (
     build_modified_graph,
     build_true_graph,
     common_independent_sets,
+    elements_of,
     full_mask,
     intersect_modified,
     iter_bits,
@@ -32,9 +33,13 @@ from minrank import (
     random_lexmax_instance,
     random_promise_instance,
     survey_extensions,
+    weighted_no_circuit_inclusion,
 )
 from minrank.exchange import (
+    _column,
+    _probe_graph,
     _search,
+    _star_sets,
     probe_pair_search,
     reachability_certificate,
     shortest_augmenting_path,
@@ -448,9 +453,9 @@ def test_star_pair_definition_holds():
 # -- the per-arc rule as judge of the group tests -------------------------------
 
 
-def per_arc_probe_graph(o, I, S, T, t_probes, s_probes):
+def per_arc_probe_graph(o, I, S, T, t_probes, s_probes, circuits=None):
     """The judge: `_probe_graph` by the per-arc rule that the group tests
-    replaced. A layer-1 arc into a source and a layer-2 arc out of a sink
+    replaced, for the stateless builders (`circuits` stays None there). A layer-1 arc into a source and a layer-2 arc out of a sink
     are free; a layer-1 arc into a sink or a layer-2 arc out of a source
     costs one swap query; every other arc holds when the three-element
     swap keeps the min-rank at |I| against each sink-side probe (layer 1)
@@ -664,3 +669,70 @@ def test_probe_graphs_are_pinned():
     assert digest.hexdigest() == (
         "538a1374889448ea2209bf137d54463aab4b7882040b4b0cdc4ae41208aefc0d"
     )
+
+
+# -- star circuits carried across a run ------------------------------------------
+
+
+def test_carried_circuits_give_the_stateless_graph():
+    """Along seeded weighted runs, the intersected graph built with the
+    run's map of star circuits equals the one built without it, field for
+    field, and every element whose carried circuit lies in I is flat there
+    (the survey files it so unasked)."""
+    carried = 0
+    for seed in range(30):
+        for inst in (
+            random_promise_instance(seed, 9),
+            random_lexmax_instance(seed, 9),
+            random_fpt_instance(seed, 10, 3),
+            random_instance(seed, 24, kinds=("partition",), weighted=True),
+        ):
+            m1, m2 = inst.matroid1, inst.matroid2
+            run = weighted_no_circuit_inclusion(MinRankOracle(m1, m2), inst.weight_vector())
+            o = MinRankOracle(m1, m2)
+            circuits: dict[int, int] = {}
+            for level in run.levels:
+                I = level.I
+                for x, C in circuits.items():
+                    if not (I >> x) & 1 and not C & ~I:
+                        carried += 1
+                        assert o.rmin(I | bit(x)) == popcount(I)
+                sp = survey_extensions(o, I).pair
+                if sp is None:
+                    continue
+                g = intersect_modified(o, I, sp, circuits)
+                assert graph_fields(g) == graph_fields(intersect_modified(o, I, sp))
+    assert carried >= 1000
+
+
+def test_a_carried_star_costs_one_query():
+    """With every star's circuit carried, `_probe_graph` asks C + x once for
+    each star x, stars ascending, in place of the star splits that a fresh
+    build asks first, and then exactly the fresh build's other masks. The
+    graph is the same."""
+    stars_seen = 0
+    for seed in range(20):
+        inst = random_instance(seed, 16, kinds=("partition", "graphic"))
+        m1, m2 = inst.matroid1, inst.matroid2
+        for I in max_cardinality(MinRankOracle(m1, m2)).sets:
+            o = MinRankOracle(m1, m2)
+            sp = survey_extensions(o, I).pair
+            if sp is None:
+                continue
+            S, T = _star_sets(o, I, sp)
+            probes = elements_of(T & ~S), elements_of(S & ~T)
+            stars = elements_of(o.ground & ~I & (S ^ T))
+            splits = RecordingOracle(m1, m2)
+            for x in stars:
+                _column(splits, I, I, bit(x))
+            circuits: dict[int, int] = {}
+            fresh = RecordingOracle(m1, m2)
+            built = _probe_graph(fresh, I, S, T, *probes, circuits)
+            assert sorted(circuits) == stars
+            assert fresh.asked[: len(splits.asked)] == splits.asked
+            again = RecordingOracle(m1, m2)
+            assert _probe_graph(again, I, S, T, *probes, circuits) == built
+            confirms = [circuits[x] | bit(x) for x in stars]
+            assert again.asked == confirms + fresh.asked[len(splits.asked) :]
+            stars_seen += len(stars)
+    assert stars_seen >= 100

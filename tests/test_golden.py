@@ -53,6 +53,23 @@ checking `rmin(I) = |I|` and `rmin(Z) + rmin(E \\ Z) = |I|`: only
 2, 2, 2, 2, 16 -> 1, 1, 1, 1, 15 and the certificate 2 -> 4; `fpt-8`
 3, 4, 4, 22 -> 2, 2, 1, 19 and the certificate 6 -> 8; `lexmax-7`
 2, 3, 5 -> 1, 2, 3 and the certificate 6 -> 5.
+The twenty weighted, fpt, lexmax and approx `solve --trace` rows of
+`crossed`, `random-7`, `promise-7`, `fpt-8` and `lexmax-7`, when each
+weighted run began carrying its stars' circuits from step to step and
+ending with an exit check (`rmin(I) = |I|` for every nonempty set it
+passed through, then `rmin(Z) + rmin(E \\ Z) = |I|`, charged to the
+certificate line): only `oracle queries:` and `queries=` changed. `oracle
+queries:` went, for weighted, fpt, lexmax and approx in turn, 17, 20, 17,
+17 -> 21, 24, 19, 19 (`crossed`); 21 -> 25 in all four (`random-7`);
+76, 81, 76, 76 -> 60, 65, 60, 60 (`promise-7`); 140, 149, 140, 140 ->
+111, 120, 111, 111 (`fpt-8`); and 54, 58, 54, 54 -> 58, 62, 58, 58
+(`lexmax-7`). The certificate lines grew by the exit check (4 queries on
+`crossed` in weighted and fpt, 2 in lexmax, where the last survey skips
+two carried elements; 4 on `random-7` and `lexmax-7`; 8 on `promise-7`;
+7 on `fpt-8`), and the path and guess lines of `promise-7` (19, 18 ->
+8, 5; fpt 20, 21 -> 9, 8) and `fpt-8` (29, 26, 48 -> 17, 14, 36; fpt
+30, 27, 54 -> 18, 15, 42) fell with the carried stars. The outputs with
+those numbers masked are identical.
 
 The five `verify` rows were pinned before `minrank verify` began reading
 every brute-force fact from one hidden-rank table per matroid pair; they
@@ -77,7 +94,11 @@ same. It was re-pinned again when the cardinality survey began resuming
 after a direct add: the cardinality queries went 16 -> 14 and 17 -> 12
 at n = 8, 80 -> 58 and 96 -> 70 at n = 16, and 198 -> 124 and
 247 -> 161 at n = 32 (max C 0.054 -> 0.044), each row's C with its
-queries; the weighted rows stayed the same.
+queries; the weighted rows stayed the same. It was re-pinned when the
+weighted runs began carrying star circuits and checking their exit: the
+weighted queries went 266 -> 252 at n = 16 (C 0.016 -> 0.015) and
+514 -> 416 at n = 32 (C 0.008 -> 0.006); n = 8 stayed at 44, and the
+cardinality rows stayed the same.
 """
 
 from __future__ import annotations
@@ -111,30 +132,30 @@ INSTANCES = {
 
 GOLDEN = [
     ("crossed", "solve --mode cardinality --trace", "9fbcae25c94927dba663e638ee2aa97716114b4bddc72417e8ad0cc6de6bc83a"),
-    ("crossed", "solve --mode weighted --promise no-circuit-inclusion --trace", "142bf2177972639f31c31b70e1ca730cf2fa9df3cd564bd15761b5d3d652ae6b"),
-    ("crossed", "solve --mode fpt --gamma 3 --trace", "ad4f52a19f18969054c770c39eee850ae83ed1332dd952a5506fe4b916480f30"),
-    ("crossed", "solve --mode lexmax --trace", "19cbc201c2a5d1334271d1044ca240fde83b0c50d8ce74bd2744b1acc0d4a8b0"),
-    ("crossed", "solve --mode approx --trace", "af58946e4424a66933344ee61560f953121f20e78b1e8dc3ce7f3ad951267ff8"),
+    ("crossed", "solve --mode weighted --promise no-circuit-inclusion --trace", "932f1ae70541e5ea66754b2e78c91531997ec9208489166d2e4b82601f83b551"),
+    ("crossed", "solve --mode fpt --gamma 3 --trace", "3735b4521e8651cbe5bcfe48ad343fc492482e0d616218ed452d2f4381206ca8"),
+    ("crossed", "solve --mode lexmax --trace", "db815465f1e6ca2f51cddb5f8337e78a8fb765ab9295b05888e9db68423ef482"),
+    ("crossed", "solve --mode approx --trace", "8b01d4a5374f8a2cde1f9631d1f2fbea90175492c103d184b59b54d57c6a72e0"),
     ("random-7", "solve --mode cardinality --trace", "3638eb48b1d0cdaef20deb0a4b5dd10f91993da9e41373a215914513d29ce36a"),
-    ("random-7", "solve --mode weighted --promise no-circuit-inclusion --trace", "da890c69d4c09b3668ce1006b27681046cb6d142160fc8baef725455b43d2a20"),
-    ("random-7", "solve --mode fpt --gamma 3 --trace", "62f487532da2f3a5c47d214bc6ef3541e145bfbaa9a35f4d3c9bf0c31f112412"),
-    ("random-7", "solve --mode lexmax --trace", "4f26da98a5ee0eb7d4e3178c6a593251c1aaf53ae2c2ce5112ce7ec9c470abe6"),
-    ("random-7", "solve --mode approx --trace", "acbf4e57ffd70ad2da317c54ce64c4c1a28108dc966ffd55a027475e5ce32abb"),
+    ("random-7", "solve --mode weighted --promise no-circuit-inclusion --trace", "5ac11d8278b6308879c87f8ebafe2a6aadc91229b13defa433e3e975d6126580"),
+    ("random-7", "solve --mode fpt --gamma 3 --trace", "57f720004c8c3a33528040fb4900f75f930b32b8ea2c0171b1ad9f957c4817cf"),
+    ("random-7", "solve --mode lexmax --trace", "2d4b0009725a78c6b1e1da817240286d1cca3f3308b6ce8b3005107e34a3bb59"),
+    ("random-7", "solve --mode approx --trace", "d64ff1eda5ed37eb8646e7d2f1109ee02b90e9a81cca0b680fdf94e413a9e0ec"),
     ("promise-7", "solve --mode cardinality --trace", "61206a375eb0cd8234449a57d4c0411b759f01ed41aad9fb2d8d24fbde96868f"),
-    ("promise-7", "solve --mode weighted --promise no-circuit-inclusion --trace", "9034b837af4a300bf646b10992588d84f8e2c7c2bd078887f508ba0e2f2915f9"),
-    ("promise-7", "solve --mode fpt --gamma 3 --trace", "86d22f9178df5cd3ceb04b9f827ce4f8b529c61f1411816e34278653824974e1"),
-    ("promise-7", "solve --mode lexmax --trace", "bedaf11416c6aec6f26ca13e65ecd77b852ba4b19455ecfdaef60fdfe9746d11"),
-    ("promise-7", "solve --mode approx --trace", "83ff1dd7c0f074a1647aaf4f70c82394153adb76421a513ab5e9640d7c0510f6"),
+    ("promise-7", "solve --mode weighted --promise no-circuit-inclusion --trace", "777040566e440530ed37e215c7243f43a2bc994b7d16d2dd7ab5ffde7d1b7588"),
+    ("promise-7", "solve --mode fpt --gamma 3 --trace", "22c76ca84e70e7d4b86380273ee92b6548e55a2616b0e2768d7bdbf7c6828e0e"),
+    ("promise-7", "solve --mode lexmax --trace", "f6a8795838ac56dd44008d3b600dca2bce172cc8265a18a9878ca46cc0516e64"),
+    ("promise-7", "solve --mode approx --trace", "49731ff12e5b56f6a5c2ff85968c9592d7ac0706fcc6f18bdbfc2c4e37f6e87e"),
     ("fpt-8", "solve --mode cardinality --trace", "8c7231de71becd4cf61fd4f5d3abcddd9c3b596d540d24e441e3d1b361bcafa3"),
-    ("fpt-8", "solve --mode weighted --promise no-circuit-inclusion --trace", "6fdfc9c1c1ab4fd272ced6e81fdf92124363276511921198f15c695f56134e4b"),
-    ("fpt-8", "solve --mode fpt --gamma 3 --trace", "9b0f6fb320e9f51891a138ab67c0a697e51f0d5eefee02c31984ecf68245a7a1"),
-    ("fpt-8", "solve --mode lexmax --trace", "9977017630bd505d8adb22bd1fac0b4cd09173ca9a4a23557b0f7525b3516c05"),
-    ("fpt-8", "solve --mode approx --trace", "6b871aab844f5a19f08757cba7ce4c9003b65c12f5b1a395a03b55206cebbbcc"),
+    ("fpt-8", "solve --mode weighted --promise no-circuit-inclusion --trace", "9f3ac58219778cbea0c9dfff8773c24eaa8c508de064d943d56e9d5bbc8ebb6e"),
+    ("fpt-8", "solve --mode fpt --gamma 3 --trace", "320763da2b9d949c91cfc27c77229d2e33f818ce631e0ba0290025a7539bf840"),
+    ("fpt-8", "solve --mode lexmax --trace", "3dd33cbecf6dcddbda0731868357fb89310a77e957f01cb03bddfc95193a22fa"),
+    ("fpt-8", "solve --mode approx --trace", "ce26ab2ec0ae08ed3b59530740251881c06d8b897ec5d5f7cf6b8ed10aabeae1"),
     ("lexmax-7", "solve --mode cardinality --trace", "a6278f365e2072f90a568af546f15e26d372abea6105684094bfbc2df7f6f8a4"),
-    ("lexmax-7", "solve --mode weighted --promise no-circuit-inclusion --trace", "ebfad139cc36c73260696285dbd212ff8057bcc3844d27c9073a36370e2666c5"),
-    ("lexmax-7", "solve --mode fpt --gamma 3 --trace", "0b6276077adb70a0e1db745e86914189cd326227f54ea4ff5731f21c86b4335a"),
-    ("lexmax-7", "solve --mode lexmax --trace", "25784ea21aad451cde63ab32b897d85196317d45a5f970b0758a2f6a09f9aff4"),
-    ("lexmax-7", "solve --mode approx --trace", "b80f9a582efabef8348088af13d2f67be7788a403ecb0f6e1570026c5171740d"),
+    ("lexmax-7", "solve --mode weighted --promise no-circuit-inclusion --trace", "71fb7793ee1c0071f4cf311eca5d018216c2791e663073d95cd088d67d0db056"),
+    ("lexmax-7", "solve --mode fpt --gamma 3 --trace", "c0df6aec06979e30acb3f967960e22fc6f41decb27a2c9fee58a6b1c9e520fb5"),
+    ("lexmax-7", "solve --mode lexmax --trace", "ee6eed9a484d956c69f2eb0cbb33111507f8d62e72e64e7c23c96dbab5b8a0df"),
+    ("lexmax-7", "solve --mode approx --trace", "2bbbab36eb4f34c7dca27f4aa4304d16a6cc929795c70410e188a88f18ba158a"),
     ("lexmax-7", "graph --set {0,2,5} --which true", "407bdedf4f1b5f1376e9474a7fcb83354cd90b4776adeadb169969e9afee29e6"),
     ("lexmax-7", "graph --set {0,2,5} --which modified", "2d007c3ccdf46ff526d8680870c6b8e10faa53468b1d2ab0b689c1b2d3de6b49"),
     ("lexmax-7", "graph --set {0,2,5} --which intersected", "ccb0a657e7f72c2da5733e92ff7e8cb301752fda3c9539d4316b74439a1f677b"),
@@ -172,7 +193,7 @@ def test_cli_output_unchanged(name, command, digest, tmp_path, monkeypatch, caps
 
 TOOL_GOLDEN = [
     ("gadget --graph edge.json", "ebbed6a0f8a5eb011b9a7f798d193a9c299f726d8ab717debce0832151bceee5"),
-    ("bench --sizes 8,16,32", "716123413dbf385c7736c79d9f2a08b2112fadc6dbc19626e479bf5d36141134"),
+    ("bench --sizes 8,16,32", "fee8d4c5afad827b49f717af89db9f47933581fdc046a8522e06e963154b3e08"),
 ]
 
 

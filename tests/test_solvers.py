@@ -860,6 +860,50 @@ def test_certificate_lie_is_a_contract_violation(nth, named):
         max_cardinality(NthQueryLiar(m1, m2, nth, 1))
 
 
+@pytest.mark.parametrize(
+    "solve,nth,value,named",
+    [
+        (lexicographic_max, 16, 2, "rmin({0}) = 2,"),
+        (lexicographic_max, 17, 1, "rmin({0,3}) = 1,"),
+        (lexicographic_max, 18, 1, "rmin({0,1,2,3}) = 1,"),
+        (lexicographic_max, 19, 1, "rmin({}) = 1"),
+        (weighted_no_circuit_inclusion, 19, 1, "rmin({1,2}) = 1,"),
+    ],
+    ids=["lexmax-direct", "lexmax-path", "lexmax-Z", "lexmax-E-minus-Z", "promise-path"],
+)
+def test_weighted_exit_check_lie_is_a_contract_violation(solve, nth, value, named):
+    """A weighted run ends by asking rmin(I) for every nonempty set it
+    passed through, then rmin(Z) and rmin(E \\ Z). On the crossed pair the
+    lexmax run passes through {0} and {0,3} and stops at Z = E, so those
+    are its last four queries (16 to 19); the promise run's path-augmented
+    {1,2} is its query 19 of 21. A lie in any of them is a
+    ContractViolationError naming the masks and values."""
+    m1, m2 = crossed_pair()
+    with pytest.raises(ContractViolationError, match=re.escape(named)):
+        solve(NthQueryLiar(m1, m2, nth, value), fixture_weights())
+
+
+@pytest.mark.parametrize(
+    "make,mask,carried",
+    [
+        (lambda: random_fpt_instance(4, 8, 3), mask_of((1, 6)), "{1} carried for 6"),
+        (lambda: random_promise_instance(3, 7), mask_of((3, 5)), "{3} carried for 5"),
+    ],
+    ids=["fpt-8", "promise-7"],
+)
+def test_carried_circuit_lie_is_a_contract_violation(make, mask, carried):
+    """A star whose circuit C was split at an earlier step of the run costs
+    one confirming query, rmin(C + x) = |C|. Answering |C| + 1 there (for
+    x = 6 of `random_fpt_instance(4, 8, 3)` at I = {1,4}, and x = 5 of
+    `random_promise_instance(3, 7)` at I = {0,2,3,4}) is a
+    ContractViolationError naming that mask, not a carried wrong arc."""
+    inst = make()
+    o = ScriptedLiar(inst.matroid1, inst.matroid2, {mask: 2})
+    message = f"rmin({format_set(mask)}) = 2, but the circuit {carried} must give 1"
+    with pytest.raises(ContractViolationError, match=re.escape(message)):
+        lexicographic_max(o, inst.weight_vector())
+
+
 LYING_MODES = ["cardinality", "lexmax", "weighted", "fpt", "approx"]
 
 
