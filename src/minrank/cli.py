@@ -263,7 +263,9 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         builder = {
             "modified": build_modified_graph,
             "intersected": intersect_modified,
-            "consistent": almost_consistent_graph,
+            "consistent": lambda o, I, sp: almost_consistent_graph(
+                o, intersect_modified(o, I, sp)
+            ),
         }[args.which]
         g = builder(o, I, survey.pair)
     sys.stdout.write(g.to_dot(inst.names))

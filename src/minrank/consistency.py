@@ -13,6 +13,9 @@ exchanges, where it errs on the side of omitting arcs.
 
 `ObservationTable` asks and caches the observations and holds the one evil
 test; `TwoSat.unsatisfied` is the one check of clauses against arcs.
+`almost_consistent_graph` resolves an intersected graph it is given; the
+graph builders stay in `exchange`, and the weighted driver in `solvers`
+composes the two.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .bitset import bit, elements_of, popcount, small_subsets
 from .errors import ContractViolationError
-from .exchange import ExchangeGraph, StarPair, intersect_modified
+from .exchange import ExchangeGraph
 from .oracle import Oracle
 
 Arc = tuple[int, int]
@@ -274,22 +277,15 @@ def solve_2sat(f: TwoSat) -> dict[Arc, bool] | None:
 # -- assembled graphs ---------------------------------------------------------
 
 
-def almost_consistent_graph(
-    o: Oracle, I: int, sp: StarPair, circuits: dict[int, int] | None = None
-) -> ExchangeGraph:
-    """Resolve every suspicious arc of the intersected graph.
+def almost_consistent_graph(o: Oracle, g: ExchangeGraph) -> ExchangeGraph:
+    """Resolve every suspicious arc of the intersected graph `g`.
 
-    Builds the intersected graph for the probe pair `sp`, observes the small
-    exchanges that touch a suspicious arc, compiles and solves the clause
-    system, and keeps exactly the sure arcs plus the suspicious arcs
-    assigned true. Genuine oracles always admit a solution;
-    unsatisfiability is a contract violation. `circuits` goes on to
-    `intersect_modified`.
+    Observes the small exchanges at g.I that touch a suspicious arc,
+    compiles and solves the clause system, and keeps exactly the sure arcs
+    plus the suspicious arcs assigned true. Genuine oracles always admit a
+    solution; unsatisfiability is a contract violation.
     """
-    g = intersect_modified(o, I, sp, circuits)
-    table = ObservationTable(o, I, g.S, g.T)
-    f = build_cnf(table, g)
-    assignment = solve_2sat(f)
+    assignment = solve_2sat(build_cnf(ObservationTable(o, g.I, g.S, g.T), g))
     if assignment is None:
         raise ContractViolationError(
             "arc-constraint system unsatisfiable; oracle is not a matroid pair"

@@ -9,11 +9,17 @@ Every mode runs one loop, `_run`: from the empty set, each augmentation
 step either swaps I along a shortest path or stops with a set Z where
 rmin(Z) + rmin(E \\ Z) = |I|. A step is a function `I -> (result, action,
 detail)`; the loop counts each step's queries and writes its trace line.
-The weighted modes scale the caller's weights once per run to exact ints,
-so path costs add as ints, carry one map of star circuits from step to
-step, check every set they passed through and the last Z before they stop,
-and then price those sets from the caller's weights. Paths are priced by
-`path_cost`; the search for a shortest cheapest path lives in `exchange`.
+The weighted modes share one driver, `_weighted_run`. Its step surveys I
+and returns the ground-set certificate or the heaviest direct add itself;
+otherwise it hands the mode's `resolve` the intersected graph of the
+survey's probe pair. The promise and lexmax modes resolve it by 2-SAT and
+a shortest cheapest path (`cheapest_path_augment`), the bounded-circuit
+mode by guessing (`_fpt_augment`). The driver keeps the run's one map of
+star circuits for `intersect_modified`, checks every set the run passed
+through and the last Z before it stops, and prices those sets from the
+caller's weights. Paths are priced by `path_cost`, on weights scaled to
+exact ints where they are not already; the search for a shortest
+cheapest path lives in `exchange`.
 
 Everything here must work through `rmin` alone; the visibility audit in the
 test suite holds this module to that.
@@ -29,7 +35,7 @@ from .bitset import bit, elements_of, format_set, iter_bits, mask_of, popcount, 
 from .consistency import ObservationTable, almost_consistent_graph, build_cnf, solve_2sat
 from .errors import ContractViolationError, NegativeCycleError
 from .exchange import (
-    StarPair,
+    ExchangeGraph,
     intersect_modified,
     probe_pair_search,
     shortest_cheapest_path,
@@ -207,54 +213,24 @@ def max_cardinality(o: Oracle) -> CardinalityRun:
 # -- weighted augmentation ----------------------------------------------------
 
 
-def _augment_prelude(
-    o: Oracle, w: Sequence, I: int, circuits: dict[int, int] | None = None
-) -> _Outcome | StarPair:
-    """Steps shared by the weighted augmentations: every pairwise extension
-    flat -> ground-set certificate; no valid probe pair -> the heaviest
-    rank-lifting element (smallest id on ties); otherwise the survey's
-    probe pair to build from. An element x ∉ I whose carried circuit lies
-    in I is dependent at I, so the survey files it as flat unasked."""
-    carried = mask_of(
-        x for x, C in (circuits or {}).items() if not (I >> x) & 1 and not C & ~I
-    )
-    survey = survey_extensions(o, I, known_flat=carried)
-    if survey.all_flat:
-        return _certify(o.ground)
-    if survey.pair is None:
-        x = max(survey.direct, key=w.__getitem__)
-        return Augmented(I | bit(x)), "direct", f"x={x}"
-    return survey.pair
-
-
 def cheapest_path_augment(
-    o: Oracle,
-    w: Sequence,
-    I: int,
-    _price: Callable = path_cost,
-    circuits: dict[int, int] | None = None,
+    o: Oracle, w: Sequence, N: ExchangeGraph, price: Callable
 ) -> _Outcome:
-    """One weighted augmentation step at a weight-maximal I.
-
-    Steps: `_augment_prelude`; the intersected graph from its probe pair;
-    observations -> clause system -> resolved graph; a swap along a
-    shortest cheapest source-sink path, or the certificate of the vertices
-    that reach a sink. The trace line states the path's cost as
-    `_price(path, I, w)`, which each mode sets to speak in its own units.
-    `circuits` is the run's map of star circuits (`exchange._probe_graph`).
+    """Resolve the intersected graph N at a weight-maximal N.I: observations
+    -> clause system -> resolved graph, then a swap along a shortest
+    cheapest source-sink path, or the certificate of the vertices that
+    reach a sink. The trace line states the path's cost as
+    `price(path, I)`, which each mode sets to speak in its own units.
 
     The result is weight-maximal at |I|+1 under any of the three tractable
     regimes; on arbitrary instances it still runs and the verification
     module audits the output.
     """
-    pair = _augment_prelude(o, w, I, circuits)
-    if not isinstance(pair, StarPair):
-        return pair
-    path, Z = shortest_cheapest_path(almost_consistent_graph(o, I, pair, circuits), w)
+    path, Z = shortest_cheapest_path(almost_consistent_graph(o, N), w)
     if path is None:
         return _certify(Z)
-    detail = f"P={tuple(path)} cost={_price(path, I, w)}"
-    return Augmented(I ^ mask_of(path)), "path", detail
+    detail = f"P={tuple(path)} cost={price(path, N.I)}"
+    return Augmented(N.I ^ mask_of(path)), "path", detail
 
 
 class Level(NamedTuple):
@@ -283,30 +259,57 @@ def _levels(run: CardinalityRun, w: Sequence) -> tuple[Level, ...]:
     return tuple(Level(popcount(I), I, total_weight(w, I)) for I in run.sets)
 
 
-def _weighted_run(o: Oracle, w: Sequence, augment) -> WeightedRun:
-    """Run `augment(o, iw, I, price, circuits) -> _Outcome` on the weights
-    scaled once to exact ints `iw` by the lcm of their denominators, and
-    price every level from `w`. Scaling keeps every comparison;
-    `price(path, I, iw)` states a path's cost in the caller's units again
-    for the trace. Every step gets the run's one map of star circuits, and
-    the run ends with the exit check (`_run`)."""
+def _check_length(o: Oracle, w: Sequence) -> None:
+    if len(w) != o.n:
+        raise ValueError(f"{len(w)} weights for a ground set of {o.n} elements")
+
+
+def _weighted_run(
+    o: Oracle, w: Sequence, resolve: Callable[[ExchangeGraph], _Outcome]
+) -> WeightedRun:
+    """The one weighted driver. Each step surveys I, filing as flat unasked
+    every element x ∉ I whose carried circuit lies in I (it is dependent
+    at I); every pairwise extension flat -> ground-set certificate; no
+    valid probe pair -> the heaviest rank-lifting element (smallest id on
+    ties); otherwise `resolve` decides on the intersected graph of the
+    survey's probe pair. The run keeps one map of star circuits for
+    `intersect_modified`, ends with the exit check (`_run`), and prices
+    every level from `w`."""
+    _check_length(o, w)
+    circuits: dict[int, int] = {}
+
+    def step(I: int) -> _Outcome:
+        carried = mask_of(
+            x for x, C in circuits.items() if not (I >> x) & 1 and not C & ~I
+        )
+        survey = survey_extensions(o, I, known_flat=carried)
+        if survey.all_flat:
+            return _certify(o.ground)
+        if survey.pair is None:
+            x = max(survey.direct, key=lambda e: Fraction(w[e]))
+            return Augmented(I | bit(x)), "direct", f"x={x}"
+        return resolve(intersect_modified(o, I, survey.pair, circuits))
+
+    run = _run(o, step, exit_check=True)
+    return WeightedRun(_levels(run, w), run.Z, run.queries, run.trace)
+
+
+def _exact(w: Sequence) -> tuple[list[int], Callable]:
+    """The weights scaled to exact ints by the lcm of their denominators,
+    so path costs add as ints and every comparison is kept, and the
+    `price(path, I)` that states a path's cost in the caller's units."""
     fw = [Fraction(v) for v in w]
     scale = lcm(*(f.denominator for f in fw))
     iw = [f.numerator * (scale // f.denominator) for f in fw]
-
-    def price(path: Sequence[int], I: int, _: Sequence) -> Fraction:
-        return Fraction(path_cost(path, I, iw), scale)
-
-    circuits: dict[int, int] = {}
-    run = _run(o, lambda I: augment(o, iw, I, price, circuits), exit_check=True)
-    return WeightedRun(_levels(run, w), run.Z, run.queries, run.trace)
+    return iw, lambda path, I: Fraction(path_cost(path, I, iw), scale)
 
 
 def weighted_no_circuit_inclusion(o: Oracle, w: Sequence) -> WeightedRun:
     """Weight-maximal common independent sets of every cardinality, valid
     when no circuit of either matroid contains a circuit of the other (the
     promise makes every resolved graph fully consistent)."""
-    return _weighted_run(o, w, cheapest_path_augment)
+    iw, price = _exact(w)
+    return _weighted_run(o, w, lambda N: cheapest_path_augment(o, iw, N, price))
 
 
 # -- bounded circuit size -----------------------------------------------------
@@ -328,14 +331,9 @@ def _validate_candidate(o: Oracle, I: int, path: Sequence[int]) -> bool:
     )
 
 
-def _fpt_augment(
-    o: Oracle, w: Sequence, I: int, gamma: int, circuits: dict[int, int] | None = None
-) -> _Outcome:
-    pair = _augment_prelude(o, w, I, circuits)
-    if not isinstance(pair, StarPair):
-        return pair
+def _fpt_augment(o: Oracle, w: Sequence, N: ExchangeGraph, gamma: int) -> _Outcome:
+    I = N.I
     k = popcount(I)
-    N = intersect_modified(o, I, pair, circuits)
     table = ObservationTable(o, I, N.S, N.T)
     # The ends in I of the suspicious arcs: tails on layer 1, heads on layer 2.
     J1 = J2 = 0
@@ -428,9 +426,8 @@ def weighted_fpt_circuit(o: Oracle, w: Sequence, gamma: int) -> WeightedRun:
     """
     if gamma < 2:
         raise ValueError("circuit-size bound must be at least 2")
-    return _weighted_run(
-        o, w, lambda oo, ww, I, _, circuits: _fpt_augment(oo, ww, I, gamma, circuits)
-    )
+    iw, _ = _exact(w)
+    return _weighted_run(o, w, lambda N: _fpt_augment(o, iw, N, gamma))
 
 
 # -- lexicographic maximality and approximation -------------------------------
@@ -475,30 +472,22 @@ def lexicographic_max(o: Oracle, w: Sequence) -> LexmaxRun:
     levels report the caller's weights. A `path` trace line states the cost
     of a path P as the class vector of P ∩ I minus that of P \\ I, the
     signs of `path_cost`."""
+    _check_length(o, w)
     classes = weight_classes(w, o.ground)
     B = 2 * o.n + 1
     weight = {c: B**i for i, c in enumerate(reversed(classes))}
     huge = [weight[Fraction(w[e])] if (o.ground >> e) & 1 else 0 for e in range(o.n)]
 
-    def price(path: Sequence[int], I: int, _: Sequence) -> tuple[int, ...]:
+    def price(path: Sequence[int], I: int) -> tuple[int, ...]:
         P = mask_of(path)
         inside = class_vector(w, classes, P & I)
         outside = class_vector(w, classes, P & ~I)
         return tuple(a - b for a, b in zip(inside, outside))
 
-    circuits: dict[int, int] = {}
-    run = _run(
-        o, lambda I: cheapest_path_augment(o, huge, I, price, circuits), exit_check=True
-    )
-    best = max(run.sets, key=lambda I: (total_weight(huge, I), -popcount(I)))
-    return LexmaxRun(
-        best,
-        class_vector(w, classes, best),
-        _levels(run, w),
-        run.Z,
-        run.queries,
-        run.trace,
-    )
+    run = _weighted_run(o, w, lambda N: cheapest_path_augment(o, huge, N, price))
+    best = max(run.levels, key=lambda lv: (total_weight(huge, lv.I), -lv.k)).I
+    vector = class_vector(w, classes, best)
+    return LexmaxRun(best, vector, run.levels, run.certificate, run.queries, run.trace)
 
 
 class ApproxResult(NamedTuple):
@@ -516,6 +505,7 @@ def approx_max_weight(o: Oracle, w: Sequence) -> ApproxResult:
     report the worst-case ratio min{1, alpha/2}, where alpha is the
     smallest ratio between consecutive distinct positive weights (a single
     positive weight class is solved exactly, guarantee 1)."""
+    _check_length(o, w)
     pos = mask_of(e for e in iter_bits(o.ground) if Fraction(w[e]) > 0)
     if pos == 0:
         return ApproxResult(0, Fraction(0), Fraction(1), None, 0)

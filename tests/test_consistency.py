@@ -6,9 +6,12 @@ import hashlib
 import itertools
 import random
 
+import pytest
+
 import minrank.consistency
 import minrank.solvers
 from minrank import (
+    ContractViolationError,
     ExchangeGraph,
     MinRankOracle,
     UniformMatroid,
@@ -184,6 +187,13 @@ def test_cnf_case_1x1_high_forces_both():
         3, I, 0, 0, [0, bit(2), mask_of((0, 1))], sure=[0] * 3, kind="intersected"
     )
     assert solve_2sat(build_cnf(t, g_broken)) is None
+
+    # The resolver keeps exactly the four arcs, and refuses the broken graph.
+    C = almost_consistent_graph(o, g)
+    assert sorted(C.arcs()) == [(0, 2), (1, 2), (2, 0), (2, 1)]
+    assert C.kind == "consistent"
+    with pytest.raises(ContractViolationError, match="unsatisfiable"):
+        almost_consistent_graph(o, g_broken)
 
 
 # -- the clause table, row by row ---------------------------------------------
@@ -513,7 +523,7 @@ def test_almost_consistent_graph_no_suspicious_equals_true():
             sp = survey_extensions(o, I).pair
             if sp is None or list(intersect_modified(o, I, sp).suspicious_pairs()):
                 continue
-            C = almost_consistent_graph(o, I, sp)
+            C = almost_consistent_graph(o, intersect_modified(o, I, sp))
             D = build_true_graph(m1, m2, I)
             if (D.S, D.T) != (C.S, C.T):
                 D = build_true_graph(m2, m1, I)

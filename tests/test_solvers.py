@@ -34,6 +34,7 @@ from minrank import (
     common_independent_sets,
     format_set,
     full_mask,
+    intersect_modified,
     iter_bits,
     lexicographic_max,
     mask_of,
@@ -44,6 +45,7 @@ from minrank import (
     random_instance,
     random_lexmax_instance,
     random_promise_instance,
+    survey_extensions,
     weighted_fpt_circuit,
     weighted_no_circuit_inclusion,
 )
@@ -311,7 +313,8 @@ def test_cheapest_path_augment_star_pair_invariance():
     w = fixture_weights()
     I = bit(0)
     o = MinRankOracle(m1, m2)
-    baseline, action, _ = cheapest_path_augment(o, w, I)
+    N = intersect_modified(o, I, survey_extensions(o, I).pair)
+    baseline, action, _ = cheapest_path_augment(o, w, N, lambda P, I: path_cost(P, I, w))
     assert isinstance(baseline, Augmented) and action == "path"
     k = popcount(I)
     outside = full_mask(4) & ~I
@@ -326,9 +329,30 @@ def test_cheapest_path_augment_star_pair_invariance():
     ]
     assert pairs  # the fixture does expose a probe pair here
     for sp in pairs:
-        path, _ = shortest_cheapest_path(almost_consistent_graph(o, I, sp), w)
+        N = intersect_modified(o, I, sp)
+        path, _ = shortest_cheapest_path(almost_consistent_graph(o, N), w)
         assert path is not None
         assert total_weight(w, I ^ mask_of(path)) == total_weight(w, baseline.J)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        weighted_no_circuit_inclusion,
+        lambda o, w: weighted_fpt_circuit(o, w, gamma=2),
+        lexicographic_max,
+        approx_max_weight,
+    ],
+    ids=["weighted", "fpt", "lexmax", "approx"],
+)
+@pytest.mark.parametrize("w", [[1, 2], [1, 2, 3, 4, 5]], ids=["short", "long"])
+def test_weights_of_the_wrong_length_are_refused(solve, w):
+    """A weight vector must have one entry per element, checked before any
+    query (the crossed pair has four)."""
+    o = MinRankOracle(*crossed_pair())
+    with pytest.raises(ValueError, match=f"{len(w)} weights .* 4 elements"):
+        solve(o, w)
+    assert o.query_count == 0
 
 
 # -- bounded circuit size -----------------------------------------------------

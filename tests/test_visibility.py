@@ -98,3 +98,15 @@ def test_solver_side_imports_no_judge(module):
 
 def test_import_audit_sees_a_judge_import():
     assert "verify" in _imported_modules(_module_tree(minrank.gadgets))
+
+
+def test_consistency_takes_only_the_graph_type_from_exchange():
+    """The resolver is handed a built graph: the graph builders stay in
+    `exchange`, and the weighted driver in `solvers` composes the two."""
+    taken = []
+    for node in ast.walk(_module_tree(minrank.consistency)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            whole = (getattr(node, "module", None) or "").split(".")[-1] == "exchange"
+            names = [alias.name for alias in node.names]
+            taken += names if whole else [n for n in names if n.endswith("exchange")]
+    assert taken == ["ExchangeGraph"]
