@@ -3,7 +3,9 @@
 Five kinds are supported: uniform, partition, graphic, linear-rational
 (exact integer elimination on one stack per matroid), and explicit (an
 arbitrary small independence family given extensionally). Every kind exposes
-the same interface: ``rank(mask)`` and ``is_independent(mask)``.
+the same interface: ``rank(mask)`` and ``is_independent(mask)``. A
+matroid here only ranks: `kind` names its file form, whose fields
+`minrank.instances` both reads and writes.
 
 All matroids here are expected to be loopless; `validate` reports the first
 violated axiom (with witness sets) instead of silently repairing anything.
@@ -17,15 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
-from .bitset import (
-    MAX_GROUND,
-    bit,
-    elements_of,
-    format_set,
-    full_mask,
-    iter_bits,
-    popcount,
-)
+from .bitset import MAX_GROUND, bit, format_set, full_mask, iter_bits, popcount
 
 
 class ValidationReport(NamedTuple):
@@ -65,10 +59,6 @@ class Matroid:
     def is_independent(self, mask: int) -> bool:
         return self.rank(mask) == popcount(mask)
 
-    def params(self) -> dict:
-        """Kind-specific parameters, for serialization."""
-        raise NotImplementedError
-
 
 class UniformMatroid(Matroid):
     """U(k, n): rank(X) = min(k, |X|)."""
@@ -83,9 +73,6 @@ class UniformMatroid(Matroid):
 
     def _rank(self, mask: int) -> int:
         return min(self.k, popcount(mask))
-
-    def params(self) -> dict:
-        return {"k": self.k, "n": self.n}
 
 
 class PartitionMatroid(Matroid):
@@ -128,31 +115,33 @@ class PartitionMatroid(Matroid):
             r += k if k < c else c
         return r
 
-    def params(self) -> dict:
-        return {
-            "n": self.n,
-            "blocks": [elements_of(b) for b in self.blocks],
-            "capacities": list(self.capacities),
-        }
-
 
 class GraphicMatroid(Matroid):
     """Elements are edges of an undirected graph; rank(X) = size of a spanning
-    forest of the subgraph with edge set X (union-find count of merges)."""
+    forest of the subgraph with edge set X (union-find count of merges).
+
+    `num_vertices` and `edges` stay as given. The union-find runs over the
+    endpoints only, renumbered once in first-seen order, so a rank query
+    costs nothing per isolated vertex."""
 
     kind = "graphic"
 
     def __init__(self, num_vertices: int, edges: Sequence[tuple[int, int]]):
         super().__init__(len(edges))
+        ids: dict[int, int] = {}
+        ends = []
         for u, v in edges:
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise ValueError(f"edge ({u},{v}) outside vertex range")
+            ends.append((ids.setdefault(u, len(ids)), ids.setdefault(v, len(ids))))
         self.num_vertices = num_vertices
         self.edges = tuple((u, v) for u, v in edges)
+        self._ends = tuple(ends)
+        self._points = len(ids)
 
     def _rank(self, mask: int) -> int:
-        parent = list(range(self.num_vertices))
-        edges = self.edges
+        parent = list(range(self._points))
+        edges = self._ends
         merges = 0
         while mask:
             low = mask & -mask
@@ -168,9 +157,6 @@ class GraphicMatroid(Matroid):
                 parent[u] = v
                 merges += 1
         return merges
-
-    def params(self) -> dict:
-        return {"num_vertices": self.num_vertices, "edges": [list(e) for e in self.edges]}
 
 
 class LinearMatroid(Matroid):
@@ -223,11 +209,6 @@ class LinearMatroid(Matroid):
             self._stack = stack
         self._rank_cache[mask] = r
         return r
-
-    def params(self) -> dict:
-        return {
-            "rows": [[str(v) for v in row] for row in self.matrix],
-        }
 
 
 # The refusal of a float or bool where an exact rational is due.
@@ -311,9 +292,6 @@ class ExplicitMatroid(Matroid):
                 break
         self._rank_cache[mask] = r
         return r
-
-    def params(self) -> dict:
-        return {"n": self.n, "family": [elements_of(f) for f in sorted(self.family)]}
 
 
 def validate(m: Matroid) -> ValidationReport:

@@ -215,20 +215,10 @@ def survey_extensions(
     |I| .. |I| + |P| // 2, breaks the premise and raises ValueError.
     """
     k = popcount(I)
-
-    def lifts(P: int, top: int) -> bool:
-        value = o.rmin(I | P)
-        if not k <= value <= top:
-            raise ValueError(
-                f"rmin({format_set(I | P)}) = {value}, but adding "
-                f"{format_set(P)} to I = {format_set(I)} must give {k} to {top}"
-            )
-        return value > k
-
     direct = []
     flat = []
     for x in iter_bits(o.ground & ~I):
-        if (known_flat >> x) & 1 or not lifts(bit(x), k + 1):
+        if (known_flat >> x) & 1 or not _lifts(o, I, k, bit(x), k + 1):
             flat.append(x)
         elif first:
             return ExtensionSurvey((x,), None)
@@ -237,18 +227,29 @@ def survey_extensions(
     prefix = [0]
     for x in flat:
         prefix.append(prefix[-1] | bit(x))
-
-    def lifts_flat(P: int) -> bool:
-        # Each flat element of P is addable in at most one matroid.
-        return lifts(P, k + popcount(P) // 2)
-
-    # A one-element prefix is flat: the scan above asked it or knew it.
-    j = _shortest_lift(lambda L: lifts_flat(prefix[L]), 1, len(flat), False)
+    # A prefix of length L holds L flat elements, each addable in at most
+    # one matroid. A one-element prefix is flat: the scan asked it or knew it.
+    j = _shortest_lift(lambda L: _lifts(o, I, k, prefix[L], k + L // 2), 1, len(flat), False)
     if j is None:
         return ExtensionSurvey(tuple(direct), None)
     t = flat[j - 1]
-    i = _shortest_lift(lambda L: lifts_flat(prefix[L] | bit(t)), 0, j - 1, True)
+    i = _shortest_lift(
+        lambda L: _lifts(o, I, k, prefix[L] | bit(t), k + (L + 1) // 2), 0, j - 1, True
+    )
     return ExtensionSurvey(tuple(direct), StarPair(flat[i - 1], t))
+
+
+def _lifts(o: Oracle, I: int, k: int, P: int, top: int) -> bool:
+    """Whether adding P to I, with k = |I|, lifts the min-rank; an answer
+    outside k .. top breaks the matroid contract and raises ValueError
+    naming the set asked."""
+    value = o.rmin(I | P)
+    if not k <= value <= top:
+        raise ValueError(
+            f"rmin({format_set(I | P)}) = {value}, but adding "
+            f"{format_set(P)} to I = {format_set(I)} must give {k} to {top}"
+        )
+    return value > k
 
 
 def _shortest_lift(
@@ -286,14 +287,15 @@ def _shortest_lift(
 
 def _star_sets(o: Oracle, I: int, sp: StarPair) -> tuple[int, int]:
     """Sources/sinks from the probe pair: s joins the source side if adding
-    it alongside t* lifts the rank; sinks mirror with s*."""
+    it alongside t* lifts the rank; sinks mirror with s*. Since s* and t*
+    are flat, each answer must be |I| or |I| + 1 (`_lifts`)."""
     k = popcount(I)
     outside = o.ground & ~I
     if sp.s == sp.t or (I | ~o.ground) & (bit(sp.s) | bit(sp.t)):
         raise ValueError("probe pair must be two distinct elements outside I")
     sb, tb = bit(sp.s), bit(sp.t)
-    S = mask_of(x for x in iter_bits(outside & ~tb) if o.rmin(I | bit(x) | tb) == k + 1)
-    T = mask_of(x for x in iter_bits(outside & ~sb) if o.rmin(I | sb | bit(x)) == k + 1)
+    S = mask_of(x for x in iter_bits(outside & ~tb) if _lifts(o, I, k, bit(x) | tb, k + 1))
+    T = mask_of(x for x in iter_bits(outside & ~sb) if _lifts(o, I, k, sb | bit(x), k + 1))
     if not (S >> sp.s) & 1 or not (T >> sp.t) & 1:
         raise ValueError(f"({sp.s}, {sp.t}) is not a valid probe pair for I")
     return S, T

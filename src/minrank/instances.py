@@ -3,8 +3,10 @@
 An instance is a matroid pair on a shared ground set, optionally with
 element names and exact rational weights. The on-disk form is JSON with a
 schema version; rationals travel as "p/q" strings so nothing ever rounds.
-Emission is canonical (sorted keys, fixed indentation), making
-emit-after-parse the identity on emitted files.
+This module alone knows the fields of each matroid kind: it parses them
+(`_matroid_from_spec`) and emits them (`_matroid_to_spec`), dispatching
+on `Matroid.kind`. Emission is canonical (sorted keys, fixed
+indentation), making emit-after-parse the identity on emitted files.
 
 Loading validates that the pair is loopless through the minimum-rank
 interface (a loop in either matroid shows up as a rank-0 singleton) and
@@ -20,7 +22,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .bitset import MAX_GROUND, bit, mask_of
+from .bitset import MAX_GROUND, bit, elements_of, mask_of
 from .core import (
     _INEXACT,
     ExplicitMatroid,
@@ -67,9 +69,23 @@ class Instance(NamedTuple):
 
 
 def _matroid_to_spec(m: Matroid) -> dict:
-    if m.kind not in GENERATOR_KINDS:
-        raise InstanceError(f"matroid kind {m.kind!r} has no file form")
-    return {"kind": m.kind, **m.params()}
+    """The file form of `m`, the fields `_matroid_from_spec` reads back.
+    It dispatches on `m.kind`, so a subclass under another kind has none."""
+    kind = m.kind
+    if kind == "uniform":
+        return {"kind": kind, "k": m.k, "n": m.n}
+    if kind == "partition":
+        blocks = [elements_of(b) for b in m.blocks]
+        return {"kind": kind, "n": m.n, "blocks": blocks, "capacities": list(m.capacities)}
+    if kind == "graphic":
+        edges = [list(e) for e in m.edges]
+        return {"kind": kind, "num_vertices": m.num_vertices, "edges": edges}
+    if kind == "linear-rational":
+        return {"kind": kind, "rows": [[str(v) for v in row] for row in m.matrix]}
+    if kind == "explicit":
+        family = [elements_of(f) for f in sorted(m.family)]
+        return {"kind": kind, "n": m.n, "family": family}
+    raise InstanceError(f"matroid kind {kind!r} has no file form")
 
 
 def _matroid_from_spec(spec: object, n: int, where: str) -> Matroid:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from minrank import (
     popcount,
     validate,
 )
+from minrank.instances import _matroid_to_spec
 from conftest import crossed_pair, fraction_rank, small_zoo, triangle
 
 
@@ -74,7 +76,7 @@ def test_linear_string_entry_reads_as_fraction(text):
         return
     m = LinearMatroid([[text]])
     assert m.matrix[0][0] == want
-    assert m.params() == {"rows": [[str(want)]]}
+    assert _matroid_to_spec(m) == {"kind": "linear-rational", "rows": [[str(want)]]}
     assert m.rank(bit(0)) == (want != 0)
 
 
@@ -306,4 +308,19 @@ def test_graphic_edge_list_params():
     m = GraphicMatroid(3, ((0, 1), (1, 2)))
     assert m.rank(full_mask(2)) == 2
     assert m.kind == "graphic"
-    assert m.params()["num_vertices"] == 3
+    assert _matroid_to_spec(m)["num_vertices"] == 3
+
+
+def test_graphic_rank_spans_only_the_endpoints():
+    """A rank query's union-find runs over the edges' endpoints, not every
+    declared vertex: far-apart labels rank like the triangle, and one rank
+    at 10**6 declared vertices peaks under 64 KiB."""
+    m = GraphicMatroid(10**6, ((999_999, 7), (7, 500_000), (999_999, 500_000)))
+    assert [m.rank(x) for x in range(8)] == [triangle().rank(x) for x in range(8)]
+    tracemalloc.start()
+    try:
+        m.rank(full_mask(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -9,9 +10,13 @@ import pytest
 
 from minrank import (
     GENERATOR_KINDS,
+    ExplicitMatroid,
+    GraphicMatroid,
     Instance,
     InstanceError,
+    LinearMatroid,
     MinRankOracle,
+    PartitionMatroid,
     UniformMatroid,
     bit,
     check_promise_no_circuit_inclusion,
@@ -55,6 +60,55 @@ def test_dumps_is_canonical():
     doc = json.loads(text)
     assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert doc["schema"] == 1
+
+
+# One pair per kind, and the sha256 of its `dumps`, pinned before the file
+# fields moved out of the matroid classes. The linear pair has fractional
+# and negative entries; the first graphic pair has parallel edges, one
+# reversed, and an isolated vertex 4; the first family is given unsorted.
+FILE_FORMS = {
+    "uniform": (
+        lambda: (UniformMatroid(2, 4), UniformMatroid(3, 4)),
+        "93f3d44192d40f44c2725388527f4eb6ecd17740fd291f4eb9998d149e602786",
+    ),
+    "partition": (
+        lambda: (
+            PartitionMatroid(5, [mask_of((0, 3)), bit(1), mask_of((2, 4))], [1, 1, 2]),
+            PartitionMatroid(5, [mask_of((4, 1)), mask_of((0, 2, 3))], [2, 1]),
+        ),
+        "8a5dd28b1a5268dbe5a988fb38e31a4fe13e09a6688cd2ed521ccf9f15193b43",
+    ),
+    "graphic": (
+        lambda: (
+            GraphicMatroid(5, [(0, 1), (1, 0), (1, 2), (2, 3), (0, 1)]),
+            GraphicMatroid(3, [(2, 0), (0, 1), (1, 2), (0, 2), (2, 1)]),
+        ),
+        "a7c0562f413f0f587243efd56ae72307f8af409e9b320f19cbfc1c87e4b982f1",
+    ),
+    "linear-rational": (
+        lambda: (
+            LinearMatroid([["1/2", -3, 0, "-2/3"], [1, "5/4", -1, 0]]),
+            LinearMatroid([[7, "-1/3", "0.25", -2]]),
+        ),
+        "26149c9d34710395e997f4f8c324e3ca50f2e1c4f73d29666bec24964dbfadfc",
+    ),
+    "explicit": (
+        lambda: (
+            ExplicitMatroid(3, [mask_of(f) for f in ((1, 2), (2,), (0, 2), (0,), (1,), (0, 1))]),
+            ExplicitMatroid(3, [bit(0), bit(1), bit(2)]),
+        ),
+        "dd40c493faf56281b627b46440a4b9351d8a8439f2cac5bd02a1cfec628a207b",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", FILE_FORMS)
+def test_file_form_is_pinned_per_kind(kind):
+    make, digest = FILE_FORMS[kind]
+    m1, m2 = make()
+    text = dumps(Instance(m1.n, m1, m2))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert dumps(loads(text)) == text
 
 
 def test_fractional_weights_survive_as_strings():

@@ -823,6 +823,30 @@ def test_singleton_lie_is_a_contract_violation(value):
 
 
 @pytest.mark.parametrize(
+    "mode,mask,value",
+    [("lexmax", mask_of((0, 2, 3)), 3), ("cardinality", mask_of((0, 1, 3, 4)), 4)],
+    ids=["lexmax-crossed", "cardinality-5"],
+)
+def test_star_set_lie_is_a_contract_violation(mode, mask, value):
+    """With the probe pair's s and t flat at I, `rmin(I + x + t)` and
+    `rmin(I + s + x)` are |I| or |I| + 1. An answer above that (3 at
+    I = {0} on the crossed pair, 4 at I = {0,1} for
+    `random_instance(5, 5)`) is a ContractViolationError naming the mask,
+    not an element filed as no source or sink."""
+    if mode == "lexmax":
+        m1, m2 = crossed_pair()
+    else:
+        inst = random_instance(5, 5, weighted=True)
+        m1, m2 = inst.matroid1, inst.matroid2
+    o = ScriptedLiar(m1, m2, {mask: value})
+    with pytest.raises(ContractViolationError, match=re.escape(f"rmin({format_set(mask)})")):
+        if mode == "lexmax":
+            lexicographic_max(o, fixture_weights())
+        else:
+            max_cardinality(o)
+
+
+@pytest.mark.parametrize(
     "seed,n,mode,mask,value",
     [
         (None, 7, "lexmax", mask_of((0, 2)), 3),
