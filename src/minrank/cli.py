@@ -260,14 +260,10 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         survey = survey_extensions(o, I)
         if survey.pair is None:
             raise Infeasible("no probe pair: every pairwise extension is flat")
-        builder = {
-            "modified": build_modified_graph,
-            "intersected": intersect_modified,
-            "consistent": lambda o, I, sp: almost_consistent_graph(
-                o, intersect_modified(o, I, sp)
-            ),
-        }[args.which]
-        g = builder(o, I, survey.pair)
+        build = build_modified_graph if args.which == "modified" else intersect_modified
+        g = build(o, I, survey.pair, mask_of(survey.direct))
+        if args.which == "consistent":
+            g = almost_consistent_graph(o, g)
     sys.stdout.write(g.to_dot(inst.names))
     return EXIT_OK
 
@@ -349,25 +345,13 @@ def _grid_promise_instance(n: int, seed: int) -> Instance:
     cols = [mask_of(range(j, n, b)) for j in range(b)]
     rng = _rng("bench-weights", seed, n)
     weights = tuple(Fraction(rng.randint(1, 8)) for _ in range(n))
-    return Instance(
-        n,
-        PartitionMatroid(n, rows, [1] * a),
-        PartitionMatroid(n, cols, [1] * b),
-        weights,
-        None,
-    )
+    m1, m2 = PartitionMatroid(n, rows, [1] * a), PartitionMatroid(n, cols, [1] * b)
+    return Instance(n, m1, m2, weights, None)
 
 
 def _ledger_row(n: int, seed: int, r: int, queries: int, envelope: int) -> dict:
     """One envelope ledger row; C = queries / envelope."""
-    return {
-        "n": n,
-        "seed": seed,
-        "r": r,
-        "queries": queries,
-        "envelope": envelope,
-        "C": queries / envelope,
-    }
+    return dict(n=n, seed=seed, r=r, queries=queries, envelope=envelope, C=queries / envelope)
 
 
 def bench_cardinality(sizes: Sequence[int]) -> list[dict]:

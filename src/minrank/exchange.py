@@ -18,6 +18,14 @@ x ∉ I is a layer-2 arc, an exchange in the second. An augmenting path
 starts at a source, alternates sides, and ends at a sink; swapping I by the
 symmetric difference of such a path grows the common independent set by one.
 
+The sources and sinks come from the survey (`survey_extensions`) and the
+probe pair: a rank-lifting (direct) element is addable in both matroids,
+so it is a source and a sink; a flat source is addable in one matroid
+only, so it is no sink. `_star_sets` asks only the tests those forced
+answers leave open, which is valid only with the survey's complete direct
+set, and once a step has chosen its augmentation `check_entering` asks
+the skipped tests of the elements that enter I.
+
 The probe graphs are built from group tests on fundamental circuits. A
 star (an element of exactly one of S and T) x has `rmin((I ∖ Y) + x)`
 equal to |I| − |Y| + 1 when Y meets x's circuit in I and |I| − |Y|
@@ -285,20 +293,41 @@ def _shortest_lift(
     return hi
 
 
-def _star_sets(o: Oracle, I: int, sp: StarPair) -> tuple[int, int]:
-    """Sources/sinks from the probe pair: s joins the source side if adding
-    it alongside t* lifts the rank; sinks mirror with s*. Since s* and t*
-    are flat, each answer must be |I| or |I| + 1 (`_lifts`)."""
+def _star_sets(o: Oracle, I: int, sp: StarPair, direct: int) -> tuple[int, int]:
+    """Sources and sinks from the probe pair and the survey's complete set
+    `direct` of rank-lifting elements, each a source and a sink. A flat
+    x ≠ t* is a source iff `rmin(I + x + t*)` lifts, and then no sink; any
+    other flat x ≠ s* is a sink iff `rmin(I + s* + x)` lifts. Since s*, t*
+    and x are flat, each answer must be |I| or |I| + 1 (`_lifts`)."""
     k = popcount(I)
-    outside = o.ground & ~I
-    if sp.s == sp.t or (I | ~o.ground) & (bit(sp.s) | bit(sp.t)):
-        raise ValueError("probe pair must be two distinct elements outside I")
     sb, tb = bit(sp.s), bit(sp.t)
-    S = mask_of(x for x in iter_bits(outside & ~tb) if _lifts(o, I, k, bit(x) | tb, k + 1))
-    T = mask_of(x for x in iter_bits(outside & ~sb) if _lifts(o, I, k, sb | bit(x), k + 1))
+    flat = o.ground & ~I & ~direct
+    if sp.s == sp.t or (sb | tb) & ~flat:
+        raise ValueError("probe pair must be two distinct flat elements outside I")
+    S = mask_of(x for x in iter_bits(flat & ~tb) if _lifts(o, I, k, bit(x) | tb, k + 1))
+    T = mask_of(x for x in iter_bits(flat & ~S & ~sb) if _lifts(o, I, k, sb | bit(x), k + 1))
     if not (S >> sp.s) & 1 or not (T >> sp.t) & 1:
         raise ValueError(f"({sp.s}, {sp.t}) is not a valid probe pair for I")
-    return S, T
+    return S | direct, T | direct
+
+
+def check_entering(o: Oracle, I: int, sp: StarPair, direct: int, S: int, J: int) -> None:
+    """Ask the tests `_star_sets` skipped for each element entering I on the
+    way to J, given its `direct` and sources S: a direct x must give
+    |I| + 1 on `rmin(I + x + t*)` and `rmin(I + s* + x)`, a source x ≠ s*
+    |I| on `rmin(I + s* + x)`. Any other answer raises ValueError naming
+    the mask, its value and the value expected."""
+    k = popcount(I)
+    sb, tb = bit(sp.s), bit(sp.t)
+    for x in iter_bits(J & ~I & (direct | S & ~sb)):
+        xb = 1 << x
+        tests = ((xb | tb, k + 1), (sb | xb, k + 1)) if direct & xb else ((sb | xb, k),)
+        for P, want in tests:
+            if (value := o.rmin(I | P)) != want:
+                raise ValueError(
+                    f"rmin({format_set(I | P)}) = {value}, but {x} entering "
+                    f"I = {format_set(I)} must give {want}"
+                )
 
 
 def _split(o: Oracle, G: int, query: Callable[[int], tuple[int, int]]) -> int:
@@ -432,21 +461,22 @@ def _probe_graph(
     return succ, [heads if (st >> v) & 1 else heads & st for v, heads in enumerate(succ)]
 
 
-def build_modified_graph(o: Oracle, I: int, sp: StarPair) -> ExchangeGraph:
+def build_modified_graph(o: Oracle, I: int, sp: StarPair, direct: int) -> ExchangeGraph:
     """The probe-pair graph: the probe graph whose swap probes run against
-    the opposite probe element only.
+    the opposite probe element only. `direct` is the survey's complete set
+    of rank-lifting elements at I (`_star_sets`).
 
     Contains the true graph; extra arcs never touch sources or sinks and
     never shorten any source-sink path. Arcs incident to a source or sink
     are labeled sure, the rest suspicious.
     """
-    S, T = _star_sets(o, I, sp)
+    S, T = _star_sets(o, I, sp, direct)
     succ, sure = _probe_graph(o, I, S, T, [sp.t], [sp.s])
     return ExchangeGraph(o.n, I, S, T, succ, sure=sure, kind="modified")
 
 
 def intersect_modified(
-    o: Oracle, I: int, sp: StarPair, circuits: dict[int, int] | None = None
+    o: Oracle, I: int, sp: StarPair, direct: int, circuits: dict[int, int] | None = None
 ) -> ExchangeGraph:
     """Intersection of the probe-pair graphs over all probe choices.
 
@@ -456,9 +486,10 @@ def intersect_modified(
     sure when incident to a source/sink, or when its end in I misses an
     arc to some sink (layer 1) / from some source (layer 2) — the
     intersection then certifies it as a true arc. All else is suspicious.
-    A run passes its star circuits in `circuits` (see `_probe_graph`).
+    `direct` is as in `build_modified_graph`; a run passes its star
+    circuits in `circuits` (see `_probe_graph`).
     """
-    S, T = _star_sets(o, I, sp)
+    S, T = _star_sets(o, I, sp, direct)
     succ, sure = _probe_graph(
         o, I, S, T, elements_of(T & ~S), elements_of(S & ~T), circuits
     )
@@ -504,26 +535,25 @@ def _search(
     return reached, nxt
 
 
-def probe_pair_search(
-    o: Oracle, I: int, sp: StarPair
-) -> tuple[list[int] | None, int]:
+def probe_pair_search(o: Oracle, I: int, sp: StarPair) -> tuple[list[int] | None, int]:
     """The probe-pair graph's shortest augmenting path, or its certificate,
     with arcs found on demand by group tests.
 
-    Same answer as `shortest_cheapest_path` at zero costs on
-    `build_modified_graph(o, I, sp)`, but the reverse BFS asks only about
-    the arcs it scans, and the path walks from the smallest reached source
-    along the recorded successors. The arcs into an outside vertex v are
-    its column: a sink's star column, or, for a plain v, the group tests
-    with t* added; every element of I whose arc reaches t* was reached at
-    level 1, so the rest misses t*'s column. The arcs out to an element v
-    of I group by tail: for U ⊆ S ∖ T, `rmin((I − v) ∪ U)` is |I| if some
-    u in U has the arc (u, v) and |I| − 1 otherwise; plain tails are
-    grouped the same way with s* added when (s*, v) is no arc, and all
-    have the arc when it is one. Returns (path, 0) when a path exists, else
+    For a survey that found no lift. Same answer as `shortest_cheapest_path`
+    at zero costs on `build_modified_graph(o, I, sp, 0)`, but the reverse
+    BFS asks only about the arcs it scans, and the path walks from the
+    smallest reached source along the recorded successors. The arcs into
+    an outside vertex v are its column: a sink's star column, or, for a
+    plain v, the group tests with t* added; every element of I whose arc
+    reaches t* was reached at level 1, so the rest misses t*'s column. The
+    arcs out to an element v of I group by tail: for U ⊆ S ∖ T,
+    `rmin((I − v) ∪ U)` is |I| if some u in U has the arc (u, v) and
+    |I| − 1 otherwise; plain tails are grouped the same way with s* added
+    when (s*, v) is no arc, and all have the arc when it is one. Returns
+    (path, 0) when a path exists, after `check_entering` on it, else
     (None, Z) with Z the set of vertices that reach a sink.
     """
-    S, T = _star_sets(o, I, sp)
+    S, T = _star_sets(o, I, sp, 0)
     k = popcount(I)
     sb, tb = bit(sp.s), bit(sp.t)
 
@@ -546,12 +576,11 @@ def probe_pair_search(
     while v in nxt:
         v = nxt[v]
         path.append(v)
+    check_entering(o, I, sp, 0, S, mask_of(path))
     return path, 0
 
 
-def shortest_cheapest_path(
-    g: ExchangeGraph, w: Sequence
-) -> tuple[list[int] | None, int]:
+def shortest_cheapest_path(g: ExchangeGraph, w: Sequence) -> tuple[list[int] | None, int]:
     """Minimum (`path_cost`, length) source-to-sink path, ties broken toward
     the smallest vertex sequence. Returns (path, 0) when a source reaches a
     sink, else (None, Z) with Z the set of vertices that reach a sink.

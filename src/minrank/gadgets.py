@@ -334,21 +334,10 @@ def build_gadget(g: ColoredGraph) -> GadgetInstance:
         base = 4 * V + 6 * e
         edge_x.append((base, base + 1, base + 2, base + 3))
         edge_y.append((base + 4, base + 5))
-        names += [
-            f"x1.e{e}.v{u}",
-            f"x1.e{e}.v{w}",
-            f"x2.e{e}.v{u}",
-            f"x2.e{e}.v{w}",
-            f"y1.e{e}",
-            f"y2.e{e}",
-        ]
+        names += [f"x{i}.e{e}.v{v}" for i in (1, 2) for v in (u, w)] + [f"y1.e{e}", f"y2.e{e}"]
     s, t = n - 2, n - 1
     names += ["s", "t"]
-    I = 0
-    for vy in vertex_y:
-        I |= mask_of(vy)
-    for ey in edge_y:
-        I |= mask_of(ey)
+    I = mask_of(y for ys in (*vertex_y, *edge_y) for y in ys)
     k = popcount(I)
     plain = full_mask(n) & ~I & ~bit(s) & ~bit(t)
 
@@ -465,13 +454,8 @@ def verify_gadget(gi: GadgetInstance) -> list[BruteReport]:
     witnesses = tuple(bad_values[:5])
     reports.append(make("le-values", (), witnesses, witnesses))
 
-    bad_probe = []
-    if rmin(I | bit(s)) != k:
-        bad_probe.append("I+s")
-    if rmin(I | bit(t)) != k:
-        bad_probe.append("I+t")
-    if rmin(I | bit(s) | bit(t)) != k + 1:
-        bad_probe.append("I+s+t")
+    lone = (("I+s", bit(s), k), ("I+t", bit(t), k), ("I+s+t", bit(s) | bit(t), k + 1))
+    bad_probe = [name for name, P, want in lone if rmin(I | P) != want]
     for y in iter_bits(I):
         for probe in (s, t):
             if rmin((I | bit(probe)) & ~bit(y)) != k:

@@ -12,14 +12,14 @@ detail)`; the loop counts each step's queries and writes its trace line.
 The weighted modes share one driver, `_weighted_run`. Its step surveys I
 and returns the ground-set certificate or the heaviest direct add itself;
 otherwise it hands the mode's `resolve` the intersected graph of the
-survey's probe pair. The promise and lexmax modes resolve it by 2-SAT and
-a shortest cheapest path (`cheapest_path_augment`), the bounded-circuit
-mode by guessing (`_fpt_augment`). The driver keeps the run's one map of
-star circuits for `intersect_modified`, checks every set the run passed
+survey's probe pair and direct set. The promise and lexmax modes resolve
+it by 2-SAT and a shortest cheapest path (`cheapest_path_augment`), the
+bounded-circuit mode by guessing (`_fpt_augment`). The driver keeps the
+run's one map of star circuits, re-asks what enters I, remembers the flat
+elements of a direct add for one step, checks every set the run passed
 through and the last Z before it stops, and prices those sets from the
 caller's weights. Paths are priced by `path_cost`, on weights scaled to
-exact ints where they are not already; the search for a shortest
-cheapest path lives in `exchange`.
+exact ints; the shortest cheapest path search lives in `exchange`.
 
 Everything here must work through `rmin` alone; the visibility audit in the
 test suite holds this module to that.
@@ -36,6 +36,7 @@ from .consistency import ObservationTable, almost_consistent_graph, build_cnf, s
 from .errors import ContractViolationError, NegativeCycleError
 from .exchange import (
     ExchangeGraph,
+    check_entering,
     intersect_modified,
     probe_pair_search,
     shortest_cheapest_path,
@@ -272,23 +273,40 @@ def _weighted_run(
     at I); every pairwise extension flat -> ground-set certificate; no
     valid probe pair -> the heaviest rank-lifting element (smallest id on
     ties); otherwise `resolve` decides on the intersected graph of the
-    survey's probe pair. The run keeps one map of star circuits for
+    survey's probe pair and direct set, and `check_entering` re-asks what
+    that graph took from the survey. A flat element stays flat while I
+    grows, so a survey after a direct add must lift none of the elements
+    the one before filed flat. The run keeps one map of star circuits for
     `intersect_modified`, ends with the exit check (`_run`), and prices
     every level from `w`."""
     _check_length(o, w)
     circuits: dict[int, int] = {}
+    before = flat = 0  # the set before a direct add, and the elements flat there
 
     def step(I: int) -> _Outcome:
+        nonlocal before, flat
         carried = mask_of(
             x for x, C in circuits.items() if not (I >> x) & 1 and not C & ~I
         )
         survey = survey_extensions(o, I, known_flat=carried)
+        direct = mask_of(survey.direct)
+        if direct & flat:
+            raise ValueError(
+                f"{format_set(direct & flat)} flat at {format_set(before)} "
+                f"lifts at {format_set(I)}"
+            )
         if survey.all_flat:
             return _certify(o.ground)
         if survey.pair is None:
             x = max(survey.direct, key=lambda e: Fraction(w[e]))
+            before, flat = I, o.ground & ~I & ~direct
             return Augmented(I | bit(x)), "direct", f"x={x}"
-        return resolve(intersect_modified(o, I, survey.pair, circuits))
+        flat = 0
+        N = intersect_modified(o, I, survey.pair, direct, circuits)
+        outcome = resolve(N)
+        if isinstance(outcome[0], Augmented):
+            check_entering(o, I, survey.pair, direct, N.S, outcome[0].J)
+        return outcome
 
     run = _run(o, step, exit_check=True)
     return WeightedRun(_levels(run, w), run.Z, run.queries, run.trace)

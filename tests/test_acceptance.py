@@ -27,6 +27,7 @@ from minrank import (
     intersect_modified,
     iter_bits,
     lexicographic_max,
+    mask_of,
     max_cardinality,
     popcount,
     random_fpt_instance,
@@ -263,14 +264,17 @@ def test_criterion_06_maximality_audits_and_fault_injection():
         w = inst.weight_vector()
         for I in common_independent_sets(m1, m2):
             o = MinRankOracle(m1, m2)
-            if survey_extensions(o, I).pair is None:
+            survey = survey_extensions(o, I)
+            if survey.pair is None:
                 continue
             D = build_true_graph(m1, m2, I)
             sources = sorted(iter_bits(D.S & ~D.T))
             sinks = sorted(iter_bits(D.T & ~D.S))
             if not sources or not sinks:
                 continue
-            N = intersect_modified(o, I, StarPair(sources[0], sinks[0]))
+            N = intersect_modified(
+                o, I, StarPair(sources[0], sinks[0]), mask_of(survey.direct)
+            )
 
             target = next(
                 ((y, x) for y in iter_bits(N.I) for x in iter_bits(N.sure[y])), None

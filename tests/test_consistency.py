@@ -520,10 +520,13 @@ def test_almost_consistent_graph_no_suspicious_equals_true():
         for I in sets:
             if not o.is_common_independent(I):
                 continue
-            sp = survey_extensions(o, I).pair
-            if sp is None or list(intersect_modified(o, I, sp).suspicious_pairs()):
+            survey = survey_extensions(o, I)
+            if survey.pair is None:
                 continue
-            C = almost_consistent_graph(o, intersect_modified(o, I, sp))
+            N = intersect_modified(o, I, survey.pair, mask_of(survey.direct))
+            if list(N.suspicious_pairs()):
+                continue
+            C = almost_consistent_graph(o, N)
             D = build_true_graph(m1, m2, I)
             if (D.S, D.T) != (C.S, C.T):
                 D = build_true_graph(m2, m1, I)

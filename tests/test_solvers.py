@@ -187,12 +187,14 @@ def test_max_cardinality_query_count_pinned():
     """The n=64 partition pair: 3,877 queries while the cardinality solver
     built the whole probe-pair graph, 1,341 with on-demand arc tests,
     1,345 since the survey finds its probe pair by prefix search, 665
-    since the on-demand search finds arcs by group tests, and 361 since a
-    step after a direct add resumes the survey before it."""
+    since the on-demand search finds arcs by group tests, 361 since a
+    step after a direct add resumes the survey before it, and 346 since a
+    flat source is no sink, so its sink test is skipped (and asked again
+    only when it enters I)."""
     inst = random_instance(7, 64, kinds=("partition",), weighted=True)
     run = max_cardinality(MinRankOracle(inst.matroid1, inst.matroid2))
     assert popcount(run.I) == 47
-    assert run.queries == 361
+    assert run.queries == 346
 
 
 def test_resumed_steps_match_the_unresumed_loop(monkeypatch):
@@ -313,7 +315,9 @@ def test_cheapest_path_augment_star_pair_invariance():
     w = fixture_weights()
     I = bit(0)
     o = MinRankOracle(m1, m2)
-    N = intersect_modified(o, I, survey_extensions(o, I).pair)
+    survey = survey_extensions(o, I)
+    direct = mask_of(survey.direct)
+    N = intersect_modified(o, I, survey.pair, direct)
     baseline, action, _ = cheapest_path_augment(o, w, N, lambda P, I: path_cost(P, I, w))
     assert isinstance(baseline, Augmented) and action == "path"
     k = popcount(I)
@@ -329,7 +333,7 @@ def test_cheapest_path_augment_star_pair_invariance():
     ]
     assert pairs  # the fixture does expose a probe pair here
     for sp in pairs:
-        N = intersect_modified(o, I, sp)
+        N = intersect_modified(o, I, sp, direct)
         path, _ = shortest_cheapest_path(almost_consistent_graph(o, N), w)
         assert path is not None
         assert total_weight(w, I ^ mask_of(path)) == total_weight(w, baseline.J)
@@ -915,7 +919,7 @@ def test_certificate_lie_is_a_contract_violation(nth, named):
         (lexicographic_max, 17, 1, "rmin({0,3}) = 1,"),
         (lexicographic_max, 18, 1, "rmin({0,1,2,3}) = 1,"),
         (lexicographic_max, 19, 1, "rmin({}) = 1"),
-        (weighted_no_circuit_inclusion, 19, 1, "rmin({1,2}) = 1,"),
+        (weighted_no_circuit_inclusion, 17, 1, "rmin({1,2}) = 1,"),
     ],
     ids=["lexmax-direct", "lexmax-path", "lexmax-Z", "lexmax-E-minus-Z", "promise-path"],
 )
@@ -924,7 +928,7 @@ def test_weighted_exit_check_lie_is_a_contract_violation(solve, nth, value, name
     passed through, then rmin(Z) and rmin(E \\ Z). On the crossed pair the
     lexmax run passes through {0} and {0,3} and stops at Z = E, so those
     are its last four queries (16 to 19); the promise run's path-augmented
-    {1,2} is its query 19 of 21. A lie in any of them is a
+    {1,2} is its query 17 of 19. A lie in any of them is a
     ContractViolationError naming the masks and values."""
     m1, m2 = crossed_pair()
     with pytest.raises(ContractViolationError, match=re.escape(named)):
@@ -934,7 +938,7 @@ def test_weighted_exit_check_lie_is_a_contract_violation(solve, nth, value, name
 @pytest.mark.parametrize(
     "make,mask,carried",
     [
-        (lambda: random_fpt_instance(4, 8, 3), mask_of((1, 6)), "{1} carried for 6"),
+        (lambda: random_fpt_instance(3, 8, 3), mask_of((1, 6)), "{6} carried for 1"),
         (lambda: random_promise_instance(3, 7), mask_of((3, 5)), "{3} carried for 5"),
     ],
     ids=["fpt-8", "promise-7"],
@@ -942,7 +946,7 @@ def test_weighted_exit_check_lie_is_a_contract_violation(solve, nth, value, name
 def test_carried_circuit_lie_is_a_contract_violation(make, mask, carried):
     """A star whose circuit C was split at an earlier step of the run costs
     one confirming query, rmin(C + x) = |C|. Answering |C| + 1 there (for
-    x = 6 of `random_fpt_instance(4, 8, 3)` at I = {1,4}, and x = 5 of
+    x = 1 of `random_fpt_instance(3, 8, 3)` at I = {2,4,5,6}, and x = 5 of
     `random_promise_instance(3, 7)` at I = {0,2,3,4}) is a
     ContractViolationError naming that mask, not a carried wrong arc."""
     inst = make()
@@ -987,6 +991,72 @@ def test_lying_oracle_returns_or_reports_contract_violation(liar, mode):
         except ContractViolationError:
             violations += 1
     assert violations > 0  # the lies do reach the augmentation steps
+
+
+def weighted_levels_right(run: WeightedRun, table: BruteTable, w) -> bool:
+    """Every level is a common independent set of the heaviest weight at
+    its size, and the last one is a largest."""
+    return run.levels[-1].k == table.max_common()[0] and all(
+        lv.I in table.common and lv.weight == table.w_maximal(w, lv.k)[0]
+        for lv in run.levels
+    )
+
+
+LIAR_CASES = [
+    # Wrong answers before flat memory and the entering re-check: a lie
+    # filed a lifting element as flat, or skipped a re-asked test.
+    (PerturbedOracle, "promise", 55),
+    (PerturbedOracle, "promise", 78),
+    (PerturbedOracle, "promise", 185),
+    (HashedLiar, "promise", 70),
+    (HashedLiar, "promise", 84),
+    (HashedLiar, "promise", 94),
+    (HashedLiar, "fpt", 45),
+    (HashedLiar, "fpt", 155),
+    (HashedLiar, "fpt", 178),
+    (HashedLiar, "fpt", 192),
+    # Right answers that the entering re-check keeps right: without it,
+    # the star sets' skipped tests let these lies through.
+    (HashedLiar, "lexmax", 112),
+    (HashedLiar, "promise", 39),
+    (HashedLiar, "promise", 108),
+    (HashedLiar, "fpt", 22),
+    (HashedLiar, "fpt", 67),
+]
+
+
+@pytest.mark.parametrize(
+    "liar,mode,seed", LIAR_CASES, ids=[f"{l.__name__}-{m}-{s}" for l, m, s in LIAR_CASES]
+)
+def test_lying_oracle_seeds_are_right_or_reported(liar, mode, seed):
+    """At n = 8, with the liar seeded by the instance seed, the run either
+    raises ContractViolationError or returns what brute force calls right:
+    the lexicographic maximum for lexmax on `random_lexmax_instance`, and a
+    heaviest set at every size for the promise solver on
+    `random_promise_instance` and the bounded-circuit solver (gamma 3) on
+    `random_fpt_instance`."""
+    if mode == "lexmax":
+        inst = random_lexmax_instance(seed, 8)
+    elif mode == "promise":
+        inst = random_promise_instance(seed, 8)
+    else:
+        inst = random_fpt_instance(seed, 8, 3)
+    table = BruteTable(inst.matroid1, inst.matroid2)
+    o = liar(inst.matroid1, inst.matroid2, seed)
+    w = inst.weight_vector()
+    try:
+        if mode == "lexmax":
+            run = lexicographic_max(o, w)
+        elif mode == "promise":
+            run = weighted_no_circuit_inclusion(o, w)
+        else:
+            run = weighted_fpt_circuit(o, w, 3)
+    except ContractViolationError:
+        return
+    if mode == "lexmax":
+        assert run.I in table.common and run.vector == table.lexmax(w)[0]
+    else:
+        assert weighted_levels_right(run, table, w)
 
 
 @pytest.mark.parametrize("liar", [PerturbedOracle, HashedLiar])
