@@ -300,7 +300,9 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
             raise UsageError(f"coloring: {exc}") from exc
     else:
         try:
-            coloring = next(_proper_colorings(ColoredGraph(vertices, edges)), None)
+            graph = ColoredGraph(vertices, edges)
+            graph.gadget_size()  # refuse an oversize gadget before a search that can run long
+            coloring = next(_proper_colorings(graph), None)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         if coloring is None:

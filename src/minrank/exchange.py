@@ -18,13 +18,15 @@ x ∉ I is a layer-2 arc, an exchange in the second. An augmenting path
 starts at a source, alternates sides, and ends at a sink; swapping I by the
 symmetric difference of such a path grows the common independent set by one.
 
+Every answer read here goes through one checked ask, `_expect`, which
+holds `rmin(X)` to its contract range or raises ValueError naming X, the
+answer and the range (ContractViolationError to the solvers' callers).
+
 The sources and sinks come from the survey (`survey_extensions`) and the
-probe pair: a rank-lifting (direct) element is addable in both matroids,
-so it is a source and a sink; a flat source is addable in one matroid
-only, so it is no sink. `_star_sets` asks only the tests those forced
-answers leave open, which is valid only with the survey's complete direct
-set, and once a step has chosen its augmentation `check_entering` asks
-the skipped tests of the elements that enter I.
+probe pair: a rank-lifting (direct) element is a source and a sink, and
+a flat source is no sink. `_star_sets` asks only the tests those forced
+answers leave open, given the survey's complete direct set, and
+`check_entering` asks the skipped tests of the elements that enter I.
 
 The probe graphs are built from group tests on fundamental circuits. A
 star (an element of exactly one of S and T) x has `rmin((I ∖ Y) + x)`
@@ -172,6 +174,18 @@ class ExchangeGraph:
 # -- construction ------------------------------------------------------------
 
 
+def _expect(o: Oracle, X: int, lo: int, hi: int, why: Callable[[], str]) -> int:
+    """`rmin(X)`, held to lo .. hi: the one checked ask of the solver side.
+    Any other answer breaks the matroid contract and raises ValueError
+    naming X, the answer, what `why()` says is asked and the range allowed;
+    nothing is formatted unless it raises."""
+    value = o.rmin(X)
+    if lo <= value <= hi:
+        return value
+    allowed = f"{lo}" if lo == hi else f"{lo} or {hi}" if hi == lo + 1 else f"{lo} to {hi}"
+    raise ValueError(f"rmin({format_set(X)}) = {value}, but {why()} must give {allowed}")
+
+
 def find_star_pair(o: Oracle, I: int) -> ExtensionSurvey:
     """`survey_extensions(o, I, first=True)`. No solver calls it; it stays
     because `perfbench/spans.py` hooks this name, and goes with that hook."""
@@ -223,10 +237,15 @@ def survey_extensions(
     |I| .. |I| + |P| // 2, breaks the premise and raises ValueError.
     """
     k = popcount(I)
+
+    def lifts(P: int, top: int) -> bool:
+        value = _expect(o, I | P, k, top, lambda: f"adding {format_set(P)} to I = {format_set(I)}")
+        return value > k
+
     direct = []
     flat = []
     for x in iter_bits(o.ground & ~I):
-        if (known_flat >> x) & 1 or not _lifts(o, I, k, bit(x), k + 1):
+        if (known_flat >> x) & 1 or not lifts(bit(x), k + 1):
             flat.append(x)
         elif first:
             return ExtensionSurvey((x,), None)
@@ -237,27 +256,12 @@ def survey_extensions(
         prefix.append(prefix[-1] | bit(x))
     # A prefix of length L holds L flat elements, each addable in at most
     # one matroid. A one-element prefix is flat: the scan asked it or knew it.
-    j = _shortest_lift(lambda L: _lifts(o, I, k, prefix[L], k + L // 2), 1, len(flat), False)
+    j = _shortest_lift(lambda L: lifts(prefix[L], k + L // 2), 1, len(flat), False)
     if j is None:
         return ExtensionSurvey(tuple(direct), None)
     t = flat[j - 1]
-    i = _shortest_lift(
-        lambda L: _lifts(o, I, k, prefix[L] | bit(t), k + (L + 1) // 2), 0, j - 1, True
-    )
+    i = _shortest_lift(lambda L: lifts(prefix[L] | bit(t), k + (L + 1) // 2), 0, j - 1, True)
     return ExtensionSurvey(tuple(direct), StarPair(flat[i - 1], t))
-
-
-def _lifts(o: Oracle, I: int, k: int, P: int, top: int) -> bool:
-    """Whether adding P to I, with k = |I|, lifts the min-rank; an answer
-    outside k .. top breaks the matroid contract and raises ValueError
-    naming the set asked."""
-    value = o.rmin(I | P)
-    if not k <= value <= top:
-        raise ValueError(
-            f"rmin({format_set(I | P)}) = {value}, but adding "
-            f"{format_set(P)} to I = {format_set(I)} must give {k} to {top}"
-        )
-    return value > k
 
 
 def _shortest_lift(
@@ -298,36 +302,38 @@ def _star_sets(o: Oracle, I: int, sp: StarPair, direct: int) -> tuple[int, int]:
     `direct` of rank-lifting elements, each a source and a sink. A flat
     x ≠ t* is a source iff `rmin(I + x + t*)` lifts, and then no sink; any
     other flat x ≠ s* is a sink iff `rmin(I + s* + x)` lifts. Since s*, t*
-    and x are flat, each answer must be |I| or |I| + 1 (`_lifts`)."""
+    and x are flat, each answer must be |I| or |I| + 1, and exactly |I| + 1
+    for s*'s source test and t*'s sink test, which ask the pair itself."""
     k = popcount(I)
     sb, tb = bit(sp.s), bit(sp.t)
     flat = o.ground & ~I & ~direct
     if sp.s == sp.t or (sb | tb) & ~flat:
         raise ValueError("probe pair must be two distinct flat elements outside I")
-    S = mask_of(x for x in iter_bits(flat & ~tb) if _lifts(o, I, k, bit(x) | tb, k + 1))
-    T = mask_of(x for x in iter_bits(flat & ~S & ~sb) if _lifts(o, I, k, sb | bit(x), k + 1))
-    if not (S >> sp.s) & 1 or not (T >> sp.t) & 1:
-        raise ValueError(f"({sp.s}, {sp.t}) is not a valid probe pair for I")
+
+    def lifts(x: int, P: int, test: str, own: int) -> bool:
+        lo = k + (x == own)  # s*'s source test and t*'s sink test must lift
+        value = _expect(
+            o, I | P, lo, k + 1, lambda: f"the {test} test of {x} at I = {format_set(I)}"
+        )
+        return value > k
+
+    S = mask_of(x for x in iter_bits(flat & ~tb) if lifts(x, bit(x) | tb, "source", sp.s))
+    T = mask_of(x for x in iter_bits(flat & ~S) if lifts(x, sb | bit(x), "sink", sp.t))
     return S | direct, T | direct
 
 
 def check_entering(o: Oracle, I: int, sp: StarPair, direct: int, S: int, J: int) -> None:
-    """Ask the tests `_star_sets` skipped for each element entering I on the
-    way to J, given its `direct` and sources S: a direct x must give
-    |I| + 1 on `rmin(I + x + t*)` and `rmin(I + s* + x)`, a source x ≠ s*
-    |I| on `rmin(I + s* + x)`. Any other answer raises ValueError naming
-    the mask, its value and the value expected."""
+    """Ask, through `_expect`, the tests `_star_sets` skipped for each
+    element entering I on the way to J, given its `direct` and sources S:
+    a direct x must give |I| + 1 on `rmin(I + x + t*)` and
+    `rmin(I + s* + x)`, a source x ≠ s* |I| on `rmin(I + s* + x)`."""
     k = popcount(I)
     sb, tb = bit(sp.s), bit(sp.t)
     for x in iter_bits(J & ~I & (direct | S & ~sb)):
         xb = 1 << x
         tests = ((xb | tb, k + 1), (sb | xb, k + 1)) if direct & xb else ((sb | xb, k),)
         for P, want in tests:
-            if (value := o.rmin(I | P)) != want:
-                raise ValueError(
-                    f"rmin({format_set(I | P)}) = {value}, but {x} entering "
-                    f"I = {format_set(I)} must give {want}"
-                )
+            _expect(o, I | P, want, want, lambda: f"{x} entering I = {format_set(I)}")
 
 
 def _split(o: Oracle, G: int, query: Callable[[int], tuple[int, int]]) -> int:
@@ -348,13 +354,7 @@ def _split(o: Oracle, G: int, query: Callable[[int], tuple[int, int]]) -> int:
 
     def meets(Y: int, known: bool = False) -> bool:
         X, low = query(Y)
-        value = o.rmin(X)
-        if not low + known <= value <= low + 1:
-            allowed = f"{low + 1}" if known else f"{low} or {low + 1}"
-            raise ValueError(
-                f"rmin({format_set(X)}) = {value}, but the group test of "
-                f"{format_set(Y)} must give {allowed}"
-            )
+        value = _expect(o, X, low + known, low + 1, lambda: f"the group test of {format_set(Y)}")
         return value > low
 
     def find(Y: int, asked: bool) -> int:
@@ -423,11 +423,9 @@ def _probe_graph(
         C = carried.get(x, -1)  # -1: none carried, and it meets ~I too
         if C & ~I:
             C = carried[x] = _column(o, I, I, bit(x))
-        elif (value := o.rmin(C | bit(x))) != popcount(C):
-            raise ValueError(
-                f"rmin({format_set(C | bit(x))}) = {value}, but the circuit "
-                f"{format_set(C)} carried for {x} must give {popcount(C)}"
-            )
+        else:
+            c = popcount(C)
+            _expect(o, C | bit(x), c, c, lambda: f"the circuit {format_set(C)} carried for {x}")
         return C
 
     star = {x: circuit(x) for x in iter_bits(outside & (S ^ T))}

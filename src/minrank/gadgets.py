@@ -78,6 +78,14 @@ class ColoredGraph(NamedTuple):
             out.append(e)
         return tuple(sorted(out))
 
+    def gadget_size(self) -> int:
+        """The element count of the gadget, 4V + 6F + 2 for V vertices and F
+        edges; a count above the 64 of an instance file raises ValueError."""
+        n = 4 * self.vertices + 6 * len(self.normalized_edges()) + 2
+        if n <= MAX_GROUND:
+            return n
+        raise ValueError(f"gadget needs {n} elements; instance files carry at most {MAX_GROUND}")
+
     def is_proper(self) -> bool:
         if self.coloring is None:
             return False
@@ -313,12 +321,7 @@ def build_gadget(g: ColoredGraph) -> GadgetInstance:
     edges = g.normalized_edges()
     if not g.is_proper():
         raise ValueError("coloring is not proper: adjacent vertices share a color")
-    V, F = g.vertices, len(edges)
-    n = 4 * V + 6 * F + 2
-    if n > MAX_GROUND:
-        raise ValueError(
-            f"gadget needs {n} elements; instance files carry at most {MAX_GROUND}"
-        )
+    V, n = g.vertices, g.gadget_size()
 
     names: list[str] = []
     vertex_x: list[tuple[int, int]] = []

@@ -7,22 +7,23 @@ maximality), plus the approximation wrapper for positive weights.
 
 Every mode runs one loop, `_run`: from the empty set, each augmentation
 step either swaps I along a shortest path or stops with a set Z where
-rmin(Z) + rmin(E \\ Z) = |I|. A step is a function `I -> (result, action,
+rmin(Z) + rmin(E \\ Z) = |I|, which the step checks before it returns it
+(`_check_certificate`). A step is a function `I -> (result, action,
 detail)`; the loop counts each step's queries and writes its trace line.
-The weighted modes share one driver, `_weighted_run`. Its step surveys I
-and returns the ground-set certificate or the heaviest direct add itself;
-otherwise it hands the mode's `resolve` the intersected graph of the
-survey's probe pair and direct set. The promise and lexmax modes resolve
-it by 2-SAT and a shortest cheapest path (`cheapest_path_augment`), the
-bounded-circuit mode by guessing (`_fpt_augment`). The driver keeps the
-run's one map of star circuits, re-asks what enters I, remembers the flat
-elements of a direct add for one step, checks every set the run passed
-through and the last Z before it stops, and prices those sets from the
-caller's weights. Paths are priced by `path_cost`, on weights scaled to
-exact ints; the shortest cheapest path search lives in `exchange`.
+The weighted modes share one driver, `_weighted_run`, whose step hands
+the mode's `resolve` the intersected graph of the survey's probe pair and
+direct set. The promise and lexmax modes resolve it by 2-SAT and a
+shortest cheapest path (`cheapest_path_augment`), the bounded-circuit
+mode by guessing (`_fpt_augment`). Paths are priced by `path_cost`, on
+weights scaled to exact ints; the shortest cheapest path search lives in
+`exchange`.
 
 Everything here must work through `rmin` alone; the visibility audit in the
-test suite holds this module to that.
+test suite holds this module to that. Each answer is asked through the one
+checked ask, `exchange._expect`, except in `_check_certificate`, which
+names every answer it asked, and in `_validate_candidate` and
+`_fpt_augment`, where an answer only rejects a guess; a static audit in
+the test suite holds this module to that too.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .consistency import ObservationTable, almost_consistent_graph, build_cnf, s
 from .errors import ContractViolationError, NegativeCycleError
 from .exchange import (
     ExchangeGraph,
+    _expect,
     check_entering,
     intersect_modified,
     probe_pair_search,
@@ -125,8 +127,9 @@ def _augment(o: Oracle, I: int, known_flat: int | None) -> tuple[_Outcome, int |
     otherwise. A resumed step's `known_flat` is thus the elements below the
     x added before it; the survey skips them and x is in I now, so the
     step's own lift lies above x and its mask already covers `known_flat`."""
-    if known_flat is None and not o.is_common_independent(I):
-        raise ValueError("I is not a common independent set")
+    k = popcount(I)
+    if known_flat is None:
+        _expect(o, I, k, k, lambda: f"the common independent set I = {format_set(I)}")
     survey = survey_extensions(o, I, first=True, known_flat=known_flat or 0)
     if survey.direct:
         x = survey.direct[0]
@@ -136,7 +139,7 @@ def _augment(o: Oracle, I: int, known_flat: int | None) -> tuple[_Outcome, int |
         path, Z = probe_pair_search(o, I, survey.pair)
     if path is not None:
         return _grown(I ^ mask_of(path)), None
-    _check_certificate(o, [] if known_flat is None else [I], Z, popcount(I))
+    _check_certificate(o, [] if known_flat is None else [I], Z, k)
     return _certify(Z), None
 
 
@@ -164,17 +167,14 @@ class CardinalityRun(NamedTuple):
         return self.sets[-1]
 
 
-def _run(
-    o: Oracle, step: Callable[[int], _Outcome], exit_check: bool = False
-) -> CardinalityRun:
+def _run(o: Oracle, step: Callable[[int], _Outcome]) -> CardinalityRun:
     """Step from the empty set until a step certifies maximality, charging
-    each trace line with every query its step asked.
+    each trace line with every query its step asked; a step checks the
+    certificate it returns (`_check_certificate`).
 
     A step that rejects its own input (ValueError) was handed a set and a
     probe pair built from the oracle's earlier answers, so the oracle broke
-    the matroid contract. With `exit_check`, the certificate's trace line
-    also pays for `_check_certificate` over every nonempty set the run
-    passed through."""
+    the matroid contract."""
     base = o.query_count
     sets = [0]
     trace: list[AugmentStep] = []
@@ -184,11 +184,7 @@ def _run(
         try:
             res, action, detail = step(I)
         except ValueError as exc:
-            raise ContractViolationError(
-                f"oracle answers contradict each other: {exc}"
-            ) from exc
-        if exit_check and isinstance(res, Certificate):
-            _check_certificate(o, sets[1:], res.Z, popcount(I))
+            raise ContractViolationError(f"oracle answers contradict each other: {exc}") from exc
         trace.append(AugmentStep(popcount(I), action, detail, o.query_count - before))
         if isinstance(res, Certificate):
             return CardinalityRun(tuple(sets), res.Z, o.query_count - base, tuple(trace))
@@ -256,10 +252,6 @@ class WeightedRun(NamedTuple):
         return max(self.levels, key=lambda lv: (lv.weight, -lv.k))
 
 
-def _levels(run: CardinalityRun, w: Sequence) -> tuple[Level, ...]:
-    return tuple(Level(popcount(I), I, total_weight(w, I)) for I in run.sets)
-
-
 def _check_length(o: Oracle, w: Sequence) -> None:
     if len(w) != o.n:
         raise ValueError(f"{len(w)} weights for a ground set of {o.n} elements")
@@ -276,40 +268,44 @@ def _weighted_run(
     survey's probe pair and direct set, and `check_entering` re-asks what
     that graph took from the survey. A flat element stays flat while I
     grows, so a survey after a direct add must lift none of the elements
-    the one before filed flat. The run keeps one map of star circuits for
-    `intersect_modified`, ends with the exit check (`_run`), and prices
-    every level from `w`."""
+    the one before filed flat. A certificate is checked over every
+    nonempty set the run was handed. The run keeps one map of star
+    circuits for `intersect_modified` and prices every level from `w`."""
     _check_length(o, w)
     circuits: dict[int, int] = {}
-    before = flat = 0  # the set before a direct add, and the elements flat there
+    flat = 0  # after a direct add, the elements flat at the set before it
+    handed: list[int] = []  # every set a step was handed, the empty set first
 
     def step(I: int) -> _Outcome:
-        nonlocal before, flat
+        nonlocal flat
+        handed.append(I)
         carried = mask_of(
             x for x, C in circuits.items() if not (I >> x) & 1 and not C & ~I
         )
         survey = survey_extensions(o, I, known_flat=carried)
         direct = mask_of(survey.direct)
         if direct & flat:
-            raise ValueError(
-                f"{format_set(direct & flat)} flat at {format_set(before)} "
-                f"lifts at {format_set(I)}"
-            )
+            lifted, before = format_set(direct & flat), format_set(handed[-2])
+            raise ValueError(f"{lifted} flat at {before} lifts at {format_set(I)}")
         if survey.all_flat:
-            return _certify(o.ground)
-        if survey.pair is None:
+            outcome = _certify(o.ground)
+        elif survey.pair is None:
             x = max(survey.direct, key=lambda e: Fraction(w[e]))
-            before, flat = I, o.ground & ~I & ~direct
+            flat = o.ground & ~I & ~direct
             return Augmented(I | bit(x)), "direct", f"x={x}"
-        flat = 0
-        N = intersect_modified(o, I, survey.pair, direct, circuits)
-        outcome = resolve(N)
-        if isinstance(outcome[0], Augmented):
-            check_entering(o, I, survey.pair, direct, N.S, outcome[0].J)
+        else:
+            flat = 0
+            N = intersect_modified(o, I, survey.pair, direct, circuits)
+            outcome = resolve(N)
+            if isinstance(outcome[0], Augmented):
+                check_entering(o, I, survey.pair, direct, N.S, outcome[0].J)
+                return outcome
+        _check_certificate(o, handed[1:], outcome[0].Z, popcount(I))
         return outcome
 
-    run = _run(o, step, exit_check=True)
-    return WeightedRun(_levels(run, w), run.Z, run.queries, run.trace)
+    run = _run(o, step)
+    levels = tuple(Level(popcount(I), I, total_weight(w, I)) for I in run.sets)
+    return WeightedRun(levels, run.Z, run.queries, run.trace)
 
 
 def _exact(w: Sequence) -> tuple[list[int], Callable]:

@@ -444,15 +444,6 @@ def test_gadget_reports_failed_checks(tmp_path, monkeypatch, capsys):
     assert out.err.splitlines()[-1] == "FAIL: 1 gadget checks mismatched"
 
 
-def test_gadget_infeasible_without_four_coloring(tmp_path, capsys):
-    # K5 admits no proper 4-coloring.
-    edges = [[u, v] for u in range(5) for v in range(u + 1, 5)]
-    gpath = tmp_path / "k5.json"
-    gpath.write_text(json.dumps({"vertices": 5, "edges": edges}))
-    assert main(["gadget", "--graph", str(gpath)]) == 1
-    assert "no proper 4-coloring" in capsys.readouterr().err
-
-
 def test_gadget_beyond_verification_cap_still_emits(tmp_path, capsys):
     square = {"vertices": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}
     gpath = tmp_path / "square.json"
@@ -472,6 +463,30 @@ def test_gadget_too_large_for_instance_format(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert "at most 64" in out.err
+
+
+@pytest.mark.parametrize("vertices,n", [(5, 82), (30, 182)], ids=["k5", "k5-in-30"])
+def test_gadget_too_large_is_refused_before_the_coloring_search(
+    tmp_path, monkeypatch, capsys, vertices, n
+):
+    """A K5 on the last five vertices admits no proper 4-coloring and needs
+    4V + 6*10 + 2 elements. Without a coloring file the size rule is checked
+    first, so the search never starts; at V = 30 it ran for more than 20 s.
+    A graph with no 4-coloring has a 5-critical subgraph, of minimum degree
+    4, so at least five vertices and ten edges: no such gadget fits."""
+
+    def searched(_graph):
+        raise AssertionError("the coloring search ran")
+
+    monkeypatch.setattr(minrank.cli, "_proper_colorings", searched)
+    core = range(vertices - 5, vertices)
+    edges = [[u, v] for u in core for v in core if u < v]
+    gpath = tmp_path / "k5.json"
+    gpath.write_text(json.dumps({"vertices": vertices, "edges": edges}))
+    assert main(["gadget", "--graph", str(gpath)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"gadget needs {n} elements; instance files carry at most 64" in out.err
 
 
 def test_gadget_bad_graph_file(tmp_path, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 from unittest.mock import patch
 
 import pytest
@@ -22,6 +23,7 @@ from minrank import (
     build_true_graph,
     common_independent_sets,
     elements_of,
+    format_set,
     full_mask,
     intersect_modified,
     iter_bits,
@@ -37,6 +39,7 @@ from minrank import (
 )
 from minrank.exchange import (
     _column,
+    _expect,
     _probe_graph,
     _search,
     _star_sets,
@@ -198,6 +201,26 @@ def test_survey_finds_the_pair_loops_pair():
                         judged += judge.query_count
     assert surveys >= 10000 and pairs >= 500  # 10,560 and 526
     assert asked < judged  # 41,249 against 52,794
+
+
+@pytest.mark.parametrize("lo,hi,allowed", [(1, 1, "1"), (0, 1, "0 or 1"), (3, 5, "3 to 5")])
+def test_expect_names_the_breach_and_formats_only_then(lo, hi, allowed):
+    """`_expect` returns an answer in lo .. hi without calling `why`; any
+    other answer raises the one wording, with the mask, the answer, `why()`
+    and the range allowed."""
+    o = MinRankOracle(*crossed_pair())  # rmin({0,3}) = 2, rmin({0,1}) = 1
+
+    def never() -> str:
+        raise AssertionError("formatted an answer in range")
+
+    for X in (mask_of((0, 3)), mask_of((0, 1))):
+        value = o.rmin(X)
+        if lo <= value <= hi:
+            assert _expect(o, X, lo, hi, never) == value
+        else:
+            message = f"rmin({format_set(X)}) = {value}, but the test must give {allowed}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                _expect(o, X, lo, hi, lambda: "the test")
 
 
 def test_survey_pair_when_a_prefix_lifts_by_two():
