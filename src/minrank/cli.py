@@ -249,7 +249,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     inst = _load(args.instance)
     I = _parse_mask(args.set, inst.n)
     o = MinRankOracle(inst.matroid1, inst.matroid2)
-    if not o.is_common_independent(I):
+    if o.rmin(I) != popcount(I):
         raise UsageError(f"--set {format_set(I)} is not a common independent set")
     g: ExchangeGraph
     if args.which == "true":
@@ -261,7 +261,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         if survey.pair is None:
             raise Infeasible("no probe pair: every pairwise extension is flat")
         build = build_modified_graph if args.which == "modified" else intersect_modified
-        g = build(o, I, survey.pair, mask_of(survey.direct))
+        g = build(o, survey)
         if args.which == "consistent":
             g = almost_consistent_graph(o, g)
     sys.stdout.write(g.to_dot(inst.names))
@@ -301,12 +301,10 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
     else:
         try:
             graph = ColoredGraph(vertices, edges)
-            graph.gadget_size()  # refuse an oversize gadget before a search that can run long
-            coloring = next(_proper_colorings(graph), None)
+            graph.gadget_size()  # before the search; no graph it passes lacks a 4-coloring
+            coloring = next(_proper_colorings(graph))
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        if coloring is None:
-            raise Infeasible("graph admits no proper 4-coloring with paired colors")
         _log(f"coloring: chose {list(coloring)}")
     try:
         gi = build_gadget(ColoredGraph(vertices, edges, coloring))

@@ -22,11 +22,12 @@ Every answer read here goes through one checked ask, `_expect`, which
 holds `rmin(X)` to its contract range or raises ValueError naming X, the
 answer and the range (ContractViolationError to the solvers' callers).
 
-The sources and sinks come from the survey (`survey_extensions`) and the
-probe pair: a rank-lifting (direct) element is a source and a sink, and
-a flat source is no sink. `_star_sets` asks only the tests those forced
-answers leave open, given the survey's complete direct set, and
-`check_entering` asks the skipped tests of the elements that enter I.
+The sources and sinks come from the survey (`survey_extensions`), which
+holds I, the mask of direct (rank-lifting) elements and the probe pair;
+every function that builds on it reads it whole. A direct element is a
+source and a sink, and a flat source is no sink. `_star_sets` asks only
+the tests those forced answers leave open, and `check_entering` asks the
+skipped tests of the elements that enter I.
 
 The probe graphs are built from group tests on fundamental circuits. A
 star (an element of exactly one of S and T) x has `rmin((I ∖ Y) + x)`
@@ -193,12 +194,14 @@ def find_star_pair(o: Oracle, I: int) -> ExtensionSurvey:
 
 
 class ExtensionSurvey(NamedTuple):
-    """Addability scan: the rank-lifting singletons (`direct`) and the
-    probe pair: the lexicographically smallest (s, t), s < t, of flat
-    elements with `rmin(I + s + t) > |I|`, found by the prefix searches of
-    `survey_extensions` (None if no pair qualifies)."""
+    """Addability scan at I: the mask `direct` of rank-lifting singletons
+    and the probe pair, the lexicographically smallest (s, t), s < t, of
+    flat elements with `rmin(I + s + t) > |I|` (None if none qualifies).
+    A survey with a pair holds the complete direct set at its own I, as
+    the star sets' forced answers need; `_replace(pair=...)` keeps both."""
 
-    direct: tuple[int, ...]
+    I: int
+    direct: int
     pair: StarPair | None
 
     @property
@@ -242,15 +245,15 @@ def survey_extensions(
         value = _expect(o, I | P, k, top, lambda: f"adding {format_set(P)} to I = {format_set(I)}")
         return value > k
 
-    direct = []
+    direct = 0
     flat = []
     for x in iter_bits(o.ground & ~I):
         if (known_flat >> x) & 1 or not lifts(bit(x), k + 1):
             flat.append(x)
         elif first:
-            return ExtensionSurvey((x,), None)
+            return ExtensionSurvey(I, bit(x), None)
         else:
-            direct.append(x)
+            direct |= bit(x)
     prefix = [0]
     for x in flat:
         prefix.append(prefix[-1] | bit(x))
@@ -258,10 +261,10 @@ def survey_extensions(
     # one matroid. A one-element prefix is flat: the scan asked it or knew it.
     j = _shortest_lift(lambda L: lifts(prefix[L], k + L // 2), 1, len(flat), False)
     if j is None:
-        return ExtensionSurvey(tuple(direct), None)
+        return ExtensionSurvey(I, direct, None)
     t = flat[j - 1]
     i = _shortest_lift(lambda L: lifts(prefix[L] | bit(t), k + (L + 1) // 2), 0, j - 1, True)
-    return ExtensionSurvey(tuple(direct), StarPair(flat[i - 1], t))
+    return ExtensionSurvey(I, direct, StarPair(flat[i - 1], t))
 
 
 def _shortest_lift(
@@ -297,13 +300,14 @@ def _shortest_lift(
     return hi
 
 
-def _star_sets(o: Oracle, I: int, sp: StarPair, direct: int) -> tuple[int, int]:
-    """Sources and sinks from the probe pair and the survey's complete set
-    `direct` of rank-lifting elements, each a source and a sink. A flat
-    x ≠ t* is a source iff `rmin(I + x + t*)` lifts, and then no sink; any
-    other flat x ≠ s* is a sink iff `rmin(I + s* + x)` lifts. Since s*, t*
-    and x are flat, each answer must be |I| or |I| + 1, and exactly |I| + 1
-    for s*'s source test and t*'s sink test, which ask the pair itself."""
+def _star_sets(o: Oracle, survey: ExtensionSurvey) -> tuple[int, int]:
+    """Sources and sinks read from the survey: its direct elements are
+    each a source and a sink. A flat x ≠ t* is a source iff
+    `rmin(I + x + t*)` lifts, and then no sink; any other flat x ≠ s* is a
+    sink iff `rmin(I + s* + x)` lifts. Since s*, t* and x are flat, each
+    answer must be |I| or |I| + 1, and exactly |I| + 1 for s*'s source
+    test and t*'s sink test, which ask the pair itself."""
+    I, direct, sp = survey
     k = popcount(I)
     sb, tb = bit(sp.s), bit(sp.t)
     flat = o.ground & ~I & ~direct
@@ -322,11 +326,12 @@ def _star_sets(o: Oracle, I: int, sp: StarPair, direct: int) -> tuple[int, int]:
     return S | direct, T | direct
 
 
-def check_entering(o: Oracle, I: int, sp: StarPair, direct: int, S: int, J: int) -> None:
-    """Ask, through `_expect`, the tests `_star_sets` skipped for each
-    element entering I on the way to J, given its `direct` and sources S:
+def check_entering(o: Oracle, survey: ExtensionSurvey, S: int, J: int) -> None:
+    """Ask, through `_expect`, the tests `_star_sets` skipped on `survey`
+    for each element entering its I on the way to J, given the sources S:
     a direct x must give |I| + 1 on `rmin(I + x + t*)` and
     `rmin(I + s* + x)`, a source x ≠ s* |I| on `rmin(I + s* + x)`."""
+    I, direct, sp = survey
     k = popcount(I)
     sb, tb = bit(sp.s), bit(sp.t)
     for x in iter_bits(J & ~I & (direct | S & ~sb)):
@@ -459,22 +464,23 @@ def _probe_graph(
     return succ, [heads if (st >> v) & 1 else heads & st for v, heads in enumerate(succ)]
 
 
-def build_modified_graph(o: Oracle, I: int, sp: StarPair, direct: int) -> ExchangeGraph:
-    """The probe-pair graph: the probe graph whose swap probes run against
-    the opposite probe element only. `direct` is the survey's complete set
-    of rank-lifting elements at I (`_star_sets`).
+def build_modified_graph(o: Oracle, survey: ExtensionSurvey) -> ExchangeGraph:
+    """The probe-pair graph of the survey's I and pair: the probe graph
+    whose swap probes run against the opposite probe element only, with
+    the sources and sinks `_star_sets` reads from the survey.
 
     Contains the true graph; extra arcs never touch sources or sinks and
     never shorten any source-sink path. Arcs incident to a source or sink
     are labeled sure, the rest suspicious.
     """
-    S, T = _star_sets(o, I, sp, direct)
+    I, _, sp = survey
+    S, T = _star_sets(o, survey)
     succ, sure = _probe_graph(o, I, S, T, [sp.t], [sp.s])
     return ExchangeGraph(o.n, I, S, T, succ, sure=sure, kind="modified")
 
 
 def intersect_modified(
-    o: Oracle, I: int, sp: StarPair, direct: int, circuits: dict[int, int] | None = None
+    o: Oracle, survey: ExtensionSurvey, circuits: dict[int, int] | None = None
 ) -> ExchangeGraph:
     """Intersection of the probe-pair graphs over all probe choices.
 
@@ -484,10 +490,11 @@ def intersect_modified(
     sure when incident to a source/sink, or when its end in I misses an
     arc to some sink (layer 1) / from some source (layer 2) — the
     intersection then certifies it as a true arc. All else is suspicious.
-    `direct` is as in `build_modified_graph`; a run passes its star
-    circuits in `circuits` (see `_probe_graph`).
+    `_star_sets` reads the sources and sinks from the survey; a run
+    passes its star circuits in `circuits` (see `_probe_graph`).
     """
-    S, T = _star_sets(o, I, sp, direct)
+    I = survey.I
+    S, T = _star_sets(o, survey)
     succ, sure = _probe_graph(
         o, I, S, T, elements_of(T & ~S), elements_of(S & ~T), circuits
     )
@@ -533,25 +540,26 @@ def _search(
     return reached, nxt
 
 
-def probe_pair_search(o: Oracle, I: int, sp: StarPair) -> tuple[list[int] | None, int]:
-    """The probe-pair graph's shortest augmenting path, or its certificate,
-    with arcs found on demand by group tests.
+def probe_pair_search(o: Oracle, survey: ExtensionSurvey) -> tuple[list[int] | None, int]:
+    """The shortest augmenting path of the survey's probe-pair graph, or
+    its certificate, with arcs found on demand by group tests.
 
-    For a survey that found no lift. Same answer as `shortest_cheapest_path`
-    at zero costs on `build_modified_graph(o, I, sp, 0)`, but the reverse
-    BFS asks only about the arcs it scans, and the path walks from the
-    smallest reached source along the recorded successors. The arcs into
-    an outside vertex v are its column: a sink's star column, or, for a
-    plain v, the group tests with t* added; every element of I whose arc
-    reaches t* was reached at level 1, so the rest misses t*'s column. The
-    arcs out to an element v of I group by tail: for U ⊆ S ∖ T,
-    `rmin((I − v) ∪ U)` is |I| if some u in U has the arc (u, v) and
-    |I| − 1 otherwise; plain tails are grouped the same way with s* added
-    when (s*, v) is no arc, and all have the arc when it is one. Returns
-    (path, 0) when a path exists, after `check_entering` on it, else
-    (None, Z) with Z the set of vertices that reach a sink.
+    Same answer as `shortest_cheapest_path` at zero costs on
+    `build_modified_graph(o, survey)`, the smallest direct element alone if
+    there is one, but the reverse BFS asks only about the arcs it scans,
+    and the path walks from the smallest reached source along the recorded
+    successors. The arcs into an outside vertex v are its column: a sink's
+    star column, or, for a plain v, the group tests with t* added; every
+    element of I whose arc reaches t* was reached at level 1, so the rest
+    misses t*'s column. The arcs out to an element v of I group by tail:
+    for U ⊆ S ∖ T, `rmin((I − v) ∪ U)` is |I| if some u in U has the arc
+    (u, v) and |I| − 1 otherwise; plain tails are grouped the same way with
+    s* added when (s*, v) is no arc, and all have the arc when it is one.
+    Returns (path, 0) when a path exists, after `check_entering` on it,
+    else (None, Z) with Z the set of vertices that reach a sink.
     """
-    S, T = _star_sets(o, I, sp, 0)
+    I, _, sp = survey
+    S, T = _star_sets(o, survey)
     k = popcount(I)
     sb, tb = bit(sp.s), bit(sp.t)
 
@@ -574,7 +582,7 @@ def probe_pair_search(o: Oracle, I: int, sp: StarPair) -> tuple[list[int] | None
     while v in nxt:
         v = nxt[v]
         path.append(v)
-    check_entering(o, I, sp, 0, S, mask_of(path))
+    check_entering(o, survey, S, mask_of(path))
     return path, 0
 
 

@@ -9,7 +9,7 @@ can hold solvers to their query budgets.
 
 from __future__ import annotations
 
-from .bitset import full_mask, popcount
+from .bitset import full_mask
 from .core import Matroid
 
 
@@ -37,10 +37,6 @@ class MinRankOracle:
         self._queries += 1
         return min(self._m1.rank(mask), self._m2.rank(mask))
 
-    def is_common_independent(self, mask: int) -> bool:
-        """X independent in both matroids iff rmin(X) = |X|."""
-        return self.rmin(mask) == popcount(mask)
-
     @property
     def query_count(self) -> int:
         return self._queries
@@ -66,9 +62,6 @@ class RestrictedOracle:
         if mask & ~self.ground:
             raise ValueError("mask outside the restricted ground set")
         return self._inner.rmin(mask)
-
-    def is_common_independent(self, mask: int) -> bool:
-        return self.rmin(mask) == popcount(mask)
 
     @property
     def query_count(self) -> int:

@@ -132,11 +132,10 @@ def _augment(o: Oracle, I: int, known_flat: int | None) -> tuple[_Outcome, int |
         _expect(o, I, k, k, lambda: f"the common independent set I = {format_set(I)}")
     survey = survey_extensions(o, I, first=True, known_flat=known_flat or 0)
     if survey.direct:
-        x = survey.direct[0]
-        return _grown(I | bit(x)), o.ground & ~I & (bit(x) - 1)
+        return _grown(I | survey.direct), o.ground & ~I & (survey.direct - 1)
     path, Z = None, o.ground
     if survey.pair is not None:
-        path, Z = probe_pair_search(o, I, survey.pair)
+        path, Z = probe_pair_search(o, survey)
     if path is not None:
         return _grown(I ^ mask_of(path)), None
     _check_certificate(o, [] if known_flat is None else [I], Z, k)
@@ -283,22 +282,22 @@ def _weighted_run(
             x for x, C in circuits.items() if not (I >> x) & 1 and not C & ~I
         )
         survey = survey_extensions(o, I, known_flat=carried)
-        direct = mask_of(survey.direct)
+        direct = survey.direct
         if direct & flat:
             lifted, before = format_set(direct & flat), format_set(handed[-2])
             raise ValueError(f"{lifted} flat at {before} lifts at {format_set(I)}")
         if survey.all_flat:
             outcome = _certify(o.ground)
         elif survey.pair is None:
-            x = max(survey.direct, key=lambda e: Fraction(w[e]))
+            x = max(iter_bits(direct), key=lambda e: Fraction(w[e]))
             flat = o.ground & ~I & ~direct
             return Augmented(I | bit(x)), "direct", f"x={x}"
         else:
             flat = 0
-            N = intersect_modified(o, I, survey.pair, direct, circuits)
+            N = intersect_modified(o, survey, circuits)
             outcome = resolve(N)
             if isinstance(outcome[0], Augmented):
-                check_entering(o, I, survey.pair, direct, N.S, outcome[0].J)
+                check_entering(o, survey, N.S, outcome[0].J)
                 return outcome
         _check_certificate(o, handed[1:], outcome[0].Z, popcount(I))
         return outcome

@@ -401,7 +401,6 @@ def audit_graphs(
     if survey.pair is None:
         reports.append(make("no-probe-pair", True, True))
         return reports
-    direct = mask_of(survey.direct)
 
     valid_pairs = [
         StarPair(s, t)
@@ -438,11 +437,11 @@ def audit_graphs(
     first_intersected: ExchangeGraph | None = None
     for sp in valid_pairs:
         tag = f"pair({sp.s},{sp.t})"
-        M = build_modified_graph(o, I, sp, direct)
+        M = build_modified_graph(o, survey._replace(pair=sp))
         reports.append(make(f"{tag}-st-sets", (D.S, D.T), (M.S, M.T)))
         audit_probe_graph(tag, M, bit(sp.t), bit(sp.s))
         reports.append(make(f"{tag}-shortest-paths", true_paths, shortest_st_paths(M)))
-        N = intersect_modified(o, I, sp, direct)
+        N = intersect_modified(o, survey._replace(pair=sp))
         if first_intersected is None:
             first_intersected = N
         else:

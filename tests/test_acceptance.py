@@ -272,9 +272,7 @@ def test_criterion_06_maximality_audits_and_fault_injection():
             sinks = sorted(iter_bits(D.T & ~D.S))
             if not sources or not sinks:
                 continue
-            N = intersect_modified(
-                o, I, StarPair(sources[0], sinks[0]), mask_of(survey.direct)
-            )
+            N = intersect_modified(o, survey._replace(pair=StarPair(sources[0], sinks[0])))
 
             target = next(
                 ((y, x) for y in iter_bits(N.I) for x in iter_bits(N.sure[y])), None

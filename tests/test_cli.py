@@ -7,7 +7,14 @@ import json
 import pytest
 
 import minrank.cli
-from minrank import BruteReport, ContractViolationError, crossed_partition_instance, dumps, loads
+from minrank import (
+    BruteReport,
+    ContractViolationError,
+    crossed_partition_instance,
+    dumps,
+    loads,
+    random_fpt_instance,
+)
 from minrank.cli import main
 
 FIXTURE = dumps(crossed_partition_instance(weights=(5, 4, 4, 1)))
@@ -85,6 +92,16 @@ def test_solve_fpt_gamma_validation(fixture_file, capsys):
     assert out.out == ""
     assert "--mode fpt requires --gamma" in out.err
     assert "--gamma must be at least 2" in out.err
+
+
+def test_solve_fpt_bound_breach_exits_3(tmp_path, capsys):
+    """A pair whose circuits reach 5 elements breaks `--gamma 2`: the run
+    stops with exit 3 and names the breach on stderr."""
+    path = tmp_path / "fpt.json"
+    path.write_text(dumps(random_fpt_instance(75, 10, 5)))
+    assert main(["solve", str(path), "--mode", "fpt", "--gamma", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "suspicious-arc heads exceed the circuit-size bound 2 on both layers" in err
 
 
 def test_solve_lexmax(fixture_file, capsys):

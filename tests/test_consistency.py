@@ -85,7 +85,7 @@ def test_observation_value_bounds():
                 continue
             o = MinRankOracle(m1, m2)
             for I in range(1 << m1.n):
-                if not o.is_common_independent(I) or I == 0:
+                if o.rmin(I) != popcount(I) or I == 0:
                     continue
                 t = ObservationTable(o, I, 0, 0)
                 k = popcount(I)
@@ -490,7 +490,7 @@ def test_true_graph_always_consistent():
                 continue
             o = MinRankOracle(m1, m2)
             for I in range(1 << m1.n):
-                if not o.is_common_independent(I):
+                if o.rmin(I) != popcount(I):
                     continue
                 D = build_true_graph(m1, m2, I)
                 t = ObservationTable(o, I, D.S, D.T)
@@ -518,12 +518,12 @@ def test_almost_consistent_graph_no_suspicious_equals_true():
         m1, m2 = inst.matroid1, inst.matroid2
         o = MinRankOracle(m1, m2)
         for I in sets:
-            if not o.is_common_independent(I):
+            if o.rmin(I) != popcount(I):
                 continue
             survey = survey_extensions(o, I)
             if survey.pair is None:
                 continue
-            N = intersect_modified(o, I, survey.pair, mask_of(survey.direct))
+            N = intersect_modified(o, survey)
             if list(N.suspicious_pairs()):
                 continue
             C = almost_consistent_graph(o, N)
@@ -599,7 +599,7 @@ def test_no_suspicious_arc_asks_no_observation():
                 continue
             o = MinRankOracle(m1, m2)
             for I in range(1, 1 << m1.n):
-                if not o.is_common_independent(I):
+                if o.rmin(I) != popcount(I):
                     continue
                 D = build_true_graph(m1, m2, I)
                 table = ObservationTable(o, I, D.S, D.T)

@@ -128,7 +128,7 @@ def test_true_graph_rejects_dependent_set():
 
 def test_find_star_pair_direct_augment():
     o = MinRankOracle(*crossed_pair())
-    assert survey_extensions(o, bit(0), first=True).direct == (3,)
+    assert survey_extensions(o, bit(0), first=True).direct == bit(3)
 
 
 def test_find_star_pair_none_at_maximum():
@@ -138,13 +138,14 @@ def test_find_star_pair_none_at_maximum():
 
 def test_find_star_pair_empty_set_loopless():
     o = MinRankOracle(*crossed_pair())
-    assert survey_extensions(o, 0, first=True).direct == (0,)
+    assert survey_extensions(o, 0, first=True).direct == bit(0)
 
 
 def test_survey_extensions_lists_all_direct():
     o = MinRankOracle(*crossed_pair())
     s = survey_extensions(o, bit(0))
-    assert s.direct == (3,)
+    assert s.I == bit(0)
+    assert s.direct == bit(3)
     assert s.pair == StarPair(1, 2)
     assert not s.all_flat
     assert survey_extensions(o, mask_of((0, 3))).all_flat
@@ -154,22 +155,22 @@ def pair_loop_survey(o, I: int, first: bool) -> ExtensionSurvey:
     """The judge: the survey that asks every pair of flat elements in
     order, up to the first pair that lifts the min-rank."""
     k = popcount(I)
-    direct = []
+    direct = 0
     flat = []
     for x in range(o.n):
         if (I >> x) & 1:
             continue
         if o.rmin(I | bit(x)) == k + 1:
             if first:
-                return ExtensionSurvey((x,), None)
-            direct.append(x)
+                return ExtensionSurvey(I, bit(x), None)
+            direct |= bit(x)
         else:
             flat.append(x)
     for i, s in enumerate(flat):
         for t in flat[i + 1 :]:
             if o.rmin(I | bit(s) | bit(t)) == k + 1:
-                return ExtensionSurvey(tuple(direct), StarPair(s, t))
-    return ExtensionSurvey(tuple(direct), None)
+                return ExtensionSurvey(I, direct, StarPair(s, t))
+    return ExtensionSurvey(I, direct, None)
 
 
 def test_survey_finds_the_pair_loops_pair():
@@ -240,7 +241,7 @@ def test_survey_pair_when_a_prefix_lifts_by_two():
     o.rmin = recorded
     assert o.rmin(full_mask(4)) == 2
     asked.clear()
-    assert survey_extensions(o, 0) == ExtensionSurvey((), StarPair(0, 2))
+    assert survey_extensions(o, 0) == ExtensionSurvey(0, 0, StarPair(0, 2))
     assert survey_extensions(MinRankOracle(m1, m2), 0) == pair_loop_survey(
         MinRankOracle(m1, m2), 0, False
     )
@@ -403,14 +404,14 @@ def probe_pairs():
 
 def surveyed(pairs):
     """(m1, m2, o, I, survey, M) at every common independent set of each
-    pair whose full survey has a probe pair, with M the probe-pair graph
-    built on the survey's direct set."""
+    pair whose full survey has a probe pair, with M the survey's
+    probe-pair graph."""
     for m1, m2 in pairs:
         o = MinRankOracle(m1, m2)
         for I in common_independent_sets(m1, m2):
             survey = survey_extensions(o, I)
             if survey.pair is not None:
-                M = build_modified_graph(o, I, survey.pair, mask_of(survey.direct))
+                M = build_modified_graph(o, survey)
                 yield m1, m2, o, I, survey, M
 
 
@@ -435,7 +436,7 @@ def test_modified_graph_contains_true_graph():
             assert not ((D.S | D.T) >> x) & 1 and not ((D.S | D.T) >> y) & 1
             if (I >> y) & 1:  # an extra arc out of I
                 assert (D.succ[y] >> sp.t) & 1  # shortcut through the sink probe
-        N = intersect_modified(o, I, sp, mask_of(survey.direct))
+        N = intersect_modified(o, survey)
         assert set(D.arcs()) <= set(N.arcs()) <= set(M.arcs())
         checked += 1
     assert checked >= 52
@@ -445,7 +446,7 @@ def test_sure_arcs_are_true_arcs():
     checked = 0
     for m1, m2, o, I, survey, M in surveyed(probe_pairs()):
         D = oriented_true_graph(m1, m2, M)
-        N = intersect_modified(o, I, survey.pair, mask_of(survey.direct))
+        N = intersect_modified(o, survey)
         true = set(D.arcs())
         for u, v in N.arcs():
             if (N.sure[u] >> v) & 1:
@@ -460,7 +461,7 @@ def test_single_sink_intersection_equals_modified():
     for m1, m2, o, I, survey, M in surveyed(probe_pairs()):
         if M.T & ~M.S != bit(survey.pair.t):
             continue
-        N = intersect_modified(o, I, survey.pair, mask_of(survey.direct))
+        N = intersect_modified(o, survey)
         assert set(N.arcs()) == set(M.arcs())
         checked += 1
     assert checked >= 49
@@ -472,13 +473,12 @@ def test_builders_skip_the_answers_the_survey_forces():
     direct element is a source and a sink, and a flat source is no sink."""
     skipped = 0
     for m1, m2, _, I, survey, M in surveyed(probe_pairs()):
-        sp, direct = survey.pair, mask_of(survey.direct)
-        sb, tb = bit(sp.s), bit(sp.t)
-        never = {I | bit(x) | tb for x in iter_bits(direct)}
+        sb, tb = bit(survey.pair.s), bit(survey.pair.t)
+        never = {I | bit(x) | tb for x in iter_bits(survey.direct)}
         never |= {I | sb | bit(x) for x in iter_bits(M.S & ~sb)}
         o = RecordingOracle(m1, m2)
-        build_modified_graph(o, I, sp, direct)
-        intersect_modified(o, I, sp, direct)
+        build_modified_graph(o, survey)
+        intersect_modified(o, survey)
         assert not never & set(o.asked)
         skipped += len(never)
     assert skipped >= 231
@@ -493,6 +493,33 @@ def test_to_dot_styles():
     assert "style=solid" in dot
     named = g.to_dot(("a", "b", "c", "d"))
     assert 'label="a"' in named
+
+
+def test_star_sets_refuse_a_pair_outside_the_survey():
+    """A probe pair must be two distinct flat elements outside the
+    survey's I: a repeated element, a direct one and one of I are each
+    refused before any query."""
+    inst = random_instance(7, 8, weighted=True)
+    o = MinRankOracle(inst.matroid1, inst.matroid2)
+    survey = survey_extensions(o, bit(0))
+    assert survey == ExtensionSurvey(bit(0), mask_of((1, 4, 7)), StarPair(2, 5))
+    before = o.query_count
+    message = "^probe pair must be two distinct flat elements outside I$"
+    for sp in (StarPair(2, 2), StarPair(2, 4), StarPair(0, 5)):
+        with pytest.raises(ValueError, match=message):
+            _star_sets(o, survey._replace(pair=sp))
+    assert o.query_count == before
+
+
+def test_probe_pair_search_reads_the_direct_set():
+    """On a full survey with direct elements and a pair, every direct
+    element is a source and a sink, so the search returns the smallest one
+    alone: 4 star-set tests and its 2 entry tests."""
+    inst = random_instance(7, 8, weighted=True)
+    survey = survey_extensions(MinRankOracle(inst.matroid1, inst.matroid2), bit(0))
+    o = MinRankOracle(inst.matroid1, inst.matroid2)
+    assert probe_pair_search(o, survey) == ([1], 0)
+    assert o.query_count == 6
 
 
 def test_star_pair_definition_holds():
@@ -583,16 +610,15 @@ def test_grouped_probe_graphs_equal_the_per_arc_rule(kinds_cap, n, seed):
     for I in max_cardinality(MinRankOracle(m1, m2)).sets:
         o = MinRankOracle(m1, m2)
         survey = survey_extensions(o, I)
-        sp, direct = survey.pair, mask_of(survey.direct)
-        if sp is None:
+        if survey.pair is None:
             continue
-        grouped = [build_modified_graph(o, I, sp, direct), intersect_modified(o, I, sp, direct)]
+        grouped = [build_modified_graph(o, survey), intersect_modified(o, survey)]
         with patch("minrank.exchange._probe_graph", per_arc_probe_graph):
-            judged = [build_modified_graph(o, I, sp, direct), intersect_modified(o, I, sp, direct)]
+            judged = [build_modified_graph(o, survey), intersect_modified(o, survey)]
         assert [graph_fields(g) for g in grouped] == [graph_fields(g) for g in judged]
-        if not direct:  # the on-demand search's premise: no element lifts
+        if not survey.direct:  # the on-demand search's premise: no element lifts
             path, Z = shortest_cheapest_path(judged[0], [0] * o.n)
-            assert probe_pair_search(o, I, sp) == (path, Z)
+            assert probe_pair_search(o, survey) == (path, Z)
 
 
 # -- on-demand search against the full build -----------------------------------
@@ -612,16 +638,16 @@ def test_probe_pair_search_matches_full_build():
     for inst in instances:
         o = MinRankOracle(inst.matroid1, inst.matroid2)
         for I in max_cardinality(MinRankOracle(inst.matroid1, inst.matroid2)).sets:
-            sp = survey_extensions(o, I, first=True).pair
-            if not isinstance(sp, StarPair):
+            survey = survey_extensions(o, I, first=True)
+            if survey.pair is None:
                 continue
             before = o.query_count
-            g = build_modified_graph(o, I, sp, 0)
+            g = build_modified_graph(o, survey)
             path = shortest_augmenting_path(g)
             Z = 0 if path is not None else reachability_certificate(g)
             full = o.query_count - before
             before = o.query_count
-            assert probe_pair_search(o, I, sp) == (path, Z)
+            assert probe_pair_search(o, survey) == (path, Z)
             assert o.query_count - before <= full
             paths += path is not None
             certificates += path is None
@@ -656,7 +682,7 @@ def test_probe_graph_query_sequence_is_pinned():
             inst = random_instance(seed, n, kinds=kinds)
             o = MinRankOracle(inst.matroid1, inst.matroid2)
             for I in range(1 << n):
-                if o.is_common_independent(I):
+                if o.rmin(I) == popcount(I):
                     yield inst, I
         for n in (16, 24, 32, 40):
             for seed in range(10):
@@ -668,12 +694,12 @@ def test_probe_graph_query_sequence_is_pinned():
     builds = asked = 0
     for inst, I in cases():
         m1, m2 = inst.matroid1, inst.matroid2
-        sp = survey_extensions(MinRankOracle(m1, m2), I, first=True).pair
-        if not isinstance(sp, StarPair):
+        survey = survey_extensions(MinRankOracle(m1, m2), I, first=True)
+        if survey.pair is None:
             continue
         o = RecordingOracle(m1, m2)
-        build_modified_graph(o, I, sp, 0)
-        intersect_modified(o, I, sp, 0)
+        build_modified_graph(o, survey)
+        intersect_modified(o, survey)
         builds += 1
         asked += len(o.asked)
         digest.update(repr(o.asked).encode())
@@ -702,7 +728,7 @@ def test_probe_graphs_are_pinned():
             ):
                 o = MinRankOracle(inst.matroid1, inst.matroid2)
                 for I in range(1 << n):
-                    if o.is_common_independent(I):
+                    if o.rmin(I) == popcount(I):
                         yield inst, I
         for n in (16, 24, 32):
             for seed in range(4):
@@ -716,13 +742,12 @@ def test_probe_graphs_are_pinned():
         m1, m2 = inst.matroid1, inst.matroid2
         o = MinRankOracle(m1, m2)
         survey = survey_extensions(o, I)
-        sp, direct = survey.pair, mask_of(survey.direct)
-        if sp is None:
+        if survey.pair is None:
             continue
         for g in (
             build_true_graph(m1, m2, I),
-            build_modified_graph(o, I, sp, direct),
-            intersect_modified(o, I, sp, direct),
+            build_modified_graph(o, survey),
+            intersect_modified(o, survey),
         ):
             digest.update(repr(layer_fields(g)).encode())
             graphs += 1
@@ -759,11 +784,10 @@ def test_carried_circuits_give_the_stateless_graph():
                         carried += 1
                         assert o.rmin(I | bit(x)) == popcount(I)
                 survey = survey_extensions(o, I)
-                sp, direct = survey.pair, mask_of(survey.direct)
-                if sp is None:
+                if survey.pair is None:
                     continue
-                g = intersect_modified(o, I, sp, direct, circuits)
-                assert graph_fields(g) == graph_fields(intersect_modified(o, I, sp, direct))
+                g = intersect_modified(o, survey, circuits)
+                assert graph_fields(g) == graph_fields(intersect_modified(o, survey))
     assert carried >= 1000
 
 
@@ -781,7 +805,7 @@ def test_a_carried_star_costs_one_query():
             survey = survey_extensions(o, I)
             if survey.pair is None:
                 continue
-            S, T = _star_sets(o, I, survey.pair, mask_of(survey.direct))
+            S, T = _star_sets(o, survey)
             probes = elements_of(T & ~S), elements_of(S & ~T)
             stars = elements_of(o.ground & ~I & (S ^ T))
             splits = RecordingOracle(m1, m2)

@@ -115,6 +115,14 @@ began taking the survey's forced answers: the weighted queries went
 0.086 -> 0.074), and the cardinality queries at n = 32 124 -> 116 and
 161 -> 155, each row's C with its queries; the other rows stayed the
 same.
+
+`test_seeded_solves_unchanged` pins the library the same way, without
+the CLI: the sha256 of `repr` of every result (its trace lines included)
+and the oracle's query count, over the five solvers, four generators,
+n = 6..10 and seeds 0..7. It was pinned before the exchange functions
+began reading the survey whole, and passed unchanged across that change;
+like the `solve` rows, only a change that means to alter queries or
+results re-pins it.
 """
 
 from __future__ import annotations
@@ -125,12 +133,18 @@ import json
 import pytest
 
 from minrank import (
+    MinRankOracle,
+    approx_max_weight,
     crossed_partition_instance,
     dumps,
+    lexicographic_max,
+    max_cardinality,
     random_fpt_instance,
     random_instance,
     random_lexmax_instance,
     random_promise_instance,
+    weighted_fpt_circuit,
+    weighted_no_circuit_inclusion,
 )
 from minrank.cli import main
 
@@ -221,3 +235,37 @@ def test_tool_output_unchanged(command, digest, tmp_path, monkeypatch, capsys):
     out = capsys.readouterr()
     got = hashlib.sha256(f"{code}\n{out.out}\n{out.err}".encode()).hexdigest()
     assert got == digest, f"output of `minrank {command}` changed"
+
+
+GENERATORS = (
+    lambda seed, n: random_instance(seed, n, weighted=True),
+    random_promise_instance,
+    lambda seed, n: random_fpt_instance(seed, n, 3),
+    random_lexmax_instance,
+)
+SOLVERS = (
+    lambda o, w: max_cardinality(o),
+    weighted_no_circuit_inclusion,
+    lambda o, w: weighted_fpt_circuit(o, w, 3),
+    lexicographic_max,
+    approx_max_weight,
+)
+
+
+def test_seeded_solves_unchanged():
+    digest = hashlib.sha256()
+    solves = queries = 0
+    for make in GENERATORS:
+        for n in range(6, 11):
+            for seed in range(8):
+                inst = make(seed, n)
+                for solve in SOLVERS:
+                    o = MinRankOracle(inst.matroid1, inst.matroid2)
+                    result = solve(o, inst.weights)
+                    digest.update(f"{result!r}\n{o.query_count}\n".encode())
+                    solves += 1
+                    queries += o.query_count
+    assert (solves, queries) == (800, 33571)
+    assert digest.hexdigest() == (
+        "af8b1ecc69e3f863e878d23e65bf752eed1abb8e6ce15a4d8fa010eb673a5d76"
+    )

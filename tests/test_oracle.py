@@ -13,6 +13,7 @@ from minrank import (
     bit,
     full_mask,
     mask_of,
+    popcount,
 )
 from conftest import crossed_pair, small_zoo, triangle
 
@@ -30,9 +31,9 @@ def test_rmin_crossed_fixture():
 
 def test_is_common_independent():
     o = MinRankOracle(*crossed_pair())
-    assert o.is_common_independent(mask_of((0, 3)))
-    assert not o.is_common_independent(mask_of((0, 1)))
-    assert o.is_common_independent(0)
+    assert o.rmin(mask_of((0, 3))) == popcount(mask_of((0, 3)))
+    assert o.rmin(mask_of((0, 1))) != popcount(mask_of((0, 1)))
+    assert o.rmin(0) == popcount(0)
 
 
 def test_query_ledger():
@@ -99,8 +100,8 @@ def test_restricted_oracle_refuses_a_larger_ground_set():
     with pytest.raises(ValueError, match="exceeds"):
         RestrictedOracle(o, bit(3))
     r = RestrictedOracle(o, mask_of((0, 1)))
-    assert r.is_common_independent(mask_of((0, 1)))
-    assert not RestrictedOracle(o, full_mask(3)).is_common_independent(full_mask(3))
+    assert r.rmin(mask_of((0, 1))) == popcount(mask_of((0, 1)))
+    assert RestrictedOracle(o, full_mask(3)).rmin(full_mask(3)) != popcount(full_mask(3))
     assert o.query_count == 2
 
 

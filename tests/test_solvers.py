@@ -17,6 +17,7 @@ from minrank import (
     ColoredGraph,
     ContractViolationError,
     ExchangeGraph,
+    ExtensionSurvey,
     Level,
     MinRankOracle,
     NegativeCycleError,
@@ -126,7 +127,7 @@ def test_augment_star_pair_choice_does_not_change_size():
             m1, m2 = inst.matroid1, inst.matroid2
             o = MinRankOracle(m1, m2)
             for I in range(1 << n):
-                if not o.is_common_independent(I):
+                if o.rmin(I) != popcount(I):
                     continue
                 k = popcount(I)
                 outside = o.ground & ~I
@@ -141,7 +142,7 @@ def test_augment_star_pair_choice_does_not_change_size():
                     continue
                 baseline, _, _ = augment_min_rank(o, I)
                 for sp in pairs:
-                    path, Z = probe_pair_search(o, I, sp)
+                    path, Z = probe_pair_search(o, ExtensionSurvey(I, 0, sp))
                     assert (path is None) == isinstance(baseline, Certificate)
                     if path is not None:
                         augmented += 1
@@ -176,7 +177,7 @@ def test_max_cardinality_matches_brute():
                 continue
             o = MinRankOracle(m1, m2)
             run = max_cardinality(o)
-            assert o.is_common_independent(run.I)
+            assert o.rmin(run.I) == popcount(run.I)
             size, _ = brute_max_common(m1, m2)
             assert popcount(run.I) == size
             comp = full_mask(o.n) & ~run.Z
@@ -316,8 +317,7 @@ def test_cheapest_path_augment_star_pair_invariance():
     I = bit(0)
     o = MinRankOracle(m1, m2)
     survey = survey_extensions(o, I)
-    direct = mask_of(survey.direct)
-    N = intersect_modified(o, I, survey.pair, direct)
+    N = intersect_modified(o, survey)
     baseline, action, _ = cheapest_path_augment(o, w, N, lambda P, I: path_cost(P, I, w))
     assert isinstance(baseline, Augmented) and action == "path"
     k = popcount(I)
@@ -333,7 +333,7 @@ def test_cheapest_path_augment_star_pair_invariance():
     ]
     assert pairs  # the fixture does expose a probe pair here
     for sp in pairs:
-        N = intersect_modified(o, I, sp, direct)
+        N = intersect_modified(o, survey._replace(pair=sp))
         path, _ = shortest_cheapest_path(almost_consistent_graph(o, N), w)
         assert path is not None
         assert total_weight(w, I ^ mask_of(path)) == total_weight(w, baseline.J)
@@ -427,6 +427,18 @@ def test_fpt_guess_inside_J_skips_or_adds_a_clause(monkeypatch):
 def test_fpt_rejects_small_gamma():
     with pytest.raises(ValueError):
         weighted_fpt_circuit(MinRankOracle(*crossed_pair()), [1, 1, 1, 1], gamma=1)
+
+
+def test_fpt_bound_breach_is_a_contract_violation():
+    """`random_fpt_instance(75, 10, 5)` has circuits of 4 and 5 elements, so
+    gamma = 2 does not hold: a step finds more than two suspicious-arc ends
+    in I on both layers and raises ContractViolationError, after 78 queries."""
+    inst = random_fpt_instance(75, 10, 5)
+    o = MinRankOracle(inst.matroid1, inst.matroid2)
+    message = "suspicious-arc heads exceed the circuit-size bound 2 on both layers"
+    with pytest.raises(ContractViolationError, match=re.escape(message)):
+        weighted_fpt_circuit(o, inst.weight_vector(), 2)
+    assert o.query_count == 78
 
 
 # -- trace accounting ---------------------------------------------------------
