@@ -9,9 +9,9 @@ proper 4-colorings of the graph — so resolving the suspicious arcs of such
 an instance is as hard as coloring.
 
 Colors are pairs (i, j) with i, j in {1, 2}. A vertex block carries four
-elements x1, x2 (outside I) and y1, y2 (inside I); color (i, j) selects the
-arc into I at slot (x_i, y_j) and the arc out of I at the complementary
-slot (x_{3-i}, y_{3-j}). Each edge contributes two three-element
+elements x1, x2 (outside I) and y1, y2 (inside I); an arc is a (tail, head)
+pair, and color (i, j) selects the arc (x_i, y_j) into I and the arc
+(y_{3-j}, x_{3-i}) out of I. Each edge contributes two three-element
 sub-gadgets whose two legal orientations transport the endpoint colors;
 equal endpoint colors leave no legal orientation, which is the whole point.
 """
@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, product
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .bitset import (
     MAX_GROUND,
@@ -34,6 +34,7 @@ from .bitset import (
     popcount,
     small_subsets,
 )
+from .consistency import Arc
 from .core import LinearMatroid, Matroid
 from .exchange import ExchangeGraph
 from .oracle import MinRankOracle
@@ -43,10 +44,6 @@ Color = tuple[int, int]
 COLORS: tuple[Color, ...] = ((1, 1), (1, 2), (2, 1), (2, 2))
 # The most columns (elements) of a gadget that `verify_gadget` checks by exact rank.
 VERIFY_MAX_N = 40
-
-# A slot is an (x, y) position with x outside I and y inside; its state is
-# None (no arcs), "a" (arc into I), "b" (arc out of I), or "both".
-Slot = tuple[int, int]
 
 
 class ColoredGraph(NamedTuple):
@@ -140,10 +137,10 @@ class GadgetInstance(NamedTuple):
     on the first.
 
     ``Z1``/``Z2`` realize the table: identity on I, all-ones column tying t
-    to I in Z1 and s to I in Z2, and one distinct prime per slot, entering
-    Z1 for an arc out of I and Z2 for an arc into I. ``succ[v]`` records
-    the realized arcs leaving v as a bitmask of heads, as in
-    `ExchangeGraph`.
+    to I in Z1 and s to I in Z2, and one distinct prime per slot (x, y),
+    entering Z2 for the arc (x, y) into I and Z1 for the arc (y, x) out of
+    I. ``succ[v]`` records the realized arcs leaving v as a bitmask of
+    heads, as in `ExchangeGraph`.
     """
 
     graph: ColoredGraph
@@ -184,7 +181,7 @@ def _primes(count: int) -> list[int]:
     return out
 
 
-def _pattern_rank(slots: Sequence[Slot]) -> int:
+def _pattern_rank(slots: Sequence[tuple[int, int]]) -> int:
     """Rank of an occupancy pattern over at most two rows and columns.
 
     Distinct prime entries make the numeric rank match the pattern rank:
@@ -199,32 +196,26 @@ def _pattern_rank(slots: Sequence[Slot]) -> int:
     return 1
 
 
-def _slot_arcs(n: int, states: Mapping[Slot, str | None]) -> list[int]:
-    """Head masks of slot states: "a" is the arc (x, y) into I, "b" the arc
-    (y, x) out of I, "both" is both and None neither."""
+def _heads(n: int, arcs: Iterable[Arc]) -> list[int]:
+    """One head mask per vertex, as in `ExchangeGraph`, from (tail, head) arcs."""
     succ = [0] * n
-    for (x, y), st in states.items():
-        if st in ("a", "both"):
-            succ[x] |= bit(y)
-        if st in ("b", "both"):
-            succ[y] |= bit(x)
+    for tail, head in arcs:
+        succ[tail] |= bit(head)
     return succ
 
 
-def _vertex_slot_arcs(
-    color: Color, vx: Sequence[int], vy: Sequence[int]
-) -> dict[Slot, str]:
-    """Color (i, j): arc into I at (x_i, y_j), out of I at (x_{3-i}, y_{3-j})."""
+def _vertex_arcs(color: Color, vx: Sequence[int], vy: Sequence[int]) -> tuple[Arc, Arc]:
+    """Color (i, j): the arc (x_i, y_j) into I and (y_{3-j}, x_{3-i}) out of I."""
     i, j = color
-    return {(vx[i - 1], vy[j - 1]): "a", (vx[2 - i], vy[2 - j]): "b"}
+    return (vx[i - 1], vy[j - 1]), (vy[2 - j], vx[2 - i])
 
 
-def _edge_slot_arcs(cfg: str, xu: int, xw: int, ye: int) -> dict[Slot, str]:
+def _edge_arcs(cfg: str, xu: int, xw: int, ye: int) -> tuple[Arc, Arc]:
     """Orientation "A" feeds I from the first endpoint's element and leaves
     toward the second's; "B" mirrors."""
     if cfg == "A":
-        return {(xu, ye): "a", (xw, ye): "b"}
-    return {(xu, ye): "b", (xw, ye): "a"}
+        return (xu, ye), (ye, xw)
+    return (xw, ye), (ye, xu)
 
 
 def _designated_values(
@@ -285,19 +276,17 @@ def _orientation(cu: Color, cw: Color, index: int) -> str:
     """Orientation of an edge's index-th sub-gadget under its endpoint colors.
 
     The full cross pair at each endpoint is slack-free, so the sub-gadget's
-    slot there may not carry the direction opposite to the vertex slot
-    (x1, y_{index+1}). That slot holds "a" under color (1, index+1), "b"
-    under (2, 2-index), and nothing under any other color. "A" puts "a" at
-    the first endpoint and "b" at the second; "B" mirrors. "A" wins unless
-    only "B" is legal.
+    arc there may not oppose the vertex's arc at slot (x1, y_{index+1}):
+    that is (x1, y_{index+1}) into I under color (1, index+1), its reverse
+    under (2, 2-index), and absent under any other color. "A" enters I at
+    the first endpoint and leaves it at the second; "B" mirrors. "A" wins
+    unless only "B" is legal.
     """
-
-    def state(c: Color) -> str | None:
-        # The vertex slot (x1, y_{index+1}) of a block labelled x = y = (0, 1).
-        return _vertex_slot_arcs(c, (0, 1), (0, 1)).get((0, index))
-
-    a_legal = state(cu) != "b" and state(cw) != "a"
-    b_legal = state(cu) != "a" and state(cw) != "b"
+    # The vertex slot (x1, y_{index+1}) of a block labelled x = (0, 1), y = (2, 3).
+    into, out = (0, 2 + index), (2 + index, 0)
+    at_u, at_w = _vertex_arcs(cu, (0, 1), (2, 3)), _vertex_arcs(cw, (0, 1), (2, 3))
+    a_legal = out not in at_u and into not in at_w
+    b_legal = into not in at_u and out not in at_w
     return "B" if b_legal and not a_legal else "A"
 
 
@@ -347,22 +336,24 @@ def build_gadget(g: ColoredGraph) -> GadgetInstance:
     designated = _designated_values(k, vertex_x, vertex_y, edge_x, edge_y, edges)
 
     # Realized arcs: both directions on every slot outside the designated
-    # pairs, nothing on the designated slots except the color and
-    # orientation selections.
-    states: dict[Slot, str | None] = {
-        (x, y): None if (bit(x), bit(y)) in designated else "both"
+    # pairs, and on the designated slots only the color and orientation
+    # selections.
+    arcs: list[Arc] = [
+        arc
         for y in iter_bits(I)
         for x in iter_bits(plain)
-    }
+        if (bit(x), bit(y)) not in designated
+        for arc in ((x, y), (y, x))
+    ]
     for v in range(V):
-        states.update(_vertex_slot_arcs(g.coloring[v], vertex_x[v], vertex_y[v]))
+        arcs += _vertex_arcs(g.coloring[v], vertex_x[v], vertex_y[v])
     for e, (u, w) in enumerate(edges):
         x1u, x1w, x2u, x2w = edge_x[e]
         y1, y2 = edge_y[e]
         cu, cw = g.coloring[u], g.coloring[w]
-        states.update(_edge_slot_arcs(_orientation(cu, cw, 0), x1u, x1w, y1))
-        states.update(_edge_slot_arcs(_orientation(cu, cw, 1), x2u, x2w, y2))
-    succ = _slot_arcs(n, states)
+        arcs += _edge_arcs(_orientation(cu, cw, 0), x1u, x1w, y1)
+        arcs += _edge_arcs(_orientation(cu, cw, 1), x2u, x2w, y2)
+    succ = _heads(n, arcs)
 
     # Value table = pattern ranks of the realization, which must agree with
     # the designated constants.
@@ -494,18 +485,12 @@ def verify_gadget(gi: GadgetInstance) -> list[BruteReport]:
 # -- consistent-graph enumeration ----------------------------------------------
 
 
-_SLOT_STATES: tuple[str | None, ...] = (None, "a", "b")
-
-
 def _block_consistent(
-    gi: GadgetInstance,
-    states: Mapping[Slot, str | None],
-    xs: Sequence[int],
-    ys: Sequence[int],
+    gi: GadgetInstance, arcs: Iterable[Arc], xs: Sequence[int], ys: Sequence[int]
 ) -> bool:
-    """Whether slot states satisfy every observed exchange between xs and
-    ys, each judged by `verify.check_consistency` on the states' arcs."""
-    g = ExchangeGraph(gi.n, gi.I, 0, 0, _slot_arcs(gi.n, states))
+    """Whether arcs satisfy every observed exchange between xs and ys, each
+    judged by `verify.check_consistency`."""
+    g = ExchangeGraph(gi.n, gi.I, 0, 0, _heads(gi.n, arcs))
     return all(
         check_consistency(g, LEObservation(X, Y, gi.values[(X, Y)])) == "consistent"
         for X in small_subsets(mask_of(xs), 2)
@@ -517,22 +502,22 @@ def _block_situations(
     gi: GadgetInstance,
     xs: Sequence[int],
     ys: Sequence[int],
-    situation: Callable[[dict[Slot, str | None]], object],
+    situation: Callable[[tuple[Arc, ...]], object],
     expected: Sequence,
     label: str,
 ) -> dict:
-    """Slot states between xs and ys that satisfy their observed values,
-    keyed by `situation(states)`.
+    """Arcs between xs and ys that satisfy their observed values, keyed by
+    `situation(arcs)`.
 
-    Exhausts the 3^(|xs|·|ys|) states of the block's slots and requires
-    exactly one survivor per key in `expected`.
+    Exhausts the 3^(|xs|·|ys|) choices of no arc, (x, y) or (y, x) at each
+    slot and requires exactly one survivor per key in `expected`.
     """
-    slots = [(x, y) for x in xs for y in ys]
+    choices = [((), ((x, y),), ((y, x),)) for x in xs for y in ys]
     survivors = []
-    for combo in product(_SLOT_STATES, repeat=len(slots)):
-        states = dict(zip(slots, combo))
-        if _block_consistent(gi, states, xs, ys):
-            survivors.append((situation(states), states))
+    for combo in product(*choices):
+        arcs = tuple(arc for slot in combo for arc in slot)
+        if _block_consistent(gi, arcs, xs, ys):
+            survivors.append((situation(arcs), arcs))
     out = dict(survivors)
     if len(survivors) != len(expected) or set(out) != set(expected):
         keys = [key for key, _ in survivors]
@@ -540,31 +525,29 @@ def _block_situations(
     return out
 
 
-def _vertex_configs(
-    gi: GadgetInstance, v: int
-) -> dict[Color, dict[Slot, str | None]]:
-    """Slot states of one vertex block: exactly the four color situations
-    survive, keyed by the position of the arc into I."""
+def _vertex_configs(gi: GadgetInstance, v: int) -> dict[Color, tuple[Arc, ...]]:
+    """Arcs of one vertex block: exactly the four color situations survive,
+    keyed by the arc into I."""
     vx, vy = gi.vertex_x[v], gi.vertex_y[v]
     colors = {(x, y): (i + 1, j + 1) for i, x in enumerate(vx) for j, y in enumerate(vy)}
 
-    def color(states: Mapping[Slot, str | None]) -> Color | None:
-        return next((colors[slot] for slot, st in states.items() if st == "a"), None)
+    def color(arcs: tuple[Arc, ...]) -> Color | None:
+        return next((colors[arc] for arc in arcs if arc in colors), None)
 
     return _block_situations(gi, vx, vy, color, COLORS, f"vertex {v}")
 
 
 def _edge_index_configs(
     gi: GadgetInstance, e: int, index: int
-) -> dict[str, dict[Slot, str | None]]:
-    """Slot states of one edge sub-gadget: exactly one "A" (the arc into I
-    at the first endpoint's element) and one "B" survive."""
+) -> dict[str, tuple[Arc, ...]]:
+    """Arcs of one edge sub-gadget: exactly one "A" (the arc into I from the
+    first endpoint's element) and one "B" survive."""
     ex = gi.edge_x[e]
     xs = (ex[0], ex[1]) if index == 0 else (ex[2], ex[3])
     ye = gi.edge_y[e][index]
 
-    def orientation(states: Mapping[Slot, str | None]) -> str:
-        return "A" if states[(xs[0], ye)] == "a" else "B"
+    def orientation(arcs: tuple[Arc, ...]) -> str:
+        return "A" if (xs[0], ye) in arcs else "B"
 
     return _block_situations(gi, xs, (ye,), orientation, "AB", f"edge {e} index {index}")
 
@@ -573,37 +556,36 @@ def _endpoint_compatible(
     gi: GadgetInstance,
     e: int,
     side: int,
-    color_states: Mapping[Slot, str | None],
-    edge_states: Sequence[Mapping[Slot, str | None]],
+    color_arcs: Sequence[Arc],
+    edge_arcs: Sequence[Sequence[Arc]],
 ) -> bool:
     """Whether a vertex situation coexists with the situations of the
     edge's two sub-gadgets.
 
     Checks every small-exchange value over the joint local universe of the
     vertex block and the edge's elements at this endpoint, with the forced
-    double arcs filled in on unconstrained slots and the cross slots left
-    empty.
+    double arcs filled in on unconstrained slots (one-for-one value |I|)
+    and the cross slots left empty. Block slots read |I| - 1 in every
+    table `build_gadget` makes, so the fill never touches them.
     """
     v = gi.graph.edges[e][side]
     ex, ey = gi.edge_x[e], gi.edge_y[e]
     vx, vy = gi.vertex_x[v], gi.vertex_y[v]
-    states: dict[Slot, str | None] = dict(color_states)
-    for sub in edge_states:
-        states.update(sub)
     xloc = [vx[0], vx[1], ex[side], ex[2 + side]]
     yloc = [vy[0], vy[1], ey[0], ey[1]]
+    arcs = [*color_arcs, *(arc for sub in edge_arcs for arc in sub)]
     for x in xloc:
         for y in yloc:
-            if (x, y) not in states and gi.values[(bit(x), bit(y))] == gi.k:
-                states[(x, y)] = "both"
-    return _block_consistent(gi, states, xloc, yloc)
+            if gi.values[(bit(x), bit(y))] == gi.k:
+                arcs += [(x, y), (y, x)]
+    return _block_consistent(gi, arcs, xloc, yloc)
 
 
 def colorings_from_consistent_graphs(gi: GadgetInstance) -> set[tuple[Color, ...]]:
     """Colorings read off the arc assignments consistent with the table.
 
     Uses only the layout and the value table — never the coloring the
-    instance was built from. Enumerates the slot states of each vertex
+    instance was built from. Enumerates the arcs of each vertex
     block and edge sub-gadget separately (forced double arcs are pinned by
     their one-for-one values; cross slots between blocks may be left empty
     in a consistent assignment whenever any assignment exists, so fixing
@@ -626,11 +608,11 @@ def colorings_from_consistent_graphs(gi: GadgetInstance) -> set[tuple[Color, ...
         subs = [_edge_index_configs(gi, e, index) for index in (0, 1)]
         table: dict[tuple[int, Color, tuple[str, str]], bool] = {}
         for side, v in ((0, u), (1, w)):
-            for color, cstates in vertex_configs[v].items():
+            for color, color_arcs in vertex_configs[v].items():
                 for cfgs in cfg_pairs:
-                    edge_states = (subs[0][cfgs[0]], subs[1][cfgs[1]])
+                    edge_arcs = (subs[0][cfgs[0]], subs[1][cfgs[1]])
                     table[(side, color, cfgs)] = _endpoint_compatible(
-                        gi, e, side, cstates, edge_states
+                        gi, e, side, color_arcs, edge_arcs
                     )
         edge_ok.append(table)
 

@@ -6,6 +6,7 @@ import ast
 import hashlib
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -25,7 +26,15 @@ from minrank import (
     proper_four_colorings,
     verify_gadget,
 )
-from minrank.gadgets import _proper_colorings
+from minrank.gadgets import (
+    COLORS,
+    _edge_arcs,
+    _edge_index_configs,
+    _orientation,
+    _proper_colorings,
+    _vertex_arcs,
+    _vertex_configs,
+)
 
 from conftest import fraction_rank
 from test_visibility import _module_tree
@@ -260,25 +269,88 @@ def test_coloring_counts_from_consistent_graphs():
 
 
 def test_enumeration_reads_only_the_value_table(monkeypatch):
-    """The colorings come from the enumerated slot states alone: the
-    construction's own orientation rule is never consulted."""
+    """The colorings come from the enumerated arcs alone: none of the
+    construction's color, orientation or arc rules is consulted."""
     gi = triangle_gadget()
 
     def refuse(*args):
         raise AssertionError("enumeration used the construction's arc rule")
 
-    monkeypatch.setattr(minrank.gadgets, "_edge_slot_arcs", refuse)
+    for rule in ("_vertex_arcs", "_edge_arcs", "_orientation"):
+        monkeypatch.setattr(minrank.gadgets, rule, refuse)
     uncolored = ColoredGraph(gi.graph.vertices, gi.graph.edges)
     assert colorings_from_consistent_graphs(gi) == proper_four_colorings(uncolored)
 
 
 def test_edge_block_wants_exactly_one_state_per_orientation(monkeypatch):
-    """If every slot state of an edge sub-gadget passed its values, several
-    states would share a key; that is an error, not a two-key survivor."""
+    """If every arc choice of an edge sub-gadget passed its values, several
+    choices would share a key; that is an error, not a two-key survivor."""
     gi = edge_gadget()
     monkeypatch.setattr(minrank.gadgets, "_block_consistent", lambda *args: True)
     with pytest.raises(RuntimeError, match="edge 0 index 0"):
         minrank.gadgets._edge_index_configs(gi, 0, 0)
+
+
+def test_enumeration_reads_back_the_constructed_arcs():
+    """Each block's surviving arcs are the arcs the construction would put
+    there for that color or orientation."""
+    gi = triangle_gadget()
+    for v, (vx, vy) in enumerate(zip(gi.vertex_x, gi.vertex_y)):
+        survivors = {c: set(arcs) for c, arcs in _vertex_configs(gi, v).items()}
+        assert survivors == {c: set(_vertex_arcs(c, vx, vy)) for c in COLORS}
+    for e, (ex, ey) in enumerate(zip(gi.edge_x, gi.edge_y)):
+        for index, (xu, xw) in enumerate(((ex[0], ex[1]), (ex[2], ex[3]))):
+            survivors = {
+                cfg: set(arcs) for cfg, arcs in _edge_index_configs(gi, e, index).items()
+            }
+            assert survivors == {cfg: set(_edge_arcs(cfg, xu, xw, ey[index])) for cfg in "AB"}
+
+
+def _direction(arcs, x, y):
+    """+1 for the arc (x, y) into I, -1 for (y, x) out of I, 0 for neither."""
+    return ((x, y) in arcs) - ((y, x) in arcs)
+
+
+def test_orientation_truth_table():
+    """Over all 16 ordered color pairs: the chosen orientation's arc at each
+    endpoint never opposes that endpoint's vertex slot (x1, y_{index+1})
+    when the colors differ, and equal colors leave exactly one index with
+    no legal orientation."""
+    vx, vy = (0, 1), (2, 3)  # one block layout, read at both endpoints
+    xu, xw, ye = 4, 5, 6
+
+    def opposed(cu, cw, index, cfg):
+        edge = _edge_arcs(cfg, xu, xw, ye)
+        return any(
+            _direction(_vertex_arcs(c, vx, vy), vx[0], vy[index]) * _direction(edge, x, ye) < 0
+            for c, x in ((cu, xu), (cw, xw))
+        )
+
+    for cu, cw in product(COLORS, repeat=2):
+        if cu != cw:
+            assert not any(opposed(cu, cw, i, _orientation(cu, cw, i)) for i in (0, 1))
+        else:
+            stuck = [i for i in (0, 1) if all(opposed(cu, cw, i, cfg) for cfg in "AB")]
+            assert len(stuck) == 1
+
+
+def test_block_slots_read_one_short_in_every_table():
+    """The endpoint check fills both arcs on every local slot whose
+    one-for-one value is |I|; each vertex and edge sub-gadget slot reads
+    |I| - 1, so that fill never adds to a block's enumerated arcs."""
+    built = [build_gadget(g) for g in PARITY_COLORINGS] + [
+        build_gadget(ColoredGraph(g.vertices, g.edges, min(proper_four_colorings(g))))
+        for g in PARITY_GRAPHS
+    ]
+    for gi in built:
+        slots = [(x, y) for vx, vy in zip(gi.vertex_x, gi.vertex_y) for x in vx for y in vy]
+        slots += [
+            (x, ey[index])
+            for ex, ey in zip(gi.edge_x, gi.edge_y)
+            for index in (0, 1)
+            for x in ex[2 * index : 2 * index + 2]
+        ]
+        assert {gi.values[(bit(x), bit(y))] for x, y in slots} == {gi.k - 1}
 
 
 def test_enumeration_size_cap():
