@@ -11,12 +11,14 @@ rmin(Z) + rmin(E \\ Z) = |I|, which the step checks before it returns it
 (`_check_certificate`). A step is a function `I -> (result, action,
 detail)`; the loop counts each step's queries and writes its trace line.
 The weighted modes share one driver, `_weighted_run`, whose step hands
-the mode's `resolve` the intersected graph of the survey's probe pair and
-direct set. The promise and lexmax modes resolve it by 2-SAT and a
-shortest cheapest path (`cheapest_path_augment`), the bounded-circuit
-mode by guessing (`_fpt_augment`). Paths are priced by `path_cost`, on
-weights scaled to exact ints; the shortest cheapest path search lives in
-`exchange`.
+the mode's `resolve` the intersected graph N of the survey's probe pair
+and direct set. N holds the true graph and its sure arcs are true, so
+`_decide` decides a step on N exactly when no source reaches a sink or a
+shortest cheapest path is all sure. Else promise and lexmax resolve N by
+2-SAT (`cheapest_path_augment`), bounded-circuit by guessing
+(`_fpt_augment`), and the trace marks the step `resolved`: a run with no
+such step is exact without the promise. Paths are priced by `path_cost`,
+on exact int weights; the shortest cheapest path search is in `exchange`.
 
 Everything here must work through `rmin` alone; the visibility audit in the
 test suite holds this module to that. Each answer is asked through the one
@@ -92,8 +94,8 @@ def path_cost(path: Sequence[int], I: int, w: Sequence) -> Fraction | int:
 _Outcome = tuple[SolveResult, str, str]
 
 
-def _certify(Z: int) -> _Outcome:
-    return Certificate(Z), "certificate", f"Z={format_set(Z)}"
+def _certify(Z: int, mark: str = "") -> _Outcome:
+    return Certificate(Z), "certificate", f"Z={format_set(Z)}{mark}"
 
 
 def _grown(J: int) -> _Outcome:
@@ -209,24 +211,40 @@ def max_cardinality(o: Oracle) -> CardinalityRun:
 # -- weighted augmentation ----------------------------------------------------
 
 
+def _swept(I: int, path: list[int] | None, Z: int, price: Callable, mark: str = "") -> _Outcome:
+    """A path search's answer as a step: the swap along `path`, its cost
+    stated as `price(path, I)`, or the certificate Z; `mark` ends the detail."""
+    if path is None:
+        return _certify(Z, mark)
+    return Augmented(I ^ mask_of(path)), "path", f"P={tuple(path)} cost={price(path, I)}{mark}"
+
+
+def _decide(N: ExchangeGraph, w: Sequence, price: Callable) -> _Outcome | None:
+    """The step decided on the intersected graph N, which holds the true
+    graph, whose arcs include N's sure ones: with N's reach set if no source
+    reaches a sink, along N's shortest cheapest path if all its arcs are
+    sure; else None, also when fake arcs close a negative cycle."""
+    try:
+        path, Z = shortest_cheapest_path(N, w)
+    except NegativeCycleError:
+        return None
+    sure = path is None or all((N.sure[u] >> v) & 1 for u, v in zip(path, path[1:]))
+    return _swept(N.I, path, Z, price) if sure else None
+
+
 def cheapest_path_augment(
     o: Oracle, w: Sequence, N: ExchangeGraph, price: Callable
 ) -> _Outcome:
-    """Resolve the intersected graph N at a weight-maximal N.I: observations
-    -> clause system -> resolved graph, then a swap along a shortest
-    cheapest source-sink path, or the certificate of the vertices that
-    reach a sink. The trace line states the path's cost as
-    `price(path, I)`, which each mode sets to speak in its own units.
-
-    The result is weight-maximal at |I|+1 under any of the three tractable
-    regimes; on arbitrary instances it still runs and the verification
-    module audits the output.
-    """
-    path, Z = shortest_cheapest_path(almost_consistent_graph(o, N), w)
-    if path is None:
-        return _certify(Z)
-    detail = f"P={tuple(path)} cost={price(path, N.I)}"
-    return Augmented(N.I ^ mask_of(path)), "path", detail
+    """The step at a weight-maximal N.I: decided on the intersected graph N
+    when N decides it (`_decide`), else resolved (observations, clauses,
+    2-SAT) and searched, exact under any of the three tractable regimes,
+    with its trace detail marked `resolved`. A path's cost reads
+    `price(path, I)`, which each mode sets to speak in its own units."""
+    decided = _decide(N, w, price)
+    if decided is not None:
+        return decided
+    R = almost_consistent_graph(o, N)
+    return _swept(N.I, *shortest_cheapest_path(R, w), price, " resolved")
 
 
 class Level(NamedTuple):
@@ -344,10 +362,11 @@ def _validate_candidate(o: Oracle, I: int, path: Sequence[int]) -> bool:
     )
 
 
-def _fpt_augment(o: Oracle, w: Sequence, N: ExchangeGraph, gamma: int) -> _Outcome:
+def _fpt_augment(
+    o: Oracle, w: Sequence, N: ExchangeGraph, gamma: int, price: Callable
+) -> _Outcome:
     I = N.I
     k = popcount(I)
-    table = ObservationTable(o, I, N.S, N.T)
     # The ends in I of the suspicious arcs: tails on layer 1, heads on layer 2.
     J1 = J2 = 0
     for v, heads in enumerate(N.succ):
@@ -363,6 +382,10 @@ def _fpt_augment(o: Oracle, w: Sequence, N: ExchangeGraph, gamma: int) -> _Outco
             f"suspicious-arc heads exceed the circuit-size bound {gamma} "
             "on both layers; the bound does not hold for this oracle"
         )
+    decided = _decide(N, w, price)
+    if decided is not None:
+        return decided
+    table = ObservationTable(o, I, N.S, N.T)
 
     # J lives on layer `side`: 2 constrains arcs into I, 1 arcs out of I.
     def arc(x: int, y: int) -> tuple[int, int]:
@@ -409,7 +432,7 @@ def _fpt_augment(o: Oracle, w: Sequence, N: ExchangeGraph, gamma: int) -> _Outco
                 certificates.append(Z)
             elif _validate_candidate(o, I, path):
                 candidates.append(I ^ mask_of(path))
-    detail = f"J={format_set(J)} tried={guesses} candidates={len(candidates)}"
+    detail = f"J={format_set(J)} tried={guesses} candidates={len(candidates)} resolved"
     if candidates:
         # The first heaviest candidate in ascending mask order.
         best = max(sorted(candidates), key=lambda c: total_weight(w, c))
@@ -428,19 +451,19 @@ def weighted_fpt_circuit(o: Oracle, w: Sequence, gamma: int) -> WeightedRun:
     """Weight-maximal common independent sets of every cardinality when one
     matroid has no circuit larger than `gamma`.
 
-    Each augmentation reads the evil two-for-two observations once, then
-    guesses, among the at most `gamma` suspicious heads J on the
-    small-circuit layer, which ones truly have no arc (at most 2^gamma
-    guesses, in `subsets_of` order). A guess holding all of an evil pair's
-    Y contradicts itself and is not tried; otherwise the pair adds its
-    clause at the element of Y outside the guess. The step accepts the
-    heaviest candidate that passes the swap checks, else the first
-    certificate that verifies.
+    A step `_decide` leaves open, after the bound check, reads the evil
+    two-for-two observations once, then guesses, among the at most `gamma`
+    suspicious heads J on the small-circuit layer, which ones truly have
+    no arc (at most 2^gamma guesses, in `subsets_of` order). A guess
+    holding all of an evil pair's Y contradicts itself and is not tried;
+    otherwise the pair adds its clause at the element of Y outside the
+    guess. The step accepts the heaviest candidate that passes the swap
+    checks, else the first certificate that verifies.
     """
     if gamma < 2:
         raise ValueError("circuit-size bound must be at least 2")
-    iw, _ = _exact(w)
-    return _weighted_run(o, w, lambda N: _fpt_augment(o, iw, N, gamma))
+    iw, price = _exact(w)
+    return _weighted_run(o, w, lambda N: _fpt_augment(o, iw, N, gamma, price))
 
 
 # -- lexicographic maximality and approximation -------------------------------

@@ -545,6 +545,9 @@ def test_clause_systems_are_pinned(monkeypatch):
     The fpt `extra` lists enter the digest without their entries that fold
     to True. The sweep also tested evil pairs whose Y misses the suspicious
     heads; their clauses, over sure or absent arcs, always hold.
+
+    Every step resolves here: a step that the intersected graph decides
+    builds no clause system, and the solves below would build 8.
     """
     digest = hashlib.sha256()
     systems = extras = 0
@@ -566,6 +569,7 @@ def test_clause_systems_are_pinned(monkeypatch):
 
     monkeypatch.setattr(minrank.consistency, "build_cnf", recorded)
     monkeypatch.setattr(minrank.solvers, "build_cnf", recorded)
+    monkeypatch.setattr(minrank.solvers, "_decide", lambda N, w, price: None)
     for seed in range(100):
         n = 6 + seed % 7
         inst = random_instance(seed, n, weighted=True)

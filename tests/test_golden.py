@@ -81,6 +81,24 @@ approx); and 111, 120, 111, 111 -> 99, 108, 99, 99 (`fpt-8`). The path
 and guess lines fell with them: `crossed` 10 -> 8 (fpt 13 -> 11),
 `promise-7` 20 -> 18 (fpt 21 -> 19), and `fpt-8` 24, 17, 14 ->
 18, 13, 12 (fpt 25, 18, 15 -> 19, 14, 13).
+The ten rows `crossed` fpt, `promise-7` fpt, and the weighted, fpt,
+lexmax and approx rows of `fpt-8` and `lexmax-7`, when a weighted step
+began to be decided on the intersected graph when that graph decides it
+(no source-sink path, or a shortest cheapest path of sure arcs only),
+with no observation, clause system or guess: every set, path, cost and
+certificate stayed the same, and no step of these rows resolves, so no
+line carries the `resolved` mark. `oracle queries:` went 22 -> 19
+(`crossed` fpt), 63 -> 58 (`promise-7` fpt), 99 -> 84 (`fpt-8`
+weighted, lexmax, approx), 108 -> 84 (`fpt-8` fpt), 58 -> 52
+(`lexmax-7` weighted, lexmax, approx) and 62 -> 52 (`lexmax-7` fpt).
+The path lines fell with them: `fpt-8` 36 -> 21 and `lexmax-7`
+31 -> 25. The fpt rows' decided steps write the `path` line that the
+other weighted modes write, in place of their `guesses` line: `crossed`
+`guesses J={} tried=1 candidates=1 queries=11` -> `path P=(1, 0, 2)
+cost=-3 queries=8`, `promise-7` three such lines (19, 9, 8 queries ->
+18, 8, 5), `fpt-8` four (19, 14, 13, 42 -> 18, 13, 12, 21, the last
+`J={1} tried=2`) and `lexmax-7` one (`J={0,1} tried=4`, 35 -> 25); each
+path is the one the other weighted modes take at that step.
 
 The five `verify` rows were pinned before `minrank verify` began reading
 every brute-force fact from one hidden-rank table per matroid pair; they
@@ -122,7 +140,13 @@ and the oracle's query count, over the five solvers, four generators,
 n = 6..10 and seeds 0..7. It was pinned before the exchange functions
 began reading the survey whole, and passed unchanged across that change;
 like the `solve` rows, only a change that means to alter queries or
-results re-pins it.
+results re-pins it. It was re-pinned when weighted steps began to be
+decided on the intersected graph: queries went 33,571 -> 32,257 (7,687
+-> 7,414 weighted, 7,837 -> 7,420 fpt, 7,687 -> 7,375 lexmax and approx,
+cardinality unchanged at 2,673). Every level, set and certificate stayed
+the same; of the 3,240 trace lines, 51 changed only in `queries=`, 77
+fpt `guesses` lines became `path` lines and 9 became `certificate`
+lines, and 2 gained the `resolved` mark.
 """
 
 from __future__ import annotations
@@ -163,7 +187,7 @@ INSTANCES = {
 GOLDEN = [
     ("crossed", "solve --mode cardinality --trace", "9fbcae25c94927dba663e638ee2aa97716114b4bddc72417e8ad0cc6de6bc83a"),
     ("crossed", "solve --mode weighted --promise no-circuit-inclusion --trace", "434eecf0dacd7c6d55d89f28eb735d849b8aaf80670ee68f8b0b7a35f5a85e77"),
-    ("crossed", "solve --mode fpt --gamma 3 --trace", "91484961b569ced56b65667b811f4998ffecb2e4b2a10bf70ac1f336f3024edd"),
+    ("crossed", "solve --mode fpt --gamma 3 --trace", "62abea68ae78fca91f127079c3eb16de69b8afd32aeef41746314ff47718a770"),
     ("crossed", "solve --mode lexmax --trace", "db815465f1e6ca2f51cddb5f8337e78a8fb765ab9295b05888e9db68423ef482"),
     ("crossed", "solve --mode approx --trace", "8b01d4a5374f8a2cde1f9631d1f2fbea90175492c103d184b59b54d57c6a72e0"),
     ("random-7", "solve --mode cardinality --trace", "3638eb48b1d0cdaef20deb0a4b5dd10f91993da9e41373a215914513d29ce36a"),
@@ -173,19 +197,19 @@ GOLDEN = [
     ("random-7", "solve --mode approx --trace", "d64ff1eda5ed37eb8646e7d2f1109ee02b90e9a81cca0b680fdf94e413a9e0ec"),
     ("promise-7", "solve --mode cardinality --trace", "61206a375eb0cd8234449a57d4c0411b759f01ed41aad9fb2d8d24fbde96868f"),
     ("promise-7", "solve --mode weighted --promise no-circuit-inclusion --trace", "ee0d19501a0aeae2ba3be0ec4ccf66156946f0523cda8b554d168d6f3ad357e2"),
-    ("promise-7", "solve --mode fpt --gamma 3 --trace", "16f65f3e4a010326388def8046c38e071f8300dd40e19491ba9b1c13dab9cce6"),
+    ("promise-7", "solve --mode fpt --gamma 3 --trace", "1cea3e9b922f5782fc488397ae3357e9bb01c6b2978a8f5d71fcd71fe8030ad2"),
     ("promise-7", "solve --mode lexmax --trace", "5c67cffb3d7d117242e84287e7e1641ea7b31c3d93c1468a2c8ed55d971a582a"),
     ("promise-7", "solve --mode approx --trace", "54bc512ca17a2c513613ccdd48654604f5d09bc808b909e3df9e701cd39c4329"),
     ("fpt-8", "solve --mode cardinality --trace", "8c7231de71becd4cf61fd4f5d3abcddd9c3b596d540d24e441e3d1b361bcafa3"),
-    ("fpt-8", "solve --mode weighted --promise no-circuit-inclusion --trace", "b80cc6c1885481456751cae01cbbcb5cb49a9d85ad7bfe2da72c090bdb9249db"),
-    ("fpt-8", "solve --mode fpt --gamma 3 --trace", "92d2e6ba6665b5b61cbd55e71c59679a6b7f659a107b31c462d4da7cef4d1e96"),
-    ("fpt-8", "solve --mode lexmax --trace", "5b5485e2425aeaece6cf5c1c7785fcb3984ba687e2dee122f3368c1e82c19752"),
-    ("fpt-8", "solve --mode approx --trace", "0772418b0a65f2d9ea790df3375879ea4cc6b5fe89c6148e95e4ca7d471d4159"),
+    ("fpt-8", "solve --mode weighted --promise no-circuit-inclusion --trace", "bd98d18be21080baade8614674fc99eaa36c30a03b4b3c00bb06fa3fd7e601c8"),
+    ("fpt-8", "solve --mode fpt --gamma 3 --trace", "7ed8d49df6509afdf18eeb52c5e3897816a37d1020a34fc1d025596c3074caf2"),
+    ("fpt-8", "solve --mode lexmax --trace", "43398d14e9637cc6a9edb549315abe8e07d3327b47afc2930f19c7dd9e305f4d"),
+    ("fpt-8", "solve --mode approx --trace", "8e524e1d3d9b1d8ef432610787b760370574813ff5ba23d4cd6b88abae55e95b"),
     ("lexmax-7", "solve --mode cardinality --trace", "a6278f365e2072f90a568af546f15e26d372abea6105684094bfbc2df7f6f8a4"),
-    ("lexmax-7", "solve --mode weighted --promise no-circuit-inclusion --trace", "71fb7793ee1c0071f4cf311eca5d018216c2791e663073d95cd088d67d0db056"),
-    ("lexmax-7", "solve --mode fpt --gamma 3 --trace", "c0df6aec06979e30acb3f967960e22fc6f41decb27a2c9fee58a6b1c9e520fb5"),
-    ("lexmax-7", "solve --mode lexmax --trace", "ee6eed9a484d956c69f2eb0cbb33111507f8d62e72e64e7c23c96dbab5b8a0df"),
-    ("lexmax-7", "solve --mode approx --trace", "2bbbab36eb4f34c7dca27f4aa4304d16a6cc929795c70410e188a88f18ba158a"),
+    ("lexmax-7", "solve --mode weighted --promise no-circuit-inclusion --trace", "2f9f046acf94574be783c2073521ca3dbf792b12adbc290d43fda25b852b575d"),
+    ("lexmax-7", "solve --mode fpt --gamma 3 --trace", "64e79c9a826ed0bb9f212cde94d5a59a73aad5bfda5d0e86690cf87263d2fcdb"),
+    ("lexmax-7", "solve --mode lexmax --trace", "391edefd35d070907609f4b862c36f12f7eaf30c6f2c404059406e7773fc293b"),
+    ("lexmax-7", "solve --mode approx --trace", "de3eca6af0ec95ff4026f5db240575bc9d0df0ec015c297fa19a7b3400fcea4e"),
     ("lexmax-7", "graph --set {0,2,5} --which true", "407bdedf4f1b5f1376e9474a7fcb83354cd90b4776adeadb169969e9afee29e6"),
     ("lexmax-7", "graph --set {0,2,5} --which modified", "2d007c3ccdf46ff526d8680870c6b8e10faa53468b1d2ab0b689c1b2d3de6b49"),
     ("lexmax-7", "graph --set {0,2,5} --which intersected", "ccb0a657e7f72c2da5733e92ff7e8cb301752fda3c9539d4316b74439a1f677b"),
@@ -265,7 +289,7 @@ def test_seeded_solves_unchanged():
                     digest.update(f"{result!r}\n{o.query_count}\n".encode())
                     solves += 1
                     queries += o.query_count
-    assert (solves, queries) == (800, 33571)
+    assert (solves, queries) == (800, 32257)
     assert digest.hexdigest() == (
-        "af8b1ecc69e3f863e878d23e65bf752eed1abb8e6ce15a4d8fa010eb673a5d76"
+        "6e0a3b517e15f855cff596d021998d71d7ccd88ef4984da8dbf7d5d3e45d9537"
     )

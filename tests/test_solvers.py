@@ -6,6 +6,7 @@ import ast
 import hashlib
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -337,6 +338,85 @@ def test_cheapest_path_augment_star_pair_invariance():
         path, _ = shortest_cheapest_path(almost_consistent_graph(o, N), w)
         assert path is not None
         assert total_weight(w, I ^ mask_of(path)) == total_weight(w, baseline.J)
+
+
+DECIDING_MODES = (
+    (lambda seed, n: random_instance(seed, n, weighted=True), lexicographic_max),
+    (random_promise_instance, weighted_no_circuit_inclusion),
+    (lambda seed, n: random_fpt_instance(seed, n, 3), lambda o, w: weighted_fpt_circuit(o, w, 3)),
+)
+
+
+def test_decided_step_equals_resolution(monkeypatch):
+    """Whenever the intersected graph N decides a step (`_decide`), its
+    resolution decides it the same way: the same path at the same price,
+    or the same certificate Z. The steps N leaves open resolve, and they
+    are exactly the trace lines marked `resolved`."""
+    decide = minrank.solvers._decide
+    calls = []
+
+    def recorded(N, w, price):
+        outcome = decide(N, w, price)
+        calls.append((N, w, price, outcome))
+        return outcome
+
+    monkeypatch.setattr(minrank.solvers, "_decide", recorded)
+    decided = Counter()
+    left_open = marked = 0
+    for make, solve in DECIDING_MODES:
+        for n in range(6, 11):
+            for seed in range(60):
+                inst = make(seed, n)
+                m1, m2 = inst.matroid1, inst.matroid2
+                calls.clear()
+                run = solve(MinRankOracle(m1, m2), inst.weight_vector())
+                marked += sum(step.detail.endswith(" resolved") for step in run.trace)
+                for N, w, price, outcome in calls:
+                    if outcome is None:
+                        left_open += 1
+                        continue
+                    R = almost_consistent_graph(MinRankOracle(m1, m2), N)
+                    path, Z = shortest_cheapest_path(R, w)
+                    assert outcome == minrank.solvers._swept(N.I, path, Z, price)
+                    decided[type(outcome[0])] += 1
+    assert marked == left_open >= 1  # 2 when written
+    assert decided[Augmented] >= 400 and decided[Certificate] >= 60  # 465 and 69
+
+
+@pytest.mark.parametrize("make,solve", DECIDING_MODES[1:], ids=["promise", "fpt"])
+def test_resolution_alone_matches_brute_force(make, solve, monkeypatch):
+    """With `_decide` deciding nothing, every probe-pair step resolves, so
+    the promise mode's 2-SAT and the bounded-circuit mode's guesses, which
+    the intersected graph now spares most steps, stay judged by brute
+    force per level; a step tries at most 2^gamma guesses."""
+    monkeypatch.setattr(minrank.solvers, "_decide", lambda N, w, price: None)
+    resolved = 0
+    for seed in range(60):
+        inst = make(seed, 6 + seed % 5)
+        w = inst.weight_vector()
+        run = solve(MinRankOracle(inst.matroid1, inst.matroid2), w)
+        assert weighted_levels_right(run, BruteTable(inst.matroid1, inst.matroid2), w)
+        for step in run.trace:
+            tried = re.search(r"tried=(\d+)", step.detail)
+            assert tried is None or int(tried[1]) <= 2**3
+            resolved += step.detail.endswith(" resolved")
+    assert resolved >= 50  # 63 (promise) and 54 (fpt) when written
+
+
+def test_decide_leaves_suspicious_paths_and_negative_cycles_open():
+    """On N with I = {0, 1}, the only source-sink path (2, 0, 3, 1, 4)
+    crosses the suspicious arcs (0, 3) and (3, 1), so `_decide` leaves the
+    step open. Weigh 3 above 0 and the suspicious arcs (0, 3) and (3, 0)
+    close a negative-cost cycle that reaches the sink: the search on N
+    raises, and `_decide` leaves the step open again, without raising."""
+    succ = [bit(3), bit(4), bit(0), mask_of((0, 1)), 0]
+    sure = [0, bit(4), bit(0), 0, 0]
+    N = ExchangeGraph(5, mask_of((0, 1)), bit(2), bit(4), succ, sure=sure, kind="intersected")
+    for w in ([0] * 5, [1, 0, 0, 5, 0]):
+        assert minrank.solvers._decide(N, w, lambda path, I: path_cost(path, I, w)) is None
+    assert shortest_cheapest_path(N, [0] * 5) == ([2, 0, 3, 1, 4], 0)
+    with pytest.raises(NegativeCycleError):
+        shortest_cheapest_path(N, [1, 0, 0, 5, 0])
 
 
 @pytest.mark.parametrize(
