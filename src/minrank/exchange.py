@@ -70,41 +70,39 @@ class ExchangeGraph:
 
     ``succ[v]`` is the head mask of the arcs leaving v: heads outside I when
     v ∈ I (layer 1), heads in I when v ∉ I (layer 2), so arc (u, v) is bit
-    v of ``succ[u]``. ``sure[v]`` marks the sure subset of ``succ[v]``; the
-    rest of the arcs are suspicious, and without ``sure`` every arc is sure.
-    Instances are immutable; mutation helpers return fresh graphs.
+    v of ``succ[u]``, and the graph has ``n = len(succ)`` vertices.
+    ``sure[v]`` marks the sure subset of ``succ[v]``; the rest of the arcs
+    are suspicious, and without ``sure`` every arc is sure. Instances are
+    immutable; mutation helpers return fresh graphs.
     """
 
-    __slots__ = ("n", "I", "S", "T", "succ", "sure", "kind")
+    __slots__ = ("n", "I", "S", "T", "succ", "sure")
 
     def __init__(
         self,
-        n: int,
         I: int,
         S: int,
         T: int,
         succ: list[int] | tuple[int, ...],
         *,
         sure: list[int] | tuple[int, ...] | None = None,
-        kind: str = "true",
     ):
+        self.n = n = len(succ)
         outside = full_mask(n) & ~I
         if S & ~outside or T & ~outside:
             raise ValueError("sources/sinks must lie outside I")
-        self.n = n
         self.I = I
         self.S = S
         self.T = T
         self.succ = tuple(succ)
         self.sure = self.succ if sure is None else tuple(sure)
-        if len(self.succ) != n or len(self.sure) != n:
-            raise ValueError(f"expected one head mask per vertex, {n} in all")
+        if len(self.sure) != n:
+            raise ValueError(f"expected one sure mask per vertex, {n} in all")
         for v, heads in enumerate(self.succ):
             if heads & ~(outside if (I >> v) & 1 else I):
                 raise ValueError(f"an arc out of {v} does not cross between I and E \\ I")
             if self.sure[v] & ~heads:
                 raise ValueError(f"a sure arc out of {v} is not an arc")
-        self.kind = kind
 
     # -- structure ---------------------------------------------------------
 
@@ -132,9 +130,7 @@ class ExchangeGraph:
             if v < 0 or not (loose >> v) & 1:
                 raise ValueError(f"({u},{v}) is not a suspicious arc")
             succ[u] |= bit(v)
-        return ExchangeGraph(
-            self.n, self.I, self.S, self.T, succ, sure=self.sure, kind="consistent"
-        )
+        return ExchangeGraph(self.I, self.S, self.T, succ, sure=self.sure)
 
     def to_dot(self, names: tuple[str, ...] | None = None) -> str:
         """Deterministic DOT text: I-side boxed, sources/sinks highlighted,
@@ -166,7 +162,7 @@ class ExchangeGraph:
 
     def __repr__(self) -> str:
         return (
-            f"ExchangeGraph(kind={self.kind!r}, I={format_set(self.I)}, "
+            f"ExchangeGraph(I={format_set(self.I)}, "
             f"S={format_set(self.S)}, T={format_set(self.T)}, "
             f"arcs={sum(map(popcount, self.succ))})"
         )
@@ -476,7 +472,7 @@ def build_modified_graph(o: Oracle, survey: ExtensionSurvey) -> ExchangeGraph:
     I, _, sp = survey
     S, T = _star_sets(o, survey)
     succ, sure = _probe_graph(o, I, S, T, [sp.t], [sp.s])
-    return ExchangeGraph(o.n, I, S, T, succ, sure=sure, kind="modified")
+    return ExchangeGraph(I, S, T, succ, sure=sure)
 
 
 def intersect_modified(
@@ -507,7 +503,7 @@ def intersect_modified(
         (heads if T & ~heads else mark) if (I >> v) & 1 else mark | heads & certified
         for v, (heads, mark) in enumerate(zip(succ, sure))
     ]
-    return ExchangeGraph(o.n, I, S, T, succ, sure=sure, kind="intersected")
+    return ExchangeGraph(I, S, T, succ, sure=sure)
 
 
 # -- paths -------------------------------------------------------------------

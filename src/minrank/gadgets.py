@@ -445,8 +445,7 @@ def verify_gadget(gi: GadgetInstance) -> list[BruteReport]:
                 f"{format_set(X, gi.names)}-for-{format_set(Y, gi.names)}: "
                 f"rank {got} vs {want}"
             )
-    witnesses = tuple(bad_values[:5])
-    reports.append(make("le-values", (), witnesses, witnesses))
+    reports.append(make("le-values", (), tuple(bad_values[:5])))
 
     lone = (("I+s", bit(s), k), ("I+t", bit(t), k), ("I+s+t", bit(s) | bit(t), k + 1))
     bad_probe = [name for name, P, want in lone if rmin(I | P) != want]
@@ -461,8 +460,7 @@ def verify_gadget(gi: GadgetInstance) -> list[BruteReport]:
                     bad_probe.append(
                         f"I+{gi.names[probe]}+{gi.names[x]}-{gi.names[y]}"
                     )
-    witnesses = tuple(bad_probe[:5])
-    reports.append(make("probe-prescriptions", (), witnesses, witnesses))
+    reports.append(make("probe-prescriptions", (), tuple(bad_probe[:5])))
 
     sources, sinks = set(elements_of(D.S)), set(elements_of(D.T))
     reports.append(make("source-sink-sets", ({s}, {t}), (sources, sinks)))
@@ -477,8 +475,7 @@ def verify_gadget(gi: GadgetInstance) -> list[BruteReport]:
         for u in range(gi.n)
         for v in iter_bits(D.succ[u] ^ want[u])
     ]
-    witnesses = tuple(bad_arcs[:5])
-    reports.append(make("true-graph", (), witnesses, witnesses))
+    reports.append(make("true-graph", (), tuple(bad_arcs[:5])))
     return reports
 
 
@@ -490,7 +487,7 @@ def _block_consistent(
 ) -> bool:
     """Whether arcs satisfy every observed exchange between xs and ys, each
     judged by `verify.check_consistency`."""
-    g = ExchangeGraph(gi.n, gi.I, 0, 0, _heads(gi.n, arcs))
+    g = ExchangeGraph(gi.I, 0, 0, _heads(gi.n, arcs))
     return all(
         check_consistency(g, LEObservation(X, Y, gi.values[(X, Y)])) == "consistent"
         for X in small_subsets(mask_of(xs), 2)

@@ -8,8 +8,9 @@ maximality), plus the approximation wrapper for positive weights.
 Every mode runs one loop, `_run`: from the empty set, each augmentation
 step either swaps I along a shortest path or stops with a set Z where
 rmin(Z) + rmin(E \\ Z) = |I|, which the step checks before it returns it
-(`_check_certificate`). A step is a function `I -> (result, action,
-detail)`; the loop counts each step's queries and writes its trace line.
+(`_check_certificate`). A step maps the run's sets so far, its own I
+last, to `(result, action, detail)`; the loop counts each step's queries
+and writes its trace line.
 The weighted modes share one driver, `_weighted_run`, whose step hands
 the mode's `resolve` the intersected graph N of the survey's probe pair
 and direct set. N holds the true graph and its sure arcs are true, so
@@ -168,12 +169,13 @@ class CardinalityRun(NamedTuple):
         return self.sets[-1]
 
 
-def _run(o: Oracle, step: Callable[[int], _Outcome]) -> CardinalityRun:
+def _run(o: Oracle, step: Callable[[list[int]], _Outcome]) -> CardinalityRun:
     """Step from the empty set until a step certifies maximality, charging
-    each trace line with every query its step asked; a step checks the
-    certificate it returns (`_check_certificate`).
+    each trace line with every query its step asked. A step reads the
+    run's sets so far, the empty set first and its own I last, and checks
+    the certificate it returns (`_check_certificate`).
 
-    A step that rejects its own input (ValueError) was handed a set and a
+    A step that rejects its own input (ValueError) was given a set and a
     probe pair built from the oracle's earlier answers, so the oracle broke
     the matroid contract."""
     base = o.query_count
@@ -183,7 +185,7 @@ def _run(o: Oracle, step: Callable[[int], _Outcome]) -> CardinalityRun:
         I = sets[-1]
         before = o.query_count
         try:
-            res, action, detail = step(I)
+            res, action, detail = step(sets)
         except ValueError as exc:
             raise ContractViolationError(f"oracle answers contradict each other: {exc}") from exc
         trace.append(AugmentStep(popcount(I), action, detail, o.query_count - before))
@@ -200,9 +202,9 @@ def max_cardinality(o: Oracle) -> CardinalityRun:
     check and the singletons known to be flat (`_augment`)."""
     known_flat = None
 
-    def step(I: int) -> _Outcome:
+    def step(sets: list[int]) -> _Outcome:
         nonlocal known_flat
-        outcome, known_flat = _augment(o, I, known_flat)
+        outcome, known_flat = _augment(o, sets[-1], known_flat)
         return outcome
 
     return _run(o, step)
@@ -286,23 +288,22 @@ def _weighted_run(
     that graph took from the survey. A flat element stays flat while I
     grows, so a survey after a direct add must lift none of the elements
     the one before filed flat. A certificate is checked over every
-    nonempty set the run was handed. The run keeps one map of star
+    nonempty set of the run. The run keeps one map of star
     circuits for `intersect_modified` and prices every level from `w`."""
     _check_length(o, w)
     circuits: dict[int, int] = {}
     flat = 0  # after a direct add, the elements flat at the set before it
-    handed: list[int] = []  # every set a step was handed, the empty set first
 
-    def step(I: int) -> _Outcome:
+    def step(sets: list[int]) -> _Outcome:
         nonlocal flat
-        handed.append(I)
+        I = sets[-1]
         carried = mask_of(
             x for x, C in circuits.items() if not (I >> x) & 1 and not C & ~I
         )
         survey = survey_extensions(o, I, known_flat=carried)
         direct = survey.direct
         if direct & flat:
-            lifted, before = format_set(direct & flat), format_set(handed[-2])
+            lifted, before = format_set(direct & flat), format_set(sets[-2])
             raise ValueError(f"{lifted} flat at {before} lifts at {format_set(I)}")
         if survey.all_flat:
             outcome = _certify(o.ground)
@@ -317,7 +318,7 @@ def _weighted_run(
             if isinstance(outcome[0], Augmented):
                 check_entering(o, survey, N.S, outcome[0].J)
                 return outcome
-        _check_certificate(o, handed[1:], outcome[0].Z, popcount(I))
+        _check_certificate(o, sets[1:], outcome[0].Z, popcount(I))
         return outcome
 
     run = _run(o, step)

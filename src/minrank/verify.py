@@ -3,7 +3,8 @@
 Everything here may look at the hidden rank functions directly; none of it
 is available to the oracle-driven solvers. The enumerations are exponential
 and guarded by size caps — they exist to certify the solvers on small
-instances, not to compete with them.
+instances, not to compete with them. Each check is one `BruteReport`
+(instance, quantity, brute, solver, ok): ok when the two values agree.
 """
 
 from __future__ import annotations
@@ -28,26 +29,19 @@ from .solvers import class_vector, path_cost, total_weight, weight_classes
 
 
 class BruteReport(NamedTuple):
-    """One cross-check outcome: a named quantity computed two ways."""
+    """One cross-check outcome: a named quantity computed two ways. A check
+    that expects nothing wrong compares () with the offenders it found."""
 
     instance: str
     quantity: str
     brute: object
     solver: object
     ok: bool
-    witnesses: tuple = ()
 
     @classmethod
-    def check(
-        cls,
-        instance: str,
-        quantity: str,
-        brute: object,
-        solver: object,
-        witnesses: tuple = (),
-    ) -> BruteReport:
+    def check(cls, instance: str, quantity: str, brute: object, solver: object) -> BruteReport:
         """The report of one comparison: ok exactly when brute == solver."""
-        return cls(instance, quantity, brute, solver, brute == solver, witnesses)
+        return cls(instance, quantity, brute, solver, brute == solver)
 
     def __str__(self) -> str:
         mark = "ok" if self.ok else "MISMATCH"
@@ -247,7 +241,7 @@ def build_true_graph(m1: Matroid, m2: Matroid, I: int) -> ExchangeGraph:
             return m1.is_independent(I & ~bit(u) | bit(v))
         return m2.is_independent(I & ~bit(v) | bit(u))
 
-    return ExchangeGraph(m1.n, I, S, T, _fill(m1.n, I, outside, arc), kind="true")
+    return ExchangeGraph(I, S, T, _fill(m1.n, I, outside, arc))
 
 
 # -- matchings ----------------------------------------------------------------
@@ -417,12 +411,12 @@ def audit_graphs(
         source-side probe s."""
         g_arcs = set(G.arcs())
         missing = tuple(sorted(true_arcs - g_arcs))
-        reports.append(make(f"{tag}-contains-true", (), missing, missing))
+        reports.append(make(f"{tag}-contains-true", (), missing))
         extras = sorted(g_arcs - true_arcs)
         touching = tuple(
             (u, v) for u, v in extras if (st_mask >> u) & 1 or (st_mask >> v) & 1
         )
-        reports.append(make(f"{tag}-extras-avoid-st", (), touching, touching))
+        reports.append(make(f"{tag}-extras-avoid-st", (), touching))
         bad_shortcut = tuple(
             (u, v)
             for u, v in extras
@@ -432,7 +426,7 @@ def audit_graphs(
                 else all((D.succ[s] >> v) & 1 for s in iter_bits(s_probes))
             )
         )
-        reports.append(make(f"{tag}-fake-shortcut", (), bad_shortcut, bad_shortcut))
+        reports.append(make(f"{tag}-fake-shortcut", (), bad_shortcut))
 
     first_intersected: ExchangeGraph | None = None
     for sp in valid_pairs:
@@ -455,7 +449,7 @@ def audit_graphs(
     n_sure = n_arcs - set(N.suspicious_pairs())
     audit_probe_graph("intersected", N, D.T, D.S)
     lying_sure = tuple(sorted(n_sure - true_arcs))
-    reports.append(make("sure-arcs-true", (), lying_sure, lying_sure))
+    reports.append(make("sure-arcs-true", (), lying_sure))
     reports.append(make("intersected-shortest-paths", true_paths, shortest_st_paths(N)))
 
     table = ObservationTable(o, I, N.S, N.T)
@@ -468,7 +462,7 @@ def audit_graphs(
     truth = {arc: arc in true_arcs for arc in f.variables}
     violated: list[object] = ["folded-contradiction"] if f.contradiction else []
     violated.extend(f.unsatisfied(truth))
-    reports.append(make("cnf-true-assignment", (), tuple(violated), tuple(violated)))
+    reports.append(make("cnf-true-assignment", (), tuple(violated)))
 
     assignment = solve_2sat(f)
     reports.append(make("cnf-satisfiable", True, assignment is not None))
@@ -496,9 +490,7 @@ def audit_graphs(
                 bad_pairs.append((obs, verdict))
         else:
             bad_pairs.append((obs, verdict))
-    reports.append(
-        make("resolved-almost-consistent", (), tuple(bad_pairs), tuple(bad_pairs))
-    )
+    reports.append(make("resolved-almost-consistent", (), tuple(bad_pairs)))
 
     # Matching partitions: cycles of the resolved graph, and source-sink
     # paths, must decompose over the true graph's layers. A path's source
@@ -510,11 +502,11 @@ def audit_graphs(
         )
 
     bad_cycles = tuple(c for c in simple_cycles(C) if not splits(c, 0, 0))
-    reports.append(make("cycle-partition", (), bad_cycles, bad_cycles))
+    reports.append(make("cycle-partition", (), bad_cycles))
     bad_paths = tuple(
         p for p in simple_st_paths(C) if not splits(p, bit(p[0]), bit(p[-1]))
     )
-    reports.append(make("path-cycle-partition", (), bad_paths, bad_paths))
+    reports.append(make("path-cycle-partition", (), bad_paths))
 
     # Weighted checks only make sense at a w-maximal set of its cardinality.
     w_maximal = brute_w_maximal(m1, m2, w, popcount(I))[0] == total_weight(w, I)
@@ -522,7 +514,7 @@ def audit_graphs(
     reports.append(make("neg-cycle-iff-not-maximal", not w_maximal, has_neg_cycle_true))
     if w_maximal:
         neg = tuple(cyc for cyc in simple_cycles(C) if path_cost(cyc, I, w) < 0)
-        reports.append(make("resolved-no-negative-cycle", (), neg, neg))
+        reports.append(make("resolved-no-negative-cycle", (), neg))
 
         def optimal_paths(g: ExchangeGraph) -> tuple[object, set[frozenset[int]]]:
             paths = simple_st_paths(g)

@@ -285,7 +285,7 @@ def test_criterion_06_maximality_audits_and_fault_injection():
                     sure = list(C.sure)
                     succ[y0] &= ~bit(x0)
                     sure[y0] &= ~bit(x0)
-                    return ExchangeGraph(C.n, C.I, C.S, C.T, succ, sure=sure, kind=C.kind)
+                    return ExchangeGraph(C.I, C.S, C.T, succ, sure=sure)
 
                 drops += 1
                 reports = audit_graphs(m1, m2, I, w=w, mutate=drop)
@@ -307,7 +307,7 @@ def test_criterion_06_maximality_audits_and_fault_injection():
                 def add(C: ExchangeGraph) -> ExchangeGraph:
                     succ = list(C.succ)
                     succ[y1] |= bit(x1)
-                    return ExchangeGraph(C.n, C.I, C.S, C.T, succ, sure=C.sure, kind=C.kind)
+                    return ExchangeGraph(C.I, C.S, C.T, succ, sure=C.sure)
 
                 adds += 1
                 reports = audit_graphs(m1, m2, I, w=w, mutate=add)

@@ -174,7 +174,7 @@ def test_cnf_case_1x1_high_forces_both():
     I = mask_of((0, 1))
     t = ObservationTable(o, I, 0, 0)
     succ = [bit(2), bit(2), mask_of((0, 1))]  # 0->2, 1->2 out of I; 2->0, 2->1 into I
-    g = ExchangeGraph(3, I, 0, 0, succ, sure=[0] * 3, kind="intersected")
+    g = ExchangeGraph(I, 0, 0, succ, sure=[0] * 3)
     f = build_cnf(t, g)
     assert f.clauses
     assignment = solve_2sat(f)
@@ -183,15 +183,13 @@ def test_cnf_case_1x1_high_forces_both():
         assert assignment[arc] is True
 
     # Dropping one reverse arc makes the same high pair unsatisfiable.
-    g_broken = ExchangeGraph(
-        3, I, 0, 0, [0, bit(2), mask_of((0, 1))], sure=[0] * 3, kind="intersected"
-    )
+    g_broken = ExchangeGraph(I, 0, 0, [0, bit(2), mask_of((0, 1))], sure=[0] * 3)
     assert solve_2sat(build_cnf(t, g_broken)) is None
 
     # The resolver keeps exactly the four arcs, and refuses the broken graph.
     C = almost_consistent_graph(o, g)
     assert sorted(C.arcs()) == [(0, 2), (1, 2), (2, 0), (2, 1)]
-    assert C.kind == "consistent"
+    assert C.sure == g.sure
     with pytest.raises(ContractViolationError, match="unsatisfiable"):
         almost_consistent_graph(o, g_broken)
 
@@ -207,7 +205,7 @@ def test_cnf_case_1x1_high_forces_both():
 def _compiled(n, I, values, names):
     out = full_mask(n) & ~I
     succ = [out if (I >> v) & 1 else I for v in range(n)]
-    g = ExchangeGraph(n, I, 0, 0, succ, sure=[0] * n, kind="intersected")
+    g = ExchangeGraph(I, 0, 0, succ, sure=[0] * n)
     f = build_cnf(ObservationTable(_Prescribed(n, I, values), I, 0, 0), g)
     assert not f.contradiction
 
@@ -461,8 +459,8 @@ def test_check_consistency_verdicts():
     from minrank import ExchangeGraph
 
     I = bit(0)
-    both = ExchangeGraph(2, I, 0, 0, [bit(1), bit(0)], sure=[0, 0])
-    none_g = ExchangeGraph(2, I, 0, 0, [0, 0], sure=[0, 0])
+    both = ExchangeGraph(I, 0, 0, [bit(1), bit(0)], sure=[0, 0])
+    none_g = ExchangeGraph(I, 0, 0, [0, 0], sure=[0, 0])
     high = LEObservation(bit(1), bit(0), 1)  # value = |I| -> needs both ways
     low = LEObservation(bit(1), bit(0), 0)  # value = |I|-1 -> forbids both
     assert check_consistency(both, high) == "consistent"
@@ -475,7 +473,7 @@ def test_consistency_summary_rollup():
     from minrank import ExchangeGraph
 
     I = bit(0)
-    g = ExchangeGraph(2, I, 0, 0, [bit(1), bit(0)], sure=[0, 0])
+    g = ExchangeGraph(I, 0, 0, [bit(1), bit(0)], sure=[0, 0])
     high = LEObservation(bit(1), bit(0), 1)
     low = LEObservation(bit(1), bit(0), 0)
     assert consistency_summary(g, [high]) == "consistent"

@@ -53,24 +53,25 @@ from conftest import crossed_pair, lift_by_two_pair, triangle
 
 
 # Arcs 0->1 (sure), 0->2 and 1->0 (suspicious) over I = {0}.
-_LABELLED = ExchangeGraph(3, bit(0), 0, 0, [mask_of((1, 2)), bit(0), 0], sure=[bit(1), 0, 0])
+_LABELLED = ExchangeGraph(bit(0), 0, 0, [mask_of((1, 2)), bit(0), 0], sure=[bit(1), 0, 0])
 
 
 @pytest.mark.parametrize(
     "build, error",
     [
-        (lambda: ExchangeGraph(3, bit(0), bit(0), 0, [0, 0, 0]), ValueError),
-        (lambda: ExchangeGraph(3, bit(0), 0, bit(0), [0, 0, 0]), ValueError),
-        (lambda: ExchangeGraph(3, mask_of((0, 1)), 0, 0, [bit(1), 0, 0]), ValueError),
-        (lambda: ExchangeGraph(3, bit(0), 0, 0, [0, bit(2), 0]), ValueError),
-        (lambda: ExchangeGraph(3, bit(0), 0, 0, [bit(1), 0, 0], sure=[bit(2), 0, 0]), ValueError),
-        (lambda: ExchangeGraph(3, bit(0), 0, 0, [bit(1), 0]), ValueError),
+        (lambda: ExchangeGraph(bit(0), bit(0), 0, [0, 0, 0]), ValueError),
+        (lambda: ExchangeGraph(bit(0), 0, bit(0), [0, 0, 0]), ValueError),
+        (lambda: ExchangeGraph(mask_of((0, 1)), 0, 0, [bit(1), 0, 0]), ValueError),
+        (lambda: ExchangeGraph(bit(0), 0, 0, [0, bit(2), 0]), ValueError),
+        (lambda: ExchangeGraph(bit(0), 0, 0, [bit(1), 0, 0], sure=[bit(2), 0, 0]), ValueError),
+        (lambda: ExchangeGraph(bit(0), 0, 0, [bit(1), 0, 0], sure=[bit(1), 0]), ValueError),
         (lambda: _LABELLED.with_assignment({(0, 1): True}), ValueError),
         (lambda: _LABELLED.with_assignment({(2, 0): True}), ValueError),
         (lambda: _LABELLED.with_assignment({(-2, 0): True}), ValueError),
         (lambda: _LABELLED.with_assignment({(3, 0): True}), ValueError),
         (lambda: _LABELLED.with_assignment({(0, -1): True}), ValueError),
         (lambda: ExchangeGraph(3, bit(0), 0, 0, [bit(1), 0, 0], [0, bit(0), 0]), TypeError),
+        (lambda: ExchangeGraph(3, bit(0), 0, 0, [bit(1), 0, 0]), TypeError),
     ],
     ids=[
         "source-in-I",
@@ -78,23 +79,25 @@ _LABELLED = ExchangeGraph(3, bit(0), 0, 0, [mask_of((1, 2)), bit(0), 0], sure=[b
         "arc-from-I-into-I",
         "arc-outside-to-outside",
         "sure-arc-not-an-arc",
-        "short-head-list",
+        "short-sure-list",
         "assign-a-sure-arc",
         "assign-an-absent-arc",
         "assign-a-negative-tail",
         "assign-an-out-of-range-tail",
         "assign-a-negative-head",
         "old-two-layer-call",
+        "old-call-with-n",
     ],
 )
 def test_exchange_graph_refuses_malformed_input(build, error):
     """The constructor refuses sources or sinks in I, arcs that do not
-    cross between I and E \\ I, sure arcs that are no arcs and a head list
-    of the wrong length; `with_assignment` accepts only suspicious arcs, so
-    a negative or out-of-range index does not wrap round to another vertex
-    and raises ValueError; and
-    a call in the old form, with a second layer list where `sure` now
-    stands, fails instead of reading that list as sure labels."""
+    cross between I and E \\ I, sure arcs that are no arcs and a sure list
+    of another length than the head list; `with_assignment` accepts only
+    suspicious arcs, so a negative or out-of-range index does not wrap
+    round to another vertex and raises ValueError; and a call in an old
+    form, with a second layer list where `sure` now stands or with the
+    vertex count first, raises TypeError instead of reading its arguments
+    one place off."""
     with pytest.raises(error):
         build()
 
@@ -272,14 +275,14 @@ def test_shortest_path_none_when_unreachable():
 
 
 def test_reachability_certificate_empty_sinks():
-    g = ExchangeGraph(2, bit(0), 0, 0, [0, 0], sure=[0, 0])
+    g = ExchangeGraph(bit(0), 0, 0, [0, 0], sure=[0, 0])
     assert reachability_certificate(g) == 0
 
 
 def test_bfs_tie_breaks_lexicographic():
     # I={2}; sources {0,1}, sinks {3,4}; every s->2->t path has 3 vertices.
     succ = [bit(2), bit(2), mask_of((3, 4)), 0, 0]
-    g = ExchangeGraph(5, bit(2), mask_of((0, 1)), mask_of((3, 4)), succ, sure=succ)
+    g = ExchangeGraph(bit(2), mask_of((0, 1)), mask_of((3, 4)), succ, sure=succ)
     assert shortest_augmenting_path(g) == [0, 2, 3]
     assert shortest_st_paths(g) == [
         (0, 2, 3),
@@ -302,7 +305,7 @@ def _random_built_graph(rng: random.Random) -> ExchangeGraph:
         succ[v] = rng.getrandbits(n) & I
     S = rng.getrandbits(n) & outside
     T = rng.getrandbits(n) & outside
-    return ExchangeGraph(n, I, S, T, succ)
+    return ExchangeGraph(I, S, T, succ)
 
 
 def test_bfs_path_is_the_smallest_brute_force_shortest_path():
@@ -372,7 +375,7 @@ def test_search_asks_each_arc_once_and_stops_at_first_source_level():
     # level 3, after level 2 already holds the sources.
     I = mask_of((2, 5))
     succ = [bit(2), bit(2), mask_of((3, 4)), 0, 0, bit(0)]
-    g = ExchangeGraph(6, I, mask_of((0, 1)), mask_of((3, 4)), succ)
+    g = ExchangeGraph(I, mask_of((0, 1)), mask_of((3, 4)), succ)
     asked = []
 
     def arc(u, v):
@@ -565,19 +568,20 @@ def per_arc_probe_graph(o, I, S, T, t_probes, s_probes, circuits=None):
 
 
 def graph_fields(g: ExchangeGraph) -> tuple:
-    return (g.kind, g.I, g.S, g.T, g.succ, g.sure)
+    return (g.I, g.S, g.T, g.succ, g.sure)
 
 
-def layer_fields(g: ExchangeGraph) -> tuple:
-    """The fields in the shape the pinned digest was recorded in: the head
-    masks and sure masks split by the side of each tail, arcs out of I
-    first, each list zero at the tails of the other side."""
+def layer_fields(kind: str, g: ExchangeGraph) -> tuple:
+    """The fields in the shape the pinned digest was recorded in: the name
+    of the builder first, then the head masks and sure masks split by the
+    side of each tail, arcs out of I first, each list zero at the tails of
+    the other side."""
 
     def split(masks, inside):
         return tuple(m if bool((g.I >> v) & 1) == inside else 0 for v, m in enumerate(masks))
 
     return (
-        g.kind, g.I, g.S, g.T,
+        kind, g.I, g.S, g.T,
         split(g.succ, True), split(g.succ, False),
         split(g.sure, True), split(g.sure, False),
     )
@@ -710,7 +714,7 @@ def test_probe_graph_query_sequence_is_pinned():
 
 
 def test_probe_graphs_are_pinned():
-    """The true, modified and intersected graphs (kind, I, sources, sinks,
+    """The true, modified and intersected graphs (builder, I, sources, sinks,
     arcs and sure labels) at every common independent set with a probe
     pair, on seeded pairs of four generators, and along the cardinality
     runs of larger pairs. The digest below was recorded from the row-by-row
@@ -744,12 +748,12 @@ def test_probe_graphs_are_pinned():
         survey = survey_extensions(o, I)
         if survey.pair is None:
             continue
-        for g in (
-            build_true_graph(m1, m2, I),
-            build_modified_graph(o, survey),
-            intersect_modified(o, survey),
+        for kind, g in (
+            ("true", build_true_graph(m1, m2, I)),
+            ("modified", build_modified_graph(o, survey)),
+            ("intersected", intersect_modified(o, survey)),
         ):
-            digest.update(repr(layer_fields(g)).encode())
+            digest.update(repr(layer_fields(kind, g)).encode())
             graphs += 1
     assert graphs == 8733
     assert digest.hexdigest() == (

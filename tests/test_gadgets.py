@@ -214,7 +214,7 @@ def test_verify_gadget_vertex_and_edge():
 
 
 def _failing_reports(gi):
-    return {r.quantity: r.witnesses for r in verify_gadget(gi) if not r.ok}
+    return {r.quantity: r.solver for r in verify_gadget(gi) if not r.ok}
 
 
 def test_verify_gadget_flags_a_wrong_value():

@@ -208,11 +208,11 @@ def test_promise_fails_for_identical_and_nested_circuits():
 
 def test_perfect_matchings_two_by_two():
     both = mask_of((1, 2))
-    g = ExchangeGraph(4, mask_of((0, 3)), 0, 0, [both, 0, 0, both])
+    g = ExchangeGraph(mask_of((0, 3)), 0, 0, [both, 0, 0, both])
     assert has_perfect_matching(g, 1, mask_of((0, 3)), both)
     assert not has_perfect_matching(g, 1, mask_of((0, 3)), bit(1))
     assert not has_perfect_matching(g, 2, mask_of((0, 3)), both)
-    crowded = ExchangeGraph(4, mask_of((0, 3)), 0, 0, [bit(1), 0, 0, bit(1)])
+    crowded = ExchangeGraph(mask_of((0, 3)), 0, 0, [bit(1), 0, 0, bit(1)])
     assert not has_perfect_matching(crowded, 1, mask_of((0, 3)), both)
 
 
@@ -234,7 +234,7 @@ def test_has_perfect_matching_matches_brute_force():
             succ[y] = mask_of(x for x in outside if rng.random() < p)
         for x in outside:
             succ[x] = mask_of(y for y in inside if rng.random() < p)
-        g = ExchangeGraph(n, I, 0, 0, succ)
+        g = ExchangeGraph(I, 0, 0, succ)
         left = [y for y in inside if rng.random() < 0.7]
         right = [x for x in outside if rng.random() < 0.7]
         if rng.random() < 0.5:
@@ -284,9 +284,10 @@ def test_path_cost_signs():
 
 def test_brute_report_str():
     ok = BruteReport("inst", "max-size", 2, 2, True)
-    bad = BruteReport("inst", "max-size", 2, 1, False, (bit(0),))
+    bad = BruteReport("inst", "max-size", 2, 1, False)
+    assert BruteReport._fields == ("instance", "quantity", "brute", "solver", "ok")
     assert str(ok) == "[ok] inst: max-size brute=2 solver=2"
-    assert str(bad).startswith("[MISMATCH] inst: max-size brute=2 solver=1")
+    assert str(bad) == "[MISMATCH] inst: max-size brute=2 solver=1"
 
 
 # -- the graph audit -----------------------------------------------------------
@@ -330,7 +331,7 @@ def test_audit_flags_dropped_sure_arc():
                 succ[y] &= ~x
                 sure[y] &= ~x
                 break
-        return ExchangeGraph(C.n, C.I, C.S, C.T, succ, sure=sure, kind=C.kind)
+        return ExchangeGraph(C.I, C.S, C.T, succ, sure=sure)
 
     reports = audit_graphs(m1, m2, bit(0), w=fixture_weights(), mutate=drop_first)
     failing = {r.quantity for r in reports if not r.ok}
@@ -345,9 +346,7 @@ def test_audit_flags_rewired_graph():
         def out_of_I(masks):
             return [m if (C.I >> v) & 1 else 0 for v, m in enumerate(masks)]
 
-        return ExchangeGraph(
-            C.n, C.I, C.S, C.T, out_of_I(C.succ), sure=out_of_I(C.sure), kind=C.kind
-        )
+        return ExchangeGraph(C.I, C.S, C.T, out_of_I(C.succ), sure=out_of_I(C.sure))
 
     reports = audit_graphs(m1, m2, bit(0), mutate=clear_layer2)
     assert any(not r.ok for r in reports)
@@ -411,7 +410,7 @@ def test_audit_trips_on_an_arc_across_an_evil_pair():
         def add_arc(C: ExchangeGraph) -> ExchangeGraph:
             succ = list(C.succ)
             succ[y1] |= bit(x1)
-            return ExchangeGraph(C.n, C.I, C.S, C.T, succ, sure=C.sure, kind=C.kind)
+            return ExchangeGraph(C.I, C.S, C.T, succ, sure=C.sure)
 
         assert all(r.ok for r in audit_graphs(m1, m2, gi.I))
         reports = audit_graphs(m1, m2, gi.I, mutate=add_arc)
