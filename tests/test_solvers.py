@@ -7,6 +7,7 @@ import hashlib
 import random
 import re
 from collections import Counter
+from functools import cache
 from fractions import Fraction
 from itertools import combinations
 
@@ -1111,12 +1112,14 @@ LIAR_MODES = {
 }
 
 
+@cache
 def liar_verdict(liar, mode: str, seed: int) -> str:
     """The verdict on one run under `liar(seed)` on the mode's instance of
     that seed: "raised" for ContractViolationError, else "right" or
     "wrong" as brute force judges it: the lexicographic maximum for lexmax, a
     heaviest set at every size for promise and fpt, and a largest common
-    independent set for cardinality. Any other exception propagates."""
+    independent set for cardinality. Any other exception propagates.
+    Cached, so the sweep and the tests that name its seeds share one run."""
     make, solve = LIAR_MODES[mode]
     inst = make(seed, 8)
     w = inst.weight_vector()
@@ -1138,11 +1141,8 @@ def test_liar_sweep_is_right_or_reported():
     """Both liars, each seeded by the instance seed, over seeds 0..199 of
     every mode in `LIAR_MODES`: each run raises ContractViolationError or
     returns what brute force calls right. The one wrong answer is
-    `HashedLiar` fpt at seed 107, kept by its strict xfail below. A
-    resumed cardinality step asks fewer questions, so a lie can slip past
-    the survey (seeds 71 and 174 end at a wrong set without the
-    certificate check); the certifying step's checks catch it. Prints the
-    right/raised/wrong table under `pytest -s`."""
+    `HashedLiar` fpt at seed 107, kept by its strict xfail below. Prints
+    the right/raised/wrong table under `pytest -s`."""
     verdicts = {
         (liar.__name__, mode, seed): liar_verdict(liar, mode, seed)
         for liar in (PerturbedOracle, HashedLiar)
@@ -1159,6 +1159,18 @@ def test_liar_sweep_is_right_or_reported():
         )
         print(f"| `{name}` | " + " | ".join(cells) + " |")
     assert {key for key, v in verdicts.items() if v == "wrong"} <= {("HashedLiar", "fpt", 107)}
+
+
+@pytest.mark.parametrize("liar", [PerturbedOracle, HashedLiar])
+def test_lying_oracle_never_gets_a_wrong_cardinality_answer(liar):
+    """The sweep's cardinality column for one liar: `max_cardinality`
+    raises ContractViolationError or returns a largest common independent
+    set. A resumed step asks fewer questions, so a lie can slip past the
+    survey (seeds 71 and 174 end at a wrong set without the certificate
+    check); the certifying step's `rmin(I) = |I|` and
+    `rmin(Z) + rmin(E \\ Z) = |I|` catch it."""
+    for seed in range(200):
+        assert liar_verdict(liar, "cardinality", seed) != "wrong", seed
 
 
 LIAR_CASES = [
