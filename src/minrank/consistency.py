@@ -11,8 +11,10 @@ chosen arcs together with the sure ones form a graph that is consistent
 with every observation except possibly the pathological two-by-two
 exchanges, where it errs on the side of omitting arcs.
 
-`ObservationTable` asks and caches the observations and holds the one evil
-test; `TwoSat.unsatisfied` is the one check of clauses against arcs.
+`ObservationTable(o, g)` asks and caches the observations at the I of the
+graph g it resolves and holds the one evil test; `build_cnf` compiles the
+table's own graph, so observations and arcs always belong together, and
+`TwoSat.unsatisfied` is the one check of clauses against arcs.
 `almost_consistent_graph` resolves an intersected graph it is given; the
 graph builders stay in `exchange`, and the weighted driver in `solvers`
 composes the two.
@@ -33,23 +35,23 @@ ArcLiteral = tuple[Arc, bool]
 
 
 class ObservationTable:
-    """Lazily queried, cached rank observations of small exchanges.
-
-    X ranges over nonempty subsets of at most two plain outside elements
-    (sources and sinks excluded), Y over nonempty subsets of at most two
-    elements of I. Each distinct exchanged set is queried at most once.
+    """Lazily queried, cached rank observations of small exchanges at the
+    I of the graph `g` they resolve: X ranges over nonempty subsets of at
+    most two plain elements (in none of I, g.S and g.T), Y over nonempty
+    subsets of at most two elements of I. Each distinct exchanged set is
+    queried at most once.
     """
 
-    def __init__(self, o: Oracle, I: int, S: int, T: int):
+    def __init__(self, o: Oracle, g: ExchangeGraph):
         self.o = o
-        self.I = I
-        self.k = popcount(I)
-        self.x_sets = small_subsets(o.ground & ~(I | S | T), 2)
-        self.y_sets = small_subsets(I, 2)
+        self.g = g
+        self.k = popcount(g.I)
+        self.x_sets = small_subsets(o.ground & ~(g.I | g.S | g.T), 2)
+        self.y_sets = small_subsets(g.I, 2)
         self._cache: dict[int, int] = {}
 
     def value(self, X: int, Y: int) -> int:
-        key = (self.I | X) & ~Y
+        key = (self.g.I | X) & ~Y
         got = self._cache.get(key)
         if got is None:
             got = self.o.rmin(key)
@@ -122,11 +124,10 @@ class TwoSat:
 
 
 def build_cnf(
-    table: ObservationTable,
-    g: ExchangeGraph,
-    extra: Sequence[tuple[ArcLiteral, ArcLiteral]] = (),
+    table: ObservationTable, extra: Sequence[tuple[ArcLiteral, ArcLiteral]] = ()
 ) -> TwoSat:
-    """Compile small-exchange observations into two-literal clauses.
+    """Compile the table's observations into two-literal clauses over the
+    suspicious arcs of its graph `table.g`.
 
     Clause tables, with a = arcs into I and b = arcs out of I:
 
@@ -152,6 +153,7 @@ def build_cnf(
     Only pairs with a suspicious slot arc are observed, in pair order; the
     others would fold to constants, which a genuine oracle makes true.
     """
+    g = table.g
     variables = sorted(g.suspicious_pairs())
     f = TwoSat(variables)
     k = table.k
@@ -169,7 +171,7 @@ def build_cnf(
     # touch[x]: the elements y of I with (x, y) or (y, x) suspicious.
     touch = [0] * g.n
     for u, v in variables:
-        x, y = (v, u) if (table.I >> u) & 1 else (u, v)
+        x, y = (v, u) if (g.I >> u) & 1 else (u, v)
         touch[x] |= bit(y)
     for X in table.x_sets:
         xs = elements_of(X)
@@ -285,7 +287,7 @@ def almost_consistent_graph(o: Oracle, g: ExchangeGraph) -> ExchangeGraph:
     plus the suspicious arcs assigned true. Genuine oracles always admit a
     solution; unsatisfiability is a contract violation.
     """
-    assignment = solve_2sat(build_cnf(ObservationTable(o, g.I, g.S, g.T), g))
+    assignment = solve_2sat(build_cnf(ObservationTable(o, g)))
     if assignment is None:
         raise ContractViolationError(
             "arc-constraint system unsatisfiable; oracle is not a matroid pair"

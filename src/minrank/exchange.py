@@ -88,6 +88,8 @@ class ExchangeGraph:
         sure: list[int] | tuple[int, ...] | None = None,
     ):
         self.n = n = len(succ)
+        if I & ~full_mask(n):
+            raise ValueError(f"I = {bin(I)} has elements outside [0, {n})")
         outside = full_mask(n) & ~I
         if S & ~outside or T & ~outside:
             raise ValueError("sources/sinks must lie outside I")

@@ -84,11 +84,12 @@ class ColoredGraph(NamedTuple):
         raise ValueError(f"gadget needs {n} elements; instance files carry at most {MAX_GROUND}")
 
     def is_proper(self) -> bool:
-        if self.coloring is None:
+        """Whether each vertex has one of the four colors and adjacent
+        vertices differ."""
+        c = self.coloring
+        if c is None or len(c) != self.vertices or any(x not in COLORS for x in c):
             return False
-        return all(
-            self.coloring[u] != self.coloring[w] for u, w in self.normalized_edges()
-        )
+        return all(c[u] != c[w] for u, w in self.normalized_edges())
 
 
 def _proper_colorings(g: ColoredGraph) -> Iterator[tuple[Color, ...]]:

@@ -10,7 +10,9 @@ step either swaps I along a shortest path or stops with a set Z where
 rmin(Z) + rmin(E \\ Z) = |I|, which the step checks before it returns it
 (`_check_certificate`). A step maps the run's sets so far, its own I
 last, to `(result, action, detail)`; the loop counts each step's queries
-and writes its trace line.
+and writes its trace line. A cardinality step reads its resume point from
+those sets alone: it follows a direct add when the set before it is I
+minus one element (`_augment`).
 The weighted modes share one driver, `_weighted_run`, whose step hands
 the mode's `resolve` the intersected graph N of the survey's probe pair
 and direct set. N holds the true graph and its sure arcs are true, so
@@ -118,31 +120,29 @@ def augment_min_rank(o: Oracle, I: int) -> _Outcome:
     can: the survey's lexicographically smallest pair may have a true sink
     as `s`, and then the graph is the one of the swapped matroid pair (e.g.
     `random_instance(111, 7)` at I={1,3,4})."""
-    return _augment(o, I, None)[0]
+    return _augment(o, [I])
 
 
-def _augment(o: Oracle, I: int, known_flat: int | None) -> tuple[_Outcome, int | None]:
-    """`augment_min_rank`, resumed after a direct add when `known_flat` is
-    not None: then I needs no entry check, the survey does not ask the
-    elements of `known_flat`, and the certificate check asks `rmin(I)`.
-    Returns the outcome and, after a direct add of x, the elements known
-    flat at I + x (see `survey_extensions`): those outside I below x; None
-    otherwise. A resumed step's `known_flat` is thus the elements below the
-    x added before it; the survey skips them and x is in I now, so the
-    step's own lift lies above x and its mask already covers `known_flat`."""
+def _augment(o: Oracle, sets: Sequence[int]) -> _Outcome:
+    """`augment_min_rank` at I = `sets[-1]`, resumed when the set before
+    it is I minus one element x, which only a direct add gives: a path
+    holds an element of I, since without a lift no flat element is both a
+    source and a sink. A resumed step skips the entry check, the survey
+    files every element outside I below x as flat unasked (see
+    `survey_extensions`), and the certificate check asks `rmin(I)`."""
+    I = sets[-1]
     k = popcount(I)
-    if known_flat is None:
+    x = I & ~sets[-2] if len(sets) > 1 and not sets[-2] & ~I else 0
+    if not x:
         _expect(o, I, k, k, lambda: f"the common independent set I = {format_set(I)}")
-    survey = survey_extensions(o, I, first=True, known_flat=known_flat or 0)
+    survey = survey_extensions(o, I, first=True, known_flat=o.ground & ~I & (x - 1) if x else 0)
     if survey.direct:
-        return _grown(I | survey.direct), o.ground & ~I & (survey.direct - 1)
-    path, Z = None, o.ground
-    if survey.pair is not None:
-        path, Z = probe_pair_search(o, survey)
+        return _grown(I | survey.direct)
+    path, Z = (None, o.ground) if survey.pair is None else probe_pair_search(o, survey)
     if path is not None:
-        return _grown(I ^ mask_of(path)), None
-    _check_certificate(o, [] if known_flat is None else [I], Z, k)
-    return _certify(Z), None
+        return _grown(I ^ mask_of(path))
+    _check_certificate(o, [I] if x else [], Z, k)
+    return _certify(Z)
 
 
 def _check_certificate(o: Oracle, sets: Sequence[int], Z: int, k: int) -> None:
@@ -200,14 +200,7 @@ def max_cardinality(o: Oracle) -> CardinalityRun:
 
     A step after a direct add resumes the one before: it skips the entry
     check and the singletons known to be flat (`_augment`)."""
-    known_flat = None
-
-    def step(sets: list[int]) -> _Outcome:
-        nonlocal known_flat
-        outcome, known_flat = _augment(o, sets[-1], known_flat)
-        return outcome
-
-    return _run(o, step)
+    return _run(o, lambda sets: _augment(o, sets))
 
 
 # -- weighted augmentation ----------------------------------------------------
@@ -386,7 +379,7 @@ def _fpt_augment(
     decided = _decide(N, w, price)
     if decided is not None:
         return decided
-    table = ObservationTable(o, I, N.S, N.T)
+    table = ObservationTable(o, N)
 
     # J lives on layer `side`: 2 constrains arcs into I, 1 arcs out of I.
     def arc(x: int, y: int) -> tuple[int, int]:
@@ -422,7 +415,7 @@ def _fpt_augment(
                 extra.append(clause(X, Y & ~Jp))
         else:
             guesses += 1
-            assignment = solve_2sat(build_cnf(table, N, extra=extra))
+            assignment = solve_2sat(build_cnf(table, extra))
             if assignment is None:
                 continue
             try:

@@ -452,13 +452,13 @@ def audit_graphs(
     reports.append(make("sure-arcs-true", (), lying_sure))
     reports.append(make("intersected-shortest-paths", true_paths, shortest_st_paths(N)))
 
-    table = ObservationTable(o, I, N.S, N.T)
+    table = ObservationTable(o, N)
     observations = all_observations(table)
     reports.append(
         make("true-graph-consistent", "consistent", consistency_summary(D, observations))
     )
 
-    f = build_cnf(table, N)
+    f = build_cnf(table)
     truth = {arc: arc in true_arcs for arc in f.variables}
     violated: list[object] = ["folded-contradiction"] if f.contradiction else []
     violated.extend(f.unsatisfied(truth))

@@ -41,9 +41,13 @@ from conftest import crossed_pair, small_zoo, triangle
 
 
 def _table(m1, m2, I):
-    o = MinRankOracle(m1, m2)
-    g = build_true_graph(m1, m2, I)
-    return ObservationTable(o, I, g.S, g.T)
+    return ObservationTable(MinRankOracle(m1, m2), build_true_graph(m1, m2, I))
+
+
+def _bare(o, I):
+    """A table at I whose graph has no arcs, sources or sinks, so every
+    outside element is plain."""
+    return ObservationTable(o, ExchangeGraph(I, 0, 0, [0] * o.ground.bit_length()))
 
 
 def test_observation_count_one_each():
@@ -72,7 +76,7 @@ def test_observations_match_oracle_recomputation():
     m1, m2 = crossed_pair()
     I = mask_of((0, 3))
     o = MinRankOracle(m1, m2)
-    t = ObservationTable(o, I, 0, 0)
+    t = _bare(o, I)
     fresh = MinRankOracle(m1, m2)
     for obs in all_observations(t):
         assert obs.value == fresh.rmin((I | obs.X) & ~obs.Y)
@@ -87,7 +91,7 @@ def test_observation_value_bounds():
             for I in range(1 << m1.n):
                 if o.rmin(I) != popcount(I) or I == 0:
                     continue
-                t = ObservationTable(o, I, 0, 0)
+                t = _bare(o, I)
                 k = popcount(I)
                 for obs in all_observations(t):
                     # Dropping Y removes at most |Y| rank; adding X restores
@@ -100,7 +104,7 @@ def test_observation_value_bounds():
 def test_observation_caching():
     m1, m2 = crossed_pair()
     o = MinRankOracle(m1, m2)
-    t = ObservationTable(o, mask_of((0, 3)), 0, 0)
+    t = _bare(o, mask_of((0, 3)))
     all_observations(t)
     spent = o.query_count
     all_observations(t)
@@ -142,27 +146,27 @@ def test_evil_requires_exact_subpair_values():
         (bit(3), Y): 0,
         (X, bit(0)): 1, (X, bit(1)): 1,
     }
-    t = ObservationTable(_Prescribed(4, I, exact), I, 0, 0)
+    t = _bare(_Prescribed(4, I, exact), I)
     assert t.is_evil(X, Y)
     assert t.evil_pairs(bit(0)) == [(X, Y)]
     # A pair whose Y misses J is never tested.
     o = _Prescribed(4, I, exact)
-    assert ObservationTable(o, I, 0, 0).evil_pairs(0) == []
+    assert _bare(o, I).evil_pairs(0) == []
     assert o.asked == []
     # One subpair value |I|-|Y'|+1: not evil, yet all eight subpairs are
     # still asked, so the queries do not depend on where the slack sits.
     off = dict(exact)
     off[(bit(2), bit(0))] = 2
     o = _Prescribed(4, I, off)
-    t = ObservationTable(o, I, 0, 0)
+    t = _bare(o, I)
     assert not t.is_evil(X, Y)
     assert len(o.asked) == 9
     # The pair itself must sit at |I| - 1.
     low = dict(exact)
     low[(X, Y)] = 0
-    assert not ObservationTable(_Prescribed(4, I, low), I, 0, 0).is_evil(X, Y)
+    assert not _bare(_Prescribed(4, I, low), I).is_evil(X, Y)
     # Wrong shape is never evil, regardless of values.
-    assert not ObservationTable(_Prescribed(4, I, exact), I, 0, 0).is_evil(bit(2), bit(0))
+    assert not _bare(_Prescribed(4, I, exact), I).is_evil(bit(2), bit(0))
 
 
 def test_cnf_case_1x1_high_forces_both():
@@ -172,10 +176,9 @@ def test_cnf_case_1x1_high_forces_both():
     m = UniformMatroid(2, 3)
     o = MinRankOracle(m, m)
     I = mask_of((0, 1))
-    t = ObservationTable(o, I, 0, 0)
     succ = [bit(2), bit(2), mask_of((0, 1))]  # 0->2, 1->2 out of I; 2->0, 2->1 into I
     g = ExchangeGraph(I, 0, 0, succ, sure=[0] * 3)
-    f = build_cnf(t, g)
+    f = build_cnf(ObservationTable(o, g))
     assert f.clauses
     assignment = solve_2sat(f)
     assert assignment is not None
@@ -184,7 +187,7 @@ def test_cnf_case_1x1_high_forces_both():
 
     # Dropping one reverse arc makes the same high pair unsatisfiable.
     g_broken = ExchangeGraph(I, 0, 0, [0, bit(2), mask_of((0, 1))], sure=[0] * 3)
-    assert solve_2sat(build_cnf(t, g_broken)) is None
+    assert solve_2sat(build_cnf(ObservationTable(o, g_broken))) is None
 
     # The resolver keeps exactly the four arcs, and refuses the broken graph.
     C = almost_consistent_graph(o, g)
@@ -206,7 +209,7 @@ def _compiled(n, I, values, names):
     out = full_mask(n) & ~I
     succ = [out if (I >> v) & 1 else I for v in range(n)]
     g = ExchangeGraph(I, 0, 0, succ, sure=[0] * n)
-    f = build_cnf(ObservationTable(_Prescribed(n, I, values), I, 0, 0), g)
+    f = build_cnf(ObservationTable(_Prescribed(n, I, values), g))
     assert not f.contradiction
 
     def spell(lit):
@@ -491,7 +494,7 @@ def test_true_graph_always_consistent():
                 if o.rmin(I) != popcount(I):
                     continue
                 D = build_true_graph(m1, m2, I)
-                t = ObservationTable(o, I, D.S, D.T)
+                t = ObservationTable(o, D)
                 for obs in all_observations(t):
                     assert check_consistency(D, obs) == "consistent"
 
@@ -551,14 +554,15 @@ def test_clause_systems_are_pinned(monkeypatch):
     systems = extras = 0
     full_cnf = build_cnf
 
-    def recorded(table, g, extra=()):
+    def recorded(table, extra=()):
         nonlocal systems, extras
+        g = table.g
 
         def holds(arc, neg):
             u, v = arc
             return neg if not (g.succ[u] >> v) & 1 else (g.sure[u] >> v) & 1 and not neg
 
-        f = full_cnf(table, g, extra)
+        f = full_cnf(table, extra)
         kept = [c for c in extra if not any(holds(*lit) for lit in c)]
         digest.update(repr((f.variables, f.clauses, f.contradiction, kept)).encode())
         systems += 1
@@ -604,9 +608,9 @@ def test_no_suspicious_arc_asks_no_observation():
                 if o.rmin(I) != popcount(I):
                     continue
                 D = build_true_graph(m1, m2, I)
-                table = ObservationTable(o, I, D.S, D.T)
+                table = ObservationTable(o, D)
                 before = o.query_count
-                f = build_cnf(table, D)
+                f = build_cnf(table)
                 assert o.query_count == before
                 assert (f.variables, f.clauses, f.contradiction) == ((), [], False)
                 graphs += bool(table.x_sets)

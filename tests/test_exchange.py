@@ -43,6 +43,7 @@ from minrank.exchange import (
     _probe_graph,
     _search,
     _star_sets,
+    find_star_pair,
     probe_pair_search,
     reachability_certificate,
     shortest_augmenting_path,
@@ -72,6 +73,8 @@ _LABELLED = ExchangeGraph(bit(0), 0, 0, [mask_of((1, 2)), bit(0), 0], sure=[bit(
         (lambda: _LABELLED.with_assignment({(0, -1): True}), ValueError),
         (lambda: ExchangeGraph(3, bit(0), 0, 0, [bit(1), 0, 0], [0, bit(0), 0]), TypeError),
         (lambda: ExchangeGraph(3, bit(0), 0, 0, [bit(1), 0, 0]), TypeError),
+        (lambda: ExchangeGraph(bit(3), 0, 0, [0, 0, 0]), ValueError),
+        (lambda: ExchangeGraph(-1, 0, 0, [0, 0, 0]), ValueError),
     ],
     ids=[
         "source-in-I",
@@ -87,10 +90,13 @@ _LABELLED = ExchangeGraph(bit(0), 0, 0, [mask_of((1, 2)), bit(0), 0], sure=[bit(
         "assign-a-negative-head",
         "old-two-layer-call",
         "old-call-with-n",
+        "I-outside-range",
+        "negative-I",
     ],
 )
 def test_exchange_graph_refuses_malformed_input(build, error):
-    """The constructor refuses sources or sinks in I, arcs that do not
+    """The constructor refuses an I outside the vertices (a negative mask
+    too, which would never print), sources or sinks in I, arcs that do not
     cross between I and E \\ I, sure arcs that are no arcs and a sure list
     of another length than the head list; `with_assignment` accepts only
     suspicious arcs, so a negative or out-of-range index does not wrap
@@ -131,17 +137,21 @@ def test_true_graph_rejects_dependent_set():
 
 def test_find_star_pair_direct_augment():
     o = MinRankOracle(*crossed_pair())
-    assert survey_extensions(o, bit(0), first=True).direct == bit(3)
+    assert find_star_pair(o, bit(0)) == survey_extensions(o, bit(0), first=True)
+    assert find_star_pair(o, bit(0)).direct == bit(3)
 
 
 def test_find_star_pair_none_at_maximum():
     o = MinRankOracle(*crossed_pair())
-    assert survey_extensions(o, mask_of((0, 3)), first=True).all_flat
+    I = mask_of((0, 3))
+    assert find_star_pair(o, I) == survey_extensions(o, I, first=True)
+    assert find_star_pair(o, I).all_flat
 
 
 def test_find_star_pair_empty_set_loopless():
     o = MinRankOracle(*crossed_pair())
-    assert survey_extensions(o, 0, first=True).direct == bit(0)
+    assert find_star_pair(o, 0) == survey_extensions(o, 0, first=True)
+    assert find_star_pair(o, 0).direct == bit(0)
 
 
 def test_survey_extensions_lists_all_direct():
@@ -277,6 +287,13 @@ def test_shortest_path_none_when_unreachable():
 def test_reachability_certificate_empty_sinks():
     g = ExchangeGraph(bit(0), 0, 0, [0, 0], sure=[0, 0])
     assert reachability_certificate(g) == 0
+
+
+def test_reachability_certificate_refuses_a_reachable_sink():
+    """Source 1 reaches sink 2 through 0, so there is no certificate."""
+    g = ExchangeGraph(bit(0), bit(1), bit(2), [bit(2), bit(0), 0])
+    with pytest.raises(ValueError, match="a source reaches a sink"):
+        reachability_certificate(g)
 
 
 def test_bfs_tie_breaks_lexicographic():

@@ -98,6 +98,11 @@ def test_is_proper():
     assert ColoredGraph(2, ((0, 1),), ((1, 1), (1, 2))).is_proper()
     assert not ColoredGraph(2, ((0, 1),), ((1, 1), (1, 1))).is_proper()
     assert not ColoredGraph(1, (), None).is_proper()
+    # Too few colors, an unknown color, more colors than vertices.
+    assert not ColoredGraph(3, ((0, 2),), ((1, 1),)).is_proper()
+    assert not ColoredGraph(1, (), ((9, 9),)).is_proper()
+    assert not ColoredGraph(2, ((0, 1),), ((9, 9), (1, 1))).is_proper()
+    assert not ColoredGraph(1, (), ((1, 1), (1, 2))).is_proper()
 
 
 # -- building -------------------------------------------------------------------

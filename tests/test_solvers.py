@@ -481,9 +481,9 @@ def test_fpt_guess_inside_J_skips_or_adds_a_clause(monkeypatch):
     # not tried; one holding a single element of Y adds a clause.
     extras = []
 
-    def counted(table, g, extra=()):
+    def counted(table, extra=()):
         extras.append(tuple(extra))
-        return build_cnf(table, g, extra=extra)
+        return build_cnf(table, extra)
 
     build_cnf = minrank.solvers.build_cnf
     monkeypatch.setattr(minrank.solvers, "build_cnf", counted)
@@ -1215,3 +1215,46 @@ def test_lying_oracle_fpt_seed_107_is_right_or_reported():
     the flat memory allows a lift to turn flat, and the entering re-check
     skips s*. Strict, so a fix has to flip this test."""
     assert liar_verdict(HashedLiar, "fpt", 107) != "wrong"
+
+
+@pytest.mark.parametrize(
+    "seed,unsatisfiable,cycles,queries",
+    [(201, 2, 0, 121), (22, 0, 2, 82)],
+    ids=["unsatisfiable-guesses", "negative-cycle-guesses"],
+)
+def test_fpt_rejected_guesses_end_in_a_contract_violation(
+    seed, unsatisfiable, cycles, queries, monkeypatch
+):
+    """`HashedLiar(seed)` on `random_fpt_instance(seed, 10, 3)`, with
+    `_decide` off so that every path search is a guess's: at seed 201 two
+    guesses have an unsatisfiable clause system, at seed 22 two guessed
+    graphs close a negative-cost cycle. Each such guess is skipped, and the
+    step, left with no candidate and no certificate that verifies, raises
+    ContractViolationError. No honest pair reached these branches: not the
+    single-vertex gadgets (weights from seeds 0..199, gamma 2..4), nor
+    seeds 0..299 at n = 6..10 of the fpt, promise, lexmax and plain
+    generators at gamma 2 and 3."""
+    monkeypatch.setattr(minrank.solvers, "_decide", lambda N, w, price: None)
+    solve_2sat, search = minrank.solvers.solve_2sat, minrank.solvers.shortest_cheapest_path
+    rejected = Counter()
+
+    def counted_2sat(f):
+        assignment = solve_2sat(f)
+        rejected["unsatisfiable"] += assignment is None
+        return assignment
+
+    def counted_search(g, w):
+        try:
+            return search(g, w)
+        except NegativeCycleError:
+            rejected["cycle"] += 1
+            raise
+
+    monkeypatch.setattr(minrank.solvers, "solve_2sat", counted_2sat)
+    monkeypatch.setattr(minrank.solvers, "shortest_cheapest_path", counted_search)
+    inst = random_fpt_instance(seed, 10, 3)
+    o = HashedLiar(inst.matroid1, inst.matroid2, seed)
+    with pytest.raises(ContractViolationError, match="no guess yielded a valid augmentation"):
+        weighted_fpt_circuit(o, inst.weight_vector(), 3)
+    assert (rejected["unsatisfiable"], rejected["cycle"]) == (unsatisfiable, cycles)
+    assert o.query_count == queries
