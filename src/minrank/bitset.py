@@ -26,7 +26,10 @@ def popcount(mask: int) -> int:
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set element ids of `mask` in increasing order."""
+    """Yield the set element ids of `mask` in increasing order. A negative
+    mask has infinitely many set bits: ValueError, for every reader here."""
+    if mask < 0:
+        raise ValueError(f"negative mask {mask} names no finite set")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -23,23 +23,9 @@ from .bitset import MAX_GROUND, format_set, full_mask, mask_of, parse_set, popco
 from .consistency import almost_consistent_graph
 from .core import PartitionMatroid
 from .errors import ContractViolationError
-from .exchange import (
-    ExchangeGraph,
-    build_modified_graph,
-    intersect_modified,
-    survey_extensions,
-)
+from .exchange import ExchangeGraph, build_modified_graph, intersect_modified, survey_extensions
 from .gadgets import VERIFY_MAX_N, ColoredGraph, _proper_colorings, build_gadget, verify_gadget
-from .instances import (
-    Instance,
-    InstanceError,
-    _json_int,
-    _rng,
-    dumps,
-    load,
-    loads,
-    random_instance,
-)
+from .instances import Instance, InstanceError, _json_int, _rng, dumps, load, loads, random_instance
 from .oracle import MinRankOracle
 from .solvers import (
     WeightedRun,
@@ -52,12 +38,7 @@ from .solvers import (
     weighted_fpt_circuit,
     weighted_no_circuit_inclusion,
 )
-from .verify import (
-    BruteReport,
-    audit_graphs,
-    brute_table,
-    build_true_graph,
-)
+from .verify import BruteReport, audit_graphs, brute_table, build_true_graph
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1

@@ -538,9 +538,12 @@ def _search(
     return reached, nxt
 
 
-def probe_pair_search(o: Oracle, survey: ExtensionSurvey) -> tuple[list[int] | None, int]:
+def probe_pair_search(
+    o: Oracle, survey: ExtensionSurvey
+) -> tuple[list[int] | None, int, list[list[int]]]:
     """The shortest augmenting path of the survey's probe-pair graph, or
-    its certificate, with arcs found on demand by group tests.
+    its certificate, with arcs found on demand by group tests, and the
+    further walks of its length that share no vertex.
 
     Same answer as `shortest_cheapest_path` at zero costs on
     `build_modified_graph(o, survey)`, the smallest direct element alone if
@@ -553,8 +556,13 @@ def probe_pair_search(o: Oracle, survey: ExtensionSurvey) -> tuple[list[int] | N
     for U ⊆ S ∖ T, `rmin((I − v) ∪ U)` is |I| if some u in U has the arc
     (u, v) and |I| − 1 otherwise; plain tails are grouped the same way with
     s* added when (s*, v) is no arc, and all have the arc when it is one.
-    Returns (path, 0) when a path exists, after `check_entering` on it,
-    else (None, Z) with Z the set of vertices that reach a sink.
+    Returns (path, 0, walks) when a path exists, after `check_entering` on
+    it, else (None, Z, []) with Z the set of vertices that reach a sink.
+    All reached sources are on the last level, so the recorded successors
+    lead each to a sink as far off as the path's; `walks` keeps, by
+    ascending source, each walk disjoint from the path and the walks kept
+    before it, its one source first. Each is a candidate only: nothing
+    promises it still augments once the path is applied.
     """
     I, _, sp = survey
     S, T = _star_sets(o, survey)
@@ -573,15 +581,20 @@ def probe_pair_search(o: Oracle, survey: ExtensionSurvey) -> tuple[list[int] | N
         return (star | plain) & U
 
     reached, nxt = _search(I, o.ground & ~I, S, T, tails)
-    v = next(iter_bits(reached & S), None)
-    if v is None:
-        return None, reached
-    path = [v]
-    while v in nxt:
-        v = nxt[v]
-        path.append(v)
-    check_entering(o, survey, S, mask_of(path))
-    return path, 0
+    walks: list[list[int]] = []
+    used = 0
+    for v in iter_bits(reached & S):
+        walk = [v]
+        while v in nxt:
+            v = nxt[v]
+            walk.append(v)
+        if not mask_of(walk) & used:
+            walks.append(walk)
+            used |= mask_of(walk)
+    if not walks:
+        return None, reached, []
+    check_entering(o, survey, S, mask_of(walks[0]))
+    return walks[0], 0, walks[1:]
 
 
 def shortest_cheapest_path(g: ExchangeGraph, w: Sequence) -> tuple[list[int] | None, int]:

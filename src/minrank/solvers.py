@@ -6,13 +6,11 @@ exchangeability graphs, and the three tractable weighted regimes
 maximality), plus the approximation wrapper for positive weights.
 
 Every mode runs one loop, `_run`: from the empty set, each augmentation
-step either swaps I along a shortest path or stops with a set Z where
-rmin(Z) + rmin(E \\ Z) = |I|, which the step checks before it returns it
-(`_check_certificate`). A step maps the run's sets so far, its own I
-last, to `(result, action, detail)`; the loop counts each step's queries
-and writes its trace line. A cardinality step reads its resume point from
-those sets alone: it follows a direct add when the set before it is I
-minus one element (`_augment`).
+step grows I along shortest paths, one trace line per set it reaches, or
+stops with a set Z where rmin(Z) + rmin(E \\ Z) = |I|, which it checks
+(`_check_certificate`). A cardinality step applies its search's shortest
+path, then each further walk of that length the oracle confirms, and
+resumes after a direct add, read from the run's sets (`_augment`).
 The weighted modes share one driver, `_weighted_run`, whose step hands
 the mode's `resolve` the intersected graph N of the survey's probe pair
 and direct set. N holds the true graph and its sure arcs are true, so
@@ -35,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .bitset import bit, elements_of, format_set, iter_bits, mask_of, popcount, subsets_of
 from .consistency import ObservationTable, almost_consistent_graph, build_cnf, solve_2sat
@@ -101,12 +99,12 @@ def _certify(Z: int, mark: str = "") -> _Outcome:
     return Certificate(Z), "certificate", f"Z={format_set(Z)}{mark}"
 
 
-def _grown(J: int) -> _Outcome:
-    return Augmented(J), "augment", f"J={format_set(J)}"
+def _grown(J: int, action: str = "augment") -> _Outcome:
+    return Augmented(J), action, f"J={format_set(J)}"
 
 
 def augment_min_rank(o: Oracle, I: int) -> _Outcome:
-    """One cardinality augmentation step.
+    """One cardinality augmentation step, up to its first new set.
 
     In order: if every pairwise extension stays flat, the whole ground set
     is a duality certificate; if some single element lifts the min-rank,
@@ -120,16 +118,21 @@ def augment_min_rank(o: Oracle, I: int) -> _Outcome:
     can: the survey's lexicographically smallest pair may have a true sink
     as `s`, and then the graph is the one of the swapped matroid pair (e.g.
     `random_instance(111, 7)` at I={1,3,4})."""
-    return _augment(o, [I])
+    return next(_augment(o, [I]))
 
 
-def _augment(o: Oracle, sets: Sequence[int]) -> _Outcome:
-    """`augment_min_rank` at I = `sets[-1]`, resumed when the set before
-    it is I minus one element x, which only a direct add gives: a path
-    holds an element of I, since without a lift no flat element is both a
-    source and a sink. A resumed step skips the entry check, the survey
-    files every element outside I below x as flat unasked (see
-    `survey_extensions`), and the certificate check asks `rmin(I)`."""
+def _augment(o: Oracle, sets: Sequence[int]) -> Iterator[_Outcome]:
+    """The step at I = `sets[-1]`: `augment_min_rank`'s outcome, then a
+    `walk` for each further walk P of its search that the oracle confirms,
+    `rmin(J Δ P)` = |J| + 1 at the set J reached so far (held to
+    |J| − |P| // 2 .. |J| + 1), and then `check_entering` on P.
+
+    It resumes when the set before I is I minus one element x, which only
+    a direct add gives: a path holds an element of I, since without a
+    lift no flat element is both a source and a sink. A resumed step skips
+    the entry check, the survey files every element outside I below x as
+    flat unasked (see `survey_extensions`), and the certificate check asks
+    `rmin(I)`."""
     I = sets[-1]
     k = popcount(I)
     x = I & ~sets[-2] if len(sets) > 1 and not sets[-2] & ~I else 0
@@ -137,12 +140,24 @@ def _augment(o: Oracle, sets: Sequence[int]) -> _Outcome:
         _expect(o, I, k, k, lambda: f"the common independent set I = {format_set(I)}")
     survey = survey_extensions(o, I, first=True, known_flat=o.ground & ~I & (x - 1) if x else 0)
     if survey.direct:
-        return _grown(I | survey.direct)
-    path, Z = (None, o.ground) if survey.pair is None else probe_pair_search(o, survey)
-    if path is not None:
-        return _grown(I ^ mask_of(path))
-    _check_certificate(o, [I] if x else [], Z, k)
-    return _certify(Z)
+        yield _grown(I | survey.direct)
+        return
+    path, Z, walks = (None, o.ground, []) if survey.pair is None else probe_pair_search(o, survey)
+    if path is None:
+        _check_certificate(o, [I] if x else [], Z, k)
+        yield _certify(Z)
+        return
+    J = I ^ mask_of(path)
+    yield _grown(J)
+    for P in walks:
+        j, Pm = popcount(J), mask_of(P)
+        value = _expect(
+            o, J ^ Pm, j - len(P) // 2, j + 1, lambda: f"the walk {tuple(P)} at J = {format_set(J)}"
+        )
+        if value > j:
+            check_entering(o, survey, bit(P[0]), Pm)  # a walk's one source
+            J ^= Pm
+            yield _grown(J, "walk")
 
 
 def _check_certificate(o: Oracle, sets: Sequence[int], Z: int, k: int) -> None:
@@ -169,11 +184,13 @@ class CardinalityRun(NamedTuple):
         return self.sets[-1]
 
 
-def _run(o: Oracle, step: Callable[[list[int]], _Outcome]) -> CardinalityRun:
-    """Step from the empty set until a step certifies maximality, charging
-    each trace line with every query its step asked. A step reads the
-    run's sets so far, the empty set first and its own I last, and checks
-    the certificate it returns (`_check_certificate`).
+def _run(o: Oracle, step: Callable[[list[int]], Iterable[_Outcome]]) -> CardinalityRun:
+    """Step from the empty set until a step certifies maximality. A step
+    reads the run's sets so far, the empty set first and its own I last,
+    and yields an outcome per set it reaches, appended before the next is
+    asked for, or last a certificate it has checked (`_check_certificate`).
+    A trace line is charged the queries since the line before, and a
+    step's asks after its last line (walks the oracle declined) go to it.
 
     A step that rejects its own input (ValueError) was given a set and a
     probe pair built from the oracle's earlier answers, so the oracle broke
@@ -182,24 +199,25 @@ def _run(o: Oracle, step: Callable[[list[int]], _Outcome]) -> CardinalityRun:
     sets = [0]
     trace: list[AugmentStep] = []
     while True:
-        I = sets[-1]
         before = o.query_count
         try:
-            res, action, detail = step(sets)
+            for res, action, detail in step(sets):
+                line = AugmentStep(popcount(sets[-1]), action, detail, o.query_count - before)
+                trace.append(line)
+                before = o.query_count
+                if isinstance(res, Certificate):
+                    return CardinalityRun(tuple(sets), res.Z, o.query_count - base, tuple(trace))
+                sets.append(res.J)
         except ValueError as exc:
             raise ContractViolationError(f"oracle answers contradict each other: {exc}") from exc
-        trace.append(AugmentStep(popcount(I), action, detail, o.query_count - before))
-        if isinstance(res, Certificate):
-            return CardinalityRun(tuple(sets), res.Z, o.query_count - base, tuple(trace))
-        sets.append(res.J)
+        trace[-1] = trace[-1]._replace(queries=trace[-1].queries + o.query_count - before)
 
 
 def max_cardinality(o: Oracle) -> CardinalityRun:
-    """Grow from the empty set one augmentation at a time until a duality
-    certificate proves maximality, keeping every set passed through.
-
-    A step after a direct add resumes the one before: it skips the entry
-    check and the singletons known to be flat (`_augment`)."""
+    """Grow from the empty set until a duality certificate proves
+    maximality, keeping every set passed through, one per size. One search
+    can grow the set several times, and a step after a direct add resumes
+    the one before (`_augment`)."""
     return _run(o, lambda sets: _augment(o, sets))
 
 
@@ -314,7 +332,7 @@ def _weighted_run(
         _check_certificate(o, sets[1:], outcome[0].Z, popcount(I))
         return outcome
 
-    run = _run(o, step)
+    run = _run(o, lambda sets: [step(sets)])
     levels = tuple(Level(popcount(I), I, total_weight(w, I)) for I in run.sets)
     return WeightedRun(levels, run.Z, run.queries, run.trace)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from minrank import (
     bit,
     elements_of,
@@ -49,3 +51,15 @@ def test_format_and_parse_set():
     assert parse_set("0,3") == 0b1001
     assert parse_set("{}") == 0
     assert parse_set(format_set(0b10110)) == 0b10110
+
+
+def test_negative_masks_are_refused():
+    """A negative int has infinitely many set bits, so reading one would
+    never end: `iter_bits`, and `elements_of` and `format_set` through it,
+    raise ValueError instead."""
+    with pytest.raises(ValueError, match="negative mask -1"):
+        next(iter_bits(-1))
+    with pytest.raises(ValueError, match="negative mask -2"):
+        elements_of(-2)
+    with pytest.raises(ValueError, match="negative mask -8"):
+        format_set(-8)

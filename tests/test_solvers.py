@@ -20,6 +20,7 @@ from minrank import (
     ContractViolationError,
     ExchangeGraph,
     ExtensionSurvey,
+    GraphicMatroid,
     Level,
     MinRankOracle,
     NegativeCycleError,
@@ -144,7 +145,7 @@ def test_augment_star_pair_choice_does_not_change_size():
                     continue
                 baseline, _, _ = augment_min_rank(o, I)
                 for sp in pairs:
-                    path, Z = probe_pair_search(o, ExtensionSurvey(I, 0, sp))
+                    path, Z, _ = probe_pair_search(o, ExtensionSurvey(I, 0, sp))
                     assert (path is None) == isinstance(baseline, Certificate)
                     if path is not None:
                         augmented += 1
@@ -191,13 +192,29 @@ def test_max_cardinality_query_count_pinned():
     built the whole probe-pair graph, 1,341 with on-demand arc tests,
     1,345 since the survey finds its probe pair by prefix search, 665
     since the on-demand search finds arcs by group tests, 361 since a
-    step after a direct add resumes the survey before it, and 346 since a
+    step after a direct add resumes the survey before it, 346 since a
     flat source is no sink, so its sink test is skipped (and asked again
-    only when it enters I)."""
+    only when it enters I), and 259 since one search applies every further
+    walk the oracle confirms: the step at k = 45 keeps one, which saves
+    the search at k = 46."""
     inst = random_instance(7, 64, kinds=("partition",), weighted=True)
     run = max_cardinality(MinRankOracle(inst.matroid1, inst.matroid2))
     assert popcount(run.I) == 47
-    assert run.queries == 346
+    assert run.queries == 259
+
+
+def test_max_cardinality_keeps_walks_on_the_pinned_pair():
+    """On the pinned n=64 pair a search keeps a further walk, and the run
+    still holds exactly one set per size 0..47, each independent in both
+    matroids by their own rank, not the counted oracle, with trace lines
+    that add up to the run's queries."""
+    inst = random_instance(7, 64, kinds=("partition",), weighted=True)
+    m1, m2 = inst.matroid1, inst.matroid2
+    run = max_cardinality(MinRankOracle(m1, m2))
+    assert any(step.action == "walk" for step in run.trace)
+    assert [popcount(I) for I in run.sets] == list(range(48))
+    assert all(m1.rank(I) == m2.rank(I) == popcount(I) for I in run.sets)
+    assert sum(step.queries for step in run.trace) == run.queries
 
 
 def test_resumed_steps_match_the_unresumed_loop(monkeypatch):
@@ -223,7 +240,7 @@ def test_resumed_steps_match_the_unresumed_loop(monkeypatch):
             ):
                 m1, m2 = inst.matroid1, inst.matroid2
                 o = MinRankOracle(m1, m2)
-                plain = minrank.solvers._run(o, lambda sets: augment_min_rank(o, sets[-1]))
+                plain = minrank.solvers._run(o, lambda sets: minrank.solvers._augment(o, sets[-1:]))
                 known.clear()
                 run = max_cardinality(MinRankOracle(m1, m2))
                 assert (run.sets, run.Z) == (plain.sets, plain.Z)
@@ -1013,6 +1030,21 @@ def test_certificate_lie_is_a_contract_violation(nth, named):
         max_cardinality(NthQueryLiar(m1, m2, nth, 1))
 
 
+@pytest.mark.parametrize("back,named", [(2, "the walk"), (1, "entering I")], ids=["walk", "entering"])
+def test_walk_lie_is_a_contract_violation(back, named):
+    """The walk the pinned n=64 pair keeps stands on the last two asks of
+    its trace line: its own `rmin(J Δ P)`, then `check_entering`'s test of
+    its source. A lie of 0 in either is a ContractViolationError naming
+    that ask."""
+    inst = random_instance(7, 64, kinds=("partition",), weighted=True)
+    m1, m2 = inst.matroid1, inst.matroid2
+    trace = max_cardinality(MinRankOracle(m1, m2)).trace
+    (i,) = [i for i, step in enumerate(trace) if step.action == "walk"]
+    nth = sum(step.queries for step in trace[: i + 1]) + 1 - back
+    with pytest.raises(ContractViolationError, match=named):
+        max_cardinality(NthQueryLiar(m1, m2, nth, 0))
+
+
 @pytest.mark.parametrize(
     "solve,nth,value,named",
     [
@@ -1171,6 +1203,39 @@ def test_lying_oracle_never_gets_a_wrong_cardinality_answer(liar):
     `rmin(Z) + rmin(E \\ Z) = |I|` catch it."""
     for seed in range(200):
         assert liar_verdict(liar, "cardinality", seed) != "wrong", seed
+
+
+def test_liars_at_n64_are_right_or_reported():
+    """Both liars at n = 64, where honest searches keep further walks (the
+    n = 8 sweep keeps none), on seeds 0..7 of a partition pair and of a
+    graphic x partition pair, the graphic matroid 64 random edges on 32
+    vertices: each run raises ContractViolationError or returns the honest
+    run's size with a set independent in both matroids. Prints the
+    right/raised/wrong counts under `pytest -s`."""
+    counts: Counter = Counter()
+    walks = 0
+    for seed in range(8):
+        part = random_instance(seed, 64, kinds=("partition",))
+        rng = random.Random(seed)
+        graphic = GraphicMatroid(32, [tuple(rng.sample(range(32), 2)) for _ in range(64)])
+        for m1, m2 in ((part.matroid1, part.matroid2), (graphic, part.matroid1)):
+            honest = max_cardinality(MinRankOracle(m1, m2))
+            walks += sum(step.action == "walk" for step in honest.trace)
+            for liar in (PerturbedOracle, HashedLiar):
+                try:
+                    run = max_cardinality(liar(m1, m2, seed))
+                except ContractViolationError:
+                    counts[liar.__name__, "raised"] += 1
+                    continue
+                right = popcount(run.I) == popcount(honest.I) and all(
+                    m.rank(run.I) == popcount(run.I) for m in (m1, m2)
+                )
+                counts[liar.__name__, "right" if right else "wrong"] += 1
+    for name in ("PerturbedOracle", "HashedLiar"):
+        cells = "/".join(str(counts[name, v]) for v in ("right", "raised", "wrong"))
+        print(f"\n`{name}` at n = 64: {cells}")
+    assert walks > 0
+    assert not counts["PerturbedOracle", "wrong"] + counts["HashedLiar", "wrong"]
 
 
 LIAR_CASES = [
