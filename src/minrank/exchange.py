@@ -26,8 +26,9 @@ The sources and sinks come from the survey (`survey_extensions`), which
 holds I, the mask of direct (rank-lifting) elements and the probe pair;
 every function that builds on it reads it whole. A direct element is a
 source and a sink, and a flat source is no sink. `_star_sets` asks only
-the tests those forced answers leave open, and `check_entering` asks the
-skipped tests of the elements that enter I.
+the tests those forced answers leave open. The searches here ask nothing
+once they have searched: the solvers apply what they find and call
+`check_entering`, which asks the skipped tests of the elements that enter I.
 
 The probe graphs are built from group tests on fundamental circuits. A
 star (an element of exactly one of S and T) x has `rmin((I ∖ Y) + x)`
@@ -538,12 +539,10 @@ def _search(
     return reached, nxt
 
 
-def probe_pair_search(
-    o: Oracle, survey: ExtensionSurvey
-) -> tuple[list[int] | None, int, list[list[int]]]:
-    """The shortest augmenting path of the survey's probe-pair graph, or
-    its certificate, with arcs found on demand by group tests, and the
-    further walks of its length that share no vertex.
+def probe_pair_search(o: Oracle, survey: ExtensionSurvey) -> tuple[list[list[int]], int]:
+    """The shortest augmenting path of the survey's probe-pair graph, and
+    the further walks of its length that share no vertex, or its
+    certificate, with arcs found on demand by group tests.
 
     Same answer as `shortest_cheapest_path` at zero costs on
     `build_modified_graph(o, survey)`, the smallest direct element alone if
@@ -556,13 +555,14 @@ def probe_pair_search(
     for U ⊆ S ∖ T, `rmin((I − v) ∪ U)` is |I| if some u in U has the arc
     (u, v) and |I| − 1 otherwise; plain tails are grouped the same way with
     s* added when (s*, v) is no arc, and all have the arc when it is one.
-    Returns (path, 0, walks) when a path exists, after `check_entering` on
-    it, else (None, Z, []) with Z the set of vertices that reach a sink.
-    All reached sources are on the last level, so the recorded successors
-    lead each to a sink as far off as the path's; `walks` keeps, by
-    ascending source, each walk disjoint from the path and the walks kept
-    before it, its one source first. Each is a candidate only: nothing
-    promises it still augments once the path is applied.
+    Returns (walks, 0) when a path exists, the path first, else ([], Z)
+    with Z the set of vertices that reach a sink, and asks nothing after
+    the BFS. All reached sources are on the last level, so the recorded
+    successors lead each to a sink as far off as the path's, and each walk
+    holds one source, its first vertex. After the path, `walks` keeps, by
+    ascending source, each walk disjoint from the walks kept before it.
+    Each is a candidate only: nothing promises it still augments once the
+    path is applied.
     """
     I, _, sp = survey
     S, T = _star_sets(o, survey)
@@ -591,10 +591,7 @@ def probe_pair_search(
         if not mask_of(walk) & used:
             walks.append(walk)
             used |= mask_of(walk)
-    if not walks:
-        return None, reached, []
-    check_entering(o, survey, S, mask_of(walks[0]))
-    return walks[0], 0, walks[1:]
+    return walks, 0 if walks else reached
 
 
 def shortest_cheapest_path(g: ExchangeGraph, w: Sequence) -> tuple[list[int] | None, int]:

@@ -8,9 +8,11 @@ maximality), plus the approximation wrapper for positive weights.
 Every mode runs one loop, `_run`: from the empty set, each augmentation
 step grows I along shortest paths, one trace line per set it reaches, or
 stops with a set Z where rmin(Z) + rmin(E \\ Z) = |I|, which it checks
-(`_check_certificate`). A cardinality step applies its search's shortest
-path, then each further walk of that length the oracle confirms, and
-resumes after a direct add, read from the run's sets (`_augment`).
+(`_check_certificate`). The searches in `exchange` only search; the
+steps here apply and check what they find. A cardinality step applies its
+search's shortest path, then each further walk of that length the oracle
+confirms, checks each with `check_entering`, and resumes after a direct
+add, read from the run's sets (`_augment`).
 The weighted modes share one driver, `_weighted_run`, whose step hands
 the mode's `resolve` the intersected graph N of the survey's probe pair
 and direct set. N holds the true graph and its sure arcs are true, so
@@ -62,9 +64,6 @@ class Certificate(NamedTuple):
     Z: int
 
 
-SolveResult = Augmented | Certificate
-
-
 class AugmentStep(NamedTuple):
     """One trace line of a solver run."""
 
@@ -92,7 +91,7 @@ def path_cost(path: Sequence[int], I: int, w: Sequence) -> Fraction | int:
 
 
 # One augmentation step's result, then its trace line's action and detail.
-_Outcome = tuple[SolveResult, str, str]
+_Outcome = tuple[Augmented | Certificate, str, str]
 
 
 def _certify(Z: int, mark: str = "") -> _Outcome:
@@ -125,7 +124,9 @@ def _augment(o: Oracle, sets: Sequence[int]) -> Iterator[_Outcome]:
     """The step at I = `sets[-1]`: `augment_min_rank`'s outcome, then a
     `walk` for each further walk P of its search that the oracle confirms,
     `rmin(J Δ P)` = |J| + 1 at the set J reached so far (held to
-    |J| − |P| // 2 .. |J| + 1), and then `check_entering` on P.
+    |J| − |P| // 2 .. |J| + 1). Each walk applied, the path first and
+    unasked, is checked by `check_entering` at its one source, its first
+    vertex: the BFS stops at the first level that holds a source.
 
     It resumes when the set before I is I minus one element x, which only
     a direct add gives: a path holds an element of I, since without a
@@ -142,22 +143,19 @@ def _augment(o: Oracle, sets: Sequence[int]) -> Iterator[_Outcome]:
     if survey.direct:
         yield _grown(I | survey.direct)
         return
-    path, Z, walks = (None, o.ground, []) if survey.pair is None else probe_pair_search(o, survey)
-    if path is None:
+    walks, Z = ([], o.ground) if survey.pair is None else probe_pair_search(o, survey)
+    if not walks:
         _check_certificate(o, [I] if x else [], Z, k)
         yield _certify(Z)
-        return
-    J = I ^ mask_of(path)
-    yield _grown(J)
+    J = I
     for P in walks:
         j, Pm = popcount(J), mask_of(P)
-        value = _expect(
+        if j == k or _expect(
             o, J ^ Pm, j - len(P) // 2, j + 1, lambda: f"the walk {tuple(P)} at J = {format_set(J)}"
-        )
-        if value > j:
-            check_entering(o, survey, bit(P[0]), Pm)  # a walk's one source
+        ) > j:
+            check_entering(o, survey, bit(P[0]), Pm)
             J ^= Pm
-            yield _grown(J, "walk")
+            yield _grown(J, "walk" if j > k else "augment")
 
 
 def _check_certificate(o: Oracle, sets: Sequence[int], Z: int, k: int) -> None:
@@ -305,7 +303,7 @@ def _weighted_run(
     circuits: dict[int, int] = {}
     flat = 0  # after a direct add, the elements flat at the set before it
 
-    def step(sets: list[int]) -> _Outcome:
+    def step(sets: list[int]) -> Iterator[_Outcome]:
         nonlocal flat
         I = sets[-1]
         carried = mask_of(
@@ -321,18 +319,18 @@ def _weighted_run(
         elif survey.pair is None:
             x = max(iter_bits(direct), key=lambda e: Fraction(w[e]))
             flat = o.ground & ~I & ~direct
-            return Augmented(I | bit(x)), "direct", f"x={x}"
+            outcome = Augmented(I | bit(x)), "direct", f"x={x}"
         else:
             flat = 0
             N = intersect_modified(o, survey, circuits)
             outcome = resolve(N)
             if isinstance(outcome[0], Augmented):
                 check_entering(o, survey, N.S, outcome[0].J)
-                return outcome
-        _check_certificate(o, sets[1:], outcome[0].Z, popcount(I))
-        return outcome
+        if isinstance(outcome[0], Certificate):
+            _check_certificate(o, sets[1:], outcome[0].Z, popcount(I))
+        yield outcome
 
-    run = _run(o, lambda sets: [step(sets)])
+    run = _run(o, step)
     levels = tuple(Level(popcount(I), I, total_weight(w, I)) for I in run.sets)
     return WeightedRun(levels, run.Z, run.queries, run.trace)
 

@@ -389,6 +389,16 @@ def test_gadget_rejects_improper_coloring(tmp_path, capsys):
     assert "not proper" in capsys.readouterr().err
 
 
+def test_gadget_rejects_an_unreadable_graph_file(tmp_path, capsys):
+    """A missing graph file and one that is not JSON are usage errors."""
+    assert main(["gadget", "--graph", str(tmp_path / "nope.json")]) == 2
+    assert "cannot read" in capsys.readouterr().err
+    gpath = tmp_path / "broken.json"
+    gpath.write_text('{"vertices": 2,')
+    assert main(["gadget", "--graph", str(gpath)]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
+
+
 def test_gadget_rejects_bad_edges_without_coloring(tmp_path, capsys):
     """A self-loop, a duplicate edge or an edge out of range is a usage
     error (exit 2), whether or not a coloring is given."""

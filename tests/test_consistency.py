@@ -473,15 +473,22 @@ def test_check_consistency_verdicts():
 
 
 def test_consistency_summary_rollup():
-    from minrank import ExchangeGraph
-
     I = bit(0)
     g = ExchangeGraph(I, 0, 0, [bit(1), bit(0)], sure=[0, 0])
     high = LEObservation(bit(1), bit(0), 1)
     low = LEObservation(bit(1), bit(0), 0)
     assert consistency_summary(g, [high]) == "consistent"
     assert consistency_summary(g, [low]) == "overestimated-only"
-    assert consistency_summary(g, [high, low]) != "consistent"
+    assert consistency_summary(g, [high, low]) == "overestimated-only"
+    # At I = {0, 1} the arcs 0 -> 2 -> 0 make a low swap of 2 for 0
+    # overestimated, and no arc out of 1 leaves a high swap of 3 for 1
+    # underestimated: both kinds at once.
+    g = ExchangeGraph(mask_of((0, 1)), 0, 0, [bit(2), 0, bit(0), 0])
+    over = LEObservation(bit(2), bit(0), 1)
+    under = LEObservation(bit(3), bit(1), 2)
+    assert check_consistency(g, over) == "overestimated-only"
+    assert check_consistency(g, under) == "underestimated-only"
+    assert consistency_summary(g, [over, under]) == "neither"
 
 
 def test_true_graph_always_consistent():

@@ -108,6 +108,11 @@ def test_exchange_graph_refuses_malformed_input(build, error):
         build()
 
 
+def test_exchange_graph_repr_names_its_sets_and_counts_arcs():
+    g = ExchangeGraph(bit(0), bit(1), bit(1), [bit(1), bit(0)])
+    assert repr(g) == "ExchangeGraph(I={0}, S={1}, T={1}, arcs=2)"
+
+
 def test_true_graph_crossed_fixture():
     """Arcs at I={0,3}: removals that keep independence, per layer."""
     m1, m2 = crossed_pair()
@@ -534,13 +539,13 @@ def test_star_sets_refuse_a_pair_outside_the_survey():
 def test_probe_pair_search_reads_the_direct_set():
     """On a full survey with direct elements and a pair, every direct
     element is a source and a sink, so the search returns the smallest one
-    alone, and the other two as walks: 4 star-set tests and its 2 entry
-    tests."""
+    alone, and the other two as walks: 4 star-set tests, and no entry
+    test, which the step asks once it applies a walk."""
     inst = random_instance(7, 8, weighted=True)
     survey = survey_extensions(MinRankOracle(inst.matroid1, inst.matroid2), bit(0))
     o = MinRankOracle(inst.matroid1, inst.matroid2)
-    assert probe_pair_search(o, survey) == ([1], 0, [[4], [7]])
-    assert o.query_count == 6
+    assert probe_pair_search(o, survey) == ([[1], [4], [7]], 0)
+    assert o.query_count == 4
 
 
 def test_star_pair_definition_holds():
@@ -640,7 +645,8 @@ def test_grouped_probe_graphs_equal_the_per_arc_rule(kinds_cap, n, seed):
         assert [graph_fields(g) for g in grouped] == [graph_fields(g) for g in judged]
         if not survey.direct:  # the on-demand search's premise: no element lifts
             path, Z = shortest_cheapest_path(judged[0], [0] * o.n)
-            assert probe_pair_search(o, survey)[:2] == (path, Z)
+            walks, Z_found = probe_pair_search(o, survey)
+            assert (walks[0] if walks else None, Z_found) == (path, Z)
 
 
 # -- on-demand search against the full build -----------------------------------
@@ -671,16 +677,16 @@ def test_probe_pair_search_matches_full_build():
             Z = 0 if path is not None else reachability_certificate(g)
             full = o.query_count - before
             before = o.query_count
-            found, Z_found, walks = probe_pair_search(o, survey)
-            assert (found, Z_found) == (path, Z)
+            walks, Z_found = probe_pair_search(o, survey)
+            assert (walks[0] if walks else None, Z_found) == (path, Z)
             assert o.query_count - before <= full
             used = 0
-            for P in [found] + walks if found else []:
+            for P in walks:
                 assert len(P) == len(path) and not mask_of(P) & used
                 assert (g.S >> P[0]) & 1 and (g.T >> P[-1]) & 1
                 assert all((g.succ[u] >> v) & 1 for u, v in zip(P, P[1:]))
                 used |= mask_of(P)
-            walked += len(walks)
+            walked += len(walks[1:])
             paths += path is not None
             certificates += path is None
     assert paths >= 70 and certificates >= 66 and walked > 0

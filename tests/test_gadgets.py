@@ -242,6 +242,20 @@ def test_verify_gadget_flags_a_moved_arc():
     }
 
 
+def test_verify_gadget_flags_a_broken_probe_column():
+    """Zeroing t's entry in y1's row of Z1 leaves y1 out of t's circuit in
+    I + t: the probe tests at I + t - y1 fail, and the true graph loses the
+    arc (y1, t)."""
+    gi = vertex_gadget((1, 1))
+    Z1 = [list(row) for row in gi.Z1]
+    Z1[0][gi.t] = Fraction(0)
+    broken = gi._replace(Z1=tuple(tuple(row) for row in Z1))
+    assert _failing_reports(broken) == {
+        "probe-prescriptions": ("I+t-y1.v0", "I+t+x1.v0-y1.v0", "I+t+x2.v0-y1.v0"),
+        "true-graph": ("(y1.v0,t)",),
+    }
+
+
 def test_verify_gadget_size_cap():
     g = ColoredGraph(
         7,

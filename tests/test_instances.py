@@ -339,6 +339,11 @@ def test_random_instance_respects_kind_filter():
         assert inst.matroid2.kind == "graphic"
 
 
+def test_random_instance_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown generator kind 'bogus'"):
+        random_instance(0, 4, kinds=("bogus",))
+
+
 def test_random_instance_distinct_seeds_differ():
     texts = {dumps(random_instance(seed, 10)) for seed in range(12)}
     assert len(texts) > 1

@@ -145,7 +145,8 @@ def test_augment_star_pair_choice_does_not_change_size():
                     continue
                 baseline, _, _ = augment_min_rank(o, I)
                 for sp in pairs:
-                    path, Z, _ = probe_pair_search(o, ExtensionSurvey(I, 0, sp))
+                    walks, Z = probe_pair_search(o, ExtensionSurvey(I, 0, sp))
+                    path = walks[0] if walks else None
                     assert (path is None) == isinstance(baseline, Certificate)
                     if path is not None:
                         augmented += 1
