@@ -86,9 +86,7 @@ from .verify import (
     brute_w_maximal,
     build_true_graph,
     check_promise_no_circuit_inclusion,
-    circuits,
     common_independent_sets,
-    largest_circuit_size,
 )
 
 __version__ = "0.1.0"

@@ -155,7 +155,7 @@ def _verify_instance(inst: Instance, label: str) -> list[BruteReport]:
     reports: list[BruteReport] = []
 
     def make(quantity: str, brute: object, solver: object) -> None:
-        reports.append(BruteReport.check(label, quantity, brute, solver))
+        reports.append(BruteReport(label, quantity, brute, solver))
 
     o = MinRankOracle(m1, m2)
     run = max_cardinality(o)

@@ -23,12 +23,16 @@ from .bitset import MAX_GROUND, bit, format_set, full_mask, iter_bits, popcount
 
 
 class ValidationReport(NamedTuple):
-    """Outcome of `validate`: ok, or the first violated axiom with witnesses."""
+    """Outcome of `validate`: the first violated axiom with witnesses, if any."""
 
-    ok: bool
     axiom: str | None = None
     witnesses: tuple[int, ...] = ()
     detail: str = ""
+
+    @property
+    def ok(self) -> bool:
+        """Whether no axiom is violated."""
+        return self.axiom is None
 
     def __str__(self) -> str:
         if self.ok:
@@ -311,7 +315,7 @@ def validate(m: Matroid) -> ValidationReport:
             for e in iter_bits(f):
                 if f ^ bit(e) not in fam:
                     return ValidationReport(
-                        False, "downward-closure", (f, f ^ bit(e)),
+                        "downward-closure", (f, f ^ bit(e)),
                         "family member has a missing subset",
                     )
         for a in sorted(fam):
@@ -319,7 +323,7 @@ def validate(m: Matroid) -> ValidationReport:
                 if popcount(a) < popcount(b):
                     if not any(a | bit(e) in fam for e in iter_bits(b & ~a)):
                         return ValidationReport(
-                            False, "exchange", (a, b),
+                            "exchange", (a, b),
                             "no element of the larger set extends the smaller",
                         )
         # With closure+exchange verified, basis-derived rank must match the
@@ -327,18 +331,18 @@ def validate(m: Matroid) -> ValidationReport:
         for f in sorted(fam):
             if m.rank(f) != popcount(f):
                 return ValidationReport(
-                    False, "family-rank", (f,),
+                    "family-rank", (f,),
                     "family member not independent under basis-derived rank",
                 )
 
     if m.rank(0) != 0:
-        return ValidationReport(False, "empty-rank", (0,), f"r(empty) = {m.rank(0)}")
+        return ValidationReport("empty-rank", (0,), f"r(empty) = {m.rank(0)}")
 
     def unit_monotone_at(x: int, e: int) -> ValidationReport | None:
         r0, r1 = m.rank(x), m.rank(x | bit(e))
         if not r0 <= r1 <= r0 + 1:
             return ValidationReport(
-                False, "unit-monotone", (x, x | bit(e)),
+                "unit-monotone", (x, x | bit(e)),
                 f"r={r0} then r={r1}",
             )
         return None
@@ -366,15 +370,15 @@ def validate(m: Matroid) -> ValidationReport:
         y = rng.getrandbits(n) & fm
         if m.rank(x) + m.rank(y) < m.rank(x | y) + m.rank(x & y):
             return ValidationReport(
-                False, "submodular", (x, y),
+                "submodular", (x, y),
                 "r(X)+r(Y) < r(X|Y)+r(X&Y)",
             )
 
     for e in range(n):
         if m.rank(bit(e)) != 1:
             return ValidationReport(
-                False, "loopless", (bit(e),), f"element {e} is a loop"
+                "loopless", (bit(e),), f"element {e} is a loop"
             )
 
-    return ValidationReport(True)
+    return ValidationReport()
 

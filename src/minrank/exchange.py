@@ -203,10 +203,6 @@ class ExtensionSurvey(NamedTuple):
     direct: int
     pair: StarPair | None
 
-    @property
-    def all_flat(self) -> bool:
-        return not self.direct and self.pair is None
-
 
 def survey_extensions(
     o: Oracle, I: int, first: bool = False, known_flat: int = 0

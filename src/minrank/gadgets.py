@@ -38,7 +38,7 @@ from .consistency import Arc
 from .core import LinearMatroid, Matroid
 from .exchange import ExchangeGraph
 from .oracle import MinRankOracle
-from .verify import BruteReport, LEObservation, build_true_graph, check_consistency
+from .verify import BruteReport, build_true_graph, check_consistency
 
 Color = tuple[int, int]
 COLORS: tuple[Color, ...] = ((1, 1), (1, 2), (2, 1), (2, 2))
@@ -301,16 +301,9 @@ def build_gadget(g: ColoredGraph) -> GadgetInstance:
     proper coloring it agrees with the designated constants, and a
     disagreement raises RuntimeError.
     """
-    if g.coloring is None:
-        raise ValueError("a coloring is required to build a gadget")
-    if len(g.coloring) != g.vertices:
-        raise ValueError("coloring length disagrees with vertex count")
-    for c in g.coloring:
-        if c not in COLORS:
-            raise ValueError(f"unknown color {c}")
-    edges = g.normalized_edges()
     if not g.is_proper():
-        raise ValueError("coloring is not proper: adjacent vertices share a color")
+        raise ValueError("coloring is not proper: a color is missing, unknown or shared by an edge")
+    edges = g.normalized_edges()
     V, n = g.vertices, g.gadget_size()
 
     names: list[str] = []
@@ -430,7 +423,7 @@ def verify_gadget(gi: GadgetInstance) -> list[BruteReport]:
     if gi.n > VERIFY_MAX_N:
         raise ValueError(f"verify_gadget is capped at {VERIFY_MAX_N} columns")
     label = f"gadget(V={gi.graph.vertices},E={len(gi.graph.edges)})"
-    make = partial(BruteReport.check, label)
+    make = partial(BruteReport, label)
     m1, m2 = gi.as_matroids()
     D = build_true_graph(m1, m2, gi.I)
     rmin = MinRankOracle(m1, m2).rmin
@@ -490,7 +483,7 @@ def _block_consistent(
     judged by `verify.check_consistency`."""
     g = ExchangeGraph(gi.I, 0, 0, _heads(gi.n, arcs))
     return all(
-        check_consistency(g, LEObservation(X, Y, gi.values[(X, Y)])) == "consistent"
+        check_consistency(g, X, Y, gi.values[(X, Y)]) == "consistent"
         for X in small_subsets(mask_of(xs), 2)
         for Y in small_subsets(mask_of(ys), 2)
     )

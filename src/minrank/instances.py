@@ -305,13 +305,12 @@ def _random_matroid(rng: random.Random, n: int, kind: str) -> Matroid:
         return _random_graphic(rng, n)
     if kind == "linear-rational":
         return _random_linear(rng, n)
-    if kind == "explicit":
-        if n > 12:
-            raise ValueError("explicit generation enumerates 2^n sets; n is capped at 12")
-        base = _random_linear(rng, n)
-        family = [mask for mask in range(1 << n) if base.is_independent(mask)]
-        return ExplicitMatroid(n, family)
-    raise ValueError(f"unknown generator kind {kind!r}")
+    # "explicit", the last of GENERATOR_KINDS; callers pass no other kind.
+    if n > 12:
+        raise ValueError("explicit generation enumerates 2^n sets; n is capped at 12")
+    base = _random_linear(rng, n)
+    family = [mask for mask in range(1 << n) if base.is_independent(mask)]
+    return ExplicitMatroid(n, family)
 
 
 def _random_weights(rng: random.Random, n: int, pool: int | None = None) -> tuple[Fraction, ...]:
@@ -332,6 +331,11 @@ def random_instance(
     """A seeded loopless pair of the given kinds, optionally weighted."""
     if n < 0:
         raise ValueError(f"ground set size {n} is negative")
+    if not kinds:
+        raise ValueError(f"no generator kind given; expected some of {GENERATOR_KINDS}")
+    for kind in kinds:
+        if kind not in GENERATOR_KINDS:
+            raise ValueError(f"unknown generator kind {kind!r}")
     rng = _rng("instance", seed, n)
     m1 = _random_matroid(rng, n, rng.choice(list(kinds)))
     m2 = _random_matroid(rng, n, rng.choice(list(kinds)))

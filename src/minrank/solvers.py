@@ -314,7 +314,7 @@ def _weighted_run(
         if direct & flat:
             lifted, before = format_set(direct & flat), format_set(sets[-2])
             raise ValueError(f"{lifted} flat at {before} lifts at {format_set(I)}")
-        if survey.all_flat:
+        if not direct and survey.pair is None:
             outcome = _certify(o.ground)
         elif survey.pair is None:
             x = max(iter_bits(direct), key=lambda e: Fraction(w[e]))

@@ -4,14 +4,17 @@ Everything here may look at the hidden rank functions directly; none of it
 is available to the oracle-driven solvers. The enumerations are exponential
 and guarded by size caps — they exist to certify the solvers on small
 instances, not to compete with them. Each check is one `BruteReport`
-(instance, quantity, brute, solver, ok): ok when the two values agree.
+(instance, quantity, brute, solver), ok when the two values agree. An
+observation is one entry (X, Y) -> value of the map `all_observations`
+reads from an `ObservationTable`: X joins I, Y leaves it, and value is
+rmin((I | X) & ~Y).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .bitset import bit, elements_of, full_mask, iter_bits, mask_of, popcount
 from .consistency import ObservationTable, build_cnf, solve_2sat
@@ -36,12 +39,11 @@ class BruteReport(NamedTuple):
     quantity: str
     brute: object
     solver: object
-    ok: bool
 
-    @classmethod
-    def check(cls, instance: str, quantity: str, brute: object, solver: object) -> BruteReport:
-        """The report of one comparison: ok exactly when brute == solver."""
-        return cls(instance, quantity, brute, solver, brute == solver)
+    @property
+    def ok(self) -> bool:
+        """Whether the two values agree."""
+        return self.brute == self.solver
 
     def __str__(self) -> str:
         mark = "ok" if self.ok else "MISMATCH"
@@ -84,7 +86,7 @@ class BruteTable:
         self.E = full_mask(m1.n)
         subsets = range(self.E + 1)
         self.r1 = [m1.rank(X) for X in subsets]
-        self.r2 = self.r1 if m2 is m1 else [m2.rank(X) for X in subsets]
+        self.r2 = [m2.rank(X) for X in subsets]
         self.common = [X for X in subsets if self.r1[X] == self.r2[X] == popcount(X)]
 
     @cached_property
@@ -179,12 +181,6 @@ def brute_lexmax(
     return brute_table(m1, m2).lexmax(w)
 
 
-def circuits(m: Matroid) -> list[int]:
-    """All minimal dependent sets, ascending as masks."""
-    _require(m.n, 14, "circuit enumeration")
-    return list(brute_table(m, m).circuits[0])
-
-
 def check_promise_no_circuit_inclusion(m1: Matroid, m2: Matroid) -> bool:
     """True when no circuit of either matroid contains a circuit of the other.
 
@@ -194,12 +190,6 @@ def check_promise_no_circuit_inclusion(m1: Matroid, m2: Matroid) -> bool:
     """
     _require(m1.n, 14, "circuit enumeration")
     return brute_table(m1, m2).no_circuit_inclusion()
-
-
-def largest_circuit_size(m: Matroid) -> int:
-    """Size of the largest circuit; 0 for a free matroid."""
-    _require(m.n, 14, "circuit enumeration")
-    return brute_table(m, m).largest_circuit()
 
 
 # -- the true exchange graph -------------------------------------------------
@@ -318,44 +308,34 @@ def shortest_st_paths(g: ExchangeGraph) -> list[tuple[int, ...]]:
 # -- graph audits -------------------------------------------------------------
 
 
-class LEObservation(NamedTuple):
-    """One observed exchange: X joins, Y leaves, value = rmin((I | X) & ~Y)."""
-
-    X: int
-    Y: int
-    value: int
+def all_observations(table: ObservationTable) -> dict[tuple[int, int], int]:
+    """Every small exchange (X, Y) of the table with its value, in pair order."""
+    return {(X, Y): table.value(X, Y) for X, Y in table.pairs()}
 
 
-def all_observations(table: ObservationTable) -> list[LEObservation]:
-    """Every small exchange of the table with its value, in pair order."""
-    return [LEObservation(X, Y, table.value(X, Y)) for X, Y in table.pairs()]
+def check_consistency(g: ExchangeGraph, X: int, Y: int, value: int) -> str:
+    """Classify one observation, X for Y at value, against the graph's arcs.
 
-
-def check_consistency(g: ExchangeGraph, obs: LEObservation) -> str:
-    """Classify one observation against the graph's arcs.
-
-    high observation (value > |I| - |Y|) wants both directions populated
+    A high observation (value > |I| - |Y|) wants both directions populated
     between Y and X; a low one forbids having both. Verdicts:
     ``consistent``, ``underestimated-only`` (arcs must be added), or
     ``overestimated-only`` (arcs must be removed). ``neither`` never occurs
     for a single observation; it is reserved for graph-wide summaries.
     """
     k = popcount(g.I)
-    high = obs.value >= k - popcount(obs.Y) + 1
-    dir1 = any(g.succ[y] & obs.X for y in iter_bits(obs.Y))
-    dir2 = any(g.succ[x] & obs.Y for x in iter_bits(obs.X))
+    high = value >= k - popcount(Y) + 1
+    dir1 = any(g.succ[y] & X for y in iter_bits(Y))
+    dir2 = any(g.succ[x] & Y for x in iter_bits(X))
     if high:
         return "consistent" if (dir1 and dir2) else "underestimated-only"
     return "overestimated-only" if (dir1 and dir2) else "consistent"
 
 
-def consistency_summary(
-    g: ExchangeGraph, observations: Sequence[LEObservation]
-) -> str:
+def consistency_summary(g: ExchangeGraph, observations: Mapping[tuple[int, int], int]) -> str:
     """Roll-up over all observations: ``consistent`` when every one is,
     ``overestimated-only``/``underestimated-only`` when all violations lean
     one way, ``neither`` when both kinds appear."""
-    verdicts = {check_consistency(g, obs) for obs in observations} - {"consistent"}
+    verdicts = {check_consistency(g, *XY, v) for XY, v in observations.items()} - {"consistent"}
     if len(verdicts) > 1:
         return "neither"
     return verdicts.pop() if verdicts else "consistent"
@@ -386,7 +366,7 @@ def audit_graphs(
     _require(m1.n, 10, "audit_graphs")
     if w is None:
         w = [1] * m1.n
-    make = partial(BruteReport.check, instance)
+    make = partial(BruteReport, instance)
     reports: list[BruteReport] = []
     D = build_true_graph(m1, m2, I)
     true_arcs = set(D.arcs())
@@ -476,20 +456,20 @@ def audit_graphs(
     sure_ok = n_sure <= c_arcs <= n_arcs
     reports.append(make("resolved-within-bounds", True, sure_ok))
     bad_pairs = []
-    for obs in observations:
-        verdict = check_consistency(C, obs)
+    for (X, Y), value in observations.items():
+        verdict = check_consistency(C, X, Y, value)
         if verdict == "consistent":
             continue
-        if table.is_evil(obs.X, obs.Y):
+        if table.is_evil(X, Y):
             # Evil observations may go unresolved, but only by dropping
             # every arc between X and Y.
-            arcs_between = any(C.succ[y] & obs.X for y in iter_bits(obs.Y)) or any(
-                C.succ[x] & obs.Y for x in iter_bits(obs.X)
+            arcs_between = any(C.succ[y] & X for y in iter_bits(Y)) or any(
+                C.succ[x] & Y for x in iter_bits(X)
             )
             if verdict != "underestimated-only" or arcs_between:
-                bad_pairs.append((obs, verdict))
+                bad_pairs.append(((X, Y, value), verdict))
         else:
-            bad_pairs.append((obs, verdict))
+            bad_pairs.append(((X, Y, value), verdict))
     reports.append(make("resolved-almost-consistent", (), tuple(bad_pairs)))
 
     # Matching partitions: cycles of the resolved graph, and source-sink

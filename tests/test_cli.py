@@ -459,7 +459,7 @@ def test_gadget_reports_failed_checks(tmp_path, monkeypatch, capsys):
     real = minrank.cli.verify_gadget
 
     def one_wrong(gi):
-        return real(gi) + [BruteReport.check("gadget", "forced", 0, 1)]
+        return real(gi) + [BruteReport("gadget", "forced", 0, 1)]
 
     monkeypatch.setattr(minrank.cli, "verify_gadget", one_wrong)
     gpath = tmp_path / "edge.json"

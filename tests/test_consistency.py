@@ -31,12 +31,7 @@ from minrank import (
     weighted_no_circuit_inclusion,
 )
 from minrank.consistency import ObservationTable, TwoSat, build_cnf, solve_2sat
-from minrank.verify import (
-    LEObservation,
-    all_observations,
-    check_consistency,
-    consistency_summary,
-)
+from minrank.verify import all_observations, check_consistency, consistency_summary
 from conftest import crossed_pair, small_zoo, triangle
 
 
@@ -69,7 +64,7 @@ def test_observation_count_nine():
     assert len(t.y_sets) == 3
     obs = all_observations(t)
     assert len(obs) == 9
-    assert all(isinstance(x, LEObservation) for x in obs)
+    assert list(obs) == list(t.pairs())
 
 
 def test_observations_match_oracle_recomputation():
@@ -78,8 +73,8 @@ def test_observations_match_oracle_recomputation():
     o = MinRankOracle(m1, m2)
     t = _bare(o, I)
     fresh = MinRankOracle(m1, m2)
-    for obs in all_observations(t):
-        assert obs.value == fresh.rmin((I | obs.X) & ~obs.Y)
+    for (X, Y), value in all_observations(t).items():
+        assert value == fresh.rmin((I | X) & ~Y)
 
 
 def test_observation_value_bounds():
@@ -93,12 +88,12 @@ def test_observation_value_bounds():
                     continue
                 t = _bare(o, I)
                 k = popcount(I)
-                for obs in all_observations(t):
+                for (X, Y), value in all_observations(t).items():
                     # Dropping Y removes at most |Y| rank; adding X restores
                     # at most |X|.
-                    lo = k - popcount(obs.Y)
-                    hi = lo + popcount(obs.X)
-                    assert lo <= obs.value <= hi
+                    lo = k - popcount(Y)
+                    hi = lo + popcount(X)
+                    assert lo <= value <= hi
 
 
 def test_observation_caching():
@@ -464,31 +459,32 @@ def test_check_consistency_verdicts():
     I = bit(0)
     both = ExchangeGraph(I, 0, 0, [bit(1), bit(0)], sure=[0, 0])
     none_g = ExchangeGraph(I, 0, 0, [0, 0], sure=[0, 0])
-    high = LEObservation(bit(1), bit(0), 1)  # value = |I| -> needs both ways
-    low = LEObservation(bit(1), bit(0), 0)  # value = |I|-1 -> forbids both
-    assert check_consistency(both, high) == "consistent"
-    assert check_consistency(none_g, high) == "underestimated-only"
-    assert check_consistency(both, low) == "overestimated-only"
-    assert check_consistency(none_g, low) == "consistent"
+    high = (bit(1), bit(0), 1)  # value = |I| -> needs both ways
+    low = (bit(1), bit(0), 0)  # value = |I|-1 -> forbids both
+    assert check_consistency(both, *high) == "consistent"
+    assert check_consistency(none_g, *high) == "underestimated-only"
+    assert check_consistency(both, *low) == "overestimated-only"
+    assert check_consistency(none_g, *low) == "consistent"
 
 
 def test_consistency_summary_rollup():
     I = bit(0)
     g = ExchangeGraph(I, 0, 0, [bit(1), bit(0)], sure=[0, 0])
-    high = LEObservation(bit(1), bit(0), 1)
-    low = LEObservation(bit(1), bit(0), 0)
-    assert consistency_summary(g, [high]) == "consistent"
-    assert consistency_summary(g, [low]) == "overestimated-only"
-    assert consistency_summary(g, [high, low]) == "overestimated-only"
+    swap = (bit(1), bit(0))
+    assert consistency_summary(g, {swap: 1}) == "consistent"
+    assert consistency_summary(g, {swap: 0}) == "overestimated-only"
+    # A consistent second exchange (1 joins, nothing leaves, no lift)
+    # changes nothing.
+    assert consistency_summary(g, {swap: 0, (bit(1), 0): 1}) == "overestimated-only"
     # At I = {0, 1} the arcs 0 -> 2 -> 0 make a low swap of 2 for 0
     # overestimated, and no arc out of 1 leaves a high swap of 3 for 1
     # underestimated: both kinds at once.
     g = ExchangeGraph(mask_of((0, 1)), 0, 0, [bit(2), 0, bit(0), 0])
-    over = LEObservation(bit(2), bit(0), 1)
-    under = LEObservation(bit(3), bit(1), 2)
-    assert check_consistency(g, over) == "overestimated-only"
-    assert check_consistency(g, under) == "underestimated-only"
-    assert consistency_summary(g, [over, under]) == "neither"
+    over = (bit(2), bit(0))
+    under = (bit(3), bit(1))
+    assert check_consistency(g, *over, 1) == "overestimated-only"
+    assert check_consistency(g, *under, 2) == "underestimated-only"
+    assert consistency_summary(g, {over: 1, under: 2}) == "neither"
 
 
 def test_true_graph_always_consistent():
@@ -502,8 +498,8 @@ def test_true_graph_always_consistent():
                     continue
                 D = build_true_graph(m1, m2, I)
                 t = ObservationTable(o, D)
-                for obs in all_observations(t):
-                    assert check_consistency(D, obs) == "consistent"
+                for (X, Y), value in all_observations(t).items():
+                    assert check_consistency(D, X, Y, value) == "consistent"
 
 
 def test_almost_consistent_graph_no_suspicious_equals_true():

@@ -150,7 +150,7 @@ def test_find_star_pair_none_at_maximum():
     o = MinRankOracle(*crossed_pair())
     I = mask_of((0, 3))
     assert find_star_pair(o, I) == survey_extensions(o, I, first=True)
-    assert find_star_pair(o, I).all_flat
+    assert find_star_pair(o, I) == ExtensionSurvey(I, 0, None)
 
 
 def test_find_star_pair_empty_set_loopless():
@@ -165,8 +165,7 @@ def test_survey_extensions_lists_all_direct():
     assert s.I == bit(0)
     assert s.direct == bit(3)
     assert s.pair == StarPair(1, 2)
-    assert not s.all_flat
-    assert survey_extensions(o, mask_of((0, 3))).all_flat
+    assert survey_extensions(o, mask_of((0, 3))) == ExtensionSurvey(mask_of((0, 3)), 0, None)
 
 
 def pair_loop_survey(o, I: int, first: bool) -> ExtensionSurvey:

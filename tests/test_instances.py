@@ -22,7 +22,6 @@ from minrank import (
     check_promise_no_circuit_inclusion,
     crossed_partition_instance,
     dumps,
-    largest_circuit_size,
     load,
     loads,
     mask_of,
@@ -32,6 +31,7 @@ from minrank import (
     random_promise_instance,
     save,
 )
+from minrank.verify import BruteTable
 
 
 # -- round trips -----------------------------------------------------------------
@@ -316,7 +316,7 @@ def test_fpt_generator_bounds_circuits():
     for seed in range(8):
         for gamma in (2, 3):
             inst = random_fpt_instance(seed, 8, gamma=gamma)
-            assert largest_circuit_size(inst.matroid1) <= gamma
+            assert BruteTable(inst.matroid1, inst.matroid2).largest_circuit() <= gamma
             assert inst.weights is not None
 
 
@@ -340,8 +340,16 @@ def test_random_instance_respects_kind_filter():
 
 
 def test_random_instance_refuses_an_unknown_kind():
+    """An unknown kind, even beside a known one, and an empty `kinds` are
+    refused before the first draw: on every seed, not only those that draw
+    the bad kind."""
     with pytest.raises(ValueError, match="unknown generator kind 'bogus'"):
         random_instance(0, 4, kinds=("bogus",))
+    for seed in range(20):
+        with pytest.raises(ValueError, match="unknown generator kind 'bogus'"):
+            random_instance(seed, 8, kinds=("partition", "bogus"))
+        with pytest.raises(ValueError, match="no generator kind given"):
+            random_instance(seed, 8, kinds=())
 
 
 def test_random_instance_distinct_seeds_differ():

@@ -1016,6 +1016,20 @@ class NthQueryLiar(MinRankOracle):
         return self._value if self.query_count == self._nth else value
 
 
+class OneLie(MinRankOracle):
+    """Answers `rmin + delta` to the `nth` query (counting from 1), honestly
+    elsewhere: one lie, to be swept over every position of an honest run."""
+
+    def __init__(self, m1, m2, nth: int, delta: int):
+        super().__init__(m1, m2)
+        self._nth = nth
+        self._delta = delta
+
+    def rmin(self, mask: int) -> int:
+        value = super().rmin(mask)
+        return value + self._delta if self.query_count == self._nth else value
+
+
 @pytest.mark.parametrize(
     "nth,named",
     [(7, "rmin({0,3}) = 1,"), (8, "rmin({0,1,2,3}) = 1,"), (9, "rmin({}) = 1")],
@@ -1206,20 +1220,31 @@ def test_lying_oracle_never_gets_a_wrong_cardinality_answer(liar):
         assert liar_verdict(liar, "cardinality", seed) != "wrong", seed
 
 
+def n64_pairs(seed: int):
+    """The n = 64 pairs of one seed: a partition pair, and a graphic x
+    partition pair whose graphic matroid is 64 random edges on 32 vertices."""
+    part = random_instance(seed, 64, kinds=("partition",))
+    rng = random.Random(seed)
+    graphic = GraphicMatroid(32, [tuple(rng.sample(range(32), 2)) for _ in range(64)])
+    return (part.matroid1, part.matroid2), (graphic, part.matroid1)
+
+
+def right_at_n64(run, m1, m2, size: int) -> bool:
+    """Whether a run returned `size` elements independent in both matroids'
+    own rank."""
+    return popcount(run.I) == size and all(m.rank(run.I) == size for m in (m1, m2))
+
+
 def test_liars_at_n64_are_right_or_reported():
     """Both liars at n = 64, where honest searches keep further walks (the
-    n = 8 sweep keeps none), on seeds 0..7 of a partition pair and of a
-    graphic x partition pair, the graphic matroid 64 random edges on 32
-    vertices: each run raises ContractViolationError or returns the honest
-    run's size with a set independent in both matroids. Prints the
-    right/raised/wrong counts under `pytest -s`."""
+    n = 8 sweep keeps none), on seeds 0..7 of `n64_pairs`: each run raises
+    ContractViolationError or returns the honest run's size with a set
+    independent in both matroids. Prints the right/raised/wrong counts
+    under `pytest -s`."""
     counts: Counter = Counter()
     walks = 0
     for seed in range(8):
-        part = random_instance(seed, 64, kinds=("partition",))
-        rng = random.Random(seed)
-        graphic = GraphicMatroid(32, [tuple(rng.sample(range(32), 2)) for _ in range(64)])
-        for m1, m2 in ((part.matroid1, part.matroid2), (graphic, part.matroid1)):
+        for m1, m2 in n64_pairs(seed):
             honest = max_cardinality(MinRankOracle(m1, m2))
             walks += sum(step.action == "walk" for step in honest.trace)
             for liar in (PerturbedOracle, HashedLiar):
@@ -1228,15 +1253,42 @@ def test_liars_at_n64_are_right_or_reported():
                 except ContractViolationError:
                     counts[liar.__name__, "raised"] += 1
                     continue
-                right = popcount(run.I) == popcount(honest.I) and all(
-                    m.rank(run.I) == popcount(run.I) for m in (m1, m2)
-                )
+                right = right_at_n64(run, m1, m2, popcount(honest.I))
                 counts[liar.__name__, "right" if right else "wrong"] += 1
     for name in ("PerturbedOracle", "HashedLiar"):
         cells = "/".join(str(counts[name, v]) for v in ("right", "raised", "wrong"))
         print(f"\n`{name}` at n = 64: {cells}")
     assert walks > 0
     assert not counts["PerturbedOracle", "wrong"] + counts["HashedLiar", "wrong"]
+
+
+def test_one_lie_at_n64_is_right_or_reported():
+    """`OneLie` at every query position of the honest run, with delta = +1
+    and -1, on seeds 0..2 of `n64_pairs`: each run raises
+    ContractViolationError or returns the honest run's size with a set
+    independent in both matroids. Far more single-lie runs return than
+    runs under the 5% liars, and some of them keep a walk, so the walk
+    code is judged too. Prints the right/raised/wrong counts under
+    `pytest -s`."""
+    counts: Counter = Counter()
+    walked = 0
+    for seed in range(3):
+        for m1, m2 in n64_pairs(seed):
+            honest = MinRankOracle(m1, m2)
+            size = popcount(max_cardinality(honest).I)
+            for nth in range(1, honest.query_count + 1):
+                for delta in (1, -1):
+                    try:
+                        run = max_cardinality(OneLie(m1, m2, nth, delta))
+                    except ContractViolationError:
+                        counts["raised"] += 1
+                        continue
+                    walked += any(step.action == "walk" for step in run.trace)
+                    counts["right" if right_at_n64(run, m1, m2, size) else "wrong"] += 1
+    print("\n`OneLie` at n = 64: " + "/".join(str(counts[v]) for v in ("right", "raised", "wrong")))
+    print(f"returned runs with a walk: {walked}")
+    assert walked > 0
+    assert counts["wrong"] == 0
 
 
 LIAR_CASES = [

@@ -27,11 +27,9 @@ from minrank import (
     build_gadget,
     build_true_graph,
     check_promise_no_circuit_inclusion,
-    circuits,
     common_independent_sets,
     full_mask,
     iter_bits,
-    largest_circuit_size,
     mask_of,
     popcount,
     random_fpt_instance,
@@ -166,29 +164,31 @@ def test_brute_lexmax_crossed():
 
 
 def test_circuits_partition():
-    m1, _ = crossed_pair()
-    assert circuits(m1) == [mask_of((0, 1)), mask_of((2, 3))]
+    assert BruteTable(*crossed_pair()).circuits == (
+        [mask_of((0, 1)), mask_of((2, 3))],
+        [mask_of((0, 2)), mask_of((1, 3))],
+    )
 
 
 def test_circuits_graphic_triangle():
-    assert circuits(triangle()) == [mask_of((0, 1, 2))]
+    """Each matroid's circuits, read from its own rank list."""
+    assert BruteTable(triangle(), UniformMatroid(3, 3)).circuits == ([mask_of((0, 1, 2))], [])
 
 
 def test_circuits_uniform():
-    assert circuits(UniformMatroid(2, 3)) == [mask_of((0, 1, 2))]
-    assert circuits(UniformMatroid(1, 3)) == [
-        mask_of((0, 1)),
-        mask_of((0, 2)),
-        mask_of((1, 2)),
-    ]
-    assert circuits(UniformMatroid(3, 3)) == []
+    assert BruteTable(UniformMatroid(2, 3), UniformMatroid(1, 3)).circuits == (
+        [mask_of((0, 1, 2))],
+        [mask_of((0, 1)), mask_of((0, 2)), mask_of((1, 2))],
+    )
+    assert BruteTable(UniformMatroid(3, 3), UniformMatroid(3, 3)).circuits == ([], [])
 
 
 def test_largest_circuit_size():
-    m1, _ = crossed_pair()
-    assert largest_circuit_size(m1) == 2
-    assert largest_circuit_size(triangle()) == 3
-    assert largest_circuit_size(UniformMatroid(3, 3)) == 0
+    """The largest circuit of either matroid; 0 when both are free."""
+    assert BruteTable(*crossed_pair()).largest_circuit() == 2
+    assert BruteTable(triangle(), UniformMatroid(3, 3)).largest_circuit() == 3
+    assert BruteTable(UniformMatroid(3, 3), triangle()).largest_circuit() == 3
+    assert BruteTable(UniformMatroid(3, 3), UniformMatroid(3, 3)).largest_circuit() == 0
 
 
 def test_promise_holds_for_crossed_partitions():
@@ -283,9 +283,10 @@ def test_path_cost_signs():
 
 
 def test_brute_report_str():
-    ok = BruteReport("inst", "max-size", 2, 2, True)
-    bad = BruteReport("inst", "max-size", 2, 1, False)
-    assert BruteReport._fields == ("instance", "quantity", "brute", "solver", "ok")
+    ok = BruteReport("inst", "max-size", 2, 2)
+    bad = BruteReport("inst", "max-size", 2, 1)
+    assert BruteReport._fields == ("instance", "quantity", "brute", "solver")
+    assert ok.ok and not bad.ok
     assert str(ok) == "[ok] inst: max-size brute=2 solver=2"
     assert str(bad) == "[MISMATCH] inst: max-size brute=2 solver=1"
 
